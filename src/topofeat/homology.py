@@ -5,10 +5,18 @@ Two routes produce the same diagrams:
 * ``compute_persistence`` runs the textbook boundary-matrix reduction over
   GF(2) on an explicit, sorted filtration.  It works for any complex of
   simplices up to dimension 2 and is the reference implementation.
-* ``rips_diagram`` is a fast path specialised to Rips filtrations: H0 via
-  union-find over the edge sequence, H1 via reduction of edge coboundary
-  columns with an apparent-pair shortcut, never materialising the triangle
-  list.  Equivalence of the two routes is enforced by the test suite.
+* ``rips_diagram`` is a fast path specialised to Rips filtrations, after
+  Ripser (Bauer, arXiv:1908.02518), never materialising the triangle list.
+  H0 comes from a Kruskal sweep with union-find over the edge sequence.  H1
+  reduces the coboundary columns of the cycle edges.  A triangle is one
+  int64 key: the rank of its diameter among the distinct edge lengths,
+  then its sorted vertices.  One vectorised pass over blocks of cycle edges
+  (as in Ripser++, arXiv:2003.07989) finds every edge's earliest cofacet
+  and settles the apparent pairs.  An edge whose earliest cofacet is still
+  unclaimed forms an emergent pair.  Neither kind builds its column until
+  another column must add it.  The remaining columns are sorted key
+  arrays, added mod 2 by merging.
+  Equivalence of the two routes is enforced by the test suite.
 
 Conventions: Euclidean metric, vertices enter at scale 0, an edge at its
 length, a triangle at its longest edge.  Simplices are ordered by
@@ -19,7 +27,6 @@ with the ``inf`` sentinel.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -244,16 +251,127 @@ class _UnionFind:
         return True
 
 
+_BLOCK = 256  # cycle edges per apparent-pair block; temporaries are O(block x n)
+
+
+def _tri_keys(trank, a, b, k, n: int):
+    """Integer keys of triangles {a, b, k} (a < b) with diameter rank ``trank``.
+
+    Mixed radix (rank, x, y, z) over the sorted vertices x < y < z, so keys
+    order triangles exactly as the refined filtration does: by diameter,
+    then lexicographically.  For a fixed edge (a, b) the key grows with k.
+    """
+    x = np.minimum(a, k)
+    z = np.maximum(b, k)
+    y = a + b + k - x - z
+    return ((trank * n + x) * n + y) * n + z
+
+
+def _add_mod2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Symmetric difference of two sorted key arrays, itself sorted.
+
+    Timsort merges the two sorted runs in linear time; a key present in both
+    lands in two adjacent slots and both copies are dropped.
+    """
+    s = np.sort(np.concatenate((x, y)), kind="stable")
+    dup = s[1:] == s[:-1]
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] &= ~dup
+    keep[:-1] &= ~dup
+    return s[keep]
+
+
+def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndarray,
+                 cycle: np.ndarray) -> list[tuple[int, float, float]]:
+    """H1 bars by coboundary reduction over the cycle-edge columns.
+
+    ``ii``, ``jj``, ``vals`` list the edges up to the scale cap in
+    filtration order; ``cycle`` indexes those that close a cycle (every
+    other edge's column is cleared by its H0 pair).  A triangle is an int64
+    key whose leading digit is the rank of its diameter among the distinct
+    edge lengths, so a death is read back as the exact ``dmat`` float.
+    """
+    n = len(dmat)
+    m = len(vals)
+    uniq = np.unique(vals)
+    over = len(uniq)  # rank of every distance above the cap
+    if (over + 1) * n ** 3 >= 2 ** 63:
+        raise ValueError("point cloud too large for int64 triangle keys")
+    rank = np.searchsorted(uniq, dmat)
+    edge_index = np.full((n, n), m, dtype=np.int64)
+    edge_index[ii, jj] = edge_index[jj, ii] = np.arange(m)
+    n3 = n ** 3
+
+    # Apparent pairs, in blocks of cycle edges: e's earliest cofacet t
+    # (smallest diameter rank, then smallest third vertex, which is the
+    # lexicographically least triangle) pairs with e when e is t's latest facet.
+    first = np.full(len(cycle), -1, dtype=np.int64)  # key of earliest cofacet
+    apparent = np.zeros(len(cycle), dtype=bool)
+    for s in range(0, len(cycle), _BLOCK):
+        e = cycle[s:s + _BLOCK]
+        a, b = ii[e], jj[e]
+        rows = np.arange(len(e))
+        tr = np.maximum(np.maximum(rank[a], rank[b]), rank[a, b][:, None])
+        tr[rows, a] = tr[rows, b] = over
+        k = np.argmin(tr, axis=1)
+        tmin = tr[rows, k]
+        has = tmin < over
+        first[s:s + _BLOCK] = np.where(has, _tri_keys(tmin, a, b, k, n), -1)
+        apparent[s:s + _BLOCK] = has & (np.maximum(edge_index[a, k], edge_index[b, k]) < e)
+
+    def coboundary(e: int) -> np.ndarray:
+        a, b = int(ii[e]), int(jj[e])
+        tr = np.maximum(np.maximum(rank[a], rank[b]), rank[a, b])
+        tr[a] = tr[b] = over
+        k = np.nonzero(tr < over)[0]
+        return np.sort(_tri_keys(tr[k], a, b, k, n))
+
+    # Pivot table: triangle key -> the column it is the pivot of, either as
+    # the edge whose coboundary is built on first use, or as the reduced
+    # array when reduction changed it.  Apparent and emergent pairs never
+    # build a column unless another column needs to add it.
+    pivots: dict[int, int | np.ndarray] = dict(zip(first[apparent].tolist(),
+                                                   cycle[apparent].tolist()))
+    feats = []
+    todo = ~apparent
+    for e, key in zip(cycle[todo][::-1].tolist(), first[todo][::-1].tolist()):
+        if key in pivots:
+            col = coboundary(e)
+            while len(col) and int(col[0]) in pivots:
+                other = pivots[int(col[0])]
+                if isinstance(other, int):
+                    other = pivots[int(col[0])] = coboundary(other)
+                col = _add_mod2(col, other)
+            key = int(col[0]) if len(col) else -1
+            if key >= 0:
+                pivots[key] = col
+        elif key >= 0:  # emergent pair: the column is reduced as it stands
+            pivots[key] = e
+        birth = float(vals[e])
+        if key < 0:  # no cofacet left: essential class
+            feats.append((1, birth, INF))
+        else:
+            death = float(uniq[key // n3])
+            if death > birth:
+                feats.append((1, birth, death))
+    return feats
+
+
 def rips_diagram(points: np.ndarray, max_scale: float | None = None) -> PersistenceDiagram:
     """H0/H1 persistence of the Rips filtration, without listing triangles.
 
     ``max_scale`` defaults to the cloud diameter.  Internally the scale is
     capped at the enclosing radius, which provably leaves the diagram
-    unchanged once zero-persistence pairs are dropped.
+    unchanged once zero-persistence pairs are dropped.  Non-finite
+    coordinates and a ``max_scale`` that is not positive raise ValueError.
     """
     pts = _as_points(points)
     if pts.ndim != 2 or len(pts) == 0:
         raise ValueError("point cloud must be a nonempty (n, d) array")
+    if not np.isfinite(pts).all():
+        raise ValueError("point cloud coordinates must be finite")
+    if max_scale is not None and not max_scale > 0:
+        raise ValueError("max_scale must be positive")
     n = len(pts)
     if n == 1:
         return PersistenceDiagram([(0, 0.0, INF)])
@@ -281,114 +399,8 @@ def rips_diagram(points: np.ndarray, max_scale: float | None = None) -> Persiste
     roots = {uf.find(v) for v in range(n)}
     feats.extend((0, 0.0, INF) for _ in roots)
 
-    # --- dimension 1: coboundary reduction over cycle-edge columns ------
-    # Triangle keys (value, a, b, c) order triangles exactly as the refined
-    # filtration does; the smallest key is the earliest cofacet.
-    edge_rank = {}
-    for e in range(len(vals)):
-        edge_rank[(int(ii[e]), int(jj[e]))] = e
-
-    def cofacet_set(e: int) -> frozenset:
-        a, b = int(ii[e]), int(jj[e])
-        other = np.maximum(dmat[a], dmat[b])
-        mask = other <= eff
-        mask[a] = mask[b] = False
-        ks = np.nonzero(mask)[0]
-        tvals = np.maximum(other[ks], vals[e])
-        trips = np.sort(np.column_stack([np.full(len(ks), a), np.full(len(ks), b), ks]), axis=1)
-        return frozenset(
-            (float(tv), int(x), int(y), int(z)) for tv, (x, y, z) in zip(tvals, trips)
-        )
-
-    def min_cofacet(e: int):
-        a, b = int(ii[e]), int(jj[e])
-        other = np.maximum(dmat[a], dmat[b])
-        mask = other <= eff
-        mask[a] = mask[b] = False
-        ks = np.nonzero(mask)[0]
-        if len(ks) == 0:
-            return None
-        tvals = np.maximum(other[ks], vals[e])
-        mmin = tvals.min()
-        # among value ties the smallest third vertex gives the lex-least triple
-        k = int(ks[tvals == mmin].min())
-        x, y, z = sorted((a, b, k))
-        return (float(mmin), x, y, z), k
-
-    cycle_edges = np.nonzero(is_cycle_edge)[0]
-    pivots: dict[tuple[float, int, int, int], object] = {}
-    apparent: set[int] = set()
-    for e in cycle_edges:
-        e = int(e)
-        found = min_cofacet(e)
-        if found is None:
-            continue
-        tmin, k = found
-        a, b = int(ii[e]), int(jj[e])
-        rank_others = max(edge_rank[tuple(sorted((a, k)))], edge_rank[tuple(sorted((b, k)))])
-        if rank_others < e:  # e is the latest facet of its earliest cofacet
-            pivots[tmin] = e  # column regenerated lazily if ever used
-            apparent.add(e)
-
-    lazy_cols: dict[int, frozenset] = {}
-
-    def column_of(e: int) -> frozenset:
-        col = lazy_cols.get(e)
-        if col is None:
-            col = cofacet_set(e)
-            lazy_cols[e] = col
-        return col
-
-    # Working columns live in a heap with lazy mod-2 cancellation: equal keys
-    # annihilate in pairs as they surface at the top.
-    def pop_pivot(heap: list):
-        while heap:
-            top = heapq.heappop(heap)
-            if heap and heap[0] == top:
-                heapq.heappop(heap)
-            else:
-                return top
-        return None
-
-    def drain(heap: list) -> set:
-        out = set()
-        while heap:
-            top = heapq.heappop(heap)
-            if heap and heap[0] == top:
-                heapq.heappop(heap)
-            else:
-                out.add(top)
-        return out
-
-    for e in cycle_edges[::-1]:
-        e = int(e)
-        if e in apparent:
-            continue
-        heap = list(column_of(e))
-        heapq.heapify(heap)
-        death = None
-        while True:
-            tmin = pop_pivot(heap)
-            if tmin is None:
-                break  # column vanished: essential class
-            entry = pivots.get(tmin)
-            if entry is None:
-                reduced = drain(heap)
-                reduced.add(tmin)
-                pivots[tmin] = frozenset(reduced)
-                death = tmin[0]
-                break
-            if isinstance(entry, int):
-                entry = column_of(entry)
-            for x in entry:  # tmin is entry's own pivot, so it cancels
-                if x != tmin:
-                    heapq.heappush(heap, x)
-        birth = float(vals[e])
-        if death is None:
-            feats.append((1, birth, INF))
-        elif death > birth:
-            feats.append((1, birth, float(death)))
-
+    # --- dimension 1 ------------------------------------------------------
+    feats.extend(_h1_features(dmat, ii, jj, vals, np.nonzero(is_cycle_edge)[0]))
     return PersistenceDiagram(feats)
 
 

@@ -109,6 +109,42 @@ class TestRipsDiagram:
         assert sorted(compute_persistence(filt).features) == \
             sorted(rips_diagram(pts, max_scale=0.9).features)
 
+    @pytest.mark.parametrize("kind", ["integer_grid", "joint_dimension"])
+    def test_matches_reference_route_with_ties_and_12d(self, kind):
+        # integer grids tie distances and duplicate points; 12-D is the
+        # dimension of the pipeline's joint clouds
+        rng = np.random.default_rng(2404)
+        for _ in range(20 if kind == "integer_grid" else 4):
+            if kind == "integer_grid":
+                n = int(rng.integers(5, 26))
+                pts = rng.integers(0, 3, (n, int(rng.integers(2, 4)))).astype(float)
+            else:
+                pts = rng.normal(size=(int(rng.integers(8, 21)), 12))
+            filt = rips_filtration(pts, max_scale=float(pdist(pts).max()))
+            assert sorted(compute_persistence(filt).features) == \
+                sorted(rips_diagram(pts).features)
+
+    def test_row_permutation_invariant_at_cohort_scale(self):
+        # 140 x 12 is the joint-cloud size: thousands of cycle edges, so the
+        # apparent-pair pass runs over several blocks and some columns reduce
+        rng = np.random.default_rng(140)
+        pts = rng.normal(size=(140, 12))
+        diagram = rips_diagram(pts)
+        assert len(diagram.bars(1)) > 0
+        assert rips_diagram(pts[rng.permutation(140)]).to_csv_text() == diagram.to_csv_text()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        pts = SQUARE[:3].copy()
+        pts[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rips_diagram(pts)
+
+    @pytest.mark.parametrize("max_scale", [0.0, -1.0, np.nan])
+    def test_nonpositive_max_scale_rejected(self, max_scale):
+        with pytest.raises(ValueError, match="max_scale"):
+            rips_diagram(SQUARE[:3], max_scale=max_scale)
+
     def test_single_point(self):
         assert rips_diagram(np.zeros((1, 3))).features == [(0, 0.0, INF)]
 
