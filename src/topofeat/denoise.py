@@ -102,6 +102,8 @@ def dtm(cloud, query, q: int) -> float:
     pts = _as_points(cloud)
     if len(pts) == 0:
         raise ValueError("empty cloud")
+    if q < 1:
+        raise ValueError("q must be >= 1")
     if q > len(pts):
         raise ValueError("q exceeds cloud size")
     qv = np.asarray(query, dtype=float).reshape(1, -1)
@@ -112,6 +114,8 @@ def dtm(cloud, query, q: int) -> float:
 def dtm_profile(cloud, queries, q: int) -> np.ndarray:
     """Vectorised ``dtm`` over many queries."""
     pts = _as_points(cloud)
+    if q < 1:
+        raise ValueError("q must be >= 1")
     if q > len(pts):
         raise ValueError("q exceeds cloud size")
     qs = _as_points(queries)
@@ -132,20 +136,31 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
     stops when assignments repeat or the iteration cap is hit.  The summed
     objective never increases from one iteration to the next; pass a list
     as ``history`` to record it.  Initial centers are k distinct cloud
-    points drawn with the seeded generator.
+    points drawn with the seeded generator.  Non-finite coordinates raise
+    ValueError.
+
+    The update is incremental.  Each center keeps the query its (mean,
+    variance) was computed from, and the n x k score matrix persists across
+    iterations.  Only the centers whose centroid differs from their stored
+    query are recomputed, and only their score columns are rebuilt.  Every
+    step works per query row or per (point, center) pair, and a centroid of
+    unchanged membership is bit-equal to the last one, so the result is the
+    same as recomputing every center each iteration.
     """
     pts = _as_points(cloud)
+    if not np.isfinite(pts).all():
+        raise ValueError("point cloud coordinates must be finite")
     n = len(pts)
     params.validate_for(n)
     q, k = params.n_neighbors, params.n_centers
     rng = np.random.default_rng(params.seed)
-    init = rng.choice(n, size=k, replace=False)
-    means, variances = _nearest_mass_stats(pts[init], pts, q, fast=True)
+    queries = pts[rng.choice(n, size=k, replace=False)]
+    means, variances = _nearest_mass_stats(queries, pts, q, fast=True)
+    score = cdist(pts, means, metric="sqeuclidean") + variances[None, :]
 
     prev_assign = None
     prev_obj = None
     for _ in range(params.max_iter):
-        score = cdist(pts, means, metric="sqeuclidean") + variances[None, :]
         assign = np.argmin(score, axis=1)
         obj = float(score[np.arange(n), assign].sum())
         if history is not None:
@@ -162,11 +177,11 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
             np.bincount(assign, weights=pts[:, dim], minlength=k) for dim in range(pts.shape[1])
         ])
         centroids = sums[occupied] / counts[occupied, None]
-        new_means, new_vars = _nearest_mass_stats(centroids, pts, q, fast=True)
-        means = means.copy()
-        variances = variances.copy()
-        means[occupied] = new_means
-        variances[occupied] = new_vars
+        shifted = np.any(centroids != queries[occupied], axis=1)
+        moved = occupied[shifted]
+        queries[moved] = centroids[shifted]
+        means[moved], variances[moved] = _nearest_mass_stats(queries[moved], pts, q, fast=True)
+        score[:, moved] = cdist(pts, means[moved], metric="sqeuclidean") + variances[None, moved]
     return CenterSet(means, variances)
 
 
@@ -228,6 +243,8 @@ def remap_multichannel(per_channel_clouds: list[PointCloud], keep_n: int,
     for c in per_channel_clouds[1:]:
         if c.time_index is None or not np.array_equal(c.time_index, ref.time_index):
             raise ValueError("mismatched time_index across channel clouds")
+    if keep_n <= 0:
+        raise ValueError("keep_n must be positive")
     if keep_n > len(ref):
         raise ValueError(f"keep_n={keep_n} exceeds cloud size {len(ref)}")
 

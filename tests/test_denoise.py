@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from topofeat.cloud import PointCloud
-from topofeat.denoise import (CenterSet, MassParams, dtm, dtm_profile, kpdtm_eval,
-                              kpdtm_fit, kpdtm_objective, prune_cloud,
-                              remap_multichannel)
+from topofeat.denoise import (CenterSet, MassParams, _nearest_mass_stats, dtm,
+                              dtm_profile, kpdtm_eval, kpdtm_fit, kpdtm_objective,
+                              prune_cloud, remap_multichannel)
 from topofeat.synth import SynthSpec, gen_cloud
 
 
@@ -17,6 +18,64 @@ def brute_dtm(cloud, query, q):
     m = neigh.mean(axis=0)
     v = ((neigh - m) ** 2).sum(axis=1).mean()
     return float(((np.asarray(query) - m) ** 2).sum() + v)
+
+
+def full_recompute_fit(pts, params, history=None):
+    """k-PDTM oracle that rescores and refreshes every occupied center each iteration."""
+    pts = np.asarray(pts, dtype=float)
+    n = len(pts)
+    q, k = params.n_neighbors, params.n_centers
+    rng = np.random.default_rng(params.seed)
+    init = rng.choice(n, size=k, replace=False)
+    means, variances = _nearest_mass_stats(pts[init], pts, q, fast=True)
+
+    prev_assign = None
+    prev_obj = None
+    for _ in range(params.max_iter):
+        score = cdist(pts, means, metric="sqeuclidean") + variances[None, :]
+        assign = np.argmin(score, axis=1)
+        obj = float(score[np.arange(n), assign].sum())
+        if history is not None:
+            history.append(obj)
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        if prev_obj is not None and obj == prev_obj:
+            break  # assignment 2-cycle at constant objective
+        prev_assign = assign
+        prev_obj = obj
+        counts = np.bincount(assign, minlength=k)
+        occupied = np.nonzero(counts > 0)[0]
+        sums = np.column_stack([
+            np.bincount(assign, weights=pts[:, dim], minlength=k) for dim in range(pts.shape[1])
+        ])
+        centroids = sums[occupied] / counts[occupied, None]
+        new_means, new_vars = _nearest_mass_stats(centroids, pts, q, fast=True)
+        means = means.copy()
+        variances = variances.copy()
+        means[occupied] = new_means
+        variances[occupied] = new_vars
+    return CenterSet(means, variances)
+
+
+def half_grid(rng, n, d):
+    """Points on a half-integer grid: many tied distances and duplicate points."""
+    return rng.integers(-3, 4, size=(n, d)) / 2.0
+
+
+# (cloud builder, q, k, max_iter); each case is fitted under several seeds
+ORACLE_CASES = {
+    "cohort_502x2": (lambda rng: rng.normal(size=(502, 2)), 10, 350, 50),
+    "d1": (lambda rng: rng.normal(size=(120, 1)), 7, 40, 50),
+    "d3": (lambda rng: rng.normal(size=(120, 3)), 7, 40, 50),
+    "d6": (lambda rng: rng.normal(size=(120, 6)), 7, 40, 50),
+    "half_grid_2d": (lambda rng: half_grid(rng, 90, 2), 5, 30, 50),
+    "half_grid_3d": (lambda rng: half_grid(rng, 90, 3), 8, 60, 50),
+    "k_equals_n": (lambda rng: rng.normal(size=(40, 2)), 4, 40, 50),
+    "q_equals_n": (lambda rng: rng.normal(size=(40, 2)), 40, 10, 50),
+    "q_and_k_equal_n": (lambda rng: half_grid(rng, 40, 2), 40, 40, 50),
+    "max_iter_1": (lambda rng: rng.normal(size=(502, 2)), 10, 350, 1),
+    "max_iter_2": (lambda rng: rng.normal(size=(502, 2)), 10, 350, 2),
+}
 
 
 class TestDtm:
@@ -47,6 +106,14 @@ class TestDtm:
             dtm(np.empty((0, 2)), [0, 0], 1)
         with pytest.raises(ValueError):
             dtm(rng.normal(size=(5, 2)), [0, 0], 6)
+
+    @pytest.mark.parametrize("q", [0, -2])
+    def test_q_below_one_rejected(self, rng, q):
+        pts = rng.normal(size=(5, 2))
+        with pytest.raises(ValueError, match="q must be"):
+            dtm(pts, [0, 0], q)
+        with pytest.raises(ValueError, match="q must be"):
+            dtm_profile(pts, pts, q)
 
 
 class TestKpdtmFit:
@@ -102,6 +169,41 @@ class TestKpdtmFit:
     def test_capped_params(self):
         p = MassParams(10, 350, 50, 0).capped(120)
         assert p.n_centers == 120 and p.n_neighbors == 10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, rng, bad):
+        pts = rng.normal(size=(20, 2))
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kpdtm_fit(pts, MassParams(3, 5, 10, 0))
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_full_recompute_oracle(self, case):
+        build, q, k, max_iter = ORACLE_CASES[case]
+        rng = np.random.default_rng(sum(map(ord, case)))
+        for seed in range(4):
+            pts = build(rng)
+            params = MassParams(q, k, max_iter, seed)
+            hist, ref_hist = [], []
+            got = kpdtm_fit(pts, params, history=hist)
+            ref = full_recompute_fit(pts, params, history=ref_hist)
+            assert got.means.tobytes() == ref.means.tobytes()
+            assert got.variances.tobytes() == ref.variances.tobytes()
+            assert np.array(hist).tobytes() == np.array(ref_hist).tobytes()
+
+    @pytest.mark.parametrize("case", ["cohort_502x2", "d3", "half_grid_2d", "k_equals_n"])
+    def test_self_stopped_fit_scores_last_objective(self, case):
+        build, q, k, _ = ORACLE_CASES[case]
+        rng = np.random.default_rng(sum(map(ord, case)))
+        stopped = 0
+        for seed in range(4):
+            pts = build(rng)
+            hist = []
+            centers = kpdtm_fit(pts, MassParams(q, k, 50, seed), history=hist)
+            if len(hist) < 50:
+                assert kpdtm_objective(centers, pts) == hist[-1]
+                stopped += 1
+        assert stopped >= 3
 
 
 class TestKpdtmEval:
@@ -206,6 +308,12 @@ class TestRemapMultichannel:
         b = PointCloud(rng.normal(size=(30, 2)), time_index=np.arange(1, 31))
         with pytest.raises(ValueError, match="mismatched time_index"):
             remap_multichannel([a, b], 10, MassParams(3, 5, 10, 0))
+
+    @pytest.mark.parametrize("keep_n", [0, -3])
+    def test_bad_keep_n(self, rng, keep_n):
+        clouds = self.make_clouds(rng, n_channels=2, n=30)
+        with pytest.raises(ValueError, match="keep_n"):
+            remap_multichannel(clouds, keep_n, MassParams(3, 5, 10, 0))
 
     def test_deterministic(self, rng):
         clouds = self.make_clouds(rng)
