@@ -2,35 +2,28 @@
 """End-to-end synthetic experiment: pipeline run, descriptor comparison, controls.
 
 Generates the two-class dataset, runs every stage, then re-vectorises the
-cached subject diagrams with each descriptor and reports ACC/SE/SP, plus a
+subject diagrams in memory with each descriptor and reports ACC/SE/SP, plus a
 label-permutation control for the headline persistence-image features.
 """
 
 import argparse
 import json
-import shutil
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from topofeat.classify import LabeledDataset, kfold_cv, load_features_csv
 from topofeat.config import PipelineConfig
-from topofeat.pipeline import run_pipeline, stage_classify, stage_vectorize
+from topofeat.pipeline import evaluate, load_subject_diagrams, run_pipeline, vectorize_features
 
 
-def descriptor_report(base_out: Path, descriptor: str, cfg: PipelineConfig):
-    out = base_out / f"eval_{descriptor}"
-    if out.exists():
-        shutil.rmtree(out)
-    out.mkdir()
-    for name in ("manifest.json", "labels.csv"):
-        shutil.copy(base_out / name, out / name)
-    shutil.copytree(base_out / "subject_diagrams", out / "subject_diagrams")
-    sub_cfg = PipelineConfig(**{**cfg.__dict__, "out_dir": str(out), "descriptor": descriptor})
-    stage_vectorize(sub_cfg)
-    return stage_classify(sub_cfg), out
+def descriptor_report(cfg: PipelineConfig, diagrams, labels, descriptor: str):
+    sub = replace(cfg, descriptor=descriptor)
+    ids, features, y, _ = vectorize_features(diagrams, labels, sub)
+    return evaluate(LabeledDataset(features, y, ids), sub)
 
 
 def main() -> int:
@@ -52,8 +45,9 @@ def main() -> int:
           f"acc={report.acc:.4f} se={report.se:.4f} sp={report.sp:.4f}")
 
     summary = {"pi": {"acc": report.acc, "se": report.se, "sp": report.sp}}
+    diagrams, labels = load_subject_diagrams(cfg)
     for descriptor in ("landscape", "betti", "entropy"):
-        rep, _ = descriptor_report(Path(args.out), descriptor, cfg)
+        rep = descriptor_report(cfg, diagrams, labels, descriptor)
         summary[descriptor] = {"acc": rep.acc, "se": rep.se, "sp": rep.sp}
         print(f"[{time.time() - t0:6.0f}s] {descriptor}: "
               f"acc={rep.acc:.4f} se={rep.se:.4f} sp={rep.sp:.4f}")

@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amp-low", type=float, default=0.55)
     p.add_argument("--amp-high", type=float, default=1.0)
 
-    p = sub.add_parser("embed", help="delay-embed each channel of each segment")
+    p = sub.add_parser("embed", help="settle the delay-embedding parameters m and tau")
     _add_common(p)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--tau", type=int, default=None)
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtol", dest="fnn_rtol", type=float, default=None)
     p.add_argument("--atol", dest="fnn_atol", type=float, default=None)
 
-    p = sub.add_parser("denoise", help="score, prune and fuse channel clouds")
+    p = sub.add_parser("denoise", help="embed each channel, then score, prune and fuse the clouds")
     _add_common(p)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
@@ -127,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--input", dest="input_dir", default=None)
     p.add_argument("--rate", type=float, default=None)
+    p.add_argument("--channels", default=None, help="comma-separated channel names to keep")
     p.add_argument("--window-sec", dest="window_seconds", type=float, default=None)
     p.add_argument("--synth", action="store_true", help="generate synthetic data instead of ingesting")
     p.add_argument("--subjects", type=int, default=40)
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
             print(f"wrote {manifest}")
         elif args.command == "embed":
             params = stage_embed(cfg)
-            print(f"embedded with m={params.dim} tau={params.delay}")
+            print(f"embedding parameters m={params.dim} tau={params.delay}")
         elif args.command == "denoise":
             stage_denoise(cfg)
             print("joint clouds written")

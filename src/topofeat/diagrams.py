@@ -10,23 +10,11 @@ subject-level diagram.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .homology import PersistenceDiagram
-
-
-@dataclass
-class DiagramSet:
-    """Per-segment diagrams belonging to one subject."""
-
-    subject_id: str
-    diagrams: list[PersistenceDiagram] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.diagrams:
-            raise ValueError("diagram set must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -86,9 +74,8 @@ def parse_bandwidth(spec: str) -> "BandwidthSpec | str":
     raise ValueError(f"unknown bandwidth spec: {spec}")
 
 
-def merge_diagrams(diagram_set: DiagramSet | list[PersistenceDiagram]) -> np.ndarray:
+def merge_diagrams(diagrams: list[PersistenceDiagram]) -> np.ndarray:
     """Pooled (birth, death) pairs of all finite H1 features, with multiplicity."""
-    diagrams = diagram_set.diagrams if isinstance(diagram_set, DiagramSet) else diagram_set
     if not diagrams:
         raise ValueError("nothing to merge")
     return np.vstack([d.finite_bars(1) for d in diagrams])

@@ -10,7 +10,6 @@ Layout under ``out_dir``:
     manifest.json               segment inventory (+ rate, channels, window)
     labels.csv                  subject_id,label
     params.json                 embedding parameters in effect
-    clouds/<sid>_<idx>_ch<c>.csv   per-channel embedded clouds
     joint/<sid>_<idx>.csv          denoised joint clouds
     diagrams/<sid>_<idx>.csv       per-segment persistence diagrams
     subject_diagrams/<sid>.csv     merged + density-filtered diagrams
@@ -18,6 +17,11 @@ Layout under ``out_dir``:
     vectorize_meta.json            shared extent / sigma / weight knots
     features.csv                   one row per subject, final column = label
     report.json                    evaluation report
+
+The per-channel delay embeddings are a pure function of a segment and
+(m, tau), so the denoise workers build them in memory and never store them.  Weight sweeps
+and descriptor comparisons re-vectorise the subject diagrams in memory
+(``vectorize_features`` + ``evaluate``) and write nothing.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from .embedding import EmbeddingParams, delay_embed, estimate_embedding_params
 from .homology import PersistenceDiagram, rips_diagram
 from .ingest import bandpass_filter, load_recording, save_segments, segment, select_channels
 from .synth import SynthSpec, gen_two_class_signals
-from .vectorize import (WeightParams, betti_curve, birth_persistence_transform,
-                        entropy_summary, peak_split_knot, persistence_image,
-                        persistence_landscape)
+from .vectorize import (PersistenceImage, WeightParams, betti_curve,
+                        birth_persistence_transform, default_extent, entropy_summary,
+                        peak_split_knot, persistence_image, persistence_landscape)
 
 
 class StageError(RuntimeError):
@@ -143,55 +147,36 @@ def _segment_entries(cfg: PipelineConfig) -> list[dict]:
     return sorted(entries, key=lambda e: (e["source_id"], e["index"]))
 
 
-def _load_segment_data(cfg: PipelineConfig, entry: dict) -> np.ndarray:
-    rec = load_recording(_out(cfg) / entry["file"], rate=cfg.rate)
-    return rec.data
-
-
 def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
-    """Embed every channel of every segment; writes clouds/ and params.json."""
+    """Settle the embedding parameters in params.json (estimated or from config)."""
     validate_config(cfg)
     out = _out(cfg)
     entries = _segment_entries(cfg)
     params_path = out / "params.json"
     if params_path.exists():
         d = json.loads(params_path.read_text())
-        params = EmbeddingParams(d["m"], d["tau"])
+        return EmbeddingParams(d["m"], d["tau"])
+    if cfg.auto_params:
+        first = load_recording(out / entries[0]["file"], rate=cfg.rate).data
+        try:
+            params = estimate_embedding_params(
+                list(first), max_lag=cfg.ami_max_lag, bins=cfg.ami_bins,
+                m_max=cfg.fnn_m_max, rtol=cfg.fnn_rtol, atol=cfg.fnn_atol)
+        except Exception as exc:
+            raise StageError("embed", f"parameter estimation failed: {exc}",
+                             entries[0]["file"]) from exc
     else:
-        if cfg.auto_params:
-            first = _load_segment_data(cfg, entries[0])
-            try:
-                params = estimate_embedding_params(
-                    list(first), max_lag=cfg.ami_max_lag, bins=cfg.ami_bins,
-                    m_max=cfg.fnn_m_max, rtol=cfg.fnn_rtol, atol=cfg.fnn_atol)
-            except Exception as exc:
-                raise StageError("embed", f"parameter estimation failed: {exc}",
-                                 entries[0]["file"]) from exc
-        else:
-            params = EmbeddingParams(cfg.m, cfg.tau)
-        params_path.write_text(json.dumps({"m": params.dim, "tau": params.delay}) + "\n")
-
-    cloud_dir = out / "clouds"
-    cloud_dir.mkdir(exist_ok=True)
-    for entry in entries:
-        paths = [cloud_dir / f"{entry['source_id']}_{entry['index']:04d}_ch{c}.csv"
-                 for c in range(len(entry["channels"]))]
-        if all(p.exists() for p in paths):
-            continue
-        data = _load_segment_data(cfg, entry)
-        for c, p in enumerate(paths):
-            try:
-                delay_embed(data[c], params).to_csv(p)
-            except Exception as exc:
-                raise StageError("embed", str(exc), entry["file"]) from exc
+        params = EmbeddingParams(cfg.m, cfg.tau)
+    params_path.write_text(json.dumps({"m": params.dim, "tau": params.delay}) + "\n")
     return params
 
 
 # ---------------------------------------------------------------- denoising
 
 def _denoise_one(args) -> None:
-    joint_path, cloud_paths, q, k, keep_n, iters, seed = args
-    clouds = [PointCloud.from_csv(p) for p in cloud_paths]
+    joint_path, segment_path, rate, m, tau, q, k, keep_n, iters, seed = args
+    embedding = EmbeddingParams(m, tau)
+    clouds = [delay_embed(x, embedding) for x in load_recording(segment_path, rate=rate).data]
     params = MassParams(q, k, iters, seed).capped(len(clouds[0]))
     if keep_n > len(clouds[0]):
         raise ValueError(f"keep_n={keep_n} exceeds cloud size {len(clouds[0])}")
@@ -200,10 +185,14 @@ def _denoise_one(args) -> None:
 
 
 def stage_denoise(cfg: PipelineConfig) -> None:
-    """Score, prune and fuse the per-channel clouds into joint clouds."""
+    """Embed every channel of every segment, then score, prune and fuse into joint clouds."""
     validate_config(cfg)
     out = _out(cfg)
     entries = _segment_entries(cfg)
+    params_path = out / "params.json"
+    if not params_path.exists():
+        raise StageError("denoise", "params.json missing; run the embed stage", params_path)
+    embedding = json.loads(params_path.read_text())
     joint_dir = out / "joint"
     joint_dir.mkdir(exist_ok=True)
     jobs = []
@@ -211,12 +200,11 @@ def stage_denoise(cfg: PipelineConfig) -> None:
         joint_path = joint_dir / f"{entry['source_id']}_{entry['index']:04d}.csv"
         if joint_path.exists():
             continue
-        cloud_paths = [out / "clouds" / f"{entry['source_id']}_{entry['index']:04d}_ch{c}.csv"
-                       for c in range(len(entry["channels"]))]
-        for p in cloud_paths:
-            if not p.exists():
-                raise StageError("denoise", "embedded cloud missing; run the embed stage", p)
-        jobs.append((joint_path, cloud_paths, cfg.q, cfg.k, cfg.keep_n, cfg.iters, cfg.seed))
+        segment_path = out / entry["file"]
+        if not segment_path.exists():
+            raise StageError("denoise", "segment file missing; run the ingest stage", segment_path)
+        jobs.append((joint_path, segment_path, cfg.rate, embedding["m"], embedding["tau"],
+                     cfg.q, cfg.k, cfg.keep_n, cfg.iters, cfg.seed))
     _run_jobs("denoise", _denoise_one, jobs, cfg.jobs)
 
 
@@ -313,17 +301,18 @@ def stage_filter(cfg: PipelineConfig, emit_density=None) -> None:
 
 # ---------------------------------------------------------------- vectorize
 
-def _load_subject_diagrams(cfg: PipelineConfig) -> dict[str, PersistenceDiagram]:
-    out = _out(cfg)
-    sd_dir = out / "subject_diagrams"
+def load_subject_diagrams(cfg: PipelineConfig) -> tuple[dict[str, PersistenceDiagram],
+                                                         dict[str, int]]:
+    """Filtered diagram and label of every labelled subject, in subject order."""
+    sd_dir = _out(cfg) / "subject_diagrams"
     labels = _labels(cfg)
-    result = {}
+    diagrams = {}
     for sid in sorted(labels):
         p = sd_dir / f"{sid}.csv"
         if not p.exists():
             raise StageError("vectorize", "subject diagram missing; run the filter stage", p)
-        result[sid] = PersistenceDiagram.from_csv(p)
-    return result
+        diagrams[sid] = PersistenceDiagram.from_csv(p)
+    return diagrams, labels
 
 
 def resolve_weights(cfg: PipelineConfig, pooled_persistence: np.ndarray,
@@ -347,47 +336,37 @@ def resolve_weights(cfg: PipelineConfig, pooled_persistence: np.ndarray,
     return WeightParams(cfg.weight_plateau, cfg.weight_junction, t1, t2)
 
 
-def stage_vectorize(cfg: PipelineConfig, weights: WeightParams | None = None) -> Path:
-    """Turn subject diagrams into one feature row per subject."""
-    validate_config(cfg)
-    out = _out(cfg)
-    feats_path = out / "features.csv"
-    if feats_path.exists():
-        return feats_path
-    diagrams = _load_subject_diagrams(cfg)
-    labels = _labels(cfg)
+def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str, int],
+                       cfg: PipelineConfig, weights: WeightParams | None = None):
+    """One feature row per subject; returns ``(ids, features, labels, meta)``.
 
+    ``meta`` holds what every row shares: the descriptor, the image sigma and
+    extent, and the weight knots (from ``weights`` or ``resolve_weights``).
+    """
     all_bars = [d.finite_bars(1) for d in diagrams.values()]
     pooled = np.vstack([b for b in all_bars if len(b)]) if any(len(b) for b in all_bars) else np.empty((0, 2))
     pooled_pers = pooled[:, 1] - pooled[:, 0] if len(pooled) else np.empty(0)
     peaks = np.array([(b[:, 1] - b[:, 0]).max() for b in all_bars if len(b)])
     wp = weights or resolve_weights(cfg, pooled_pers, subject_peaks=peaks)
 
+    bp = birth_persistence_transform(pooled)
     if len(pooled):
-        bp = birth_persistence_transform(pooled)
         sigma = cfg.pi_sigma if cfg.pi_sigma > 0 else (float(np.ptp(bp[:, 1])) / 20.0 or 1.0)
-        pad = 3 * sigma
-        extent = ((float(bp[:, 0].min() - pad), float(bp[:, 0].max() + pad)),
-                  (float(bp[:, 1].min() - pad), float(bp[:, 1].max() + pad)))
         t_hi = float(pooled[:, 1].max())
     else:
-        sigma, extent, t_hi = 1.0, ((0.0, 1.0), (0.0, 1.0)), 1.0
+        sigma, t_hi = 1.0, 1.0
+    extent = default_extent(bp, sigma)
     tgrid = np.linspace(0.0, t_hi, cfg.curve_bins)
-
     meta = {"descriptor": cfg.descriptor, "sigma": sigma, "extent": extent,
             "weights": {"plateau": wp.plateau, "junction": wp.junction,
                         "ramp_start": wp.ramp_start, "ramp_end": wp.ramp_end}}
-    (out / "vectorize_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
-    img_dir = out / "images"
-    rows, ids, labs = [], [], []
+    rows = []
     for sid, diagram in diagrams.items():
         try:
             if cfg.descriptor == "pi":
                 bp = birth_persistence_transform(diagram.finite_bars(1))
                 img = persistence_image(bp, (cfg.pi_rows, cfg.pi_cols), extent, sigma, wp)
-                img_dir.mkdir(exist_ok=True)
-                img.to_csv(img_dir / f"{sid}.csv")
                 rows.append(img.flatten())
             elif cfg.descriptor == "landscape":
                 rows.append(persistence_landscape(diagram, cfg.landscape_layers, tgrid))
@@ -397,32 +376,50 @@ def stage_vectorize(cfg: PipelineConfig, weights: WeightParams | None = None) ->
                 rows.append(entropy_summary(diagram, tgrid))
         except Exception as exc:
             raise StageError("vectorize", str(exc), f"{sid}.csv") from exc
-        ids.append(sid)
-        labs.append(labels[sid])
-    save_features_csv(feats_path, ids, np.array(rows), np.array(labs))
+    ids = list(diagrams)
+    return ids, np.array(rows), np.array([labels[sid] for sid in ids]), meta
+
+
+def stage_vectorize(cfg: PipelineConfig, weights: WeightParams | None = None) -> Path:
+    """Turn subject diagrams into one feature row per subject."""
+    validate_config(cfg)
+    out = _out(cfg)
+    feats_path = out / "features.csv"
+    if feats_path.exists():
+        return feats_path
+    ids, features, labels, meta = vectorize_features(*load_subject_diagrams(cfg), cfg, weights)
+    (out / "vectorize_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    if cfg.descriptor == "pi":
+        img_dir = out / "images"
+        img_dir.mkdir(exist_ok=True)
+        for sid, row in zip(ids, features):
+            PersistenceImage(row.reshape(cfg.pi_rows, cfg.pi_cols), meta["extent"],
+                             meta["sigma"]).to_csv(img_dir / f"{sid}.csv")
+    save_features_csv(feats_path, ids, features, labels)
     return feats_path
 
 
 # ----------------------------------------------------------------- classify
 
+def evaluate(data: LabeledDataset, cfg: PipelineConfig) -> EvalReport:
+    """Stratified k-fold SVM evaluation at the configured (or grid-searched) C and gamma."""
+    c, gamma = cfg.C, (cfg.gamma if cfg.gamma > 0 else None)
+    if cfg.grid_search:
+        c, gamma = tune_hyperparameters(data, seed=cfg.seed, kernel=cfg.kernel)
+    return kfold_cv(data, k=cfg.folds, seed=cfg.seed, kernel=cfg.kernel, C=c, gamma=gamma)
+
+
 def stage_classify(cfg: PipelineConfig, features_path=None) -> EvalReport:
     validate_config(cfg)
     out = _out(cfg)
-    report_path = out / "report.json"
     fpath = Path(features_path) if features_path else out / "features.csv"
     if not fpath.exists():
         raise StageError("classify", "features.csv missing; run the vectorize stage", fpath)
     try:
-        data = load_features_csv(fpath)
-        c, gamma = cfg.C, (cfg.gamma if cfg.gamma > 0 else None)
-        if cfg.grid_search:
-            c, gamma = tune_hyperparameters(data, seed=cfg.seed, kernel=cfg.kernel)
-        report = kfold_cv(data, k=cfg.folds, seed=cfg.seed, kernel=cfg.kernel, C=c, gamma=gamma)
-    except StageError:
-        raise
+        report = evaluate(load_features_csv(fpath), cfg)
     except Exception as exc:
         raise StageError("classify", str(exc), fpath) from exc
-    report.save(report_path)
+    report.save(out / "report.json")
     return report
 
 
@@ -446,24 +443,19 @@ def run_pipeline(cfg: PipelineConfig, synth: bool = False, **synth_kwargs) -> Ev
 
 
 def sweep_weights(cfg: PipelineConfig, plateau_values, junction_values) -> list[dict]:
-    """Re-vectorise and re-classify for every (plateau, junction) pair.
+    """Re-vectorise and re-classify in memory for every (plateau, junction) pair.
 
-    Requires diagrams to exist already; returns one report record per pair.
+    Requires the subject diagrams to exist already; writes nothing and
+    returns one report record per pair.
     """
-    out = _out(cfg)
+    diagrams, labels = load_subject_diagrams(cfg)
     results = []
     for a in plateau_values:
         for c in junction_values:
-            sub = replace(cfg, weight_plateau=a, weight_junction=c,
-                          out_dir=str(out / f"sweep_a{a}_c{c}"))
-            Path(sub.out_dir).mkdir(parents=True, exist_ok=True)
-            for name in ("manifest.json", "labels.csv"):
-                Path(sub.out_dir, name).write_text((out / name).read_text())
-            (Path(sub.out_dir) / "subject_diagrams").mkdir(exist_ok=True)
-            for p in (out / "subject_diagrams").glob("*.csv"):
-                Path(sub.out_dir, "subject_diagrams", p.name).write_text(p.read_text())
-            stage_vectorize(sub)
-            report = stage_classify(sub)
+            sub = replace(cfg, weight_plateau=a, weight_junction=c)
+            validate_config(sub)
+            ids, features, y, _ = vectorize_features(diagrams, labels, sub)
+            report = evaluate(LabeledDataset(features, y, ids), sub)
             results.append({"plateau": a, "junction": c,
                             "acc": report.acc, "se": report.se, "sp": report.sp})
     return results

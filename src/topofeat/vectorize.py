@@ -225,20 +225,3 @@ def peak_split_knot(peak_values: np.ndarray, fallback: float = 1.0) -> float:
     if len(vals) < 2:
         return fallback
     return float(np.median(vals))
-
-
-def scale_weight_knots(persistences: np.ndarray, quantile: float = 0.5,
-                       params: WeightParams = WeightParams()) -> WeightParams:
-    """Move the weighting knots onto the data's persistence scale.
-
-    ramp_start becomes the given quantile of the pooled persistence values
-    and ramp_end twice that, preserving the plateau/junction levels.
-    """
-    pers = np.asarray(persistences, dtype=float)
-    pers = pers[pers > 0]
-    if len(pers) == 0:
-        return params
-    t1 = float(np.quantile(pers, quantile))
-    if t1 <= 0:
-        t1 = float(pers.max()) or 1.0
-    return WeightParams(params.plateau, params.junction, t1, 2.0 * t1)

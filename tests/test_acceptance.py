@@ -8,8 +8,8 @@ dataset directory in TOPOFEAT_ADHD_DIR and is skipped otherwise.
 import json
 import math
 import os
-import shutil
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from topofeat.config import PipelineConfig
 from topofeat.denoise import MassParams, dtm, dtm_profile, kpdtm_eval, kpdtm_fit, prune_cloud
 from topofeat.diagrams import BandwidthSpec, filter_by_density, mkde_density
 from topofeat.homology import betti_at, rips_diagram, rips_filtration, compute_persistence
-from topofeat.pipeline import run_pipeline, stage_classify, stage_vectorize
+from topofeat.pipeline import evaluate, load_subject_diagrams, run_pipeline, vectorize_features
 from topofeat.reference import brute_force_betti
 from topofeat.synth import SynthSpec, gen_cloud
 from topofeat.vectorize import (WeightParams, birth_persistence_transform,
@@ -241,19 +241,12 @@ def test_criterion_11_end_to_end_synthetic(synthetic_run):
 
 def test_criterion_12_descriptor_ordering(synthetic_run):
     cfg, rep, _ = synthetic_run
-    base = Path(cfg.out_dir)
+    diagrams, labels = load_subject_diagrams(cfg)
     accs = {"pi": rep.acc}
     for descriptor in ("landscape", "betti"):
-        out = base / f"eval_{descriptor}"
-        if out.exists():
-            shutil.rmtree(out)
-        out.mkdir()
-        for name in ("manifest.json", "labels.csv"):
-            shutil.copy(base / name, out / name)
-        shutil.copytree(base / "subject_diagrams", out / "subject_diagrams")
-        sub = PipelineConfig(**{**cfg.__dict__, "out_dir": str(out), "descriptor": descriptor})
-        stage_vectorize(sub)
-        accs[descriptor] = stage_classify(sub).acc
+        sub = replace(cfg, descriptor=descriptor)
+        ids, features, y, _ = vectorize_features(diagrams, labels, sub)
+        accs[descriptor] = evaluate(LabeledDataset(features, y, ids), sub).acc
     ok = accs["pi"] >= accs["landscape"] >= accs["betti"]
     report(12, ok, f"pi={accs['pi']:.4f} >= landscape={accs['landscape']:.4f} "
                    f">= betti={accs['betti']:.4f}")

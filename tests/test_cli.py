@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from topofeat.cli import main
@@ -71,6 +72,30 @@ class TestSubcommands:
                        "--folds", "2") == 0
         rows = json.loads(table.read_text())
         assert len(rows) == 2
+
+
+class TestRun:
+    def test_channels_selects_inputs(self, tmp_path):
+        rng = np.random.default_rng(7)
+        src = tmp_path / "src"
+        src.mkdir()
+        t = np.arange(100) / 25.0
+        for i in range(6):
+            sine = np.sin(2 * np.pi * (1 + i % 3) * t)
+            data = np.column_stack([sine, rng.normal(size=100), sine + rng.normal(size=100)])
+            lines = ["Fz,F8,C3"] + [",".join(repr(float(v)) for v in row) for row in data]
+            (src / f"s{i}.csv").write_text("\n".join(lines) + "\n")
+        (src / "labels.csv").write_text("subject_id,label\n"
+                                        + "".join(f"s{i},{i % 2}\n" for i in range(6)))
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("rate = 25\nwindow_sec = 2\nband_low = 0.5\nband_high = 10\n"
+                           "q = 3\nk = 30\nkeep_n = 20\nfolds = 3\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfgfile), "--input", str(src), "--out", str(out),
+                       "--channels", "Fz,C3") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {tuple(e["channels"]) for e in manifest["segments"]} == {("Fz", "C3")}
+        assert (out / "report.json").exists()
 
 
 class TestErrors:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topofeat.diagrams import (BandwidthSpec, DiagramSet, filter_by_density,
-                               merge_diagrams, mkde_density, parse_bandwidth)
+from topofeat.diagrams import (BandwidthSpec, filter_by_density, merge_diagrams,
+                               mkde_density, parse_bandwidth)
 from topofeat.homology import INF, PersistenceDiagram
 
 
@@ -27,7 +27,7 @@ class TestMergeDiagrams:
 
     def test_empty_diagram_contributes_nothing(self):
         d1 = make_diagram([(0.1, 0.5)])
-        merged = merge_diagrams(DiagramSet("s", [d1, PersistenceDiagram()]))
+        merged = merge_diagrams([d1, PersistenceDiagram()])
         assert merged.shape == (1, 2)
 
     def test_infinite_and_h0_excluded(self):
@@ -38,8 +38,6 @@ class TestMergeDiagrams:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             merge_diagrams([])
-        with pytest.raises(ValueError):
-            DiagramSet("s", [])
 
 
 class TestBandwidth:

@@ -65,7 +65,7 @@ class TestStages:
         assert (out / "manifest.json").exists()
         assert (out / "labels.csv").exists()
         assert (out / "params.json").exists()
-        assert len(list((out / "clouds").glob("*.csv"))) == 12 * 2
+        assert not (out / "clouds").exists()
         assert len(list((out / "joint").glob("*.csv"))) == 12
         assert len(list((out / "diagrams").glob("*.csv"))) == 12
         assert len(list((out / "subject_diagrams").glob("*.csv"))) == 6
@@ -127,6 +127,26 @@ class TestStageErrors:
         with pytest.raises(StageError, match="embed"):
             stage_denoise(cfg)
 
+    def test_missing_params_names_file(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out")
+        stage_synth(cfg, **TINY)
+        with pytest.raises(StageError, match="params.json missing") as err:
+            stage_denoise(cfg)
+        assert err.value.stage == "denoise"
+        assert err.value.file == str(Path(cfg.out_dir) / "params.json")
+
+    def test_missing_segment_names_file(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out")
+        manifest = stage_synth(cfg, **TINY)
+        stage_embed(cfg)
+        victim = Path(cfg.out_dir) / json.loads(manifest.read_text())["segments"][1]["file"]
+        victim.unlink()
+        with pytest.raises(StageError, match="segment file missing") as err:
+            stage_denoise(cfg)
+        assert err.value.stage == "denoise"
+        assert err.value.file == str(victim)
+        assert not list((Path(cfg.out_dir) / "joint").glob("*.csv"))
+
 
 class TestIngestStage:
     def test_ingest_roundtrip(self, tmp_path, rng):
@@ -145,6 +165,20 @@ class TestIngestStage:
         assert {e["source_id"] for e in entries} == {"s0", "s1"}
 
 
+class TestJobs:
+    def test_jobs_do_not_change_bytes(self, tmp_path):
+        outputs = []
+        for jobs in (1, 2):
+            cfg = tiny_config(tmp_path / f"jobs{jobs}", jobs=jobs)
+            run_pipeline(cfg, synth=True, **TINY)
+            out = Path(cfg.out_dir)
+            files = sorted(out.glob("joint/*.csv")) + sorted(out.glob("diagrams/*.csv"))
+            outputs.append({str(p.relative_to(out)): p.read_bytes()
+                            for p in files + [out / "features.csv"]})
+        assert len(outputs[0]) == 2 * 12 + 1
+        assert outputs[0] == outputs[1]
+
+
 class TestSweep:
     def test_sweep_grid(self, tiny_run):
         cfg, _ = tiny_run
@@ -152,6 +186,14 @@ class TestSweep:
         assert len(grid) == 4
         assert {(g["plateau"], g["junction"]) for g in grid} == {(0, 1), (0, 3), (1, 1), (1, 3)}
         assert all(0.0 <= g["acc"] <= 1.0 for g in grid)
+
+    def test_config_pair_reproduces_report(self, tiny_run):
+        cfg, _ = tiny_run
+        out = Path(cfg.out_dir)
+        [row] = sweep_weights(cfg, [cfg.weight_plateau], [cfg.weight_junction])
+        saved = json.loads((out / "report.json").read_text())
+        assert {k: row[k] for k in ("acc", "se", "sp")} == {k: saved[k] for k in ("acc", "se", "sp")}
+        assert not list(out.glob("sweep_*"))
 
     def test_zero_plateau_beats_weighted_noise(self, tmp_path):
         # flooding low-persistence points with plateau weight drags the

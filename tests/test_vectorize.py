@@ -8,7 +8,7 @@ from topofeat.homology import INF, PersistenceDiagram, betti_at
 from topofeat.vectorize import (PersistenceImage, WeightParams, betti_curve,
                                 birth_persistence_transform, entropy_summary,
                                 peak_split_knot, persistence_image,
-                                persistence_landscape, scale_weight_knots, weight_fn)
+                                persistence_landscape, weight_fn)
 
 PAPER_WEIGHTS = WeightParams(plateau=0.0, junction=3.0, ramp_start=100.0, ramp_end=200.0)
 
@@ -214,19 +214,6 @@ class TestBettiCurve:
         curve = betti_curve(bars, grid)
         for t, v in zip(grid, curve):
             assert v == betti_at(diagram, t, 1)
-
-
-class TestScaleWeightKnots:
-    def test_quantile_and_doubling(self, rng):
-        pers = rng.uniform(0.1, 2.0, size=500)
-        wp = scale_weight_knots(pers, 0.99, PAPER_WEIGHTS)
-        assert wp.ramp_start == pytest.approx(np.quantile(pers, 0.99))
-        assert wp.ramp_end == pytest.approx(2 * wp.ramp_start)
-        assert wp.plateau == PAPER_WEIGHTS.plateau
-        assert wp.junction == PAPER_WEIGHTS.junction
-
-    def test_empty_input_keeps_params(self):
-        assert scale_weight_knots(np.array([]), 0.5, PAPER_WEIGHTS) == PAPER_WEIGHTS
 
 
 class TestPeakSplitKnot:
