@@ -7,8 +7,7 @@ from .denoise import CenterSet, MassParams, dtm, kpdtm_eval, kpdtm_fit, prune_cl
 from .diagrams import BandwidthSpec, filter_by_density, merge_diagrams, mkde_density
 from .embedding import (EmbeddingParams, average_mutual_information, delay_embed,
                         false_nearest_neighbors, first_minimum_lag)
-from .homology import (FiltrationSimplex, PersistenceDiagram, betti_at,
-                       compute_persistence, rips_diagram, rips_filtration)
+from .homology import PersistenceDiagram, betti_at, rips_diagram
 from .ingest import RawRecording, Segment, bandpass_filter, load_recording, segment, select_channels
 from .pipeline import StageError, run_pipeline, sweep_weights
 from .synth import SynthSpec, gen_cloud, gen_two_class_signals

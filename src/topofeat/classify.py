@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_atomic
+
 
 class UndefinedMetricError(ValueError):
     """A requested ratio has a zero denominator."""
@@ -92,7 +94,7 @@ class EvalReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
+        write_atomic(path, self.to_json())
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
@@ -317,4 +319,4 @@ def save_features_csv(path, ids: list[str], features: np.ndarray, labels: np.nda
     lines = [",".join(header)]
     for sid, row, lab in zip(ids, features, labels):
         lines.append(",".join([sid] + [repr(float(v)) for v in row] + [str(int(lab))]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

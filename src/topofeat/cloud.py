@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_atomic
+
 
 class PointCloud:
     """Finite set of d-dimensional points, optionally tagged with sample indices.
@@ -57,7 +59,7 @@ class PointCloud:
             lines.append(",".join(cols))
             for row in self.points:
                 lines.append(",".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "PointCloud":

@@ -10,7 +10,7 @@ and the sparse structure-carrying points survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -55,6 +55,8 @@ class CenterSet:
 
     means: np.ndarray      # (k, d)
     variances: np.ndarray  # (k,)
+    # set by kpdtm_fit: the score of every point of the fitted cloud
+    _scores: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float)
@@ -145,7 +147,9 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
     query are recomputed, and only their score columns are rebuilt.  Every
     step works per query row or per (point, center) pair, and a centroid of
     unchanged membership is bit-equal to the last one, so the result is the
-    same as recomputing every center each iteration.
+    same as recomputing every center each iteration.  The last score matrix
+    also gives every cloud point's score under the returned centers, which
+    ``_fit_scores`` hands to the pruning steps.
     """
     pts = _as_points(cloud)
     if not np.isfinite(pts).all():
@@ -182,7 +186,19 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
         queries[moved] = centroids[shifted]
         means[moved], variances[moved] = _nearest_mass_stats(queries[moved], pts, q, fast=True)
         score[:, moved] = cdist(pts, means[moved], metric="sqeuclidean") + variances[None, moved]
-    return CenterSet(means, variances)
+    centers = CenterSet(means, variances)
+    centers._scores = score.min(axis=1)
+    return centers
+
+
+def _fit_scores(cloud, params: MassParams) -> np.ndarray:
+    """Score of every point of ``cloud`` under the k-PDTM fitted to it.
+
+    Equal, bit for bit, to ``kpdtm_eval(kpdtm_fit(cloud, params), cloud)``:
+    the fit's score matrix holds every (point, center) value that evaluation
+    would recompute.
+    """
+    return kpdtm_fit(cloud, params)._scores
 
 
 def kpdtm_eval(centers: CenterSet, query) -> np.ndarray | float:
@@ -218,9 +234,7 @@ def prune_cloud(cloud: PointCloud, params: MassParams, keep_n: int) -> PointClou
         raise ValueError("keep_n must be positive")
     if keep_n > len(pts):
         raise ValueError(f"keep_n={keep_n} exceeds cloud size {len(pts)}")
-    centers = kpdtm_fit(cloud, params)
-    scores = np.asarray(kpdtm_eval(centers, pts))
-    kept = _keep_largest(scores, keep_n)
+    kept = _keep_largest(_fit_scores(cloud, params), keep_n)
     if isinstance(cloud, PointCloud):
         return cloud.take(kept)
     return PointCloud(pts[kept])
@@ -250,8 +264,7 @@ def remap_multichannel(per_channel_clouds: list[PointCloud], keep_n: int,
 
     scores = np.zeros(len(ref), dtype=float)
     for c in per_channel_clouds:
-        centers = kpdtm_fit(c, params)
-        scores += np.asarray(kpdtm_eval(centers, c.points))
+        scores += _fit_scores(c, params)
     scores /= len(per_channel_clouds)
 
     kept = _keep_largest(scores, keep_n)

@@ -1,22 +1,26 @@
-"""Vietoris-Rips filtrations and persistent homology in dimensions 0 and 1.
+"""Vietoris-Rips persistent homology in dimensions 0 and 1.
 
-Two routes produce the same diagrams:
+``rips_diagram`` follows Ripser (Bauer, arXiv:1908.02518) and never
+materialises the triangle list.
 
-* ``compute_persistence`` runs the textbook boundary-matrix reduction over
-  GF(2) on an explicit, sorted filtration.  It works for any complex of
-  simplices up to dimension 2 and is the reference implementation.
-* ``rips_diagram`` is a fast path specialised to Rips filtrations, after
-  Ripser (Bauer, arXiv:1908.02518), never materialising the triangle list.
-  H0 comes from a Kruskal sweep with union-find over the edge sequence.  H1
-  reduces the coboundary columns of the cycle edges.  A triangle is one
-  int64 key: the rank of its diameter among the distinct edge lengths,
-  then its sorted vertices.  One vectorised pass over blocks of cycle edges
-  (as in Ripser++, arXiv:2003.07989) finds every edge's earliest cofacet
-  and settles the apparent pairs.  An edge whose earliest cofacet is still
+* H0 is the Kruskal tree of the edge sequence, found as the minimum
+  spanning tree of the edges weighted by their position in the filtration.
+  Those weights are distinct, so the tree is unique and equals Kruskal's,
+  ties and duplicate points included.  The edges off the tree close cycles.
+* H1 reduces the coboundary columns of the cycle edges.  A triangle is one
+  int64 key: the rank of its diameter among the distinct edge lengths, then
+  its sorted vertices.  One vectorised pass over blocks of cycle edges (as
+  in Ripser++, arXiv:2003.07989) finds every edge's earliest cofacet and
+  settles the apparent pairs.  An edge whose earliest cofacet is still
   unclaimed forms an emergent pair.  Neither kind builds its column until
-  another column must add it.  The remaining columns are sorted key
-  arrays, added mod 2 by merging.
-  Equivalence of the two routes is enforced by the test suite.
+  another column must add it.  The remaining columns are sorted key arrays.
+  While a column is reduced, the columns added to it collect in a small
+  sorted buffer, which is merged into the column only once it outgrows a
+  fixed fraction of it; each new pivot is read off the two fronts.
+
+:mod:`topofeat.reference` holds the textbook boundary-matrix route and a
+brute-force Betti oracle; the test suite checks ``rips_diagram`` against
+both.
 
 Conventions: Euclidean metric, vertices enter at scale 0, an edge at its
 length, a triangle at its longest edge.  Simplices are ordered by
@@ -28,12 +32,15 @@ with the ``inf`` sentinel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
+
+from .fileio import write_atomic
 
 INF = math.inf
 
@@ -41,27 +48,6 @@ INF = math.inf
 def _as_points(cloud) -> np.ndarray:
     pts = getattr(cloud, "points", cloud)
     return np.asarray(pts, dtype=float)
-
-
-@dataclass(frozen=True)
-class FiltrationSimplex:
-    """A simplex (1-3 vertices) tagged with the scale at which it appears."""
-
-    vertices: tuple[int, ...]
-    value: float
-
-    def __post_init__(self):
-        if not 1 <= len(self.vertices) <= 3:
-            raise ValueError("only vertices, edges and triangles are supported")
-        if any(b <= a for a, b in zip(self.vertices, self.vertices[1:])):
-            raise ValueError(f"vertices must be strictly increasing: {self.vertices}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    def sort_key(self):
-        return (self.value, self.dim, self.vertices)
 
 
 class PersistenceDiagram:
@@ -101,7 +87,7 @@ class PersistenceDiagram:
         return sorted(self.features, key=lambda f: (f[0], f[1], f[2]))
 
     def to_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv_text())
+        write_atomic(path, self.to_csv_text())
 
     def to_csv_text(self) -> str:
         lines = ["dim,birth,death"]
@@ -127,101 +113,6 @@ class PersistenceDiagram:
         return cls(feats)
 
 
-def rips_filtration(points: np.ndarray, max_scale: float, max_dim: int = 2) -> list[FiltrationSimplex]:
-    """Explicit Rips filtration, sorted by (value, dimension, vertices).
-
-    Vertices appear at 0, an edge {i,j} at d(i,j) when that is <= max_scale,
-    a triangle at the largest of its three edge values.  ``max_dim`` caps the
-    simplex dimension (0, 1 or 2).
-    """
-    pts = _as_points(points)
-    if pts.ndim != 2 or len(pts) == 0:
-        raise ValueError("point cloud must be a nonempty (n, d) array")
-    if max_scale <= 0:
-        raise ValueError("max_scale must be positive")
-    if max_dim not in (0, 1, 2):
-        raise ValueError("max_dim must be 0, 1 or 2")
-    n = len(pts)
-    simplices = [FiltrationSimplex((i,), 0.0) for i in range(n)]
-    if max_dim >= 1 and n > 1:
-        dmat = squareform(pdist(pts))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dmat[i, j] <= max_scale:
-                    simplices.append(FiltrationSimplex((i, j), float(dmat[i, j])))
-        if max_dim == 2:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if dmat[i, j] > max_scale:
-                        continue
-                    for k in range(j + 1, n):
-                        val = max(dmat[i, j], dmat[i, k], dmat[j, k])
-                        if val <= max_scale:
-                            simplices.append(FiltrationSimplex((i, j, k), float(val)))
-    simplices.sort(key=FiltrationSimplex.sort_key)
-    return simplices
-
-
-def _validate_filtration(simplices: Sequence[FiltrationSimplex]) -> dict[tuple[int, ...], int]:
-    index = {}
-    for pos, s in enumerate(simplices):
-        if s.dim > 0:
-            for drop in range(len(s.vertices)):
-                face = s.vertices[:drop] + s.vertices[drop + 1:]
-                fpos = index.get(face)
-                if fpos is None:
-                    raise ValueError(f"faces after cofaces: {face} missing before {s.vertices}")
-        index[s.vertices] = pos
-    return index
-
-
-def compute_persistence(filtration: Sequence[FiltrationSimplex]) -> PersistenceDiagram:
-    """Boundary-matrix reduction over GF(2) on a sorted filtration.
-
-    H0 bars pair vertices with merging edges, H1 bars pair cycle-creating
-    edges with the triangles that fill them.  Bars with birth == death are
-    discarded; classes alive at the end of the filtration get death = +inf.
-    Raises if a face appears after one of its cofaces.
-    """
-    simplices = list(filtration)
-    index = _validate_filtration(simplices)
-
-    pivot_owner: dict[int, int] = {}   # low row -> column holding it
-    reduced: dict[int, int] = {}       # column -> bitmask after reduction
-    pairs: list[tuple[int, int]] = []
-    for j, s in enumerate(simplices):
-        if s.dim == 0:
-            continue
-        col = 0
-        for drop in range(len(s.vertices)):
-            face = s.vertices[:drop] + s.vertices[drop + 1:]
-            col ^= 1 << index[face]
-        while col:
-            low = col.bit_length() - 1
-            owner = pivot_owner.get(low)
-            if owner is None:
-                pivot_owner[low] = j
-                reduced[j] = col
-                pairs.append((low, j))
-                break
-            col ^= reduced[owner]
-
-    paired_rows = {i for i, _ in pairs}
-    paired_cols = {j for _, j in pairs}
-    feats = []
-    for i, j in pairs:
-        birth = simplices[i].value
-        death = simplices[j].value
-        if death > birth and simplices[i].dim <= 1:
-            feats.append((simplices[i].dim, birth, death))
-    for j, s in enumerate(simplices):
-        if s.dim <= 1 and j not in paired_rows and j not in paired_cols:
-            # column reduced to zero and never killed: essential class
-            if s.dim == 0 or (s.dim == 1 and reduced.get(j) is None):
-                feats.append((s.dim, s.value, INF))
-    return PersistenceDiagram(feats)
-
-
 def enclosing_radius(dmat: np.ndarray) -> float:
     """min over points of the max distance to any other point.
 
@@ -231,40 +122,20 @@ def enclosing_radius(dmat: np.ndarray) -> float:
     return float(np.min(np.max(dmat, axis=1)))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _kruskal_tree(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Positions, ascending, of the edges that merge two components.
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+    The edges (ii[e], jj[e]) on vertices 0..n-1 enter in position order.
+    Weighted 1 + position, their weights are distinct and nonzero, so the
+    minimum spanning forest is unique and is exactly the forest a Kruskal
+    sweep in that order keeps, whatever the edge lengths.
+    """
+    weights = np.arange(1, len(ii) + 1, dtype=float)
+    tree = minimum_spanning_tree(csr_matrix((weights, (ii, jj)), shape=(n, n)))
+    return np.sort(tree.data.astype(np.int64)) - 1
 
 
 _BLOCK = 256  # cycle edges per apparent-pair block; temporaries are O(block x n)
-
-
-def _tri_keys(trank, a, b, k, n: int):
-    """Integer keys of triangles {a, b, k} (a < b) with diameter rank ``trank``.
-
-    Mixed radix (rank, x, y, z) over the sorted vertices x < y < z, so keys
-    order triangles exactly as the refined filtration does: by diameter,
-    then lexicographically.  For a fixed edge (a, b) the key grows with k.
-    """
-    x = np.minimum(a, k)
-    z = np.maximum(b, k)
-    y = a + b + k - x - z
-    return ((trank * n + x) * n + y) * n + z
 
 
 def _add_mod2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -273,12 +144,65 @@ def _add_mod2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Timsort merges the two sorted runs in linear time; a key present in both
     lands in two adjacent slots and both copies are dropped.
     """
-    s = np.sort(np.concatenate((x, y)), kind="stable")
-    dup = s[1:] == s[:-1]
-    keep = np.ones(len(s), dtype=bool)
-    keep[1:] &= ~dup
-    keep[:-1] &= ~dup
-    return s[keep]
+    s = np.concatenate((x, y))
+    s.sort(kind="stable")
+    differs = np.empty(len(s) + 1, dtype=bool)  # differs[i]: s[i - 1] != s[i]
+    differs[0] = differs[-1] = True
+    np.not_equal(s[1:], s[:-1], out=differs[1:-1])
+    return s[differs[1:] & differs[:-1]]
+
+
+_FOLD = 8     # pending addends fold into the working column beyond 1/_FOLD of its size
+_WINDOW = 64  # keys compared per front and step of the pivot search
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _next_pivot(col: np.ndarray, buf: np.ndarray, low: int) -> int:
+    """Smallest key above ``low`` of the sum ``col`` + ``buf``, or -1 if there is none.
+
+    Both arrays are sorted, and their keys up to ``low`` must cancel.  Above
+    ``low`` the merge of the two fronts cancels them in lockstep, so the
+    smallest key of the sum is the smaller one at the first position where
+    they differ.  The fronts are compared a window at a time, and the keys
+    beyond the pivot are never read.
+    """
+    ic, ib = int(col.searchsorted(low, "right")), int(buf.searchsorted(low, "right"))
+    while True:
+        c, b = col[ic:ic + _WINDOW], buf[ib:ib + _WINDOW]
+        both = min(len(c), len(b))
+        differ = (c[:both] != b[:both]).nonzero()[0]
+        if len(differ):
+            return int(min(c[differ[0]], b[differ[0]]))
+        if both < _WINDOW:  # a front ran out: the other one's next key, if any
+            rest = c[both:] if len(c) > both else b[both:]
+            return int(rest[0]) if len(rest) else -1
+        ic, ib = ic + both, ib + both
+
+
+def _reduce_column(col: np.ndarray, key: int, pivots: dict,
+                   coboundary) -> tuple[int, np.ndarray]:
+    """Add pivot-table columns to ``col``, whose pivot is ``key``, until its pivot is new.
+
+    Returns the final pivot, or -1 if the column vanishes, and the reduced
+    column.  A table entry that is still an edge is replaced by the edge's
+    coboundary on first use.  The addends collect in a sorted buffer that
+    is merged into the column only once it outgrows 1/_FOLD of it, so a
+    short coboundary costs a merge with the buffer, not with the column.
+    """
+    buf = _EMPTY
+    while key in pivots:
+        other = pivots[key]
+        if isinstance(other, int):
+            other = pivots[key] = coboundary(other)
+        buf = _add_mod2(buf, other)
+        if len(buf) * _FOLD > len(col):  # keys up to ``key`` cancel: drop them
+            col = _add_mod2(col[col.searchsorted(key, "right"):],
+                            buf[buf.searchsorted(key, "right"):])
+            buf = _EMPTY
+        key = _next_pivot(col, buf, key)
+    if key < 0:
+        return key, _EMPTY
+    return key, _add_mod2(col[col.searchsorted(key):], buf[buf.searchsorted(key):])
 
 
 def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndarray,
@@ -297,10 +221,19 @@ def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndar
     over = len(uniq)  # rank of every distance above the cap
     if (over + 1) * n ** 3 >= 2 ** 63:
         raise ValueError("point cloud too large for int64 triangle keys")
-    rank = np.searchsorted(uniq, dmat)
     edge_index = np.full((n, n), m, dtype=np.int64)
     edge_index[ii, jj] = edge_index[jj, ii] = np.arange(m)
+    # Key of triangle {a, b, k} (a < b) with diameter rank r: mixed radix
+    # (r, x, y, z) over its sorted vertices, so keys order triangles as the
+    # refined filtration does, by diameter and then lexicographically.  The
+    # leading digit is the largest of diam[a, b], diam[a, k] and diam[b, k].
+    # With lead[x, y] = (x * n + y) * n for x < y, the vertex digits are
+    # min(lead[a, k] + b, lead[a, b] + k), and for fixed (a, b) they grow with k.
     n3 = n ** 3
+    diam = np.searchsorted(uniq, dmat) * n3
+    top = over * n3  # keys at or above lie past the cap
+    verts = np.arange(n)
+    lead = (np.minimum.outer(verts, verts) * n + np.maximum.outer(verts, verts)) * n
 
     # Apparent pairs, in blocks of cycle edges: e's earliest cofacet t
     # (smallest diameter rank, then smallest third vertex, which is the
@@ -311,20 +244,22 @@ def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndar
         e = cycle[s:s + _BLOCK]
         a, b = ii[e], jj[e]
         rows = np.arange(len(e))
-        tr = np.maximum(np.maximum(rank[a], rank[b]), rank[a, b][:, None])
-        tr[rows, a] = tr[rows, b] = over
+        tr = np.maximum(np.maximum(diam[a], diam[b]), diam[a, b][:, None])
+        tr[rows, a] = tr[rows, b] = top
         k = np.argmin(tr, axis=1)
         tmin = tr[rows, k]
-        has = tmin < over
-        first[s:s + _BLOCK] = np.where(has, _tri_keys(tmin, a, b, k, n), -1)
+        has = tmin < top
+        keys = tmin + np.minimum(lead[a, k] + b, lead[a, b] + k)
+        first[s:s + _BLOCK] = np.where(has, keys, -1)
         apparent[s:s + _BLOCK] = has & (np.maximum(edge_index[a, k], edge_index[b, k]) < e)
 
     def coboundary(e: int) -> np.ndarray:
         a, b = int(ii[e]), int(jj[e])
-        tr = np.maximum(np.maximum(rank[a], rank[b]), rank[a, b])
-        tr[a] = tr[b] = over
-        k = np.nonzero(tr < over)[0]
-        return np.sort(_tri_keys(tr[k], a, b, k, n))
+        col = (np.maximum(np.maximum(diam[a], diam[b]), diam[a, b])
+               + np.minimum(lead[a] + b, lead[a, b] + verts))
+        col[a] = col[b] = top
+        col.sort()
+        return col[:col.searchsorted(top)]
 
     # Pivot table: triangle key -> the column it is the pivot of, either as
     # the edge whose coboundary is built on first use, or as the reduced
@@ -336,13 +271,7 @@ def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndar
     todo = ~apparent
     for e, key in zip(cycle[todo][::-1].tolist(), first[todo][::-1].tolist()):
         if key in pivots:
-            col = coboundary(e)
-            while len(col) and int(col[0]) in pivots:
-                other = pivots[int(col[0])]
-                if isinstance(other, int):
-                    other = pivots[int(col[0])] = coboundary(other)
-                col = _add_mod2(col, other)
-            key = int(col[0]) if len(col) else -1
+            key, col = _reduce_column(coboundary(e), key, pivots, coboundary)
             if key >= 0:
                 pivots[key] = col
         elif key >= 0:  # emergent pair: the column is reduced as it stands
@@ -387,17 +316,12 @@ def rips_diagram(points: np.ndarray, max_scale: float | None = None) -> Persiste
 
     feats: list[tuple[int, float, float]] = []
 
-    # --- dimension 0: Kruskal sweep -------------------------------------
-    uf = _UnionFind(n)
-    is_cycle_edge = np.zeros(len(vals), dtype=bool)
-    for e in range(len(vals)):
-        if uf.union(int(ii[e]), int(jj[e])):
-            if vals[e] > 0.0:
-                feats.append((0, 0.0, float(vals[e])))
-        else:
-            is_cycle_edge[e] = True
-    roots = {uf.find(v) for v in range(n)}
-    feats.extend((0, 0.0, INF) for _ in roots)
+    # --- dimension 0: Kruskal tree ---------------------------------------
+    merging = _kruskal_tree(n, ii, jj)
+    feats.extend((0, 0.0, float(v)) for v in vals[merging] if v > 0.0)
+    feats.extend((0, 0.0, INF) for _ in range(n - len(merging)))
+    is_cycle_edge = np.ones(len(vals), dtype=bool)
+    is_cycle_edge[merging] = False
 
     # --- dimension 1 ------------------------------------------------------
     feats.extend(_h1_features(dmat, ii, jj, vals, np.nonzero(is_cycle_edge)[0]))

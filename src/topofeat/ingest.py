@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import butter, filtfilt
 
+from .fileio import write_atomic
+
 
 @dataclass
 class RawRecording:
@@ -146,7 +148,7 @@ def save_segments(segments: list[Segment], out_dir, rate: float) -> Path:
         lines = [",".join(seg.channels)]
         for row in seg.data.T:
             lines.append(",".join(repr(float(v)) for v in row))
-        (out / fname).write_text("\n".join(lines) + "\n")
+        write_atomic(out / fname, "\n".join(lines) + "\n")
         entries.append({
             "source_id": seg.source_id,
             "index": seg.index,
@@ -156,7 +158,7 @@ def save_segments(segments: list[Segment], out_dir, rate: float) -> Path:
         })
     manifest = {"rate": rate, "segments": entries}
     mpath = out / "manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(mpath, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return mpath
 
 

@@ -2,8 +2,10 @@
 
 Each stage reads its predecessor's files and writes its own; outputs that
 already exist are not recomputed, so deleting any stage directory and
-rerunning reproduces it byte-identically for a fixed seed.  Stage failures
-surface as :class:`StageError` carrying the stage name and offending file.
+rerunning reproduces it byte-identically for a fixed seed.  Every artifact
+is written through ``write_atomic``, so a file that exists is complete.
+Stage failures surface as :class:`StageError` carrying the stage name and
+offending file.
 
 Layout under ``out_dir``:
 
@@ -40,6 +42,7 @@ from .config import PipelineConfig, validate_config
 from .denoise import MassParams, remap_multichannel
 from .diagrams import BandwidthSpec, merge_diagrams, mkde_density, filter_by_density, parse_bandwidth
 from .embedding import EmbeddingParams, delay_embed, estimate_embedding_params
+from .fileio import write_atomic
 from .homology import PersistenceDiagram, rips_diagram
 from .ingest import bandpass_filter, load_recording, save_segments, segment, select_channels
 from .synth import SynthSpec, gen_two_class_signals
@@ -83,7 +86,7 @@ def _labels(cfg: PipelineConfig) -> dict[str, int]:
 
 def write_labels(out_dir, labels: dict[str, int]) -> None:
     lines = ["subject_id,label"] + [f"{sid},{lab}" for sid, lab in sorted(labels.items())]
-    Path(out_dir, "labels.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(Path(out_dir, "labels.csv"), "\n".join(lines) + "\n")
 
 
 # --------------------------------------------------------------------- ingest
@@ -103,7 +106,7 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
         raise StageError("ingest", "labels.csv missing from input directory", label_file)
     out = _out(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "labels.csv").write_text(label_file.read_text())
+    write_atomic(out / "labels.csv", label_file.read_text())
 
     segs = []
     for rec_path in sorted(src.glob("*.csv")):
@@ -167,7 +170,7 @@ def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
                              entries[0]["file"]) from exc
     else:
         params = EmbeddingParams(cfg.m, cfg.tau)
-    params_path.write_text(json.dumps({"m": params.dim, "tau": params.delay}) + "\n")
+    write_atomic(params_path, json.dumps({"m": params.dim, "tau": params.delay}) + "\n")
     return params
 
 
@@ -388,7 +391,7 @@ def stage_vectorize(cfg: PipelineConfig, weights: WeightParams | None = None) ->
     if feats_path.exists():
         return feats_path
     ids, features, labels, meta = vectorize_features(*load_subject_diagrams(cfg), cfg, weights)
-    (out / "vectorize_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_atomic(out / "vectorize_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     if cfg.descriptor == "pi":
         img_dir = out / "images"
         img_dir.mkdir(exist_ok=True)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
+from .fileio import write_atomic
 from .homology import PersistenceDiagram
 
 
@@ -67,7 +67,7 @@ class PersistenceImage:
 
     def to_csv(self, path) -> None:
         lines = [",".join(repr(float(v)) for v in row) for row in self.pixels]
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
 
 def birth_persistence_transform(diagram: PersistenceDiagram | np.ndarray) -> np.ndarray:

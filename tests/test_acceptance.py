@@ -22,9 +22,9 @@ from topofeat.cloud import PointCloud
 from topofeat.config import PipelineConfig
 from topofeat.denoise import MassParams, dtm, dtm_profile, kpdtm_eval, kpdtm_fit, prune_cloud
 from topofeat.diagrams import BandwidthSpec, filter_by_density, mkde_density
-from topofeat.homology import betti_at, rips_diagram, rips_filtration, compute_persistence
+from topofeat.homology import betti_at, rips_diagram
 from topofeat.pipeline import evaluate, load_subject_diagrams, run_pipeline, vectorize_features
-from topofeat.reference import brute_force_betti
+from topofeat.reference import brute_force_betti, rips_filtration
 from topofeat.synth import SynthSpec, gen_cloud
 from topofeat.vectorize import (WeightParams, birth_persistence_transform,
                                 persistence_image, weight_fn)

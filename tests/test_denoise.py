@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from topofeat.cloud import PointCloud
-from topofeat.denoise import (CenterSet, MassParams, _nearest_mass_stats, dtm,
+from topofeat.denoise import (CenterSet, MassParams, _fit_scores, _nearest_mass_stats, dtm,
                               dtm_profile, kpdtm_eval, kpdtm_fit, kpdtm_objective,
                               prune_cloud, remap_multichannel)
 from topofeat.synth import SynthSpec, gen_cloud
@@ -321,3 +321,51 @@ class TestRemapMultichannel:
         j1 = remap_multichannel(clouds, 20, params)
         j2 = remap_multichannel(clouds, 20, params)
         assert np.array_equal(j1.points, j2.points)
+
+
+def recomputed_scores(cloud, params):
+    """Oracle: fit, then score every cloud point again with ``kpdtm_eval``."""
+    pts = np.asarray(getattr(cloud, "points", cloud), dtype=float)
+    return np.asarray(kpdtm_eval(kpdtm_fit(cloud, params), pts))
+
+
+def keep_largest_oracle(scores, keep_n):
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return np.array(sorted(order[:keep_n]), dtype=int)
+
+
+class TestFitScoresReuse:
+    """Pruning reads its scores from the fit instead of evaluating the centers again."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_fit_scores_equal_eval(self, case):
+        build, q, k, max_iter = ORACLE_CASES[case]
+        rng = np.random.default_rng(sum(map(ord, case)) + 1)
+        for seed in range(3):
+            pts = build(rng)
+            params = MassParams(q, k, max_iter, seed)
+            assert _fit_scores(pts, params).tobytes() == recomputed_scores(pts, params).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_prune_cloud_matches_recompute_oracle(self, d):
+        rng = np.random.default_rng(40 + d)
+        for seed in range(4):
+            n = 60
+            cloud = PointCloud(half_grid(rng, n, d), time_index=np.arange(0, 2 * n, 2))
+            params = MassParams(4, 25, (1, 2, 50, 50)[seed], seed)
+            kept = keep_largest_oracle(recomputed_scores(cloud, params), 35)
+            got = prune_cloud(cloud, params, 35)
+            assert got.points.tobytes() == cloud.points[kept].tobytes()
+            assert np.array_equal(got.time_index, cloud.time_index[kept])
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 50])
+    def test_remap_matches_recompute_oracle(self, max_iter):
+        rng = np.random.default_rng(50 + max_iter)
+        n, ti = 70, np.arange(3, 73)
+        clouds = [PointCloud(half_grid(rng, n, 2), time_index=ti) for _ in range(4)]
+        params = MassParams(5, 30, max_iter, 2)
+        scores = sum(recomputed_scores(c, params) for c in clouds) / len(clouds)
+        kept = keep_largest_oracle(scores, 40)
+        joint = remap_multichannel(clouds, 40, params)
+        assert joint.points.tobytes() == np.hstack([c.points[kept] for c in clouds]).tobytes()
+        assert np.array_equal(joint.time_index, ti[kept])

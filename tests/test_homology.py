@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
-from topofeat.homology import (INF, FiltrationSimplex, PersistenceDiagram, betti_at,
-                               compute_persistence, enclosing_radius, rips_diagram,
-                               rips_filtration)
-from topofeat.reference import brute_force_betti
+from topofeat import homology
+from topofeat.homology import INF, PersistenceDiagram, betti_at, enclosing_radius, rips_diagram
+from topofeat.reference import (FiltrationSimplex, brute_force_betti, compute_persistence,
+                                rips_filtration)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -17,6 +17,55 @@ SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 def circle_points(n, radius=1.0):
     th = np.linspace(0, 2 * np.pi, n, endpoint=False)
     return radius * np.c_[np.cos(th), np.sin(th)]
+
+
+def materialised_reduce(col, key, pivots, coboundary):
+    """Oracle for ``homology._reduce_column``: the reduction loop that builds every sum.
+
+    The loop ``rips_diagram`` ran before the buffered working column, with
+    numpy's ``setxor1d`` as the mod-2 addition.
+    """
+    while len(col) and int(col[0]) in pivots:
+        other = pivots[int(col[0])]
+        if isinstance(other, int):
+            other = pivots[int(col[0])] = coboundary(other)
+        col = np.setxor1d(col, other, assume_unique=True)
+    return (int(col[0]) if len(col) else -1), col
+
+
+def union_find_kruskal(n, ii, jj):
+    """Oracle for ``homology._kruskal_tree``: positions of the merging edges."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    merging = []
+    for e, (a, b) in enumerate(zip(ii.tolist(), jj.tolist())):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+            merging.append(e)
+    return merging
+
+
+def joint_like_cloud(seed):
+    """140 x 12 like the pipeline's joint clouds: six noisy sines, each in 2-D delay coordinates."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0, 8 * np.pi, 140))
+    phases = rng.uniform(0, 2 * np.pi, 6)
+    cols = [np.sin(t + p + lag) for p in phases for lag in (0.0, 0.8)]
+    return np.column_stack(cols) + rng.normal(scale=0.3, size=(140, 12))
+
+
+def filtration_edges(pts, scale):
+    """Edges up to ``scale`` in the refined filtration order, as ``rips_diagram`` lists them."""
+    dmat = squareform(pdist(pts))
+    ii, jj = np.nonzero(np.triu(dmat <= scale, k=1))
+    order = np.lexsort((jj, ii, dmat[ii, jj]))
+    return ii[order], jj[order]
 
 
 class TestRipsFiltration:
@@ -178,6 +227,87 @@ class TestRipsDiagram:
         b0, d0 = dominant(rips_diagram(pts))
         b1, d1 = dominant(rips_diagram(noisy))
         assert abs(b1 - b0) <= 2 * delta and abs(d1 - d0) <= 2 * delta
+
+
+class TestBufferedReduction:
+    """The buffered working column gives the diagrams of the materialised loop."""
+
+    # hundreds of additions per joint-like cloud, mostly into a pending buffer;
+    # half-integer grids tie distances and duplicate points
+    CLOUDS = ([joint_like_cloud(s) for s in (0, 1)] + [np.random.default_rng(7).normal(size=(140, 12))]
+              + [np.random.default_rng(s).integers(0, 5, (60, 3)) / 2.0 for s in (9, 10, 11)])
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "_reduce_column", materialised_reduce)
+            return [rips_diagram(p).to_csv_text() for p in self.CLOUDS]
+
+    @pytest.mark.parametrize("fold, window", [(8, 64), (1, 1), (2, 3), (10**9, 2)])
+    def test_matches_materialised_oracle(self, monkeypatch, expected, fold, window):
+        # fold 1 keeps a buffer as large as the column, 10**9 folds every
+        # addend at once; windows of 1-3 keys make the pivot search step on
+        monkeypatch.setattr(homology, "_FOLD", fold)
+        monkeypatch.setattr(homology, "_WINDOW", window)
+        assert [rips_diagram(p).to_csv_text() for p in self.CLOUDS] == expected
+
+    def test_cohort_sized_reductions_cross_the_fold_threshold(self, monkeypatch):
+        buffered = []
+        search = homology._next_pivot
+
+        def spy(col, buf, low):
+            buffered.append(len(buf) > 0)
+            return search(col, buf, low)
+
+        monkeypatch.setattr(homology, "_next_pivot", spy)
+        for pts in self.CLOUDS[:2]:
+            rips_diagram(pts)
+        assert any(buffered) and not all(buffered)
+
+
+class TestKruskalTree:
+    def test_matches_union_find_on_grids_with_duplicates(self):
+        rng = np.random.default_rng(71)
+        for trial in range(40):
+            n = int(rng.integers(2, 40))
+            pts = rng.integers(0, 3, (n, int(rng.integers(1, 4)))).astype(float)
+            ii, jj = filtration_edges(pts, 1.0 + trial % 3)  # some caps disconnect
+            if trial % 2:  # any insertion order, not only by length
+                perm = rng.permutation(len(ii))
+                ii, jj = ii[perm], jj[perm]
+            assert homology._kruskal_tree(n, ii, jj).tolist() == union_find_kruskal(n, ii, jj)
+
+    def test_cycle_edges_in_rips_diagram(self, monkeypatch):
+        seen = []
+        h1 = homology._h1_features
+
+        def spy(dmat, ii, jj, vals, cycle):
+            seen.append((len(dmat), ii, jj, cycle))
+            return h1(dmat, ii, jj, vals, cycle)
+
+        monkeypatch.setattr(homology, "_h1_features", spy)
+        rng = np.random.default_rng(72)
+        for _ in range(10):
+            pts = rng.integers(0, 3, (int(rng.integers(5, 30)), 2)).astype(float)
+            rips_diagram(pts)
+            n, ii, jj, cycle = seen.pop()
+            merging = set(union_find_kruskal(n, ii, jj))
+            assert cycle.tolist() == [e for e in range(len(ii)) if e not in merging]
+
+    def test_scale_below_smallest_gap_gives_n_essential_bars(self, rng):
+        pts = rng.normal(size=(12, 3))
+        scale = float(pdist(pts).min()) / 2
+        diagram = rips_diagram(pts, max_scale=scale)
+        assert diagram.features == [(0, 0.0, INF)] * 12
+        ref = compute_persistence(rips_filtration(pts, max_scale=scale))
+        assert sorted(ref.features) == sorted(diagram.features)
+
+    def test_two_clusters_keep_two_essential_bars(self, rng):
+        pts = np.vstack([rng.normal(size=(10, 2)), rng.normal(size=(8, 2)) + 50.0])
+        diagram = rips_diagram(pts, max_scale=20.0)
+        ref = compute_persistence(rips_filtration(pts, max_scale=20.0))
+        assert sorted(ref.features) == sorted(diagram.features)
+        assert diagram.features.count((0, 0.0, INF)) == 2
 
 
 class TestBettiAt:

@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from topofeat.cloud import PointCloud
 from topofeat.config import PipelineConfig, load_config, validate_config
+from topofeat.fileio import write_atomic
+from topofeat.homology import rips_diagram
 from topofeat.pipeline import (StageError, run_pipeline, stage_classify, stage_denoise,
                                stage_embed, stage_filter, stage_ingest, stage_persist,
                                stage_synth, stage_vectorize, sweep_weights)
@@ -202,3 +205,43 @@ class TestSweep:
         run_pipeline(cfg, synth=True, n_subjects=8, segments_per_subject=4, n_channels=4)
         grid = {g["plateau"]: g["acc"] for g in sweep_weights(cfg, [0.0, 1.0], [3.0])}
         assert grid[0.0] >= grid[1.0]
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def cut_off_after_first_line(monkeypatch):
+        """Make every text write stop after its first line and fail."""
+        write = Path.write_text
+
+        def cut_off(path, text, *args, **kwargs):
+            write(path, text.split("\n", 1)[0] + "\n", *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", cut_off)
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "a.csv"
+        write_atomic(target, "x\n1\n")
+        assert target.read_text() == "x\n1\n"
+        with monkeypatch.context() as mp:
+            self.cut_off_after_first_line(mp)
+            with pytest.raises(OSError):
+                write_atomic(target, "y\n2\n")
+        assert target.read_text() == "x\n1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_diagram_cut_off_midway_is_not_resumed(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "out")
+        stage_synth(cfg, **TINY)
+        stage_embed(cfg)
+        stage_denoise(cfg)
+        with monkeypatch.context() as mp:
+            self.cut_off_after_first_line(mp)
+            with pytest.raises(StageError, match="persist"):
+                stage_persist(cfg)
+        out = Path(cfg.out_dir)
+        assert not list((out / "diagrams").iterdir())  # no header-only diagram, no temp file
+        stage_persist(cfg)
+        for joint in sorted((out / "joint").glob("*.csv")):
+            expected = rips_diagram(PointCloud.from_csv(joint).points).to_csv_text()
+            assert (out / "diagrams" / joint.name).read_text() == expected
