@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from topofeat.classify import LabeledDataset, kfold_cv, load_features_csv
+from topofeat.classify import LabeledDataset, load_features_csv
 from topofeat.config import PipelineConfig
 from topofeat.pipeline import evaluate, load_subject_diagrams, run_pipeline, vectorize_features
 
@@ -55,7 +55,7 @@ def main() -> int:
     data = load_features_csv(Path(args.out) / "features.csv")
     rng = np.random.default_rng(args.seed + 1)
     permuted = LabeledDataset(data.features, rng.permutation(data.labels))
-    null = kfold_cv(permuted, k=cfg.folds, seed=cfg.seed, kernel=cfg.kernel, C=cfg.C)
+    null = evaluate(permuted, cfg)
     summary["permuted_control"] = {"acc": null.acc}
     print(f"[{time.time() - t0:6.0f}s] label-permuted control: acc={null.acc:.4f}")
 

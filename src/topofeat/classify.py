@@ -10,7 +10,6 @@ specificity controls kept.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,13 +76,6 @@ class EvalReport:
         return cls(acc=acc, se=se, sp=sp, tp=tp, fn=fn, fp=fp, tn=tn,
                    per_fold=per_fold or [])
 
-    def fold_means(self) -> tuple[float, float, float]:
-        """Mean of per-fold ACC/SE/SP (complement to the pooled headline numbers)."""
-        if not self.per_fold:
-            return (self.acc, self.se, self.sp)
-        vals = np.array([metrics(f.tp, f.fn, f.fp, f.tn) for f in self.per_fold])
-        return tuple(float(v) for v in vals.mean(axis=0))
-
     def to_json(self) -> str:
         payload = {
             "acc": self.acc, "se": self.se, "sp": self.sp,
@@ -122,6 +114,16 @@ def metrics(tp: int, fn: int, fp: int, tn: int) -> tuple[float, float, float]:
     return (tp + tn) / n, tp / (tp + fn), tn / (fp + tn)
 
 
+def _kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float) -> np.ndarray:
+    """Gram matrix between the rows of ``a`` and ``b``: linear or exp(-gamma |a - b|^2)."""
+    if kernel == "linear":
+        return a @ b.T
+    if kernel == "rbf":
+        sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        return np.exp(-gamma * sq)
+    raise ValueError(f"unknown kernel: {kernel}")
+
+
 class SvmModel:
     """Fitted SVM: stored support set, kernel setup and column standardiser."""
 
@@ -135,14 +137,6 @@ class SvmModel:
         self.mean = mean
         self.std = std
 
-    def _kernel_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.kernel == "linear":
-            return a @ b.T
-        if self.kernel == "rbf":
-            sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-            return np.exp(-self.gamma * sq)
-        raise ValueError(f"unknown kernel: {self.kernel}")
-
     def decision_function(self, features: np.ndarray) -> np.ndarray:
         x = np.asarray(features, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.mean.shape[0]:
@@ -152,7 +146,7 @@ class SvmModel:
         z = (x - self.mean) / self.std
         if len(z) == 0:
             return np.empty(0)
-        k = self._kernel_matrix(z, self.sv_x)
+        k = _kernel_matrix(z, self.sv_x, self.kernel, self.gamma)
         return k @ (self.alphas * self.sv_y) + self.bias
 
 
@@ -184,11 +178,7 @@ def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
         raise ValueError("gamma must be positive for the rbf kernel")
     y = np.where(y01 == 1, 1.0, -1.0)
 
-    if kernel == "linear":
-        k = z @ z.T
-    else:
-        sq = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
-        k = np.exp(-gamma * sq)
+    k = _kernel_matrix(z, z, kernel, gamma)
 
     rng = np.random.default_rng(seed)
     alphas = np.zeros(n)
@@ -264,7 +254,7 @@ def kfold_cv(data: LabeledDataset, k: int = 10, seed: int = 0, kernel: str = "rb
     """Stratified k-fold cross-validation with pooled confusion counts.
 
     The headline ACC/SE/SP come from the counts summed over folds;
-    per-fold reports are retained so fold means can be read off too.
+    per-fold counts are kept in the report.
     """
     folds = stratified_folds(data.labels, k, seed)
     per_fold = []

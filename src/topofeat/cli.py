@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import PipelineConfig, load_config, validate_config
+from .config import PipelineConfig, load_config
 from .pipeline import (StageError, run_pipeline, stage_classify, stage_denoise,
                        stage_embed, stage_filter, stage_ingest, stage_persist,
                        stage_synth, stage_vectorize, sweep_weights)
@@ -32,12 +32,6 @@ def _base_config(args) -> PipelineConfig:
     if getattr(args, "band", None):
         low, high = args.band.split(":")
         overrides["band_low"], overrides["band_high"] = float(low), float(high)
-    if getattr(args, "window_seconds", None) is not None:
-        overrides["window_sec"] = args.window_seconds
-    if getattr(args, "order", None) is not None:
-        overrides["filter_order"] = args.order
-    if getattr(args, "keep", None) is not None:
-        overrides["keep_n"] = args.keep
     if getattr(args, "auto", None) is not None:
         overrides["auto_params"] = args.auto == "on"
     return replace(cfg, **overrides)
@@ -61,9 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", dest="input_dir", required=True)
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--band", help="low:high cutoff in Hz, e.g. 0.5:50")
-    p.add_argument("--order", type=int, default=None, help="Butterworth order (2/4/6/8)")
+    p.add_argument("--order", dest="filter_order", type=int, default=None,
+                   help="Butterworth order (2/4/6/8)")
     p.add_argument("--channels", default=None, help="comma-separated channel names to keep")
-    p.add_argument("--window-sec", dest="window_seconds", type=float, default=None)
+    p.add_argument("--window-sec", type=float, default=None)
     p.add_argument("--no-bandpass", dest="apply_bandpass", action="store_false", default=None)
 
     p = sub.add_parser("synth", help="generate a labelled two-class synthetic dataset")
@@ -72,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=10, help="segments per subject")
     p.add_argument("--channels-n", type=int, default=6)
     p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--window-sec", dest="window_seconds", type=float, default=None)
+    p.add_argument("--window-sec", type=float, default=None)
     p.add_argument("--noise", type=float, default=0.3, help="periodic-class noise level")
     p.add_argument("--amp-low", type=float, default=0.55)
     p.add_argument("--amp-high", type=float, default=1.0)
@@ -90,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--keep", type=int, default=None)
+    p.add_argument("--keep", dest="keep_n", type=int, default=None)
     p.add_argument("--iters", type=int, default=None)
 
     p = sub.add_parser("persist", help="compute Rips persistence of the joint clouds")
@@ -128,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", dest="input_dir", default=None)
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--channels", default=None, help="comma-separated channel names to keep")
-    p.add_argument("--window-sec", dest="window_seconds", type=float, default=None)
+    p.add_argument("--window-sec", type=float, default=None)
     p.add_argument("--synth", action="store_true", help="generate synthetic data instead of ingesting")
     p.add_argument("--subjects", type=int, default=40)
     p.add_argument("--segments", type=int, default=10)
@@ -213,10 +208,7 @@ def main(argv=None) -> int:
                 print(f"plateau={row['plateau']} junction={row['junction']}: "
                       f"acc={row['acc']:.4f} se={row['se']:.4f} sp={row['sp']:.4f}")
         return 0
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (StageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

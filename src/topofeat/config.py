@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .diagrams import parse_bandwidth
+
 
 @dataclass
 class PipelineConfig:
@@ -118,6 +120,7 @@ def validate_config(cfg: PipelineConfig) -> None:
         raise ValueError("q, k and keep_n must be >= 1")
     if not 0 < cfg.keep_fraction <= 1:
         raise ValueError("keep_fraction must lie in (0, 1]")
+    parse_bandwidth(cfg.bandwidth)
     if cfg.descriptor not in ("pi", "landscape", "betti", "entropy"):
         raise ValueError(f"unknown descriptor {cfg.descriptor!r}")
     if cfg.knot_mode not in ("peaks", "quantile"):

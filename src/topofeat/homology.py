@@ -92,8 +92,7 @@ class PersistenceDiagram:
     def to_csv_text(self) -> str:
         lines = ["dim,birth,death"]
         for dim, birth, death in self.sorted_features():
-            dtxt = "inf" if math.isinf(death) else repr(death)
-            lines.append(f"{dim},{birth!r},{dtxt}")
+            lines.append(f"{dim},{birth!r},{death!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -60,12 +60,11 @@ class Segment:
         return self.data.shape[1]
 
 
-def load_recording(path, channels: list[str] | None = None, rate: float = 128.0,
-                   source_id: str | None = None) -> RawRecording:
-    """Parse a header+columns CSV into a recording.
+def load_recording(path, rate: float = 128.0) -> RawRecording:
+    """Parse a header+columns CSV into a recording named after the file's stem.
 
-    ``channels``, when given, declares the expected channel set and the
-    output order; names absent from the file are an error.
+    Channels keep the file's column order; ``select_channels`` restricts and
+    reorders them.
     """
     p = Path(path)
     if not p.exists():
@@ -87,12 +86,7 @@ def load_recording(path, channels: list[str] | None = None, rate: float = 128.0,
     data = np.asarray(rows, dtype=float).T.reshape(width, -1)
     if not np.all(np.isfinite(data)):
         raise ValueError("recording contains non-finite values")
-    rec = RawRecording(header, data, rate, source_id=source_id or p.stem)
-    if channels is not None:
-        if len(channels) != width:
-            raise ValueError(f"declared channel count {len(channels)} does not match {width} columns")
-        rec = select_channels(rec, list(channels))
-    return rec
+    return RawRecording(header, data, rate, source_id=p.stem)
 
 
 def bandpass_filter(rec: RawRecording, low_hz: float, high_hz: float, order: int = 4) -> RawRecording:
@@ -160,13 +154,3 @@ def save_segments(segments: list[Segment], out_dir, rate: float) -> Path:
     mpath = out / "manifest.json"
     write_atomic(mpath, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return mpath
-
-
-def load_segments(manifest_path) -> tuple[list[Segment], float]:
-    mpath = Path(manifest_path)
-    manifest = json.loads(mpath.read_text())
-    segs = []
-    for entry in manifest["segments"]:
-        rec = load_recording(mpath.parent / entry["file"], rate=manifest["rate"])
-        segs.append(Segment(rec.data, entry["source_id"], entry["index"], entry["channels"]))
-    return segs, float(manifest["rate"])

@@ -28,6 +28,7 @@ and descriptor comparisons re-vectorise the subject diagrams in memory
 
 from __future__ import annotations
 
+import contextlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -72,15 +73,24 @@ def _manifest(cfg: PipelineConfig) -> dict:
     return json.loads(path.read_text())
 
 
-def _labels(cfg: PipelineConfig) -> dict[str, int]:
-    path = _out(cfg) / "labels.csv"
+def _labels(path: Path) -> dict[str, int]:
+    """Parse a labels file: a ``subject_id,label`` header, then unique ids labelled 0 or 1."""
     if not path.exists():
         raise StageError("ingest", "labels.csv missing", path)
+    lines = path.read_text().splitlines()
+    if not lines or lines[0].replace(" ", "") != "subject_id,label":
+        raise StageError("ingest", "labels.csv must start with the header 'subject_id,label'", path)
     out = {}
-    for ln in path.read_text().splitlines()[1:]:
-        if ln.strip():
-            sid, lab = ln.split(",")
-            out[sid] = int(lab)
+    for lineno, ln in enumerate(lines[1:], start=2):
+        if not ln.strip():
+            continue
+        cells = [c.strip() for c in ln.split(",")]
+        if len(cells) != 2 or not cells[0] or cells[1] not in ("0", "1"):
+            raise StageError("ingest", f"line {lineno}: expected '<subject_id>,<0 or 1>', "
+                                       f"got {ln!r}", path)
+        if cells[0] in out:
+            raise StageError("ingest", f"line {lineno}: duplicate subject {cells[0]!r}", path)
+        out[cells[0]] = int(cells[1])
     return out
 
 
@@ -102,16 +112,17 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
     if not src.is_dir():
         raise StageError("ingest", f"input directory not found: {src}")
     label_file = src / "labels.csv"
-    if not label_file.exists():
-        raise StageError("ingest", "labels.csv missing from input directory", label_file)
+    labels = _labels(label_file)
+    recordings = [p for p in sorted(src.glob("*.csv")) if p.name != "labels.csv"]
+    unlabelled = [p.stem for p in recordings if p.stem not in labels]
+    if unlabelled:
+        raise StageError("ingest", f"no label for recording(s) {unlabelled}", label_file)
     out = _out(cfg)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "labels.csv", label_file.read_text())
 
     segs = []
-    for rec_path in sorted(src.glob("*.csv")):
-        if rec_path.name == "labels.csv":
-            continue
+    for rec_path in recordings:
         try:
             rec = load_recording(rec_path, rate=cfg.rate)
             if cfg.apply_bandpass:
@@ -181,8 +192,6 @@ def _denoise_one(args) -> None:
     embedding = EmbeddingParams(m, tau)
     clouds = [delay_embed(x, embedding) for x in load_recording(segment_path, rate=rate).data]
     params = MassParams(q, k, iters, seed).capped(len(clouds[0]))
-    if keep_n > len(clouds[0]):
-        raise ValueError(f"keep_n={keep_n} exceeds cloud size {len(clouds[0])}")
     joint = remap_multichannel(clouds, keep_n, params)
     joint.to_csv(joint_path)
 
@@ -237,21 +246,22 @@ def stage_persist(cfg: PipelineConfig) -> None:
 
 
 def _run_jobs(stage: str, fn, jobs: list, n_workers: int) -> None:
-    """Jobs are tuples whose first element is the output path (used in errors)."""
+    """Run ``fn`` on every job: in-process at ``n_workers <= 1``, else in a pool
+    of at most one worker per job.  Jobs are tuples whose first element is the
+    output path (used in errors).
+    """
     if not jobs:
         return
     if n_workers <= 1:
+        pool, run = contextlib.nullcontext(), map
+    else:
+        pool = ProcessPoolExecutor(max_workers=min(n_workers, len(jobs)))
+        run = pool.map
+    with pool:
+        results = run(fn, jobs)
         for job in jobs:
             try:
-                fn(job)
-            except Exception as exc:
-                raise StageError(stage, str(exc), job[0]) from exc
-        return
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = [(job, pool.submit(fn, job)) for job in jobs]
-        for job, fut in futures:
-            try:
-                fut.result()
+                next(results)
             except Exception as exc:
                 raise StageError(stage, str(exc), job[0]) from exc
 
@@ -263,13 +273,14 @@ def stage_filter(cfg: PipelineConfig, emit_density=None) -> None:
     validate_config(cfg)
     out = _out(cfg)
     entries = _segment_entries(cfg)
-    labels = _labels(cfg)
+    labels = _labels(out / "labels.csv")
     sd_dir = out / "subject_diagrams"
     sd_dir.mkdir(exist_ok=True)
     subjects: dict[str, list[Path]] = {}
     for entry in entries:
         subjects.setdefault(entry["source_id"], []).append(
             out / "diagrams" / f"{entry['source_id']}_{entry['index']:04d}.csv")
+    spec = parse_bandwidth(cfg.bandwidth)
     density_rows = []
     for sid in sorted(subjects):
         if sid not in labels:
@@ -286,9 +297,7 @@ def stage_filter(cfg: PipelineConfig, emit_density=None) -> None:
         if len(points) == 0:
             PersistenceDiagram().to_csv(target)
             continue
-        bw = parse_bandwidth(cfg.bandwidth)
-        if bw == "cov10":
-            bw = BandwidthSpec.from_covariance(points, 10.0)
+        bw = BandwidthSpec.from_covariance(points, 10.0) if spec == "cov10" else spec
         try:
             dens = mkde_density(points, bw)
         except Exception as exc:
@@ -308,7 +317,7 @@ def load_subject_diagrams(cfg: PipelineConfig) -> tuple[dict[str, PersistenceDia
                                                          dict[str, int]]:
     """Filtered diagram and label of every labelled subject, in subject order."""
     sd_dir = _out(cfg) / "subject_diagrams"
-    labels = _labels(cfg)
+    labels = _labels(_out(cfg) / "labels.csv")
     diagrams = {}
     for sid in sorted(labels):
         p = sd_dir / f"{sid}.csv"
@@ -340,17 +349,17 @@ def resolve_weights(cfg: PipelineConfig, pooled_persistence: np.ndarray,
 
 
 def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str, int],
-                       cfg: PipelineConfig, weights: WeightParams | None = None):
+                       cfg: PipelineConfig):
     """One feature row per subject; returns ``(ids, features, labels, meta)``.
 
     ``meta`` holds what every row shares: the descriptor, the image sigma and
-    extent, and the weight knots (from ``weights`` or ``resolve_weights``).
+    extent, and the weight knots from ``resolve_weights``.
     """
     all_bars = [d.finite_bars(1) for d in diagrams.values()]
     pooled = np.vstack([b for b in all_bars if len(b)]) if any(len(b) for b in all_bars) else np.empty((0, 2))
     pooled_pers = pooled[:, 1] - pooled[:, 0] if len(pooled) else np.empty(0)
     peaks = np.array([(b[:, 1] - b[:, 0]).max() for b in all_bars if len(b)])
-    wp = weights or resolve_weights(cfg, pooled_pers, subject_peaks=peaks)
+    wp = resolve_weights(cfg, pooled_pers, subject_peaks=peaks)
 
     bp = birth_persistence_transform(pooled)
     if len(pooled):
@@ -383,14 +392,14 @@ def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str
     return ids, np.array(rows), np.array([labels[sid] for sid in ids]), meta
 
 
-def stage_vectorize(cfg: PipelineConfig, weights: WeightParams | None = None) -> Path:
+def stage_vectorize(cfg: PipelineConfig) -> Path:
     """Turn subject diagrams into one feature row per subject."""
     validate_config(cfg)
     out = _out(cfg)
     feats_path = out / "features.csv"
     if feats_path.exists():
         return feats_path
-    ids, features, labels, meta = vectorize_features(*load_subject_diagrams(cfg), cfg, weights)
+    ids, features, labels, meta = vectorize_features(*load_subject_diagrams(cfg), cfg)
     write_atomic(out / "vectorize_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     if cfg.descriptor == "pi":
         img_dir = out / "images"

@@ -10,7 +10,6 @@ descriptors are provided for comparison runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -5,7 +5,6 @@ full synthetic pipeline run (a few minutes); criterion 13 needs an external
 dataset directory in TOPOFEAT_ADHD_DIR and is skipped otherwise.
 """
 
-import json
 import math
 import os
 import time
@@ -18,16 +17,14 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
 from topofeat.classify import EvalReport, LabeledDataset, kfold_cv, load_features_csv, metrics
-from topofeat.cloud import PointCloud
 from topofeat.config import PipelineConfig
-from topofeat.denoise import MassParams, dtm, dtm_profile, kpdtm_eval, kpdtm_fit, prune_cloud
+from topofeat.denoise import MassParams, dtm_profile, kpdtm_eval, kpdtm_fit, prune_cloud
 from topofeat.diagrams import BandwidthSpec, filter_by_density, mkde_density
 from topofeat.homology import betti_at, rips_diagram
 from topofeat.pipeline import evaluate, load_subject_diagrams, run_pipeline, vectorize_features
 from topofeat.reference import brute_force_betti, rips_filtration
 from topofeat.synth import SynthSpec, gen_cloud
-from topofeat.vectorize import (WeightParams, birth_persistence_transform,
-                                persistence_image, weight_fn)
+from topofeat.vectorize import WeightParams, persistence_image, weight_fn
 
 
 def report(num: int, ok: bool, detail: str) -> None:

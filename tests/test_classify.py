@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from topofeat.classify import (EvalReport, FoldReport, LabeledDataset,
                                UndefinedMetricError, kfold_cv, load_features_csv,
@@ -141,11 +141,6 @@ class TestKfoldCv:
         r1 = kfold_cv(data, k=5, seed=9)
         r2 = kfold_cv(data, k=5, seed=9)
         assert r1.to_json() == r2.to_json()
-
-    def test_fold_means_available(self, rng):
-        report = kfold_cv(two_clusters(rng, n=20), k=5, seed=0)
-        acc, se, sp = report.fold_means()
-        assert acc == se == sp == 1.0
 
 
 class TestEvalReport:

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import butter, freqz
 
-from topofeat.ingest import (RawRecording, bandpass_filter, load_recording,
-                             load_segments, save_segments, segment, select_channels)
+from topofeat.ingest import (RawRecording, bandpass_filter, load_recording, save_segments,
+                             segment, select_channels)
 
 TEN_TWENTY = ["Fz", "Cz", "Pz", "C3", "T3", "C4", "T4", "Fp1", "Fp2", "F3",
               "F4", "F7", "F8", "P3", "P4", "T5", "T6", "O1", "O2"]
@@ -45,14 +47,14 @@ class TestLoadRecording:
         shuffled = list(TEN_TWENTY)
         rng.shuffle(shuffled)
         write_csv(p, shuffled, rng.normal(size=(5, 19)).tolist())
-        rec = load_recording(p, channels=TEN_TWENTY, rate=128.0)
+        rec = select_channels(load_recording(p, rate=128.0), TEN_TWENTY)
         assert rec.channels == TEN_TWENTY
 
     def test_unknown_declared_channel(self, tmp_path):
         p = tmp_path / "rec.csv"
         write_csv(p, ["a", "b"], [[1, 2]])
         with pytest.raises(ValueError, match="unknown channel"):
-            load_recording(p, channels=["a", "XX"])
+            select_channels(load_recording(p), ["a", "XX"])
 
 
 class TestBandpass:
@@ -180,9 +182,11 @@ class TestSegmentIO:
     def test_roundtrip(self, tmp_path, rng):
         rec = RawRecording(["a", "b"], rng.normal(size=(2, 64)), 32.0, source_id="subj")
         segs = segment(rec, 32)
-        manifest = save_segments(segs, tmp_path, 32.0)
-        loaded, rate = load_segments(manifest)
-        assert rate == 32.0
-        assert len(loaded) == 2
+        manifest = json.loads(save_segments(segs, tmp_path, 32.0).read_text())
+        assert manifest["rate"] == 32.0
+        assert len(manifest["segments"]) == 2
+        loaded = [load_recording(tmp_path / e["file"], rate=manifest["rate"])
+                  for e in manifest["segments"]]
         assert np.allclose(loaded[0].data, segs[0].data)
-        assert loaded[1].source_id == "subj"
+        assert loaded[1].channels == ["a", "b"]
+        assert manifest["segments"][1]["source_id"] == "subj"

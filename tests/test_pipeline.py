@@ -1,8 +1,9 @@
 import hashlib
 import json
+from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from topofeat.cloud import PointCloud
@@ -56,6 +57,12 @@ class TestConfig:
             validate_config(PipelineConfig(descriptor="hist"))
         with pytest.raises(ValueError):
             validate_config(PipelineConfig(keep_fraction=0.0))
+
+    def test_bad_bandwidth_fails_before_any_stage(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out", bandwidth="bogus")
+        with pytest.raises(ValueError, match="bandwidth"):
+            run_pipeline(cfg, synth=True, **TINY)
+        assert not (tmp_path / "out").exists()
 
     def test_window_samples(self):
         assert PipelineConfig(rate=128.0, window_sec=4.0).window_samples() == 512
@@ -151,21 +158,40 @@ class TestStageErrors:
         assert not list((Path(cfg.out_dir) / "joint").glob("*.csv"))
 
 
+def ingest_input(tmp_path, rng, labels_text):
+    """Two 100-sample recordings s0 and s1 plus the given labels.csv; returns the config."""
+    src = tmp_path / "src"
+    src.mkdir()
+    for sid in ("s0", "s1"):
+        data = rng.normal(size=(100, 2))
+        lines = ["c0,c1"] + [f"{float(a)!r},{float(b)!r}" for a, b in data]
+        (src / f"{sid}.csv").write_text("\n".join(lines) + "\n")
+    (src / "labels.csv").write_text(labels_text)
+    return tiny_config(tmp_path / "out", input_dir=str(src), rate=25.0,
+                       window_sec=2.0, band_low=0.5, band_high=10.0)
+
+
 class TestIngestStage:
     def test_ingest_roundtrip(self, tmp_path, rng):
-        src = tmp_path / "src"
-        src.mkdir()
-        for sid, label in (("s0", 0), ("s1", 1)):
-            data = rng.normal(size=(100, 2))
-            lines = ["c0,c1"] + [f"{float(a)!r},{float(b)!r}" for a, b in data]
-            (src / f"{sid}.csv").write_text("\n".join(lines) + "\n")
-        (src / "labels.csv").write_text("subject_id,label\ns0,0\ns1,1\n")
-        cfg = tiny_config(tmp_path / "out", input_dir=str(src), rate=25.0,
-                          window_sec=2.0, band_low=0.5, band_high=10.0)
+        cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
         manifest = stage_ingest(cfg)
         entries = json.loads(manifest.read_text())["segments"]
         assert len(entries) == 4  # two 50-sample windows per recording
         assert {e["source_id"] for e in entries} == {"s0", "s1"}
+
+    @pytest.mark.parametrize("labels_text, message", [
+        ("s0,0\ns1,1\n", "header"),
+        ("subject_id,label\ns0,0\ns1,2\n", "line 3"),
+        ("subject_id,label\ns0,0\ns1,1\ns0,1\n", "duplicate subject 's0'"),
+        ("subject_id,label\ns0,0\n", r"no label for recording\(s\) \['s1'\]"),
+    ], ids=["no_header", "label_2", "duplicate_id", "unlabelled_recording"])
+    def test_bad_labels_fail_before_any_segment(self, tmp_path, rng, labels_text, message):
+        cfg = ingest_input(tmp_path, rng, labels_text)
+        with pytest.raises(StageError, match=message) as err:
+            stage_ingest(cfg)
+        assert err.value.stage == "ingest"
+        assert err.value.file == str(tmp_path / "src" / "labels.csv")
+        assert not (tmp_path / "out").exists()
 
 
 class TestJobs:
@@ -180,6 +206,43 @@ class TestJobs:
                             for p in files + [out / "features.csv"]})
         assert len(outputs[0]) == 2 * 12 + 1
         assert outputs[0] == outputs[1]
+
+    def test_pool_has_at_most_one_worker_per_job(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Runs the jobs in-process and records the pool size it was asked for."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+            def submit(self, fn, job):
+                future = Future()
+                future.set_result(fn(job))
+                return future
+
+        monkeypatch.setattr("topofeat.pipeline.ProcessPoolExecutor", RecordingPool)
+        cfg = tiny_config(tmp_path / "out")
+        stage_synth(cfg, **TINY)
+        stage_embed(cfg)
+        stage_denoise(cfg)
+        stage_persist(cfg)
+        assert sizes == []  # jobs=1 runs in-process
+        victim = next(iter((Path(cfg.out_dir) / "diagrams").glob("*.csv")))
+        expected = victim.read_bytes()
+        victim.unlink()
+        stage_persist(replace(cfg, jobs=16))
+        assert sizes == [1]
+        assert victim.read_bytes() == expected
 
 
 class TestSweep:

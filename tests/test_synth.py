@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from topofeat.cloud import PointCloud
 from topofeat.embedding import EmbeddingParams, delay_embed
 from topofeat.homology import rips_diagram
 from topofeat.synth import (SMOOTH_WIDTH, SubjectRecord, SynthSpec, gen_cloud,

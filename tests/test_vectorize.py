@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topofeat.homology import INF, PersistenceDiagram, betti_at
-from topofeat.vectorize import (PersistenceImage, WeightParams, betti_curve,
+from topofeat.vectorize import (WeightParams, betti_curve,
                                 birth_persistence_transform, entropy_summary,
                                 peak_split_knot, persistence_image,
                                 persistence_landscape, weight_fn)
