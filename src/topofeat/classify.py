@@ -1,10 +1,18 @@
 """Soft-margin SVM (SMO), stratified k-fold evaluation and the ACC/SE/SP metrics.
 
 The dual problem is solved by simplified sequential minimal optimisation
-with a seeded partner choice, so runs are reproducible.  Features are
-standardised per column with training-fold statistics only; the positive
-class is the patient class, so sensitivity counts patients caught and
-specificity controls kept.
+(Platt, MSR-TR-98-14) with a seeded partner choice, so runs are
+reproducible.  Features are standardised per column with training-fold
+statistics only; the positive class is the patient class, so sensitivity
+counts patients caught and specificity controls kept.
+
+The fit's bits are fixed by one rule: each error term is
+``E_i = (alphas * y) . k[:, i] + b - y_i``, the dot taken by BLAS over the
+strided kernel column ``k[:, i]`` and the sum left to right.  The loop keeps
+``alphas * y`` as an array and caches every ``E_i`` it computes until the
+next pair update, which clears the whole cache; an incremental update of the
+errors, one matrix-vector product for all of them, or a contiguous copy of
+the column would round differently.
 """
 
 from __future__ import annotations
@@ -155,9 +163,16 @@ def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
               max_passes: int = 8, max_iter: int = 2000, seed: int = 0) -> SvmModel:
     """Fit a binary soft-margin SVM by simplified SMO.
 
-    KKT violations beyond ``tol`` trigger pair updates; optimisation stops
-    after ``max_passes`` sweeps without a change.  Columns are standardised
-    with statistics of this training data.
+    KKT violations beyond ``tol`` trigger pair updates with a partner drawn
+    from ``seed``; optimisation stops after ``max_passes`` sweeps without a
+    change.  Columns are standardised with statistics of this training data.
+
+    Exactness: ``E_i`` is ``ay.dot(k[:, i]) + b - y_i`` with ``ay = alphas * y``,
+    always over the same strided column, and a cached ``E_i`` is reused only
+    until the next pair update, which clears the cache.  The scalar steps run
+    on Python floats, which round as numpy's float64 scalars do, so the fit is
+    the same operation for operation as the textbook loop that recomputes
+    ``(alphas * y) @ k[:, i]`` at every use.
     """
     if C <= 0:
         raise ValueError("C must be positive")
@@ -165,6 +180,8 @@ def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
         raise ValueError(f"unknown kernel: {kernel}")
     x = data.features
     y01 = data.labels
+    if x.shape[1] == 0:
+        raise ValueError("training data has no feature columns")
     if len(np.unique(y01)) < 2:
         raise ValueError("training data must contain both classes")
     mean = x.mean(axis=0)
@@ -179,39 +196,52 @@ def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
     y = np.where(y01 == 1, 1.0, -1.0)
 
     k = _kernel_matrix(z, z, kernel, gamma)
+    cols = [k[:, i] for i in range(n)]
+    kl, yl = k.tolist(), y.tolist()
 
     rng = np.random.default_rng(seed)
     alphas = np.zeros(n)
+    ay = alphas * y
+    a = alphas.tolist()
+    err = [None] * n
     b = 0.0
     passes = 0
     it = 0
     while passes < max_passes and it < max_iter:
         changed = 0
         for i in range(n):
-            ei = (alphas * y) @ k[:, i] + b - y[i]
-            if (y[i] * ei < -tol and alphas[i] < C) or (y[i] * ei > tol and alphas[i] > 0):
+            yi, ai_old = yl[i], a[i]
+            ei = err[i]
+            if ei is None:
+                ei = err[i] = float(ay.dot(cols[i])) + b - yi
+            if (yi * ei < -tol and ai_old < C) or (yi * ei > tol and ai_old > 0):
                 j = int(rng.integers(n - 1))
                 if j >= i:
                     j += 1
-                ej = (alphas * y) @ k[:, j] + b - y[j]
-                ai_old, aj_old = alphas[i], alphas[j]
-                if y[i] == y[j]:
+                yj, aj_old = yl[j], a[j]
+                ej = err[j]
+                if ej is None:
+                    ej = err[j] = float(ay.dot(cols[j])) + b - yj
+                if yi == yj:
                     lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
                 else:
                     lo, hi = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
                 if hi - lo < 1e-12:
                     continue
-                eta = 2 * k[i, j] - k[i, i] - k[j, j]
+                ki, kj = kl[i], kl[j]
+                eta = 2 * ki[j] - ki[i] - kj[j]
                 if eta >= 0:
                     continue
-                aj = aj_old - y[j] * (ei - ej) / eta
+                aj = aj_old - yj * (ei - ej) / eta
                 aj = min(hi, max(lo, aj))
                 if abs(aj - aj_old) < 1e-7:
                     continue
-                ai = ai_old + y[i] * y[j] * (aj_old - aj)
-                alphas[i], alphas[j] = ai, aj
-                b1 = b - ei - y[i] * (ai - ai_old) * k[i, i] - y[j] * (aj - aj_old) * k[i, j]
-                b2 = b - ej - y[i] * (ai - ai_old) * k[i, j] - y[j] * (aj - aj_old) * k[j, j]
+                ai = ai_old + yi * yj * (aj_old - aj)
+                a[i], a[j] = ai, aj
+                ay[i], ay[j] = ai * yi, aj * yj
+                err = [None] * n
+                b1 = b - ei - yi * (ai - ai_old) * ki[i] - yj * (aj - aj_old) * ki[j]
+                b2 = b - ej - yi * (ai - ai_old) * ki[j] - yj * (aj - aj_old) * kj[j]
                 if 0 < ai < C:
                     b = b1
                 elif 0 < aj < C:
@@ -222,6 +252,7 @@ def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
         it += 1
         passes = passes + 1 if changed == 0 else 0
 
+    alphas = np.array(a, dtype=float)
     support = alphas > 1e-10
     return SvmModel(z[support], y[support], alphas[support], b, kernel, gamma, mean, std)
 

@@ -123,9 +123,16 @@ def validate_config(cfg: PipelineConfig) -> None:
     parse_bandwidth(cfg.bandwidth)
     if cfg.descriptor not in ("pi", "landscape", "betti", "entropy"):
         raise ValueError(f"unknown descriptor {cfg.descriptor!r}")
+    for name in ("pi_rows", "pi_cols", "curve_bins", "landscape_layers"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
     if cfg.knot_mode not in ("peaks", "quantile"):
         raise ValueError(f"unknown knot_mode {cfg.knot_mode!r}")
     if cfg.folds < 2:
         raise ValueError("folds must be >= 2")
     if cfg.kernel not in ("linear", "rbf"):
         raise ValueError(f"unknown kernel {cfg.kernel!r}")
+    if cfg.C <= 0:
+        raise ValueError("C must be positive")
+    if cfg.gamma < 0:
+        raise ValueError("gamma must be >= 0 (0 = 1/D)")

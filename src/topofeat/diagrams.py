@@ -62,12 +62,18 @@ def parse_bandwidth(spec: str) -> "BandwidthSpec | str":
     ``cov10`` is data-dependent, so it is returned as the sentinel string
     and resolved against the merged points by the caller.
     """
+    def number(text: str) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"bandwidth {spec!r}: {text!r} is not a number") from None
+
     if spec == "cov10":
         return "cov10"
     if spec.startswith("identity:"):
-        return BandwidthSpec.identity(float(spec.split(":", 1)[1]))
+        return BandwidthSpec.identity(number(spec.split(":", 1)[1]))
     if spec.startswith("manual:"):
-        vals = [float(v) for v in spec.split(":", 1)[1].split(",")]
+        vals = [number(v) for v in spec.split(":", 1)[1].split(",")]
         if len(vals) != 4:
             raise ValueError("manual bandwidth needs 4 entries")
         return BandwidthSpec(((vals[0], vals[1]), (vals[2], vals[3])))

@@ -105,7 +105,7 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
     """Load recordings from input_dir, filter, select channels, cut segments.
 
     input_dir holds one ``<subject_id>.csv`` per recording plus a
-    ``labels.csv`` (subject_id,label).
+    ``labels.csv`` (subject_id,label) that labels exactly those subjects.
     """
     validate_config(cfg)
     src = Path(cfg.input_dir)
@@ -117,6 +117,10 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
     unlabelled = [p.stem for p in recordings if p.stem not in labels]
     if unlabelled:
         raise StageError("ingest", f"no label for recording(s) {unlabelled}", label_file)
+    unrecorded = sorted(set(labels) - {p.stem for p in recordings})
+    if unrecorded:
+        raise StageError("ingest", f"no recording for labelled subject(s) {unrecorded}",
+                         label_file)
     out = _out(cfg)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "labels.csv", label_file.read_text())
@@ -374,16 +378,16 @@ def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str
                         "ramp_start": wp.ramp_start, "ramp_end": wp.ramp_end}}
 
     rows = []
-    for sid, diagram in diagrams.items():
+    for (sid, diagram), bars in zip(diagrams.items(), all_bars):
         try:
             if cfg.descriptor == "pi":
-                bp = birth_persistence_transform(diagram.finite_bars(1))
+                bp = birth_persistence_transform(bars)
                 img = persistence_image(bp, (cfg.pi_rows, cfg.pi_cols), extent, sigma, wp)
                 rows.append(img.flatten())
             elif cfg.descriptor == "landscape":
                 rows.append(persistence_landscape(diagram, cfg.landscape_layers, tgrid))
             elif cfg.descriptor == "betti":
-                rows.append(betti_curve(diagram.finite_bars(1), tgrid))
+                rows.append(betti_curve(bars, tgrid))
             else:
                 rows.append(entropy_summary(diagram, tgrid))
         except Exception as exc:

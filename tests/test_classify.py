@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from topofeat.classify import (EvalReport, FoldReport, LabeledDataset,
-                               UndefinedMetricError, kfold_cv, load_features_csv,
-                               metrics, predict, save_features_csv,
+from topofeat.classify import (EvalReport, FoldReport, LabeledDataset, SvmModel,
+                               UndefinedMetricError, _kernel_matrix, kfold_cv,
+                               load_features_csv, metrics, predict, save_features_csv,
                                stratified_folds, train_svm, tune_hyperparameters)
 
 
@@ -19,6 +21,149 @@ def xor_data(rng, reps=10):
     x = np.tile(base, (reps, 1)) + rng.normal(size=(4 * reps, 2)) * 0.05
     y = np.tile([1, 1, 0, 0], reps)
     return LabeledDataset(x, y)
+
+
+def oracle_train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
+                     gamma: float | None = None, tol: float = 1e-3,
+                     max_passes: int = 8, max_iter: int = 2000, seed: int = 0) -> SvmModel:
+    """Simplified SMO as first written: every error term recomputes
+    ``(alphas * y) @ k[:, i]`` and the scalars stay numpy float64.
+    ``train_svm`` must return the same fit bit for bit.
+    """
+    x = data.features
+    y01 = data.labels
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    z = (x - mean) / std
+    n, d = z.shape
+    if gamma is None:
+        gamma = 1.0 / d
+    y = np.where(y01 == 1, 1.0, -1.0)
+
+    k = _kernel_matrix(z, z, kernel, gamma)
+
+    rng = np.random.default_rng(seed)
+    alphas = np.zeros(n)
+    b = 0.0
+    passes = 0
+    it = 0
+    while passes < max_passes and it < max_iter:
+        changed = 0
+        for i in range(n):
+            ei = (alphas * y) @ k[:, i] + b - y[i]
+            if (y[i] * ei < -tol and alphas[i] < C) or (y[i] * ei > tol and alphas[i] > 0):
+                j = int(rng.integers(n - 1))
+                if j >= i:
+                    j += 1
+                ej = (alphas * y) @ k[:, j] + b - y[j]
+                ai_old, aj_old = alphas[i], alphas[j]
+                if y[i] == y[j]:
+                    lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
+                else:
+                    lo, hi = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
+                if hi - lo < 1e-12:
+                    continue
+                eta = 2 * k[i, j] - k[i, i] - k[j, j]
+                if eta >= 0:
+                    continue
+                aj = aj_old - y[j] * (ei - ej) / eta
+                aj = min(hi, max(lo, aj))
+                if abs(aj - aj_old) < 1e-7:
+                    continue
+                ai = ai_old + y[i] * y[j] * (aj_old - aj)
+                alphas[i], alphas[j] = ai, aj
+                b1 = b - ei - y[i] * (ai - ai_old) * k[i, i] - y[j] * (aj - aj_old) * k[i, j]
+                b2 = b - ej - y[i] * (ai - ai_old) * k[i, j] - y[j] * (aj - aj_old) * k[j, j]
+                if 0 < ai < C:
+                    b = b1
+                elif 0 < aj < C:
+                    b = b2
+                else:
+                    b = 0.5 * (b1 + b2)
+                changed += 1
+        it += 1
+        passes = passes + 1 if changed == 0 else 0
+
+    support = alphas > 1e-10
+    return SvmModel(z[support], y[support], alphas[support], b, kernel, gamma, mean, std)
+
+
+def duplicate_rows():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(9, 6))
+    return LabeledDataset(np.vstack([x, x]), np.array([0, 1, 1, 0, 1, 0, 0, 1, 1] * 2))
+
+
+def constant_column():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(18, 5))
+    x[:, 2] = 0.75
+    y = np.array([0, 1] * 9)
+    x[y == 1, 0] += 1.0
+    return LabeledDataset(x, y)
+
+
+def separable():
+    rng = np.random.default_rng(13)
+    return two_clusters(rng, n=10, spread=1.5)
+
+
+def heavy_overlap():
+    rng = np.random.default_rng(14)
+    return LabeledDataset(rng.normal(size=(24, 6)), np.array([0, 1] * 12))
+
+
+def wide():
+    # 18 rows and many columns, like a training fold of persistence images
+    rng = np.random.default_rng(16)
+    return LabeledDataset(rng.normal(size=(18, 40)), np.array([0, 1] * 9))
+
+
+ORACLE_DATA = {"duplicate_rows": duplicate_rows, "constant_column": constant_column,
+               "separable": separable, "heavy_overlap": heavy_overlap, "wide": wide}
+
+
+def assert_same_fit(model, oracle):
+    assert np.array_equal(model.alphas, oracle.alphas)
+    assert model.bias == oracle.bias
+    assert np.array_equal(model.sv_x, oracle.sv_x)
+    assert np.array_equal(model.sv_y, oracle.sv_y)
+
+
+class TestSmoOracle:
+    """``train_svm`` caches error terms; the fit must not change by a bit."""
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    @pytest.mark.parametrize("name", ORACLE_DATA)
+    def test_matches_oracle(self, name, kernel):
+        data = ORACLE_DATA[name]()
+        for C, gamma, seed in itertools.product((0.1, 1.0, 10.0), (None, 0.3), (0, 3)):
+            model = train_svm(data, kernel=kernel, C=C, gamma=gamma, seed=seed)
+            assert_same_fit(model, oracle_train_svm(data, kernel=kernel, C=C, gamma=gamma,
+                                                    seed=seed))
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_cases_reach_the_box_bound(self, kernel):
+        # the clipped steps are exercised too: some alphas end exactly at C
+        model = train_svm(separable(), kernel=kernel, C=0.1)
+        assert np.any(model.alphas == 0.1)
+
+    @pytest.mark.parametrize("max_passes, max_iter",
+                             list(itertools.product((1, 8), (1, 2, 2000))))
+    @pytest.mark.parametrize("name", ORACLE_DATA)
+    def test_stopping_rules_match_oracle(self, name, max_passes, max_iter):
+        data = ORACLE_DATA[name]()
+        for kernel, C in itertools.product(("rbf", "linear"), (0.1, 10.0)):
+            kwargs = dict(kernel=kernel, C=C, max_passes=max_passes, max_iter=max_iter, seed=3)
+            assert_same_fit(train_svm(data, **kwargs), oracle_train_svm(data, **kwargs))
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_kfold_report_matches_oracle(self, kernel, monkeypatch):
+        data = two_clusters(np.random.default_rng(15), n=20, spread=4.0)
+        report = kfold_cv(data, k=5, seed=3, kernel=kernel)
+        monkeypatch.setattr("topofeat.classify.train_svm", oracle_train_svm)
+        assert kfold_cv(data, k=5, seed=3, kernel=kernel).to_json() == report.to_json()
 
 
 class TestMetrics:
@@ -75,6 +220,12 @@ class TestTrainSvm:
         model = train_svm(doubled, kernel="rbf", seed=2)
         preds = predict(model, doubled.features)
         assert np.array_equal(preds[:50], preds[50:])
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_no_columns_rejected(self, kernel):
+        data = LabeledDataset(np.empty((4, 0)), np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match="no feature columns"):
+            train_svm(data, kernel=kernel)
 
     def test_single_class_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -21,6 +21,14 @@ def workdir(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("spec", ["identity:abc", "manual:1,2,x,4"])
+def test_bad_bandwidth_names_the_option(tmp_path, capsys, spec):
+    assert run_cli("filter", "--out", str(tmp_path), "--bandwidth", spec) == 1
+    err = capsys.readouterr().err
+    assert f"bandwidth {spec!r}" in err
+    assert "is not a number" in err
+
+
 class TestSubcommands:
     def test_stagewise_run(self, workdir):
         out = str(workdir)

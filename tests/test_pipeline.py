@@ -64,6 +64,16 @@ class TestConfig:
             run_pipeline(cfg, synth=True, **TINY)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("C", 0.0), ("gamma", -1.0), ("pi_rows", 0), ("pi_cols", 0), ("curve_bins", 0),
+        ("landscape_layers", 0),
+    ])
+    def test_bad_size_fails_before_any_stage(self, tmp_path, field, value):
+        cfg = tiny_config(tmp_path / "out", **{field: value})
+        with pytest.raises(ValueError, match=field):
+            run_pipeline(cfg, synth=True, **TINY)
+        assert not (tmp_path / "out").exists()
+
     def test_window_samples(self):
         assert PipelineConfig(rate=128.0, window_sec=4.0).window_samples() == 512
 
@@ -184,7 +194,10 @@ class TestIngestStage:
         ("subject_id,label\ns0,0\ns1,2\n", "line 3"),
         ("subject_id,label\ns0,0\ns1,1\ns0,1\n", "duplicate subject 's0'"),
         ("subject_id,label\ns0,0\n", r"no label for recording\(s\) \['s1'\]"),
-    ], ids=["no_header", "label_2", "duplicate_id", "unlabelled_recording"])
+        ("subject_id,label\ns0,0\ns1,1\ns9,1\n",
+         r"no recording for labelled subject\(s\) \['s9'\]"),
+    ], ids=["no_header", "label_2", "duplicate_id", "unlabelled_recording",
+            "unrecorded_label"])
     def test_bad_labels_fail_before_any_segment(self, tmp_path, rng, labels_text, message):
         cfg = ingest_input(tmp_path, rng, labels_text)
         with pytest.raises(StageError, match=message) as err:
