@@ -13,35 +13,48 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import PipelineConfig, load_config
+from .config import DESCRIPTORS, KERNELS, PipelineConfig, load_config
 from .pipeline import (StageError, run_pipeline, stage_classify, stage_denoise,
                        stage_embed, stage_filter, stage_ingest, stage_persist,
                        stage_synth, stage_vectorize, sweep_weights)
 from .plots import plot
 
 
+def _converter(parse, expected: str):
+    """An argparse ``type=`` whose error names what the option expects."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (KeyError, ValueError):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    return convert
+
+
+def _low_high(text: str) -> tuple[float, float]:
+    low, high = text.split(":")
+    return float(low), float(high)
+
+
+_band = _converter(_low_high, "low:high in Hz")
+_gamma = _converter(lambda text: 0.0 if text == "auto" else float(text), "a number or 'auto'")
+_floats = _converter(lambda text: [float(v) for v in text.split(",")], "a comma list of numbers")
+_on_off = _converter(lambda text: {"on": True, "off": False}[text], "on or off")
+
+
 def _base_config(args) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
-    overrides = {}
-    for key in PipelineConfig.__dataclass_fields__:
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
+    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
+    overrides = {key: val for key, val in vars(args).items()
+                 if key in PipelineConfig.__dataclass_fields__ and val is not None}
     if getattr(args, "band", None):
-        low, high = args.band.split(":")
-        overrides["band_low"], overrides["band_high"] = float(low), float(high)
-    if getattr(args, "auto", None) is not None:
-        overrides["auto_params"] = args.auto == "on"
+        overrides["band_low"], overrides["band_high"] = args.band
     return replace(cfg, **overrides)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file; flags override it")
     p.add_argument("--out", dest="out_dir", help="artifact directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers for per-segment stages")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--jobs", type=int, help="parallel workers for per-segment stages")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,12 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="load recordings, band-pass, select channels, segment")
     _add_common(p)
     p.add_argument("--input", dest="input_dir", required=True)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--band", help="low:high cutoff in Hz, e.g. 0.5:50")
-    p.add_argument("--order", dest="filter_order", type=int, default=None,
-                   help="Butterworth order (2/4/6/8)")
-    p.add_argument("--channels", default=None, help="comma-separated channel names to keep")
-    p.add_argument("--window-sec", type=float, default=None)
+    p.add_argument("--rate", type=float)
+    p.add_argument("--band", type=_band, help="low:high cutoff in Hz, e.g. 0.5:50")
+    p.add_argument("--order", dest="filter_order", type=int, help="Butterworth order (2/4/6/8)")
+    p.add_argument("--channels", help="comma-separated channel names to keep")
+    p.add_argument("--window-sec", type=float)
     p.add_argument("--no-bandpass", dest="apply_bandpass", action="store_false", default=None)
 
     p = sub.add_parser("synth", help="generate a labelled two-class synthetic dataset")
@@ -66,64 +78,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subjects", type=int, default=40, help="subjects per class")
     p.add_argument("--segments", type=int, default=10, help="segments per subject")
     p.add_argument("--channels-n", type=int, default=6)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--window-sec", type=float, default=None)
+    p.add_argument("--rate", type=float)
+    p.add_argument("--window-sec", type=float)
     p.add_argument("--noise", type=float, default=0.3, help="periodic-class noise level")
     p.add_argument("--amp-low", type=float, default=0.55)
     p.add_argument("--amp-high", type=float, default=1.0)
 
     p = sub.add_parser("embed", help="settle the delay-embedding parameters m and tau")
     _add_common(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--auto-params", dest="auto", choices=["on", "off"], default=None)
-    p.add_argument("--bins", dest="ami_bins", type=int, default=None)
-    p.add_argument("--rtol", dest="fnn_rtol", type=float, default=None)
-    p.add_argument("--atol", dest="fnn_atol", type=float, default=None)
+    p.add_argument("--m", type=int)
+    p.add_argument("--tau", type=int)
+    p.add_argument("--auto-params", dest="auto_params", type=_on_off, metavar="{on,off}")
+    p.add_argument("--bins", dest="ami_bins", type=int)
+    p.add_argument("--rtol", dest="fnn_rtol", type=float)
+    p.add_argument("--atol", dest="fnn_atol", type=float)
 
     p = sub.add_parser("denoise", help="embed each channel, then score, prune and fuse the clouds")
     _add_common(p)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--keep", dest="keep_n", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--q", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--keep", dest="keep_n", type=int)
+    p.add_argument("--iters", type=int)
 
     p = sub.add_parser("persist", help="compute Rips persistence of the joint clouds")
     _add_common(p)
 
     p = sub.add_parser("filter", help="merge per-subject diagrams and density-filter them")
     _add_common(p)
-    p.add_argument("--bandwidth", default=None, help="cov10 | identity:<s> | manual:<4 entries>")
-    p.add_argument("--keep-fraction", dest="keep_fraction", type=float, default=None)
-    p.add_argument("--emit-density", default=None, help="optional CSV dump of point densities")
+    p.add_argument("--bandwidth", help="cov10 | identity:<s> | manual:<4 entries>")
+    p.add_argument("--keep-fraction", dest="keep_fraction", type=float)
+    p.add_argument("--emit-density", help="optional CSV dump of point densities")
 
     p = sub.add_parser("vectorize", help="turn subject diagrams into feature vectors")
     _add_common(p)
-    p.add_argument("--descriptor", choices=["pi", "landscape", "betti", "entropy"], default=None)
-    p.add_argument("--pi-rows", dest="pi_rows", type=int, default=None)
-    p.add_argument("--pi-cols", dest="pi_cols", type=int, default=None)
-    p.add_argument("--sigma", dest="pi_sigma", type=float, default=None)
-    p.add_argument("--plateau", dest="weight_plateau", type=float, default=None)
-    p.add_argument("--junction", dest="weight_junction", type=float, default=None)
-    p.add_argument("--ramp-start", dest="weight_ramp_start", type=float, default=None)
-    p.add_argument("--ramp-end", dest="weight_ramp_end", type=float, default=None)
+    p.add_argument("--descriptor", choices=DESCRIPTORS)
+    p.add_argument("--pi-rows", dest="pi_rows", type=int)
+    p.add_argument("--pi-cols", dest="pi_cols", type=int)
+    p.add_argument("--sigma", dest="pi_sigma", type=float)
+    p.add_argument("--plateau", dest="weight_plateau", type=float)
+    p.add_argument("--junction", dest="weight_junction", type=float)
+    p.add_argument("--ramp-start", dest="weight_ramp_start", type=float)
+    p.add_argument("--ramp-end", dest="weight_ramp_end", type=float)
 
     p = sub.add_parser("classify", help="stratified k-fold SVM evaluation")
     _add_common(p)
-    p.add_argument("--features", default=None, help="features CSV (defaults to <out>/features.csv)")
-    p.add_argument("--kernel", choices=["linear", "rbf"], default=None)
-    p.add_argument("--C", dest="C", type=float, default=None)
-    p.add_argument("--gamma", default=None, help="rbf width, or 'auto' for 1/D")
-    p.add_argument("--folds", type=int, default=None)
+    p.add_argument("--features", help="features CSV (defaults to <out>/features.csv)")
+    p.add_argument("--kernel", choices=KERNELS)
+    p.add_argument("--C", dest="C", type=float)
+    p.add_argument("--gamma", type=_gamma, help="rbf width, or 'auto' for 1/D")
+    p.add_argument("--folds", type=int)
     p.add_argument("--grid-search", dest="grid_search", action="store_true", default=None)
-    p.add_argument("--report", default=None, help="also copy the report JSON here")
+    p.add_argument("--report", help="also copy the report JSON here")
 
     p = sub.add_parser("run", help="run every stage end to end")
     _add_common(p)
-    p.add_argument("--input", dest="input_dir", default=None)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--channels", default=None, help="comma-separated channel names to keep")
-    p.add_argument("--window-sec", type=float, default=None)
+    p.add_argument("--input", dest="input_dir")
+    p.add_argument("--rate", type=float)
+    p.add_argument("--channels", help="comma-separated channel names to keep")
+    p.add_argument("--window-sec", type=float)
     p.add_argument("--synth", action="store_true", help="generate synthetic data instead of ingesting")
     p.add_argument("--subjects", type=int, default=40)
     p.add_argument("--segments", type=int, default=10)
@@ -131,19 +143,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--amp-low", type=float, default=0.55)
     p.add_argument("--amp-high", type=float, default=1.0)
-    p.add_argument("--descriptor", choices=["pi", "landscape", "betti", "entropy"], default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--kernel", choices=["linear", "rbf"], default=None)
+    p.add_argument("--descriptor", choices=DESCRIPTORS)
+    p.add_argument("--folds", type=int)
+    p.add_argument("--kernel", choices=KERNELS)
     p.add_argument("--grid-search", dest="grid_search", action="store_true", default=None)
 
     p = sub.add_parser("sweep", help="re-vectorize and re-classify over weight parameters")
     _add_common(p)
-    p.add_argument("--plateau-values", required=True, help="comma list, e.g. 0,1")
-    p.add_argument("--junction-values", required=True, help="comma list, e.g. 1,3")
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--kernel", choices=["linear", "rbf"], default=None)
+    p.add_argument("--plateau-values", type=_floats, required=True, help="comma list, e.g. 0,1")
+    p.add_argument("--junction-values", type=_floats, required=True, help="comma list, e.g. 1,3")
+    p.add_argument("--folds", type=int)
+    p.add_argument("--kernel", choices=KERNELS)
     p.add_argument("--grid-search", dest="grid_search", action="store_true", default=None)
-    p.add_argument("--table", default=None, help="write the result table to this JSON file")
+    p.add_argument("--table", help="write the result table to this JSON file")
 
     p = sub.add_parser("plot", help="render a diagram, barcode or image artifact")
     p.add_argument("--artifact", required=True, help="artifact file (diagram CSV or image CSV)")
@@ -160,8 +172,6 @@ def main(argv=None) -> int:
             print(f"wrote {args.output}")
             return 0
         cfg = _base_config(args)
-        if args.command == "classify" and getattr(args, "gamma", None) is not None:
-            cfg = replace(cfg, gamma=0.0 if args.gamma == "auto" else float(args.gamma))
         if args.command == "ingest":
             manifest = stage_ingest(cfg)
             print(f"wrote {manifest}")
@@ -198,9 +208,7 @@ def main(argv=None) -> int:
                                   amp_low=args.amp_low, amp_high=args.amp_high)
             print(f"acc={report.acc:.4f} se={report.se:.4f} sp={report.sp:.4f}")
         elif args.command == "sweep":
-            grid = sweep_weights(cfg,
-                                 [float(v) for v in args.plateau_values.split(",")],
-                                 [float(v) for v in args.junction_values.split(",")])
+            grid = sweep_weights(cfg, args.plateau_values, args.junction_values)
             text = json.dumps(grid, indent=2, sort_keys=True) + "\n"
             if args.table:
                 Path(args.table).write_text(text)

@@ -12,8 +12,19 @@ from pathlib import Path
 from .diagrams import parse_bandwidth
 
 
+DESCRIPTORS = ("pi", "landscape", "betti", "entropy")
+KERNELS = ("linear", "rbf")
+
+
 @dataclass
 class PipelineConfig:
+    """Every setting a stage reads; each field is the target of a CLI flag.
+
+    Fixed choices of the method (AMI lag range, FNN dimension cap, landscape
+    layers, curve bins, knot fallback quantile) are constants next to the code
+    that reads them.  ``validate_config`` checks every field before any stage.
+    """
+
     # ingest
     input_dir: str = ""
     out_dir: str = "out"
@@ -29,8 +40,6 @@ class PipelineConfig:
     tau: int = 10
     auto_params: bool = False
     ami_bins: int = 16
-    ami_max_lag: int = 40
-    fnn_m_max: int = 6
     fnn_rtol: float = 10.0
     fnn_atol: float = 2.0
     # denoising
@@ -45,15 +54,11 @@ class PipelineConfig:
     descriptor: str = "pi"        # pi | landscape | betti | entropy
     pi_rows: int = 20
     pi_cols: int = 20
-    pi_sigma: float = 0.0         # 0 = auto (persistence extent / 20)
+    pi_sigma: float = 0.0         # 0 = auto (persistence range / 20)
     weight_plateau: float = 0.0
     weight_junction: float = 3.0
     weight_ramp_start: float = 0.0   # 0 = auto-scale from the data
     weight_ramp_end: float = 0.0     # 0 = 2 x ramp_start
-    knot_mode: str = "peaks"         # peaks | quantile (auto-scaling rule)
-    knot_quantile: float = 0.99
-    landscape_layers: int = 5
-    curve_bins: int = 100
     # classification
     kernel: str = "rbf"
     C: float = 1.0
@@ -68,9 +73,7 @@ class PipelineConfig:
         return int(round(self.window_sec * self.rate))
 
     def channel_list(self) -> list[str] | None:
-        if not self.channels:
-            return None
-        return [c.strip() for c in self.channels.split(",") if c.strip()]
+        return [c.strip() for c in self.channels.split(",") if c.strip()] or None
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
@@ -78,18 +81,13 @@ _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 def _coerce(name: str, raw: str):
     target = _FIELD_TYPES[name]
-    raw = raw.strip()
     if target == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"bad boolean for {name}: {raw!r}")
-    if target == "int":
-        return int(raw)
-    if target == "float":
-        return float(raw)
-    return raw
+    return {"int": int, "float": float}.get(target, str)(raw)
 
 
 def load_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
@@ -109,30 +107,32 @@ def load_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
     return replace(cfg, **updates)
 
 
+# Least value of each numeric field; 0 is "auto" for pi_sigma, the ramp knots and gamma.
+_MINIMA = {"m": 1, "tau": 1, "q": 1, "k": 1, "keep_n": 1, "iters": 1, "pi_rows": 1, "pi_cols": 1,
+           "folds": 2, "pi_sigma": 0, "weight_plateau": 0, "weight_junction": 0,
+           "weight_ramp_start": 0, "weight_ramp_end": 0, "gamma": 0}
+
+
 def validate_config(cfg: PipelineConfig) -> None:
-    if cfg.rate <= 0:
-        raise ValueError("rate must be positive")
+    """Raise ``ValueError`` naming the first bad field; nothing is read or written."""
+    for name in ("rate", "C"):
+        if getattr(cfg, name) <= 0:
+            raise ValueError(f"{name} must be positive")
+    for name, least in _MINIMA.items():
+        if getattr(cfg, name) < least:
+            raise ValueError(f"{name} must be >= {least}")
     if not 0 < cfg.band_low < cfg.band_high:
         raise ValueError("band must satisfy 0 < low < high")
-    if cfg.m < 1 or cfg.tau < 1:
-        raise ValueError("m and tau must be >= 1")
-    if cfg.q < 1 or cfg.k < 1 or cfg.keep_n < 1:
-        raise ValueError("q, k and keep_n must be >= 1")
+    if cfg.filter_order not in (2, 4, 6, 8):
+        raise ValueError(f"filter_order must be one of 2, 4, 6, 8, got {cfg.filter_order}")
+    if cfg.window_samples() < 1:
+        raise ValueError("window_sec * rate must be at least one sample")
+    if 0 < cfg.weight_ramp_end <= cfg.weight_ramp_start:
+        raise ValueError("weight_ramp_end must exceed weight_ramp_start")
     if not 0 < cfg.keep_fraction <= 1:
         raise ValueError("keep_fraction must lie in (0, 1]")
     parse_bandwidth(cfg.bandwidth)
-    if cfg.descriptor not in ("pi", "landscape", "betti", "entropy"):
+    if cfg.descriptor not in DESCRIPTORS:
         raise ValueError(f"unknown descriptor {cfg.descriptor!r}")
-    for name in ("pi_rows", "pi_cols", "curve_bins", "landscape_layers"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be >= 1")
-    if cfg.knot_mode not in ("peaks", "quantile"):
-        raise ValueError(f"unknown knot_mode {cfg.knot_mode!r}")
-    if cfg.folds < 2:
-        raise ValueError("folds must be >= 2")
-    if cfg.kernel not in ("linear", "rbf"):
+    if cfg.kernel not in KERNELS:
         raise ValueError(f"unknown kernel {cfg.kernel!r}")
-    if cfg.C <= 0:
-        raise ValueError("C must be positive")
-    if cfg.gamma < 0:
-        raise ValueError("gamma must be >= 0 (0 = 1/D)")

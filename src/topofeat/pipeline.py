@@ -177,9 +177,8 @@ def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
     if cfg.auto_params:
         first = load_recording(out / entries[0]["file"], rate=cfg.rate).data
         try:
-            params = estimate_embedding_params(
-                list(first), max_lag=cfg.ami_max_lag, bins=cfg.ami_bins,
-                m_max=cfg.fnn_m_max, rtol=cfg.fnn_rtol, atol=cfg.fnn_atol)
+            params = estimate_embedding_params(list(first), bins=cfg.ami_bins,
+                                               rtol=cfg.fnn_rtol, atol=cfg.fnn_atol)
         except Exception as exc:
             raise StageError("embed", f"parameter estimation failed: {exc}",
                              entries[0]["file"]) from exc
@@ -331,24 +330,31 @@ def load_subject_diagrams(cfg: PipelineConfig) -> tuple[dict[str, PersistenceDia
     return diagrams, labels
 
 
+# Landscape layers, samples per descriptor curve, and the pooled-persistence
+# quantile that places the first weight knot when the subject peaks cannot.
+LANDSCAPE_LAYERS = 5
+CURVE_BINS = 100
+KNOT_QUANTILE = 0.99
+
+
 def resolve_weights(cfg: PipelineConfig, pooled_persistence: np.ndarray,
-                    subject_peaks: np.ndarray | None = None) -> WeightParams:
+                    subject_peaks: np.ndarray) -> WeightParams:
     """Weight knots from config, auto-scaled to the data when left at 0.
 
-    The default ``peaks`` mode places the first knot at the median of the
-    per-subject peak persistences; the ``quantile`` mode (and the fallback)
-    uses a quantile of the pooled persistence values.
+    The first knot defaults to ``peak_split_knot`` of the subject peaks, with
+    the ``KNOT_QUANTILE`` pooled-persistence quantile as its fallback; the
+    second defaults to twice the first.
     """
     if cfg.weight_ramp_start > 0:
         t1 = cfg.weight_ramp_start
     else:
         pos = pooled_persistence[pooled_persistence > 0]
-        quantile_t1 = float(np.quantile(pos, cfg.knot_quantile)) if len(pos) else 1.0
-        if cfg.knot_mode == "peaks" and subject_peaks is not None:
-            t1 = peak_split_knot(subject_peaks, fallback=quantile_t1)
-        else:
-            t1 = quantile_t1
+        fallback = float(np.quantile(pos, KNOT_QUANTILE)) if len(pos) else 1.0
+        t1 = peak_split_knot(subject_peaks, fallback=fallback)
     t2 = cfg.weight_ramp_end if cfg.weight_ramp_end > 0 else 2.0 * t1
+    if t2 <= t1:
+        raise StageError("vectorize", f"weight_ramp_end {t2!r} must exceed the auto "
+                                      f"ramp start {t1!r}")
     return WeightParams(cfg.weight_plateau, cfg.weight_junction, t1, t2)
 
 
@@ -360,10 +366,10 @@ def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str
     extent, and the weight knots from ``resolve_weights``.
     """
     all_bars = [d.finite_bars(1) for d in diagrams.values()]
-    pooled = np.vstack([b for b in all_bars if len(b)]) if any(len(b) for b in all_bars) else np.empty((0, 2))
-    pooled_pers = pooled[:, 1] - pooled[:, 0] if len(pooled) else np.empty(0)
+    pooled = np.vstack([np.empty((0, 2)), *all_bars])
+    pooled_pers = pooled[:, 1] - pooled[:, 0]
     peaks = np.array([(b[:, 1] - b[:, 0]).max() for b in all_bars if len(b)])
-    wp = resolve_weights(cfg, pooled_pers, subject_peaks=peaks)
+    wp = resolve_weights(cfg, pooled_pers, peaks)
 
     bp = birth_persistence_transform(pooled)
     if len(pooled):
@@ -372,24 +378,24 @@ def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str
     else:
         sigma, t_hi = 1.0, 1.0
     extent = default_extent(bp, sigma)
-    tgrid = np.linspace(0.0, t_hi, cfg.curve_bins)
+    tgrid = np.linspace(0.0, t_hi, CURVE_BINS)
     meta = {"descriptor": cfg.descriptor, "sigma": sigma, "extent": extent,
             "weights": {"plateau": wp.plateau, "junction": wp.junction,
                         "ramp_start": wp.ramp_start, "ramp_end": wp.ramp_end}}
 
     rows = []
-    for (sid, diagram), bars in zip(diagrams.items(), all_bars):
+    for sid, bars in zip(diagrams, all_bars):
         try:
             if cfg.descriptor == "pi":
                 bp = birth_persistence_transform(bars)
                 img = persistence_image(bp, (cfg.pi_rows, cfg.pi_cols), extent, sigma, wp)
                 rows.append(img.flatten())
             elif cfg.descriptor == "landscape":
-                rows.append(persistence_landscape(diagram, cfg.landscape_layers, tgrid))
+                rows.append(persistence_landscape(bars, LANDSCAPE_LAYERS, tgrid))
             elif cfg.descriptor == "betti":
                 rows.append(betti_curve(bars, tgrid))
             else:
-                rows.append(entropy_summary(diagram, tgrid))
+                rows.append(entropy_summary(bars, tgrid))
         except Exception as exc:
             raise StageError("vectorize", str(exc), f"{sid}.csv") from exc
     ids = list(diagrams)

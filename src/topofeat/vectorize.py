@@ -5,7 +5,8 @@ The main descriptor is the persistence image: diagram points move to
 (flat / linear ramp / quadratic) function of its persistence, is spread by
 an isotropic Gaussian, and pixel values are the exact integrals of that
 surface over the grid cells.  Landscape, entropy-curve and rank-curve
-descriptors are provided for comparison runs.
+descriptors are provided for comparison runs.  Every descriptor takes the
+finite H1 bars of a diagram as an (n, 2) array of (birth, death) rows.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .fileio import write_atomic
-from .homology import PersistenceDiagram
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,12 @@ class PersistenceImage:
         write_atomic(path, "\n".join(lines) + "\n")
 
 
-def birth_persistence_transform(diagram: PersistenceDiagram | np.ndarray) -> np.ndarray:
+def birth_persistence_transform(bars: np.ndarray) -> np.ndarray:
     """(birth, death) -> (birth, death - birth).  Infinite features are refused."""
-    if isinstance(diagram, PersistenceDiagram):
-        bars = diagram.bars(1)
-    else:
-        bars = np.asarray(diagram, dtype=float).reshape(-1, 2)
-    if len(bars) and not np.all(np.isfinite(bars)):
+    bars = np.asarray(bars, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(bars)):
         raise ValueError("infinite feature present; exclude essential bars first")
-    out = bars.copy()
-    out[:, 1] = bars[:, 1] - bars[:, 0]
-    return out
+    return np.column_stack([bars[:, 0], bars[:, 1] - bars[:, 0]])
 
 
 def weight_fn(y, params: WeightParams) -> np.ndarray | float:
@@ -113,13 +108,14 @@ def default_extent(points: np.ndarray, sigma: float, pad_sigmas: float = 3.0):
     )
 
 
-def persistence_image(points: np.ndarray, grid: tuple[int, int] = (20, 20),
-                      extent=None, sigma: float | None = None,
+def persistence_image(points: np.ndarray, grid: tuple[int, int], extent, sigma: float,
                       params: WeightParams = WeightParams(),
                       normalize: bool = True) -> PersistenceImage:
     """Rasterise weighted (birth, persistence) points into a pixel grid.
 
-    Each point contributes weight x Gaussian mass; a pixel integrates the
+    ``extent`` is ((birth lo, hi), (persistence lo, hi)) and ``sigma`` the
+    Gaussian width; one cohort shares both (see ``default_extent``).  Each
+    point contributes weight x Gaussian mass; a pixel integrates the
     resulting surface exactly (product of 1-D Gaussian CDF differences).
     With ``normalize`` the grid is divided by its max pixel (skipped when
     the image is identically zero).
@@ -128,13 +124,8 @@ def persistence_image(points: np.ndarray, grid: tuple[int, int] = (20, 20),
     rows, cols = grid
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
-    if sigma is None:
-        prange = float(pts[:, 1].max() - pts[:, 1].min()) if len(pts) else 1.0
-        sigma = prange / 20.0 if prange > 0 else 1.0
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if extent is None:
-        extent = default_extent(pts, sigma)
     (x0, x1), (y0, y1) = extent
     if not (x1 > x0 and y1 > y0):
         raise ValueError("extent must span a nonempty rectangle")
@@ -157,13 +148,11 @@ def persistence_image(points: np.ndarray, grid: tuple[int, int] = (20, 20),
     return PersistenceImage(img, ((float(x0), float(x1)), (float(y0), float(y1))), float(sigma))
 
 
-def persistence_landscape(diagram: PersistenceDiagram | np.ndarray, k_max: int,
-                          grid: np.ndarray) -> np.ndarray:
+def persistence_landscape(bars: np.ndarray, k_max: int, grid: np.ndarray) -> np.ndarray:
     """k_max stacked landscape layers sampled on ``grid`` (row-major flatten).
 
     Layer k at t is the k-th largest tent value max(0, min(t-b, d-t)).
     """
-    bars = diagram.finite_bars(1) if isinstance(diagram, PersistenceDiagram) else np.asarray(diagram, float).reshape(-1, 2)
     ts = np.asarray(grid, dtype=float)
     out = np.zeros((k_max, len(ts)), dtype=float)
     if len(bars):
@@ -176,13 +165,12 @@ def persistence_landscape(diagram: PersistenceDiagram | np.ndarray, k_max: int,
     return out.reshape(-1)
 
 
-def entropy_summary(diagram: PersistenceDiagram | np.ndarray, grid: np.ndarray) -> np.ndarray:
+def entropy_summary(bars: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Entropy of the lifetime distribution of the bars alive at each t.
 
     With lifetimes l_i of the alive bars and L their sum, the value is
     -sum (l_i/L) log(l_i/L); zero where nothing is alive.
     """
-    bars = diagram.finite_bars(1) if isinstance(diagram, PersistenceDiagram) else np.asarray(diagram, float).reshape(-1, 2)
     ts = np.asarray(grid, dtype=float)
     out = np.zeros(len(ts), dtype=float)
     if not len(bars):
@@ -198,12 +186,8 @@ def entropy_summary(diagram: PersistenceDiagram | np.ndarray, grid: np.ndarray) 
     return out
 
 
-def betti_curve(diagram: PersistenceDiagram | np.ndarray, grid: np.ndarray) -> np.ndarray:
+def betti_curve(bars: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Number of bars alive (birth <= t < death) at each grid position."""
-    if isinstance(diagram, PersistenceDiagram):
-        bars = diagram.bars(1)
-    else:
-        bars = np.asarray(diagram, dtype=float).reshape(-1, 2)
     ts = np.asarray(grid, dtype=float)
     if not len(bars):
         return np.zeros(len(ts), dtype=float)

@@ -1,15 +1,48 @@
+import argparse
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from topofeat.cli import main
+from topofeat.cli import _base_config, build_parser, main
+from topofeat.config import PipelineConfig
+from topofeat.embedding import estimate_embedding_params
+from topofeat.ingest import load_recording
+
+COMMON = ["-h", "--help", "--config", "--out", "--seed", "--jobs"]
+OPTION_STRINGS = {
+    "ingest": COMMON + ["--input", "--rate", "--band", "--order", "--channels", "--window-sec",
+                        "--no-bandpass"],
+    "synth": COMMON + ["--subjects", "--segments", "--channels-n", "--rate", "--window-sec",
+                       "--noise", "--amp-low", "--amp-high"],
+    "embed": COMMON + ["--m", "--tau", "--auto-params", "--bins", "--rtol", "--atol"],
+    "denoise": COMMON + ["--q", "--k", "--keep", "--iters"],
+    "persist": COMMON,
+    "filter": COMMON + ["--bandwidth", "--keep-fraction", "--emit-density"],
+    "vectorize": COMMON + ["--descriptor", "--pi-rows", "--pi-cols", "--sigma", "--plateau",
+                           "--junction", "--ramp-start", "--ramp-end"],
+    "classify": COMMON + ["--features", "--kernel", "--C", "--gamma", "--folds",
+                          "--grid-search", "--report"],
+    "run": COMMON + ["--input", "--rate", "--channels", "--window-sec", "--synth", "--subjects",
+                     "--segments", "--channels-n", "--noise", "--amp-low", "--amp-high",
+                     "--descriptor", "--folds", "--kernel", "--grid-search"],
+    "sweep": COMMON + ["--plateau-values", "--junction-values", "--folds", "--kernel",
+                       "--grid-search", "--table"],
+    "plot": ["-h", "--help", "--artifact", "--type", "--output"],
+}
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +60,48 @@ def test_bad_bandwidth_names_the_option(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert f"bandwidth {spec!r}" in err
     assert "is not a number" in err
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
+    def test_option_strings_are_pinned(self, command):
+        parser = subcommands()[command]
+        assert [s for a in parser._actions for s in a.option_strings] == OPTION_STRINGS[command]
+
+    def test_no_unpinned_subcommand(self):
+        assert set(subcommands()) == set(OPTION_STRINGS)
+
+    def test_every_config_field_is_a_flag(self):
+        dests = {a.dest for p in subcommands().values() for a in p._actions}
+        missing = {f.name for f in fields(PipelineConfig)} - dests - {"band_low", "band_high"}
+        assert missing == set()
+        cfg = _base_config(build_parser().parse_args(["ingest", "--input", "x", "--band", "1:20"]))
+        assert (cfg.band_low, cfg.band_high) == (1.0, 20.0)
+
+    @pytest.mark.parametrize("argv, option", [
+        (["classify", "--gamma", "abc"], "--gamma"),
+        (["sweep", "--plateau-values", "a"], "--plateau-values"),
+        (["ingest", "--band", "1"], "--band"),
+        (["embed", "--auto-params", "yes"], "--auto-params"),
+    ], ids=["gamma", "plateau_values", "band", "auto_params"])
+    def test_bad_value_is_a_usage_error_naming_the_option(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: expected" in capsys.readouterr().err
+
+    def test_embed_auto_params_on_matches_the_estimator(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("synth", "--out", str(out), "--subjects", "1", "--segments", "1",
+                       "--channels-n", "1", "--window-sec", "2") == 0
+        assert run_cli("embed", "--out", str(out), "--auto-params", "on", "--bins", "12",
+                       "--rtol", "8", "--atol", "1.5") == 0
+        segments = json.loads((out / "manifest.json").read_text())["segments"]
+        first = min(segments, key=lambda e: (e["source_id"], e["index"]))
+        data = load_recording(out / first["file"], rate=128.0).data
+        expected = estimate_embedding_params(list(data), bins=12, rtol=8.0, atol=1.5)
+        assert json.loads((out / "params.json").read_text()) == {"m": expected.dim,
+                                                                 "tau": expected.delay}
 
 
 class TestSubcommands:

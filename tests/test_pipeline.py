@@ -8,11 +8,18 @@ import pytest
 
 from topofeat.cloud import PointCloud
 from topofeat.config import PipelineConfig, load_config, validate_config
+from topofeat.embedding import estimate_embedding_params
 from topofeat.fileio import write_atomic
 from topofeat.homology import rips_diagram
-from topofeat.pipeline import (StageError, run_pipeline, stage_classify, stage_denoise,
-                               stage_embed, stage_filter, stage_ingest, stage_persist,
-                               stage_synth, stage_vectorize, sweep_weights)
+from topofeat.ingest import load_recording
+from topofeat.pipeline import (StageError, load_subject_diagrams, run_pipeline, stage_classify,
+                               stage_denoise, stage_embed, stage_filter, stage_ingest,
+                               stage_persist, stage_synth, stage_vectorize, sweep_weights,
+                               vectorize_features)
+
+# Method constants that are not config keys; a config file that sets one is rejected.
+RETIRED_KEYS = ["ami_max_lag", "fnn_m_max", "knot_mode", "knot_quantile",
+                "landscape_layers", "curve_bins"]
 
 TINY = dict(n_subjects=3, segments_per_subject=2, n_channels=2)
 
@@ -44,10 +51,11 @@ class TestConfig:
         assert cfg.k == 120 and cfg.keep_fraction == 0.95
         assert cfg.descriptor == "landscape"
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["qq", *RETIRED_KEYS])
+    def test_unknown_key_rejected(self, tmp_path, key):
         p = tmp_path / "cfg.txt"
-        p.write_text("qq = 3\n")
-        with pytest.raises(ValueError, match="unknown key"):
+        p.write_text(f"{key} = 3\n")
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             load_config(p)
 
     def test_bad_values_rejected(self):
@@ -65,11 +73,14 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("C", 0.0), ("gamma", -1.0), ("pi_rows", 0), ("pi_cols", 0), ("curve_bins", 0),
-        ("landscape_layers", 0),
+        ("C", 0.0), ("gamma", -1.0), ("pi_rows", 0), ("pi_cols", 0), ("pi_sigma", -1.0),
+        ("weight_plateau", -1.0), ("weight_junction", -1.0), ("weight_ramp_start", -1.0),
+        ("weight_ramp_end", -1.0), ("weight_ramp_end", 2.0), ("iters", 0), ("window_sec", 0.0),
+        ("filter_order", 3),
     ])
     def test_bad_size_fails_before_any_stage(self, tmp_path, field, value):
-        cfg = tiny_config(tmp_path / "out", **{field: value})
+        # ramp start 2 is valid on its own; it makes weight_ramp_end = 2 out of order
+        cfg = tiny_config(tmp_path / "out", **{"weight_ramp_start": 2.0, field: value})
         with pytest.raises(ValueError, match=field):
             run_pipeline(cfg, synth=True, **TINY)
         assert not (tmp_path / "out").exists()
@@ -122,6 +133,12 @@ class TestStages:
 
 
 class TestStageErrors:
+    def test_ramp_end_below_auto_ramp_start_names_vectorize(self, tiny_run):
+        cfg, _ = tiny_run
+        with pytest.raises(StageError, match="weight_ramp_end 1e-09 must exceed") as err:
+            vectorize_features(*load_subject_diagrams(cfg), replace(cfg, weight_ramp_end=1e-9))
+        assert err.value.stage == "vectorize"
+
     def test_keep_n_too_large_names_denoise(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", keep_n=1000)
         stage_synth(cfg, **TINY)
@@ -166,6 +183,20 @@ class TestStageErrors:
         assert err.value.stage == "denoise"
         assert err.value.file == str(victim)
         assert not list((Path(cfg.out_dir) / "joint").glob("*.csv"))
+
+
+class TestEmbedStage:
+    def test_auto_params_match_the_estimator(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out", auto_params=True, ami_bins=12, fnn_rtol=8.0,
+                          fnn_atol=1.5)
+        manifest = json.loads(stage_synth(cfg, **TINY).read_text())
+        params = stage_embed(cfg)
+        first = min(manifest["segments"], key=lambda e: (e["source_id"], e["index"]))
+        data = load_recording(Path(cfg.out_dir) / first["file"], rate=cfg.rate).data
+        expected = estimate_embedding_params(list(data), bins=12, rtol=8.0, atol=1.5)
+        assert params == expected
+        assert json.loads((Path(cfg.out_dir) / "params.json").read_text()) == {
+            "m": expected.dim, "tau": expected.delay}
 
 
 def ingest_input(tmp_path, rng, labels_text):

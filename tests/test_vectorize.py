@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topofeat.homology import INF, PersistenceDiagram, betti_at
+from topofeat.homology import PersistenceDiagram, betti_at
 from topofeat.vectorize import (WeightParams, betti_curve,
                                 birth_persistence_transform, entropy_summary,
                                 peak_split_knot, persistence_image,
@@ -34,7 +34,7 @@ class TestTransform:
 
     def test_infinite_refused(self):
         with pytest.raises(ValueError, match="infinite"):
-            birth_persistence_transform(PersistenceDiagram([(1, 0.1, INF)]))
+            birth_persistence_transform(np.array([[0.1, np.inf]]))
 
 
 class TestWeightFn:
@@ -137,7 +137,8 @@ class TestPersistenceImage:
 
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
-            persistence_image(np.array([[0.0, 1.0]]), sigma=-1.0)
+            persistence_image(np.array([[0.0, 1.0]]), grid=(4, 4), extent=((0, 1), (0, 2)),
+                              sigma=-1.0)
 
     def test_csv_roundtrip(self, tmp_path):
         img = persistence_image(np.array([[0.0, 150.0]]), grid=(4, 4),
