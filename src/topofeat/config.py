@@ -123,6 +123,8 @@ def validate_config(cfg: PipelineConfig) -> None:
             raise ValueError(f"{name} must be >= {least}")
     if not 0 < cfg.band_low < cfg.band_high:
         raise ValueError("band must satisfy 0 < low < high")
+    if cfg.apply_bandpass and cfg.band_high >= cfg.rate / 2:
+        raise ValueError(f"band_high must be below rate / 2 = {cfg.rate / 2} Hz")
     if cfg.filter_order not in (2, 4, 6, 8):
         raise ValueError(f"filter_order must be one of 2, 4, 6, 8, got {cfg.filter_order}")
     if cfg.window_samples() < 1:

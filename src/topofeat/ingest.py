@@ -8,7 +8,6 @@ stated attenuation doubles in dB and phase structure survives embedding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -132,25 +131,8 @@ def segment(rec: RawRecording, window_samples: int) -> list[Segment]:
     ]
 
 
-def save_segments(segments: list[Segment], out_dir, rate: float) -> Path:
-    """Write one CSV per segment plus a manifest; returns the manifest path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for seg in segments:
-        fname = f"{seg.source_id}_seg{seg.index:04d}.csv"
-        lines = [",".join(seg.channels)]
-        for row in seg.data.T:
-            lines.append(",".join(repr(float(v)) for v in row))
-        write_atomic(out / fname, "\n".join(lines) + "\n")
-        entries.append({
-            "source_id": seg.source_id,
-            "index": seg.index,
-            "window": seg.window,
-            "channels": seg.channels,
-            "file": fname,
-        })
-    manifest = {"rate": rate, "segments": entries}
-    mpath = out / "manifest.json"
-    write_atomic(mpath, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return mpath
+def save_recording(rec: RawRecording, path) -> None:
+    """Write ``rec`` in the input format ``load_recording`` reads, every value exactly."""
+    lines = [",".join(rec.channels)]
+    lines.extend(",".join(repr(float(v)) for v in row) for row in rec.data.T)
+    write_atomic(Path(path), "\n".join(lines) + "\n")

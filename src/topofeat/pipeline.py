@@ -9,9 +9,10 @@ offending file.
 
 Layout under ``out_dir``:
 
-    manifest.json               segment inventory (+ rate, channels, window)
-    labels.csv                  subject_id,label
-    params.json                 embedding parameters in effect
+    input/                         synthetic recordings + labels.csv (synth only)
+    manifest.json                  input dir, ingest settings, recording sha256s, segments
+    labels.csv                     subject_id,label
+    params.json                    embedding parameters in effect
     joint/<sid>_<idx>.csv          denoised joint clouds
     diagrams/<sid>_<idx>.csv       per-segment persistence diagrams
     subject_diagrams/<sid>.csv     merged + density-filtered diagrams
@@ -20,16 +21,18 @@ Layout under ``out_dir``:
     features.csv                   one row per subject, final column = label
     report.json                    evaluation report
 
-The per-channel delay embeddings are a pure function of a segment and
-(m, tau), so the denoise workers build them in memory and never store them.  Weight sweeps
-and descriptor comparisons re-vectorise the subject diagrams in memory
+Recordings are the only signal on disk: ingest and each denoise job cut them
+(``cut_recording``) as manifest.json records.  Weight sweeps and descriptor
+comparisons re-vectorise the subject diagrams in memory
 (``vectorize_features`` + ``evaluate``) and write nothing.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -45,7 +48,8 @@ from .diagrams import BandwidthSpec, merge_diagrams, mkde_density, filter_by_den
 from .embedding import EmbeddingParams, delay_embed, estimate_embedding_params
 from .fileio import write_atomic
 from .homology import PersistenceDiagram, rips_diagram
-from .ingest import bandpass_filter, load_recording, save_segments, segment, select_channels
+from .ingest import (RawRecording, Segment, bandpass_filter, load_recording, save_recording,
+                     segment, select_channels)
 from .synth import SynthSpec, gen_two_class_signals
 from .vectorize import (PersistenceImage, WeightParams, betti_curve,
                         birth_persistence_transform, default_extent, entropy_summary,
@@ -94,15 +98,28 @@ def _labels(path: Path) -> dict[str, int]:
     return out
 
 
-def write_labels(out_dir, labels: dict[str, int]) -> None:
-    lines = ["subject_id,label"] + [f"{sid},{lab}" for sid, lab in sorted(labels.items())]
-    write_atomic(Path(out_dir, "labels.csv"), "\n".join(lines) + "\n")
+# The config fields a cut reads; ingest records them, and later cuts use the record.
+CUT_FIELDS = ("rate", "band_low", "band_high", "filter_order", "apply_bandpass", "channels",
+              "window_sec")
+
+
+def cut_recording(path: Path, cfg: PipelineConfig, sha256: str | None = None) -> list[Segment]:
+    """Load, band-pass, select channels and segment one recording; given
+    ``sha256``, refuse a file edited since ingest instead of cutting it anew."""
+    if sha256 is not None and hashlib.sha256(path.read_bytes()).hexdigest() != sha256:
+        raise ValueError("recording changed since ingest (sha256 differs from manifest.json)")
+    rec = load_recording(path, rate=cfg.rate)
+    if cfg.apply_bandpass:
+        rec = bandpass_filter(rec, cfg.band_low, cfg.band_high, cfg.filter_order)
+    if cfg.channel_list():
+        rec = select_channels(rec, cfg.channel_list())
+    return segment(rec, cfg.window_samples())
 
 
 # --------------------------------------------------------------------- ingest
 
 def stage_ingest(cfg: PipelineConfig) -> Path:
-    """Load recordings from input_dir, filter, select channels, cut segments.
+    """Check and cut every recording of input_dir, then write labels.csv and manifest.json.
 
     input_dir holds one ``<subject_id>.csv`` per recording plus a
     ``labels.csv`` (subject_id,label) that labels exactly those subjects.
@@ -121,67 +138,69 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
     if unrecorded:
         raise StageError("ingest", f"no recording for labelled subject(s) {unrecorded}",
                          label_file)
+    entries = []
+    for rec_path in recordings:
+        try:
+            segs = cut_recording(rec_path, cfg)
+        except Exception as exc:
+            raise StageError("ingest", str(exc), rec_path) from exc
+        entries.extend({"source_id": s.source_id, "index": s.index, "window": s.window,
+                        "channels": s.channels} for s in segs)
+    if not entries:
+        raise StageError("ingest", "no segments produced (recordings shorter than one window?)")
+    manifest = {"input_dir": str(src.resolve()), "segments": entries,
+                "settings": {name: getattr(cfg, name) for name in CUT_FIELDS},
+                "recordings": {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+                               for p in recordings}}
     out = _out(cfg)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "labels.csv", label_file.read_text())
-
-    segs = []
-    for rec_path in recordings:
-        try:
-            rec = load_recording(rec_path, rate=cfg.rate)
-            if cfg.apply_bandpass:
-                rec = bandpass_filter(rec, cfg.band_low, cfg.band_high, cfg.filter_order)
-            names = cfg.channel_list()
-            if names:
-                rec = select_channels(rec, names)
-            segs.extend(segment(rec, cfg.window_samples()))
-        except Exception as exc:
-            raise StageError("ingest", str(exc), rec_path) from exc
-    if not segs:
-        raise StageError("ingest", "no segments produced (recordings shorter than one window?)")
-    return save_segments(segs, out, cfg.rate)
+    write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return out / "manifest.json"
 
 
 def stage_synth(cfg: PipelineConfig, n_subjects: int = 40, segments_per_subject: int = 10,
                 n_channels: int = 6, noise_a: float = 0.3, amp_low: float = 0.55,
                 amp_high: float = 1.0) -> Path:
-    """Write a two-class synthetic dataset in the ingest layout."""
+    """Write a two-class synthetic cohort as recordings under ``<out>/input``, then ingest it."""
     validate_config(cfg)
-    out = _out(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    src = _out(cfg) / "input"
+    shutil.rmtree(src, ignore_errors=True)  # a recording left from an earlier cohort has no label
+    src.mkdir(parents=True)
     spec_a = SynthSpec("sine", 1, noise_a, seed=cfg.seed + 100, amp_range=(amp_low, amp_high))
     spec_b = SynthSpec("noise", 1, 1.0, seed=cfg.seed + 200)
     subjects = gen_two_class_signals(spec_a, spec_b, n_subjects, segments_per_subject,
                                      n_channels, window=cfg.window_samples(), rate=cfg.rate)
-    segs = [s for sub in subjects for s in sub.segments]
-    write_labels(out, {sub.subject_id: sub.label for sub in subjects})
-    return save_segments(segs, out, cfg.rate)
+    for sub in subjects:
+        data = np.hstack([s.data for s in sub.segments])
+        save_recording(RawRecording(sub.segments[0].channels, data, cfg.rate),
+                       src / f"{sub.subject_id}.csv")
+    labels = ["subject_id,label"] + [f"{sub.subject_id},{sub.label}" for sub in subjects]
+    write_atomic(src / "labels.csv", "\n".join(labels) + "\n")
+    return stage_ingest(replace(cfg, input_dir=str(src)))
 
 
 # ---------------------------------------------------------------- embedding
-
-def _segment_entries(cfg: PipelineConfig) -> list[dict]:
-    entries = _manifest(cfg)["segments"]
-    return sorted(entries, key=lambda e: (e["source_id"], e["index"]))
-
 
 def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
     """Settle the embedding parameters in params.json (estimated or from config)."""
     validate_config(cfg)
     out = _out(cfg)
-    entries = _segment_entries(cfg)
+    manifest = _manifest(cfg)
     params_path = out / "params.json"
     if params_path.exists():
         d = json.loads(params_path.read_text())
         return EmbeddingParams(d["m"], d["tau"])
     if cfg.auto_params:
-        first = load_recording(out / entries[0]["file"], rate=cfg.rate).data
+        sid = min(e["source_id"] for e in manifest["segments"])
+        path = Path(manifest["input_dir"], f"{sid}.csv")
         try:
+            first = cut_recording(path, replace(cfg, **manifest["settings"]),
+                                  manifest["recordings"][sid])[0].data
             params = estimate_embedding_params(list(first), bins=cfg.ami_bins,
                                                rtol=cfg.fnn_rtol, atol=cfg.fnn_atol)
         except Exception as exc:
-            raise StageError("embed", f"parameter estimation failed: {exc}",
-                             entries[0]["file"]) from exc
+            raise StageError("embed", f"parameter estimation failed: {exc}", path) from exc
     else:
         params = EmbeddingParams(cfg.m, cfg.tau)
     write_atomic(params_path, json.dumps({"m": params.dim, "tau": params.delay}) + "\n")
@@ -191,35 +210,33 @@ def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
 # ---------------------------------------------------------------- denoising
 
 def _denoise_one(args) -> None:
-    joint_path, segment_path, rate, m, tau, q, k, keep_n, iters, seed = args
-    embedding = EmbeddingParams(m, tau)
-    clouds = [delay_embed(x, embedding) for x in load_recording(segment_path, rate=rate).data]
-    params = MassParams(q, k, iters, seed).capped(len(clouds[0]))
-    joint = remap_multichannel(clouds, keep_n, params)
-    joint.to_csv(joint_path)
+    recording, sha256, joint_paths, cfg, embedding = args
+    segs = cut_recording(recording, cfg, sha256)
+    for index, joint_path in joint_paths.items():
+        clouds = [delay_embed(x, embedding) for x in segs[index].data]
+        params = MassParams(cfg.q, cfg.k, cfg.iters, cfg.seed).capped(len(clouds[0]))
+        remap_multichannel(clouds, cfg.keep_n, params).to_csv(joint_path)
 
 
 def stage_denoise(cfg: PipelineConfig) -> None:
-    """Embed every channel of every segment, then score, prune and fuse into joint clouds."""
+    """Embed, score, prune and fuse each segment into a joint cloud; one job per recording."""
     validate_config(cfg)
     out = _out(cfg)
-    entries = _segment_entries(cfg)
+    manifest = _manifest(cfg)
     params_path = out / "params.json"
     if not params_path.exists():
         raise StageError("denoise", "params.json missing; run the embed stage", params_path)
-    embedding = json.loads(params_path.read_text())
+    d = json.loads(params_path.read_text())
+    embedding = EmbeddingParams(d["m"], d["tau"])
     joint_dir = out / "joint"
     joint_dir.mkdir(exist_ok=True)
-    jobs = []
-    for entry in entries:
+    todo: dict[str, dict[int, Path]] = {}
+    for entry in manifest["segments"]:
         joint_path = joint_dir / f"{entry['source_id']}_{entry['index']:04d}.csv"
-        if joint_path.exists():
-            continue
-        segment_path = out / entry["file"]
-        if not segment_path.exists():
-            raise StageError("denoise", "segment file missing; run the ingest stage", segment_path)
-        jobs.append((joint_path, segment_path, cfg.rate, embedding["m"], embedding["tau"],
-                     cfg.q, cfg.k, cfg.keep_n, cfg.iters, cfg.seed))
+        if not joint_path.exists():
+            todo.setdefault(entry["source_id"], {})[entry["index"]] = joint_path
+    jobs = [(Path(manifest["input_dir"], f"{sid}.csv"), manifest["recordings"][sid], joint_paths,
+             replace(cfg, **manifest["settings"]), embedding) for sid, joint_paths in todo.items()]
     _run_jobs("denoise", _denoise_one, jobs, cfg.jobs)
 
 
@@ -233,11 +250,10 @@ def stage_persist(cfg: PipelineConfig) -> None:
     """Rips persistence of every joint cloud."""
     validate_config(cfg)
     out = _out(cfg)
-    entries = _segment_entries(cfg)
     dg_dir = out / "diagrams"
     dg_dir.mkdir(exist_ok=True)
     jobs = []
-    for entry in entries:
+    for entry in _manifest(cfg)["segments"]:
         dpath = dg_dir / f"{entry['source_id']}_{entry['index']:04d}.csv"
         if dpath.exists():
             continue
@@ -251,7 +267,7 @@ def stage_persist(cfg: PipelineConfig) -> None:
 def _run_jobs(stage: str, fn, jobs: list, n_workers: int) -> None:
     """Run ``fn`` on every job: in-process at ``n_workers <= 1``, else in a pool
     of at most one worker per job.  Jobs are tuples whose first element is the
-    output path (used in errors).
+    file errors name (a denoise job's recording, a persist job's diagram).
     """
     if not jobs:
         return
@@ -275,7 +291,7 @@ def stage_filter(cfg: PipelineConfig, emit_density=None) -> None:
     """Merge per-subject diagrams and drop the lowest-density fraction."""
     validate_config(cfg)
     out = _out(cfg)
-    entries = _segment_entries(cfg)
+    entries = _manifest(cfg)["segments"]
     labels = _labels(out / "labels.csv")
     sd_dir = out / "subject_diagrams"
     sd_dir.mkdir(exist_ok=True)

@@ -10,7 +10,7 @@ import pytest
 from topofeat.cli import _base_config, build_parser, main
 from topofeat.config import PipelineConfig
 from topofeat.embedding import estimate_embedding_params
-from topofeat.ingest import load_recording
+from topofeat.ingest import bandpass_filter, load_recording, segment
 
 COMMON = ["-h", "--help", "--config", "--out", "--seed", "--jobs"]
 OPTION_STRINGS = {
@@ -96,9 +96,8 @@ class TestSurface:
                        "--channels-n", "1", "--window-sec", "2") == 0
         assert run_cli("embed", "--out", str(out), "--auto-params", "on", "--bins", "12",
                        "--rtol", "8", "--atol", "1.5") == 0
-        segments = json.loads((out / "manifest.json").read_text())["segments"]
-        first = min(segments, key=lambda e: (e["source_id"], e["index"]))
-        data = load_recording(out / first["file"], rate=128.0).data
+        rec = bandpass_filter(load_recording(out / "input" / "a000.csv", rate=128.0), 0.5, 50.0)
+        data = segment(rec, 256)[0].data
         expected = estimate_embedding_params(list(data), bins=12, rtol=8.0, atol=1.5)
         assert json.loads((out / "params.json").read_text()) == {"m": expected.dim,
                                                                  "tau": expected.delay}

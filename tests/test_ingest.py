@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import butter, freqz
 
-from topofeat.ingest import (RawRecording, bandpass_filter, load_recording, save_segments,
+from topofeat.ingest import (RawRecording, bandpass_filter, load_recording, save_recording,
                              segment, select_channels)
 
 TEN_TWENTY = ["Fz", "Cz", "Pz", "C3", "T3", "C4", "T4", "Fp1", "Fp2", "F3",
@@ -178,15 +176,12 @@ class TestSegment:
         assert all(s.source_id == "s7" for s in segs)
 
 
-class TestSegmentIO:
+class TestRecordingIO:
     def test_roundtrip(self, tmp_path, rng):
-        rec = RawRecording(["a", "b"], rng.normal(size=(2, 64)), 32.0, source_id="subj")
-        segs = segment(rec, 32)
-        manifest = json.loads(save_segments(segs, tmp_path, 32.0).read_text())
-        assert manifest["rate"] == 32.0
-        assert len(manifest["segments"]) == 2
-        loaded = [load_recording(tmp_path / e["file"], rate=manifest["rate"])
-                  for e in manifest["segments"]]
-        assert np.allclose(loaded[0].data, segs[0].data)
-        assert loaded[1].channels == ["a", "b"]
-        assert manifest["segments"][1]["source_id"] == "subj"
+        data = rng.normal(size=(2, 64)) * 10.0 ** rng.integers(-300, 300, size=(2, 64))
+        data[0, :3] = [-0.0, 0.1, 5e-324]
+        rec = RawRecording(["a", "b"], data, 32.0, source_id="subj")
+        save_recording(rec, tmp_path / "subj.csv")
+        loaded = load_recording(tmp_path / "subj.csv", rate=32.0)
+        assert loaded.channels == ["a", "b"] and loaded.source_id == "subj"
+        assert loaded.data.tobytes() == data.tobytes()

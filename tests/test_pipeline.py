@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ from topofeat.config import PipelineConfig, load_config, validate_config
 from topofeat.embedding import estimate_embedding_params
 from topofeat.fileio import write_atomic
 from topofeat.homology import rips_diagram
-from topofeat.ingest import load_recording
+from topofeat.ingest import bandpass_filter, load_recording, segment
 from topofeat.pipeline import (StageError, load_subject_diagrams, run_pipeline, stage_classify,
                                stage_denoise, stage_embed, stage_filter, stage_ingest,
                                stage_persist, stage_synth, stage_vectorize, sweep_weights,
@@ -131,6 +132,49 @@ class TestStages:
         again = stage_classify(cfg)
         assert again.to_json() == report.to_json()
 
+    def test_full_resume_cuts_no_recording(self, tiny_run, tmp_path, monkeypatch):
+        cfg, report = tiny_run
+
+        def refuse(*args):
+            raise AssertionError("a full resume cut a recording")
+
+        monkeypatch.setattr("topofeat.pipeline.cut_recording", refuse)
+        shutil.copytree(cfg.out_dir, tmp_path / "copy")
+        again = run_pipeline(replace(cfg, out_dir=str(tmp_path / "copy")))
+        assert again.to_json() == report.to_json()
+
+    def test_synth_again_replaces_the_cohort(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out")
+        stage_synth(cfg, **TINY)
+        manifest = json.loads(stage_synth(cfg, **{**TINY, "n_subjects": 1}).read_text())
+        assert sorted(p.name for p in (tmp_path / "out" / "input").iterdir()) == [
+            "a000.csv", "b000.csv", "labels.csv"]
+        assert {e["source_id"] for e in manifest["segments"]} == {"a000", "b000"}
+
+    def test_layout_matches_readme(self, tiny_run):
+        cfg, _ = tiny_run
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Artifact layout\n\n```\n", 1)[1].split("```", 1)[0]
+        listed = set(block.split()) - {"out/"}
+        out = Path(cfg.out_dir)
+        paths = [p.relative_to(out) for p in out.rglob("*") if p.is_file()]
+        assert {p.parts[0] + "/" if len(p.parts) > 1 else p.name for p in paths} <= listed
+        assert not list(out.rglob("*_seg*.csv"))
+
+    def test_denoise_cuts_with_the_ingest_band(self, tiny_run, tmp_path):
+        cfg, _ = tiny_run
+        joints = {}
+        for name, ingest_band, denoise_band in [("kept", (0.5, 50.0), (2.0, 20.0)),
+                                                ("moved", (2.0, 20.0), (2.0, 20.0))]:
+            sub = replace(cfg, out_dir=str(tmp_path / name))
+            stage_synth(replace(sub, band_low=ingest_band[0], band_high=ingest_band[1]), **TINY)
+            stage_embed(sub)
+            stage_denoise(replace(sub, band_low=denoise_band[0], band_high=denoise_band[1]))
+            joints[name] = {p.name: p.read_bytes() for p in (tmp_path / name / "joint").iterdir()}
+        expected = {p.name: p.read_bytes() for p in (Path(cfg.out_dir) / "joint").iterdir()}
+        assert joints["kept"] == expected
+        assert joints["moved"].keys() == expected.keys() and joints["moved"] != expected
+
 
 class TestStageErrors:
     def test_ramp_end_below_auto_ramp_start_names_vectorize(self, tiny_run):
@@ -172,28 +216,42 @@ class TestStageErrors:
         assert err.value.stage == "denoise"
         assert err.value.file == str(Path(cfg.out_dir) / "params.json")
 
-    def test_missing_segment_names_file(self, tmp_path):
+    @pytest.mark.parametrize("damage, message", [("missing", "No such file"),
+                                                 ("edited", "changed since ingest")],
+                             ids=["missing", "edited"])
+    def test_damaged_recording_names_file(self, tmp_path, damage, message):
         cfg = tiny_config(tmp_path / "out")
-        manifest = stage_synth(cfg, **TINY)
+        stage_synth(cfg, **TINY)
         stage_embed(cfg)
-        victim = Path(cfg.out_dir) / json.loads(manifest.read_text())["segments"][1]["file"]
-        victim.unlink()
-        with pytest.raises(StageError, match="segment file missing") as err:
+        victim = Path(cfg.out_dir) / "input" / "a000.csv"
+        if damage == "missing":
+            victim.unlink()
+        else:
+            header, first, rest = victim.read_text().split("\n", 2)
+            zeros = ",".join("0.0" for _ in first.split(","))
+            victim.write_text(f"{header}\n{zeros}\n{rest}")
+        with pytest.raises(StageError, match=message) as err:
             stage_denoise(cfg)
         assert err.value.stage == "denoise"
         assert err.value.file == str(victim)
         assert not list((Path(cfg.out_dir) / "joint").glob("*.csv"))
 
 
+def first_cut(cfg, sid):
+    """The first window of a recording under the input, band-passed as ingest does."""
+    rec = load_recording(Path(cfg.out_dir) / "input" / f"{sid}.csv", rate=cfg.rate)
+    rec = bandpass_filter(rec, cfg.band_low, cfg.band_high, cfg.filter_order)
+    return segment(rec, cfg.window_samples())[0].data
+
+
 class TestEmbedStage:
     def test_auto_params_match_the_estimator(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", auto_params=True, ami_bins=12, fnn_rtol=8.0,
                           fnn_atol=1.5)
-        manifest = json.loads(stage_synth(cfg, **TINY).read_text())
+        stage_synth(cfg, **TINY)
         params = stage_embed(cfg)
-        first = min(manifest["segments"], key=lambda e: (e["source_id"], e["index"]))
-        data = load_recording(Path(cfg.out_dir) / first["file"], rate=cfg.rate).data
-        expected = estimate_embedding_params(list(data), bins=12, rtol=8.0, atol=1.5)
+        expected = estimate_embedding_params(list(first_cut(cfg, "a000")), bins=12, rtol=8.0,
+                                             atol=1.5)
         assert params == expected
         assert json.loads((Path(cfg.out_dir) / "params.json").read_text()) == {
             "m": expected.dim, "tau": expected.delay}
@@ -236,6 +294,25 @@ class TestIngestStage:
         assert err.value.stage == "ingest"
         assert err.value.file == str(tmp_path / "src" / "labels.csv")
         assert not (tmp_path / "out").exists()
+
+    def test_bad_cell_in_second_recording_writes_nothing(self, tmp_path, rng):
+        cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
+        victim = tmp_path / "src" / "s1.csv"
+        header, first, rest = victim.read_text().split("\n", 2)
+        victim.write_text(f"{header}\nx,{first.split(',')[1]}\n{rest}")
+        with pytest.raises(StageError, match="non-numeric cell at line 2") as err:
+            stage_ingest(cfg)
+        assert err.value.stage == "ingest"
+        assert err.value.file == str(victim)
+        assert not (tmp_path / "out").exists()
+
+    def test_band_edge_at_nyquist_fails_before_any_write(self, tmp_path, rng):
+        cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
+        with pytest.raises(ValueError, match=r"band_high must be below rate / 2 = 12.5 Hz"):
+            stage_ingest(replace(cfg, band_high=12.5))
+        assert not (tmp_path / "out").exists()
+        stage_ingest(replace(cfg, band_high=12.5, apply_bandpass=False))
+        assert (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestJobs:
