@@ -54,7 +54,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file; flags override it")
     p.add_argument("--out", dest="out_dir", help="artifact directory")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help="parallel workers for per-segment stages")
+    p.add_argument("--jobs", type=int, help="worker processes for the per-recording denoise jobs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,14 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtol", dest="fnn_rtol", type=float)
     p.add_argument("--atol", dest="fnn_atol", type=float)
 
-    p = sub.add_parser("denoise", help="embed each channel, then score, prune and fuse the clouds")
+    p = sub.add_parser("denoise", help="denoise each segment into a joint cloud, then its diagram")
     _add_common(p)
     p.add_argument("--q", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--keep", dest="keep_n", type=int)
     p.add_argument("--iters", type=int)
 
-    p = sub.add_parser("persist", help="compute Rips persistence of the joint clouds")
+    p = sub.add_parser("persist", help="rebuild missing diagrams from the joint clouds")
     _add_common(p)
 
     p = sub.add_parser("filter", help="merge per-subject diagrams and density-filter them")
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
             print(f"embedding parameters m={params.dim} tau={params.delay}")
         elif args.command == "denoise":
             stage_denoise(cfg)
-            print("joint clouds written")
+            print("joint clouds and diagrams written")
         elif args.command == "persist":
             stage_persist(cfg)
             print("diagrams written")

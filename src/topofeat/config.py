@@ -110,7 +110,7 @@ def load_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
 # Least value of each numeric field; 0 is "auto" for pi_sigma, the ramp knots and gamma.
 _MINIMA = {"m": 1, "tau": 1, "q": 1, "k": 1, "keep_n": 1, "iters": 1, "pi_rows": 1, "pi_cols": 1,
            "folds": 2, "pi_sigma": 0, "weight_plateau": 0, "weight_junction": 0,
-           "weight_ramp_start": 0, "weight_ramp_end": 0, "gamma": 0}
+           "weight_ramp_start": 0, "weight_ramp_end": 0, "gamma": 0, "jobs": 1}
 
 
 def validate_config(cfg: PipelineConfig) -> None:

@@ -119,16 +119,9 @@ def segment(rec: RawRecording, window_samples: int) -> list[Segment]:
     """Cut floor(N / window) non-overlapping windows; the remainder is dropped."""
     if window_samples < 1:
         raise ValueError("window must be at least one sample")
-    n_full = rec.n_samples // window_samples
-    return [
-        Segment(
-            rec.data[:, k * window_samples:(k + 1) * window_samples].copy(),
-            source_id=rec.source_id,
-            index=k,
-            channels=list(rec.channels),
-        )
-        for k in range(n_full)
-    ]
+    w = window_samples
+    return [Segment(rec.data[:, k * w:(k + 1) * w].copy(), rec.source_id, k, list(rec.channels))
+            for k in range(rec.n_samples // w)]
 
 
 def save_recording(rec: RawRecording, path) -> None:

@@ -22,8 +22,9 @@ Layout under ``out_dir``:
     report.json                    evaluation report
 
 Recordings are the only signal on disk: ingest and each denoise job cut them
-(``cut_recording``) as manifest.json records.  Weight sweeps and descriptor
-comparisons re-vectorise the subject diagrams in memory
+(``cut_recording``) as manifest.json records, and go on from each joint cloud
+to its diagram in memory; persist runs the same jobs from ``joint/``.  Weight
+sweeps and descriptor comparisons re-vectorise the subject diagrams in memory
 (``vectorize_features`` + ``evaluate``) and write nothing.
 """
 
@@ -60,10 +61,12 @@ class StageError(RuntimeError):
     """Failure tagged with the pipeline stage (and file) that caused it."""
 
     def __init__(self, stage: str, message: str, file=None):
-        self.stage = stage
+        self.stage, self.message = stage, message
         self.file = str(file) if file is not None else None
-        loc = f" [{self.file}]" if self.file else ""
-        super().__init__(f"stage {stage}: {message}{loc}")
+        super().__init__(f"stage {stage}: {message}" + (f" [{self.file}]" if self.file else ""))
+
+    def __reduce__(self):  # rebuilt from its fields when a pool worker raises it
+        return StageError, (self.stage, self.message, self.file)
 
 
 def _out(cfg: PipelineConfig) -> Path:
@@ -207,80 +210,84 @@ def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
     return params
 
 
-# ---------------------------------------------------------------- denoising
+# ------------------------------------------------------- denoise and persist
 
-def _denoise_one(args) -> None:
-    recording, sha256, joint_paths, cfg, embedding = args
-    segs = cut_recording(recording, cfg, sha256)
-    for index, joint_path in joint_paths.items():
-        clouds = [delay_embed(x, embedding) for x in segs[index].data]
-        params = MassParams(cfg.q, cfg.k, cfg.iters, cfg.seed).capped(len(clouds[0]))
-        remap_multichannel(clouds, cfg.keep_n, params).to_csv(joint_path)
+def _segment_job(args) -> None:
+    """Read back or denoise each listed segment's joint cloud (cutting the recording
+    at most once), then compute a missing diagram from the points in memory, which
+    equal the written cloud's: ``PointCloud.to_csv`` writes ``repr`` floats."""
+    recording, sha256, paths, cfg, embedding, stage = args
+    segs = None
+    for index, (joint_path, diagram_path) in paths.items():
+        if joint_path.exists():
+            try:
+                joint = PointCloud.from_csv(joint_path)
+            except Exception as exc:
+                raise StageError(stage, str(exc), joint_path) from exc
+        else:
+            segs = segs or cut_recording(recording, cfg, sha256)
+            clouds = [delay_embed(x, embedding) for x in segs[index].data]
+            params = MassParams(cfg.q, cfg.k, cfg.iters, cfg.seed).capped(len(clouds[0]))
+            joint = remap_multichannel(clouds, cfg.keep_n, params)
+            joint.to_csv(joint_path)
+        if not diagram_path.exists():
+            rips_diagram(joint.points).to_csv(diagram_path)
+
+
+def _segment_jobs(cfg: PipelineConfig, manifest: dict, stage: str,
+                  embedding: EmbeddingParams | None) -> list:
+    """One job per recording with a segment that lacks its joint cloud or its
+    diagram; with no ``embedding`` to denoise with, a missing joint cloud is an error."""
+    out = _out(cfg)
+    todo: dict[str, dict[int, tuple[Path, Path]]] = {}
+    for entry in manifest["segments"]:
+        name = f"{entry['source_id']}_{entry['index']:04d}.csv"
+        joint, diagram = out / "joint" / name, out / "diagrams" / name
+        if embedding is None and not joint.exists():
+            raise StageError(stage, "joint cloud missing; run the denoise stage", joint)
+        if not (joint.exists() and diagram.exists()):
+            todo.setdefault(entry["source_id"], {})[entry["index"]] = joint, diagram
+    for stage_dir in ("joint", "diagrams"):
+        (out / stage_dir).mkdir(exist_ok=True)
+    cut_cfg = replace(cfg, **manifest["settings"])
+    return [(Path(manifest["input_dir"], f"{sid}.csv"), manifest["recordings"][sid], paths,
+             cut_cfg, embedding, stage) for sid, paths in todo.items()]
 
 
 def stage_denoise(cfg: PipelineConfig) -> None:
-    """Embed, score, prune and fuse each segment into a joint cloud; one job per recording."""
+    """Denoise each segment into a joint cloud and compute its diagram; one job per recording."""
     validate_config(cfg)
-    out = _out(cfg)
     manifest = _manifest(cfg)
-    params_path = out / "params.json"
+    params_path = _out(cfg) / "params.json"
     if not params_path.exists():
         raise StageError("denoise", "params.json missing; run the embed stage", params_path)
     d = json.loads(params_path.read_text())
     embedding = EmbeddingParams(d["m"], d["tau"])
-    joint_dir = out / "joint"
-    joint_dir.mkdir(exist_ok=True)
-    todo: dict[str, dict[int, Path]] = {}
-    for entry in manifest["segments"]:
-        joint_path = joint_dir / f"{entry['source_id']}_{entry['index']:04d}.csv"
-        if not joint_path.exists():
-            todo.setdefault(entry["source_id"], {})[entry["index"]] = joint_path
-    jobs = [(Path(manifest["input_dir"], f"{sid}.csv"), manifest["recordings"][sid], joint_paths,
-             replace(cfg, **manifest["settings"]), embedding) for sid, joint_paths in todo.items()]
-    _run_jobs("denoise", _denoise_one, jobs, cfg.jobs)
-
-
-def _persist_one(args) -> None:
-    diagram_path, joint_path = args
-    cloud = PointCloud.from_csv(joint_path)
-    rips_diagram(cloud.points).to_csv(diagram_path)
+    _run_jobs("denoise", _segment_jobs(cfg, manifest, "denoise", embedding), cfg.jobs)
 
 
 def stage_persist(cfg: PipelineConfig) -> None:
-    """Rips persistence of every joint cloud."""
+    """Rebuild every missing diagram from its joint cloud; cuts no recording."""
     validate_config(cfg)
-    out = _out(cfg)
-    dg_dir = out / "diagrams"
-    dg_dir.mkdir(exist_ok=True)
-    jobs = []
-    for entry in _manifest(cfg)["segments"]:
-        dpath = dg_dir / f"{entry['source_id']}_{entry['index']:04d}.csv"
-        if dpath.exists():
-            continue
-        jpath = out / "joint" / f"{entry['source_id']}_{entry['index']:04d}.csv"
-        if not jpath.exists():
-            raise StageError("persist", "joint cloud missing; run the denoise stage", jpath)
-        jobs.append((dpath, jpath))
-    _run_jobs("persist", _persist_one, jobs, cfg.jobs)
+    _run_jobs("persist", _segment_jobs(cfg, _manifest(cfg), "persist", None), cfg.jobs)
 
 
-def _run_jobs(stage: str, fn, jobs: list, n_workers: int) -> None:
-    """Run ``fn`` on every job: in-process at ``n_workers <= 1``, else in a pool
-    of at most one worker per job.  Jobs are tuples whose first element is the
-    file errors name (a denoise job's recording, a persist job's diagram).
+def _run_jobs(stage: str, jobs: list, n_workers: int) -> None:
+    """Run ``_segment_job`` on every job: in-process at ``n_workers <= 1``, else in
+    one pool of at most one worker per job.  Errors name ``job[0]``, always the
+    recording, unless the job raised a :class:`StageError` naming a joint cloud.
     """
     if not jobs:
         return
-    if n_workers <= 1:
-        pool, run = contextlib.nullcontext(), map
-    else:
-        pool = ProcessPoolExecutor(max_workers=min(n_workers, len(jobs)))
-        run = pool.map
+    parallel = n_workers > 1
+    pool = ProcessPoolExecutor(min(n_workers, len(jobs))) if parallel else contextlib.nullcontext()
     with pool:
-        results = run(fn, jobs)
+        results = (pool.map if parallel else map)(_segment_job, jobs)
         for job in jobs:
             try:
                 next(results)
+            except StageError:
+                raise
             except Exception as exc:
                 raise StageError(stage, str(exc), job[0]) from exc
 
@@ -310,7 +317,7 @@ def stage_filter(cfg: PipelineConfig, emit_density=None) -> None:
         diagrams = []
         for p in subjects[sid]:
             if not p.exists():
-                raise StageError("filter", "segment diagram missing; run the persist stage", p)
+                raise StageError("filter", "segment diagram missing; run the denoise stage", p)
             diagrams.append(PersistenceDiagram.from_csv(p))
         points = merge_diagrams(diagrams)
         if len(points) == 0:
@@ -474,7 +481,6 @@ def run_pipeline(cfg: PipelineConfig, synth: bool = False, **synth_kwargs) -> Ev
             stage_ingest(cfg)
     stage_embed(cfg)
     stage_denoise(cfg)
-    stage_persist(cfg)
     stage_filter(cfg)
     stage_vectorize(cfg)
     return stage_classify(cfg)

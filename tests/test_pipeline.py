@@ -77,7 +77,7 @@ class TestConfig:
         ("C", 0.0), ("gamma", -1.0), ("pi_rows", 0), ("pi_cols", 0), ("pi_sigma", -1.0),
         ("weight_plateau", -1.0), ("weight_junction", -1.0), ("weight_ramp_start", -1.0),
         ("weight_ramp_end", -1.0), ("weight_ramp_end", 2.0), ("iters", 0), ("window_sec", 0.0),
-        ("filter_order", 3),
+        ("filter_order", 3), ("jobs", 0),
     ])
     def test_bad_size_fails_before_any_stage(self, tmp_path, field, value):
         # ramp start 2 is valid on its own; it makes weight_ramp_end = 2 out of order
@@ -142,6 +142,20 @@ class TestStages:
         shutil.copytree(cfg.out_dir, tmp_path / "copy")
         again = run_pipeline(replace(cfg, out_dir=str(tmp_path / "copy")))
         assert again.to_json() == report.to_json()
+
+    def test_persist_rebuilds_diagrams_without_cutting(self, tiny_run, tmp_path, monkeypatch):
+        cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"))
+        shutil.copytree(tiny_run[0].out_dir, cfg.out_dir)
+        diagrams = Path(cfg.out_dir) / "diagrams"
+        before = {p.name: p.read_bytes() for p in diagrams.iterdir()}
+        shutil.rmtree(diagrams)
+
+        def refuse(*args):
+            raise AssertionError("persist cut a recording")
+
+        monkeypatch.setattr("topofeat.pipeline.cut_recording", refuse)
+        stage_persist(cfg)
+        assert {p.name: p.read_bytes() for p in diagrams.iterdir()} == before
 
     def test_synth_again_replaces_the_cohort(self, tmp_path):
         cfg = tiny_config(tmp_path / "out")
@@ -235,6 +249,30 @@ class TestStageErrors:
         assert err.value.stage == "denoise"
         assert err.value.file == str(victim)
         assert not list((Path(cfg.out_dir) / "joint").glob("*.csv"))
+        assert not list((Path(cfg.out_dir) / "diagrams").glob("*.csv"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_joint_cloud_names_file(self, tiny_run, tmp_path, jobs):
+        cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"), jobs=jobs)
+        shutil.copytree(tiny_run[0].out_dir, cfg.out_dir)
+        joint = Path(cfg.out_dir) / "joint" / "a000_0000.csv"
+        joint.write_text("x0,x1,t\n1.0,zz,3\n")
+        (Path(cfg.out_dir) / "diagrams" / "a000_0000.csv").unlink()
+        with pytest.raises(StageError, match="could not convert string to float") as err:
+            stage_persist(cfg)
+        assert err.value.stage == "persist"
+        assert err.value.file == str(joint)
+
+    def test_persist_without_joint_cloud_names_it(self, tiny_run, tmp_path):
+        cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"))
+        shutil.copytree(tiny_run[0].out_dir, cfg.out_dir)
+        joint = Path(cfg.out_dir) / "joint" / "b001_0001.csv"
+        joint.unlink()
+        (Path(cfg.out_dir) / "diagrams" / joint.name).unlink()
+        with pytest.raises(StageError, match="joint cloud missing; run the denoise stage") as err:
+            stage_persist(cfg)
+        assert err.value.stage == "persist"
+        assert err.value.file == str(joint)
 
 
 def first_cut(cfg, sid):
@@ -328,12 +366,12 @@ class TestJobs:
         assert len(outputs[0]) == 2 * 12 + 1
         assert outputs[0] == outputs[1]
 
-    def test_pool_has_at_most_one_worker_per_job(self, tmp_path, monkeypatch):
+    @staticmethod
+    def record_pools(monkeypatch) -> list[int]:
+        """Run pool jobs in-process; the returned list gets the size of each pool asked for."""
         sizes = []
 
         class RecordingPool:
-            """Runs the jobs in-process and records the pool size it was asked for."""
-
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -352,6 +390,10 @@ class TestJobs:
                 return future
 
         monkeypatch.setattr("topofeat.pipeline.ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_has_at_most_one_worker_per_job(self, tmp_path, monkeypatch):
+        sizes = self.record_pools(monkeypatch)
         cfg = tiny_config(tmp_path / "out")
         stage_synth(cfg, **TINY)
         stage_embed(cfg)
@@ -364,6 +406,24 @@ class TestJobs:
         stage_persist(replace(cfg, jobs=16))
         assert sizes == [1]
         assert victim.read_bytes() == expected
+
+    def test_run_starts_one_pool(self, tmp_path, monkeypatch):
+        sizes = self.record_pools(monkeypatch)
+        run_pipeline(tiny_config(tmp_path / "out", jobs=2), synth=True, **TINY)
+        assert sizes == [2]
+
+    def test_run_parses_no_joint_cloud(self, tmp_path, monkeypatch):
+        reads = []
+        parse = PointCloud.from_csv
+
+        def counting(path):
+            reads.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(PointCloud, "from_csv", counting)
+        run_pipeline(tiny_config(tmp_path / "out"), synth=True, **TINY)
+        assert len(list((tmp_path / "out" / "diagrams").glob("*.csv"))) == 12
+        assert reads == []
 
 
 class TestSweep:
@@ -393,11 +453,13 @@ class TestSweep:
 
 class TestAtomicWrites:
     @staticmethod
-    def cut_off_after_first_line(monkeypatch):
-        """Make every text write stop after its first line and fail."""
+    def cut_off_after_first_line(monkeypatch, directory=None):
+        """Make every text write (into ``directory``, if given) stop after its first line and fail."""
         write = Path.write_text
 
         def cut_off(path, text, *args, **kwargs):
+            if directory is not None and path.parent.name != directory:
+                return write(path, text, *args, **kwargs)
             write(path, text.split("\n", 1)[0] + "\n", *args, **kwargs)
             raise OSError("no space left on device")
 
@@ -418,14 +480,14 @@ class TestAtomicWrites:
         cfg = tiny_config(tmp_path / "out")
         stage_synth(cfg, **TINY)
         stage_embed(cfg)
-        stage_denoise(cfg)
         with monkeypatch.context() as mp:
-            self.cut_off_after_first_line(mp)
-            with pytest.raises(StageError, match="persist"):
-                stage_persist(cfg)
+            self.cut_off_after_first_line(mp, "diagrams")
+            with pytest.raises(StageError, match="denoise"):
+                stage_denoise(cfg)
         out = Path(cfg.out_dir)
+        assert len(list((out / "joint").iterdir())) == 1  # written before its diagram
         assert not list((out / "diagrams").iterdir())  # no header-only diagram, no temp file
-        stage_persist(cfg)
+        stage_denoise(cfg)
         for joint in sorted((out / "joint").glob("*.csv")):
             expected = rips_diagram(PointCloud.from_csv(joint).points).to_csv_text()
             assert (out / "diagrams" / joint.name).read_text() == expected
