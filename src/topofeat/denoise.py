@@ -76,21 +76,37 @@ def _as_points(cloud) -> np.ndarray:
     return pts.reshape(len(pts), -1)
 
 
+# queries per block in _nearest_mass_stats: 64 rows of a ~500-point cloud's
+# distances and neighbour indices stay near 250 KB, well under one n x k score
+_ROWS = 64
+
+
 def _nearest_mass_stats(queries: np.ndarray, cloud: np.ndarray, q: int, fast: bool = False):
     """Per query: centroid of its q nearest cloud points and their mean squared spread.
 
     Ties at the q-th neighbour break toward the lower point index; ``fast``
     swaps the stable sort for argpartition (selection only, same result
     away from exact distance ties).
+
+    Queries are processed ``_ROWS`` at a time, each block's results written
+    into the preallocated outputs, so no temporary grows past one block of
+    query-by-point distances and indices.  Every step (each distance entry,
+    the selection along a row, the per-row gather and reductions) works on
+    one query row alone, so the block size cannot change a bit of the result.
     """
-    d2 = cdist(queries, cloud, metric="sqeuclidean")
-    if fast and q < d2.shape[1]:
-        idx = np.argpartition(d2, q - 1, axis=1)[:, :q]
-    else:
-        idx = np.argsort(d2, axis=1, kind="stable")[:, :q]
-    neigh = cloud[idx]                       # (nq, q, d)
-    means = neigh.mean(axis=1)               # (nq, d)
-    spread = ((neigh - means[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
+    nq, d = len(queries), cloud.shape[1]
+    means = np.empty((nq, d))
+    spread = np.empty(nq)
+    for lo in range(0, nq, _ROWS):
+        hi = min(lo + _ROWS, nq)
+        d2 = cdist(queries[lo:hi], cloud, metric="sqeuclidean")
+        if fast and q < d2.shape[1]:
+            idx = np.argpartition(d2, q - 1, axis=1)[:, :q]
+        else:
+            idx = np.argsort(d2, axis=1, kind="stable")[:, :q]
+        neigh = cloud[idx]                       # (rows, q, d)
+        means[lo:hi] = m = neigh.mean(axis=1)    # (rows, d)
+        spread[lo:hi] = ((neigh - m[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
     return means, spread
 
 
@@ -150,6 +166,14 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
     same as recomputing every center each iteration.  The last score matrix
     also gives every cloud point's score under the returned centers, which
     ``_fit_scores`` hands to the pruning steps.
+
+    Memory: no temporary is larger than the n x k score matrix.  The
+    neighbour statistics run in row blocks (see ``_nearest_mass_stats``),
+    and the variances are added in place to each freshly computed distance
+    block, the same IEEE add as a separate sum.  So the moved centers'
+    distance block is the only other score-sized array.  Freed arrays of
+    that size go back to the kernel and fault in again on the next fit,
+    which costs more than the arithmetic.
     """
     pts = _as_points(cloud)
     if not np.isfinite(pts).all():
@@ -160,7 +184,8 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
     rng = np.random.default_rng(params.seed)
     queries = pts[rng.choice(n, size=k, replace=False)]
     means, variances = _nearest_mass_stats(queries, pts, q, fast=True)
-    score = cdist(pts, means, metric="sqeuclidean") + variances[None, :]
+    score = cdist(pts, means, metric="sqeuclidean")
+    score += variances
 
     prev_assign = None
     prev_obj = None
@@ -185,7 +210,9 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
         moved = occupied[shifted]
         queries[moved] = centroids[shifted]
         means[moved], variances[moved] = _nearest_mass_stats(queries[moved], pts, q, fast=True)
-        score[:, moved] = cdist(pts, means[moved], metric="sqeuclidean") + variances[None, moved]
+        block = cdist(pts, means[moved], metric="sqeuclidean")
+        block += variances[moved]
+        score[:, moved] = block
     centers = CenterSet(means, variances)
     centers._scores = score.min(axis=1)
     return centers

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from topofeat import denoise
 from topofeat.cloud import PointCloud
 from topofeat.denoise import (CenterSet, MassParams, _fit_scores, _nearest_mass_stats, dtm,
                               dtm_profile, kpdtm_eval, kpdtm_fit, kpdtm_objective,
@@ -20,6 +23,19 @@ def brute_dtm(cloud, query, q):
     return float(((np.asarray(query) - m) ** 2).sum() + v)
 
 
+def one_shot_mass_stats(queries, cloud, q, fast=False):
+    """Unblocked oracle for ``_nearest_mass_stats``: every query in one distance matrix."""
+    d2 = cdist(queries, cloud, metric="sqeuclidean")
+    if fast and q < d2.shape[1]:
+        idx = np.argpartition(d2, q - 1, axis=1)[:, :q]
+    else:
+        idx = np.argsort(d2, axis=1, kind="stable")[:, :q]
+    neigh = cloud[idx]
+    means = neigh.mean(axis=1)
+    spread = ((neigh - means[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
+    return means, spread
+
+
 def full_recompute_fit(pts, params, history=None):
     """k-PDTM oracle that rescores and refreshes every occupied center each iteration."""
     pts = np.asarray(pts, dtype=float)
@@ -27,7 +43,7 @@ def full_recompute_fit(pts, params, history=None):
     q, k = params.n_neighbors, params.n_centers
     rng = np.random.default_rng(params.seed)
     init = rng.choice(n, size=k, replace=False)
-    means, variances = _nearest_mass_stats(pts[init], pts, q, fast=True)
+    means, variances = one_shot_mass_stats(pts[init], pts, q, fast=True)
 
     prev_assign = None
     prev_obj = None
@@ -49,7 +65,7 @@ def full_recompute_fit(pts, params, history=None):
             np.bincount(assign, weights=pts[:, dim], minlength=k) for dim in range(pts.shape[1])
         ])
         centroids = sums[occupied] / counts[occupied, None]
-        new_means, new_vars = _nearest_mass_stats(centroids, pts, q, fast=True)
+        new_means, new_vars = one_shot_mass_stats(centroids, pts, q, fast=True)
         means = means.copy()
         variances = variances.copy()
         means[occupied] = new_means
@@ -204,6 +220,74 @@ class TestKpdtmFit:
                 assert kpdtm_objective(centers, pts) == hist[-1]
                 stopped += 1
         assert stopped >= 3
+
+
+DEFAULT_ROWS = denoise._ROWS
+
+
+class TestBlockedStats:
+    """Row-blocked neighbour statistics and the in-place score updates change no bit."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("kind", ["gaussian", "half_grid"])
+    def test_matches_one_shot_oracle(self, monkeypatch, rows, fast, kind):
+        if rows is not None:
+            monkeypatch.setattr(denoise, "_ROWS", rows)
+        rng = np.random.default_rng(7)
+        if kind == "gaussian":
+            cloud = rng.normal(size=(502, 2))
+            pool = np.vstack([cloud, rng.normal(size=(400, 2))])
+        else:
+            cloud = half_grid(rng, 200, 2)  # tied distances and duplicate points
+            pool = half_grid(rng, 400, 2)
+        counts = {0, 1, 350} | {r + dr for r in (DEFAULT_ROWS, denoise._ROWS) for dr in (-1, 0, 1)}
+        for nq in sorted(counts):
+            queries = pool[rng.choice(len(pool), size=nq, replace=False)]
+            got = _nearest_mass_stats(queries, cloud, 10, fast=fast)
+            ref = one_shot_mass_stats(queries, cloud, 10, fast=fast)
+            assert got[0].shape == ref[0].shape and got[1].shape == ref[1].shape
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("case", ["cohort_502x2", "half_grid_2d", "q_and_k_equal_n",
+                                      "max_iter_1"])
+    def test_fit_equal_across_block_sizes(self, monkeypatch, case):
+        build, q, k, max_iter = ORACLE_CASES[case]
+        rng = np.random.default_rng(sum(map(ord, case)) + 2)
+        for seed in range(2):
+            pts = build(rng)
+            params = MassParams(q, k, max_iter, seed)
+            fits = []
+            for rows in (1, 7, DEFAULT_ROWS):
+                monkeypatch.setattr(denoise, "_ROWS", rows)
+                hist = []
+                centers = kpdtm_fit(pts, params, history=hist)
+                fits.append((np.array(hist).tobytes(), centers.means.tobytes(),
+                             centers.variances.tobytes(), centers._scores.tobytes()))
+            assert fits[0] == fits[1] == fits[2]
+
+    def test_profile_over_several_blocks_matches_brute(self, rng):
+        pts = rng.normal(size=(150, 3))
+        queries = rng.normal(size=(300, 3))
+        assert len(queries) > 4 * DEFAULT_ROWS
+        vals = dtm_profile(pts, queries, 6)
+        for query, val in zip(queries, vals):
+            assert val == pytest.approx(brute_dtm(pts, query, 6), abs=1e-10)
+
+    def test_fit_peak_memory_within_two_score_matrices(self):
+        n, k = 502, 350
+        pts = np.random.default_rng(3).normal(size=(n, 2))
+        params = MassParams(10, k, 50, 0)
+        kpdtm_fit(pts, params)  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            kpdtm_fit(pts, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the score matrix plus at most one block of it
+        assert peak < 2 * n * k * 8
 
 
 class TestKpdtmEval:
