@@ -329,7 +329,7 @@ def load_features_csv(path) -> LabeledDataset:
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     rows = [ln.split(",") for ln in lines[1:]]
     ids = [r[0] for r in rows]
-    feats = np.array([[float(v) for v in r[1:-1]] for r in rows], dtype=float)
+    feats = np.array([list(map(float, r[1:-1])) for r in rows], dtype=float)
     labels = np.array([int(r[-1]) for r in rows], dtype=int)
     return LabeledDataset(feats, labels, subject_ids=ids)
 
@@ -338,6 +338,6 @@ def save_features_csv(path, ids: list[str], features: np.ndarray, labels: np.nda
     features = np.asarray(features, dtype=float)
     header = ["subject_id"] + [f"f{i}" for i in range(features.shape[1])] + ["label"]
     lines = [",".join(header)]
-    for sid, row, lab in zip(ids, features, labels):
-        lines.append(",".join([sid] + [repr(float(v)) for v in row] + [str(int(lab))]))
+    for sid, row, lab in zip(ids, features.tolist(), labels):
+        lines.append(",".join([sid, *map(repr, row), str(int(lab))]))
     write_atomic(path, "\n".join(lines) + "\n")

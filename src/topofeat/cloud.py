@@ -49,17 +49,14 @@ class PointCloud:
         return PointCloud(self.points[idx], ti)
 
     def to_csv(self, path) -> None:
+        """Write ``x0..x{d-1}`` (and ``t``) columns of ``repr`` floats, which ``float()``
+        reads back exactly."""
         cols = [f"x{i}" for i in range(self.dim)]
-        lines = []
+        rows = [",".join(map(repr, row)) for row in self.points.tolist()]
         if self.time_index is not None:
-            lines.append(",".join(cols + ["t"]))
-            for row, t in zip(self.points, self.time_index):
-                lines.append(",".join(repr(float(v)) for v in row) + f",{int(t)}")
-        else:
-            lines.append(",".join(cols))
-            for row in self.points:
-                lines.append(",".join(repr(float(v)) for v in row))
-        write_atomic(path, "\n".join(lines) + "\n")
+            cols.append("t")
+            rows = [f"{row},{t}" for row, t in zip(rows, self.time_index.tolist())]
+        write_atomic(path, "\n".join([",".join(cols), *rows]) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "PointCloud":
@@ -68,8 +65,8 @@ class PointCloud:
         has_t = header[-1] == "t"
         rows = [ln.split(",") for ln in text[1:]]
         if has_t:
-            pts = np.array([[float(v) for v in r[:-1]] for r in rows], dtype=float)
+            pts = np.array([list(map(float, r[:-1])) for r in rows], dtype=float)
             ti = np.array([int(r[-1]) for r in rows], dtype=int)
             return cls(pts.reshape(len(rows), -1), ti)
-        pts = np.array([[float(v) for v in r] for r in rows], dtype=float)
+        pts = np.array([list(map(float, r)) for r in rows], dtype=float)
         return cls(pts.reshape(len(rows), -1))

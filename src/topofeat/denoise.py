@@ -10,6 +10,7 @@ and the sparse structure-carrying points survive.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,8 @@ def _nearest_mass_stats(queries: np.ndarray, cloud: np.ndarray, q: int, fast: bo
     swaps the stable sort for argpartition (selection only, same result
     away from exact distance ties).
 
+    The means and spreads are ``ndarray.mean``'s arithmetic without its
+    Python wrapper: the same ``np.add.reduce`` and the same division by q.
     Queries are processed ``_ROWS`` at a time, each block's results written
     into the preallocated outputs, so no temporary grows past one block of
     query-by-point distances and indices.  Every step (each distance entry,
@@ -104,9 +107,15 @@ def _nearest_mass_stats(queries: np.ndarray, cloud: np.ndarray, q: int, fast: bo
             idx = np.argpartition(d2, q - 1, axis=1)[:, :q]
         else:
             idx = np.argsort(d2, axis=1, kind="stable")[:, :q]
-        neigh = cloud[idx]                       # (rows, q, d)
-        means[lo:hi] = m = neigh.mean(axis=1)    # (rows, d)
-        spread[lo:hi] = ((neigh - m[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
+        neigh = cloud[idx]                       # (rows, q, d), a fresh copy
+        m = np.add.reduce(neigh, axis=1)         # (rows, d)
+        m /= q
+        means[lo:hi] = m
+        neigh -= m[:, None, :]
+        np.square(neigh, out=neigh)
+        v = np.add.reduce(np.add.reduce(neigh, axis=2), axis=1)
+        v /= q
+        spread[lo:hi] = v
     return means, spread
 
 
@@ -146,6 +155,17 @@ def kpdtm_objective(centers: CenterSet, cloud) -> float:
     return float(np.sum(kpdtm_eval(centers, _as_points(cloud))))
 
 
+@functools.lru_cache(maxsize=16)
+def _initial_draw(n: int, k: int, seed: int) -> np.ndarray:
+    """Indices of the k distinct initial centers among n points, drawn once per (n, k, seed).
+
+    The array is read-only, since every fit of that shape shares it.
+    """
+    idx = np.random.default_rng(seed).choice(n, size=k, replace=False)
+    idx.flags.writeable = False
+    return idx
+
+
 def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterSet:
     """Alternating minimisation of the k-center score field.
 
@@ -154,8 +174,9 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
     stops when assignments repeat or the iteration cap is hit.  The summed
     objective never increases from one iteration to the next; pass a list
     as ``history`` to record it.  Initial centers are k distinct cloud
-    points drawn with the seeded generator.  Non-finite coordinates raise
-    ValueError.
+    points drawn with the seeded generator; the draw depends on (n, k, seed)
+    alone, so fits of clouds of one size share it (``_initial_draw``).
+    Non-finite coordinates raise ValueError.
 
     The update is incremental.  Each center keeps the query its (mean,
     variance) was computed from, and the n x k score matrix persists across
@@ -181,12 +202,12 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
     n = len(pts)
     params.validate_for(n)
     q, k = params.n_neighbors, params.n_centers
-    rng = np.random.default_rng(params.seed)
-    queries = pts[rng.choice(n, size=k, replace=False)]
+    queries = pts[_initial_draw(n, k, params.seed)]
     means, variances = _nearest_mass_stats(queries, pts, q, fast=True)
     score = cdist(pts, means, metric="sqeuclidean")
     score += variances
 
+    columns = np.ascontiguousarray(pts.T)  # bincount weights, one contiguous row per coordinate
     prev_assign = None
     prev_obj = None
     for _ in range(params.max_iter):
@@ -202,9 +223,7 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
         prev_obj = obj
         counts = np.bincount(assign, minlength=k)
         occupied = np.nonzero(counts > 0)[0]
-        sums = np.column_stack([
-            np.bincount(assign, weights=pts[:, dim], minlength=k) for dim in range(pts.shape[1])
-        ])
+        sums = np.column_stack([np.bincount(assign, weights=col, minlength=k) for col in columns])
         centroids = sums[occupied] / counts[occupied, None]
         shifted = np.any(centroids != queries[occupied], axis=1)
         moved = occupied[shifted]

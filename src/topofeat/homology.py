@@ -11,12 +11,14 @@ materialises the triangle list.
   int64 key: the rank of its diameter among the distinct edge lengths, then
   its sorted vertices.  One vectorised pass over blocks of cycle edges (as
   in Ripser++, arXiv:2003.07989) finds every edge's earliest cofacet and
-  settles the apparent pairs.  An edge whose earliest cofacet is still
-  unclaimed forms an emergent pair.  Neither kind builds its column until
-  another column must add it.  The remaining columns are sorted key arrays.
-  While a column is reduced, the columns added to it collect in a small
-  sorted buffer, which is merged into the column only once it outgrows a
-  fixed fraction of it; each new pivot is read off the two fronts.
+  settles the apparent pairs; it compares int32 diameter ranks and edge
+  indices and builds int64 keys only for the cofacets it picks.  An edge
+  whose earliest cofacet is still unclaimed forms an emergent pair.  Neither
+  kind builds its column until another column must add it.  The remaining
+  columns are sorted key arrays.  While a column is reduced, the columns
+  added to it collect in a small sorted buffer, which is merged into the
+  column only once it outgrows a fixed fraction of it; each new pivot is
+  read off the two fronts.
 
 :mod:`topofeat.reference` holds the textbook boundary-matrix route and a
 brute-force Betti oracle; the test suite checks ``rips_diagram`` against
@@ -204,53 +206,75 @@ def _reduce_column(col: np.ndarray, key: int, pivots: dict,
     return key, _add_mod2(col[col.searchsorted(key):], buf[buf.searchsorted(key):])
 
 
+def _apparent_pairs(rank: np.ndarray, lead: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+                    cycle: np.ndarray, over: int, n3: int) -> tuple[np.ndarray, np.ndarray]:
+    """Key of each cycle edge's earliest cofacet (-1 if none) and whether the pair is apparent.
+
+    Blocks of cycle edges at a time: e's earliest cofacet t (smallest
+    diameter rank, then smallest third vertex, which is the lexicographically
+    least triangle) pairs with e when e is t's latest facet.  The search runs
+    on int32 diameter ranks and edge indices, which order triangles as their
+    int64 keys do; only the chosen cofacets are widened to keys.  ``rank``
+    holds each vertex pair's diameter rank, ``over`` marks a rank past the cap.
+    """
+    n, m = len(rank), len(ii)
+    edge_index = np.full((n, n), m, dtype=np.int32)
+    edge_index[ii, jj] = edge_index[jj, ii] = np.arange(m, dtype=np.int32)
+    first = np.full(len(cycle), -1, dtype=np.int64)
+    apparent = np.zeros(len(cycle), dtype=bool)
+    for s in range(0, len(cycle), _BLOCK):
+        e = cycle[s:s + _BLOCK]
+        a, b = ii[e], jj[e]
+        rows = np.arange(len(e))
+        tr = rank[a]  # a fresh copy, so the maxima can go in place
+        np.maximum(tr, rank[b], out=tr)
+        np.maximum(tr, rank[a, b][:, None], out=tr)
+        tr[rows, a] = tr[rows, b] = over
+        k = np.argmin(tr, axis=1)
+        tmin = tr[rows, k]
+        has = tmin < over
+        keys = tmin.astype(np.int64) * n3 + np.minimum(lead[a, k] + b, lead[a, b] + k)
+        first[s:s + _BLOCK] = np.where(has, keys, -1)
+        apparent[s:s + _BLOCK] = has & (np.maximum(edge_index[a, k], edge_index[b, k]) < e)
+    return first, apparent
+
+
 def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndarray,
                  cycle: np.ndarray) -> list[tuple[int, float, float]]:
     """H1 bars by coboundary reduction over the cycle-edge columns.
 
-    ``ii``, ``jj``, ``vals`` list the edges up to the scale cap in
+    ``ii``, ``jj``, ``vals`` list every edge up to the scale cap, in
     filtration order; ``cycle`` indexes those that close a cycle (every
     other edge's column is cleared by its H0 pair).  A triangle is an int64
     key whose leading digit is the rank of its diameter among the distinct
     edge lengths, so a death is read back as the exact ``dmat`` float.
     """
     n = len(dmat)
-    m = len(vals)
-    uniq = np.unique(vals)
+    distinct = np.empty(len(vals), dtype=bool)  # vals is sorted: keep each first copy
+    distinct[:1] = True
+    np.not_equal(vals[1:], vals[:-1], out=distinct[1:])
+    uniq = vals[distinct]
     over = len(uniq)  # rank of every distance above the cap
-    if (over + 1) * n ** 3 >= 2 ** 63:
-        raise ValueError("point cloud too large for int64 triangle keys")
-    edge_index = np.full((n, n), m, dtype=np.int64)
-    edge_index[ii, jj] = edge_index[jj, ii] = np.arange(m)
+    if (over + 1) * n ** 3 >= 2 ** 63 or len(vals) >= 2 ** 31:
+        raise ValueError("point cloud too large for int64 triangle keys and int32 edge indices")
     # Key of triangle {a, b, k} (a < b) with diameter rank r: mixed radix
     # (r, x, y, z) over its sorted vertices, so keys order triangles as the
     # refined filtration does, by diameter and then lexicographically.  The
-    # leading digit is the largest of diam[a, b], diam[a, k] and diam[b, k].
+    # leading digit is the largest of rank[a, b], rank[a, k] and rank[b, k].
     # With lead[x, y] = (x * n + y) * n for x < y, the vertex digits are
     # min(lead[a, k] + b, lead[a, b] + k), and for fixed (a, b) they grow with k.
     n3 = n ** 3
-    diam = np.searchsorted(uniq, dmat) * n3
+    # rank[x, y] = np.searchsorted(uniq, dmat[x, y]), read off the edge list: an
+    # edge's rank counts the distinct lengths before it, the diagonal's 0.0 ranks
+    # first, and every pair off the list lies past the cap
+    rank = np.full((n, n), over, dtype=np.int32)
+    rank[ii, jj] = rank[jj, ii] = np.cumsum(distinct, dtype=np.int32) - 1
+    np.fill_diagonal(rank, 0)
+    diam = rank.astype(np.int64) * n3
     top = over * n3  # keys at or above lie past the cap
     verts = np.arange(n)
     lead = (np.minimum.outer(verts, verts) * n + np.maximum.outer(verts, verts)) * n
-
-    # Apparent pairs, in blocks of cycle edges: e's earliest cofacet t
-    # (smallest diameter rank, then smallest third vertex, which is the
-    # lexicographically least triangle) pairs with e when e is t's latest facet.
-    first = np.full(len(cycle), -1, dtype=np.int64)  # key of earliest cofacet
-    apparent = np.zeros(len(cycle), dtype=bool)
-    for s in range(0, len(cycle), _BLOCK):
-        e = cycle[s:s + _BLOCK]
-        a, b = ii[e], jj[e]
-        rows = np.arange(len(e))
-        tr = np.maximum(np.maximum(diam[a], diam[b]), diam[a, b][:, None])
-        tr[rows, a] = tr[rows, b] = top
-        k = np.argmin(tr, axis=1)
-        tmin = tr[rows, k]
-        has = tmin < top
-        keys = tmin + np.minimum(lead[a, k] + b, lead[a, b] + k)
-        first[s:s + _BLOCK] = np.where(has, keys, -1)
-        apparent[s:s + _BLOCK] = has & (np.maximum(edge_index[a, k], edge_index[b, k]) < e)
+    first, apparent = _apparent_pairs(rank, lead, ii, jj, cycle, over, n3)
 
     def coboundary(e: int) -> np.ndarray:
         a, b = int(ii[e]), int(jj[e])
@@ -308,9 +332,9 @@ def rips_diagram(points: np.ndarray, max_scale: float | None = None) -> Persiste
         max_scale = float(dmat.max())
     eff = min(float(max_scale), enclosing_radius(dmat))
 
-    ii, jj = np.nonzero(np.triu(dmat <= eff, k=1))
+    ii, jj = np.nonzero(np.triu(dmat <= eff, k=1))  # row-major: (i, j) ascending
     vals = dmat[ii, jj]
-    order = np.lexsort((jj, ii, vals))
+    order = np.argsort(vals, kind="stable")  # by length, then (i, j)
     ii, jj, vals = ii[order], jj[order], vals[order]
 
     feats: list[tuple[int, float, float]] = []

@@ -8,6 +8,9 @@ stated attenuation doubles in dB and phase structure survives embedding.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,24 +71,60 @@ def load_recording(path, rate: float = 128.0) -> RawRecording:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such recording: {p}")
-    lines = [ln for ln in p.read_text().splitlines() if ln.strip()]
+    return _parse_recording(p.read_bytes(), rate, p)
+
+
+def _parse_recording(raw: bytes, rate: float, path: Path) -> RawRecording:
+    """The recording read from ``path`` as ``raw``, decoded as ``Path.read_text`` would.
+
+    Every cell goes through ``float()``: the body is checked for one cell
+    count per line and then parsed in one ``map``.  Only when that fails are
+    the lines scanned one by one, for the first ragged or non-numeric line.
+    Line numbers count the non-blank lines, the header being line 1.
+    """
+    text = io.TextIOWrapper(io.BytesIO(raw)).read()
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError(f"empty recording file: {p}")
+        raise ValueError(f"empty recording file: {path}")
     header = [h.strip() for h in lines[0].split(",")]
     width = len(header)
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != width:
-            raise ValueError(f"ragged rows: line {lineno} has {len(cells)} cells, expected {width}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ValueError(f"non-numeric cell at line {lineno}: {exc}") from None
-    data = np.asarray(rows, dtype=float).T.reshape(width, -1)
+    body = lines[1:]
+    values = None
+    if all(ln.count(",") == width - 1 for ln in body):
+        with contextlib.suppress(ValueError):
+            values = list(map(float, ",".join(body).split(","))) if body else []
+    if values is None:
+        raise _first_bad_line(body, width)
+    data = np.array(values).reshape(-1, width).T
     if not np.all(np.isfinite(data)):
         raise ValueError("recording contains non-finite values")
-    return RawRecording(header, data, rate, source_id=p.stem)
+    return RawRecording(header, data, rate, source_id=path.stem)
+
+
+def _first_bad_line(body: list[str], width: int) -> ValueError:
+    """The error for the first line of ``body`` that is ragged or holds a non-numeric cell.
+
+    ``body`` must hold such a line.
+    """
+    for lineno, ln in enumerate(body, start=2):
+        cells = ln.split(",")
+        if len(cells) != width:
+            return ValueError(f"ragged rows: line {lineno} has {len(cells)} cells, expected {width}")
+        try:
+            list(map(float, cells))
+        except ValueError as exc:
+            return ValueError(f"non-numeric cell at line {lineno}: {exc}")
+
+
+@functools.lru_cache(maxsize=16)
+def _bandpass_coefficients(order: int, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
+    """``butter``'s (b, a) for the band [low, high] in Nyquist units, designed once.
+
+    The arrays are read-only, since every caller shares them.
+    """
+    b, a = butter(order, [low, high], btype="band")
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
 
 
 def bandpass_filter(rec: RawRecording, low_hz: float, high_hz: float, order: int = 4) -> RawRecording:
@@ -100,7 +139,7 @@ def bandpass_filter(rec: RawRecording, low_hz: float, high_hz: float, order: int
     nyq = rec.rate / 2.0
     if not 0 < low_hz < high_hz < nyq:
         raise ValueError(f"cutoffs must satisfy 0 < low < high < {nyq} Hz")
-    b, a = butter(order, [low_hz / nyq, high_hz / nyq], btype="band")
+    b, a = _bandpass_coefficients(order, low_hz / nyq, high_hz / nyq)
     out = filtfilt(b, a, rec.data, axis=1, padtype="even", padlen=3 * order)
     return RawRecording(list(rec.channels), out, rec.rate, source_id=rec.source_id)
 
@@ -127,5 +166,5 @@ def segment(rec: RawRecording, window_samples: int) -> list[Segment]:
 def save_recording(rec: RawRecording, path) -> None:
     """Write ``rec`` in the input format ``load_recording`` reads, every value exactly."""
     lines = [",".join(rec.channels)]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in rec.data.T)
+    lines.extend(",".join(map(repr, row)) for row in rec.data.T.tolist())
     write_atomic(Path(path), "\n".join(lines) + "\n")

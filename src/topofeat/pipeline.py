@@ -49,7 +49,7 @@ from .diagrams import BandwidthSpec, merge_diagrams, mkde_density, filter_by_den
 from .embedding import EmbeddingParams, delay_embed, estimate_embedding_params
 from .fileio import write_atomic
 from .homology import PersistenceDiagram, rips_diagram
-from .ingest import (RawRecording, Segment, bandpass_filter, load_recording, save_recording,
+from .ingest import (RawRecording, Segment, _parse_recording, bandpass_filter, save_recording,
                      segment, select_channels)
 from .synth import SynthSpec, gen_two_class_signals
 from .vectorize import (PersistenceImage, WeightParams, betti_curve,
@@ -108,10 +108,19 @@ CUT_FIELDS = ("rate", "band_low", "band_high", "filter_order", "apply_bandpass",
 
 def cut_recording(path: Path, cfg: PipelineConfig, sha256: str | None = None) -> list[Segment]:
     """Load, band-pass, select channels and segment one recording; given
-    ``sha256``, refuse a file edited since ingest instead of cutting it anew."""
-    if sha256 is not None and hashlib.sha256(path.read_bytes()).hexdigest() != sha256:
+    ``sha256``, refuse a file edited since ingest instead of cutting it anew.
+
+    The file is read once: the bytes checked are the bytes cut.
+    """
+    raw = path.read_bytes()
+    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
         raise ValueError("recording changed since ingest (sha256 differs from manifest.json)")
-    rec = load_recording(path, rate=cfg.rate)
+    return _cut(raw, path, cfg)
+
+
+def _cut(raw: bytes, path: Path, cfg: PipelineConfig) -> list[Segment]:
+    """Cut the recording read from ``path`` as ``raw``."""
+    rec = _parse_recording(raw, cfg.rate, path)
     if cfg.apply_bandpass:
         rec = bandpass_filter(rec, cfg.band_low, cfg.band_high, cfg.filter_order)
     if cfg.channel_list():
@@ -141,20 +150,21 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
     if unrecorded:
         raise StageError("ingest", f"no recording for labelled subject(s) {unrecorded}",
                          label_file)
-    entries = []
+    entries, hashes = [], {}
     for rec_path in recordings:
         try:
-            segs = cut_recording(rec_path, cfg)
+            raw = rec_path.read_bytes()
+            segs = _cut(raw, rec_path, cfg)
         except Exception as exc:
             raise StageError("ingest", str(exc), rec_path) from exc
+        hashes[rec_path.stem] = hashlib.sha256(raw).hexdigest()
         entries.extend({"source_id": s.source_id, "index": s.index, "window": s.window,
                         "channels": s.channels} for s in segs)
     if not entries:
         raise StageError("ingest", "no segments produced (recordings shorter than one window?)")
     manifest = {"input_dir": str(src.resolve()), "segments": entries,
                 "settings": {name: getattr(cfg, name) for name in CUT_FIELDS},
-                "recordings": {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
-                               for p in recordings}}
+                "recordings": hashes}
     out = _out(cfg)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "labels.csv", label_file.read_text())

@@ -65,7 +65,7 @@ class PersistenceImage:
         return self.pixels.reshape(-1)
 
     def to_csv(self, path) -> None:
-        lines = [",".join(repr(float(v)) for v in row) for row in self.pixels]
+        lines = [",".join(map(repr, row)) for row in self.pixels.tolist()]
         write_atomic(path, "\n".join(lines) + "\n")
 
 

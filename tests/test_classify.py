@@ -326,6 +326,19 @@ class TestFeaturesCsv:
         assert np.array_equal(data.labels, labels)
         assert data.subject_ids == ids
 
+    def test_text_per_value_and_roundtrip_bit_exact(self, tmp_path, rng):
+        feats = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
+        feats[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        labels = np.array([1, 0, 0, 1, 1])
+        ids = [f"s{i}" for i in range(5)]
+        save_features_csv(tmp_path / "f.csv", ids, feats, labels)
+        expected = [",".join(["subject_id", *(f"f{i}" for i in range(7)), "label"])]
+        expected += [",".join([sid] + [repr(float(v)) for v in row] + [str(int(lab))])
+                     for sid, row, lab in zip(ids, feats, labels)]
+        assert (tmp_path / "f.csv").read_text() == "\n".join(expected) + "\n"
+        data = load_features_csv(tmp_path / "f.csv")
+        assert data.features.tobytes() == feats.tobytes()
+
 
 class TestGridSearch:
     def test_returns_grid_member(self, rng):

@@ -290,6 +290,38 @@ class TestBlockedStats:
         assert peak < 2 * n * k * 8
 
 
+class TestInitialDraw:
+    """The initial centers are drawn once per (n, k, seed) and shared read-only."""
+
+    def test_equal_to_a_fresh_draw_and_read_only(self):
+        for n, k, seed in [(502, 350, 0), (502, 350, 1), (60, 60, 0), (502, 1, 3)]:
+            idx = denoise._initial_draw(n, k, seed)
+            assert denoise._initial_draw(n, k, seed) is idx
+            fresh = np.random.default_rng(seed).choice(n, size=k, replace=False)
+            assert idx.tobytes() == fresh.tobytes() and idx.dtype == fresh.dtype
+            assert not idx.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                idx[0] = 0
+
+    @pytest.mark.parametrize("case", ["cohort_502x2", "half_grid_2d", "q_and_k_equal_n"])
+    def test_fit_equal_with_cold_and_warm_cache(self, case):
+        build, q, k, max_iter = ORACLE_CASES[case]
+        pts = build(np.random.default_rng(sum(map(ord, case)) + 3))
+        params = MassParams(q, k, max_iter, 0)
+
+        def fit_bytes():
+            hist = []
+            centers = kpdtm_fit(pts, params, history=hist)
+            return (np.array(hist).tobytes(), centers.means.tobytes(),
+                    centers.variances.tobytes(), centers._scores.tobytes())
+
+        denoise._initial_draw.cache_clear()
+        cold = fit_bytes()
+        warm = fit_bytes()
+        assert denoise._initial_draw.cache_info().hits == 1
+        assert cold == warm
+
+
 class TestKpdtmEval:
     def test_single_center_identity(self):
         centers = CenterSet(np.array([[1.0, 2.0]]), np.array([0.0]))

@@ -310,6 +310,91 @@ class TestKruskalTree:
         assert diagram.features.count((0, 0.0, INF)) == 2
 
 
+def int64_apparent_pairs(dmat, ii, jj, vals, cycle, block=256):
+    """Oracle for ``homology._apparent_pairs``: the pass on int64 keys throughout.
+
+    Every cycle edge's earliest cofacet key (-1 if none) and whether it pairs
+    apparently, with ``np.unique`` for the distinct lengths.
+    """
+    n, m = len(dmat), len(vals)
+    uniq = np.unique(vals)
+    n3 = n ** 3
+    diam = np.searchsorted(uniq, dmat) * n3
+    top = len(uniq) * n3
+    verts = np.arange(n)
+    lead = (np.minimum.outer(verts, verts) * n + np.maximum.outer(verts, verts)) * n
+    edge_index = np.full((n, n), m, dtype=np.int64)
+    edge_index[ii, jj] = edge_index[jj, ii] = np.arange(m)
+    first = np.full(len(cycle), -1, dtype=np.int64)
+    apparent = np.zeros(len(cycle), dtype=bool)
+    for s in range(0, len(cycle), block):
+        e = cycle[s:s + block]
+        a, b = ii[e], jj[e]
+        rows = np.arange(len(e))
+        tr = np.maximum(np.maximum(diam[a], diam[b]), diam[a, b][:, None])
+        tr[rows, a] = tr[rows, b] = top
+        k = np.argmin(tr, axis=1)
+        tmin = tr[rows, k]
+        has = tmin < top
+        keys = tmin + np.minimum(lead[a, k] + b, lead[a, b] + k)
+        first[s:s + block] = np.where(has, keys, -1)
+        apparent[s:s + block] = has & (np.maximum(edge_index[a, k], edge_index[b, k]) < e)
+    return first, apparent
+
+
+def oracle_clouds():
+    """Half-integer grids with duplicate points, then 140 x 12 joint-like clouds."""
+    rng = np.random.default_rng(73)
+    for i in range(12):
+        n, d = int(rng.integers(5, 60)), int(rng.integers(1, 4))
+        yield pytest.param(rng.integers(-3, 4, size=(n, d)) / 2.0, id=f"grid{i}_{n}x{d}")
+    for seed in range(3):
+        yield pytest.param(joint_like_cloud(seed), id=f"joint{seed}_140x12")
+
+
+class TestEdgeOrderAndRanks:
+    """The stable length sort, the distinct lengths and the int32 apparent pass
+    equal the lexsort, ``np.unique`` and an int64 pass."""
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+    @pytest.mark.parametrize("pts", list(oracle_clouds()))
+    def test_match_lexsort_unique_and_int64_pass(self, monkeypatch, pts, capped):
+        seen = {}
+        h1, apparent_pairs = homology._h1_features, homology._apparent_pairs
+
+        def spy_h1(dmat, ii, jj, vals, cycle):
+            seen["edges"] = dmat, ii, jj, vals, cycle
+            return h1(dmat, ii, jj, vals, cycle)
+
+        def spy_pairs(rank, lead, ii, jj, cycle, over, n3):
+            seen["ranks"] = rank, over
+            seen["pairs"] = apparent_pairs(rank, lead, ii, jj, cycle, over, n3)
+            return seen["pairs"]
+
+        monkeypatch.setattr(homology, "_h1_features", spy_h1)
+        monkeypatch.setattr(homology, "_apparent_pairs", spy_pairs)
+        scale = float(np.median(pdist(pts))) if capped else None
+        rips_diagram(pts, max_scale=scale)
+        dmat, ii, jj, vals, cycle = seen["edges"]
+        ref_ii, ref_jj = filtration_edges(pts, min(scale or np.inf, enclosing_radius(dmat)))
+        assert ii.tolist() == ref_ii.tolist() and jj.tolist() == ref_jj.tolist()
+        assert vals.tobytes() == dmat[ref_ii, ref_jj].tobytes()
+        uniq = np.unique(vals)
+        rank, over = seen["ranks"]
+        assert rank.dtype == np.int32 and over == len(uniq)
+        assert rank.tolist() == np.searchsorted(uniq, dmat).tolist()
+        first, apparent = seen["pairs"]
+        ref_first, ref_apparent = int64_apparent_pairs(dmat, ii, jj, vals, cycle)
+        assert first.dtype == np.int64
+        assert first.tolist() == ref_first.tolist()
+        assert apparent.tolist() == ref_apparent.tolist()
+
+    def test_grids_hold_ties_and_duplicates(self):
+        grids = [p.values[0] for p in oracle_clouds() if p.id.startswith("grid")]
+        assert any(len(np.unique(p, axis=0)) < len(p) for p in grids)
+        assert all(len(np.unique(pdist(p))) < len(pdist(p)) for p in grids)
+
+
 class TestBettiAt:
     def test_unit_square_at_1_2(self):
         diagram = rips_diagram(SQUARE, max_scale=2.0)

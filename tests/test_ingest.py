@@ -3,11 +3,35 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import butter, freqz
 
+from topofeat import ingest
 from topofeat.ingest import (RawRecording, bandpass_filter, load_recording, save_recording,
                              segment, select_channels)
 
 TEN_TWENTY = ["Fz", "Cz", "Pz", "C3", "T3", "C4", "T4", "Fp1", "Fp2", "F3",
               "F4", "F7", "F8", "P3", "P4", "T5", "T6", "O1", "O2"]
+
+
+def cell_by_cell_load(path, rate=128.0):
+    """Oracle for ``load_recording``: ``float()`` on each cell of each line in turn."""
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    header = [h.strip() for h in lines[0].split(",")]
+    width = len(header)
+    rows = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        cells = ln.split(",")
+        if len(cells) != width:
+            raise ValueError(f"ragged rows: line {lineno} has {len(cells)} cells, expected {width}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ValueError(f"non-numeric cell at line {lineno}: {exc}") from None
+    data = np.asarray(rows, dtype=float).T.reshape(width, -1)
+    return RawRecording(header, data, rate, source_id=path.stem)
+
+
+def per_value_lines(header, data):
+    """Oracle for the CSV writers: ``repr(float(v))`` of each value in turn."""
+    return [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in data]
 
 
 def write_csv(path, header, rows):
@@ -35,6 +59,43 @@ class TestLoadRecording:
         p.write_text("a,b\n1,x\n")
         with pytest.raises(ValueError, match="non-numeric"):
             load_recording(p)
+
+    EDGE_CELLS = ["-0.0", "5e-324", "1.7976931348623157e308", " 2.5 ", "+3", "1_000",
+                  "0.10000000000000001", "-2.2250738585072014e-308", "1e-320", "7"]
+
+    def test_every_cell_parses_as_float_does(self, tmp_path, rng):
+        seventeen = [f"{v:.17g}" for v in rng.normal(size=30) * 10.0 ** rng.integers(-8, 8, 30)]
+        cells = self.EDGE_CELLS + seventeen
+        p = tmp_path / "rec.csv"
+        p.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in zip(cells, cells[::-1])))
+        got, ref = load_recording(p, rate=32.0), cell_by_cell_load(p, rate=32.0)
+        assert got.channels == ref.channels and got.source_id == ref.source_id == "rec"
+        assert got.data.shape == ref.data.shape == (2, len(cells))
+        assert got.data.tobytes() == ref.data.tobytes()
+        assert got.data.strides == ref.data.strides
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2,3\n4\n", "ragged rows: line 2 has 3 cells"),  # right total, ragged rows
+        ("a,b\n1,2\n3\n", "ragged rows: line 3 has 1 cells"),
+        ("a,b\n1,2\n\n3,x\n", "non-numeric cell at line 3: could not convert string to float: 'x'"),
+        ("a,b\n1,x\n1,2,3\n", "non-numeric cell at line 2"),  # first bad line wins
+        ("a,b\n1,2,3\n1,x\n", "ragged rows: line 2"),
+        ("a,b\n1,2\n3, \n", "non-numeric cell at line 3"),
+    ], ids=["total_right", "short_row", "bad_cell_after_blank", "bad_cell_then_ragged",
+            "ragged_then_bad_cell", "blank_cell"])
+    def test_bad_line_named_as_cell_by_cell(self, tmp_path, text, message):
+        p = tmp_path / "rec.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message) as got:
+            load_recording(p)
+        with pytest.raises(ValueError) as ref:
+            cell_by_cell_load(p)
+        assert str(got.value) == str(ref.value)
+
+    def test_header_only_gives_no_samples(self, tmp_path):
+        p = tmp_path / "rec.csv"
+        p.write_text("a,b,c\n")
+        assert load_recording(p).data.shape == (3, 0)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -107,6 +168,23 @@ class TestBandpass:
             bandpass_filter(rec, 0.5, 70.0, 4)
         with pytest.raises(ValueError):
             bandpass_filter(rec, 50.0, 0.5, 4)
+
+    def test_coefficients_designed_once_read_only(self):
+        first = ingest._bandpass_coefficients(4, 0.5 / 64, 50.0 / 64)
+        assert ingest._bandpass_coefficients(4, 0.5 / 64, 50.0 / 64) is first
+        for got, fresh in zip(first, butter(4, [0.5 / 64, 50.0 / 64], btype="band")):
+            assert not got.flags.writeable
+            assert got.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            first[0][0] = 0.0
+
+    def test_cold_and_warm_coefficients_filter_alike(self, rng):
+        rec = RawRecording(["c", "d"], rng.normal(size=(2, 700)), self.RATE)
+        ingest._bandpass_coefficients.cache_clear()
+        cold = bandpass_filter(rec, 0.5, 50.0, 4).data
+        warm = bandpass_filter(rec, 0.5, 50.0, 4).data
+        assert ingest._bandpass_coefficients.cache_info().hits >= 1
+        assert cold.tobytes() == warm.tobytes()
 
     def test_odd_order(self):
         rec = RawRecording(["c"], np.zeros((1, 100)), self.RATE)
@@ -185,3 +263,5 @@ class TestRecordingIO:
         loaded = load_recording(tmp_path / "subj.csv", rate=32.0)
         assert loaded.channels == ["a", "b"] and loaded.source_id == "subj"
         assert loaded.data.tobytes() == data.tobytes()
+        lines = (tmp_path / "subj.csv").read_text().splitlines()
+        assert lines == per_value_lines(["a", "b"], data.T)

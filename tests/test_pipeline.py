@@ -13,10 +13,10 @@ from topofeat.embedding import estimate_embedding_params
 from topofeat.fileio import write_atomic
 from topofeat.homology import rips_diagram
 from topofeat.ingest import bandpass_filter, load_recording, segment
-from topofeat.pipeline import (StageError, load_subject_diagrams, run_pipeline, stage_classify,
-                               stage_denoise, stage_embed, stage_filter, stage_ingest,
-                               stage_persist, stage_synth, stage_vectorize, sweep_weights,
-                               vectorize_features)
+from topofeat.pipeline import (StageError, cut_recording, load_subject_diagrams, run_pipeline,
+                               stage_classify, stage_denoise, stage_embed, stage_filter,
+                               stage_ingest, stage_persist, stage_synth, stage_vectorize,
+                               sweep_weights, vectorize_features)
 
 # Method constants that are not config keys; a config file that sets one is rejected.
 RETIRED_KEYS = ["ami_max_lag", "fnn_m_max", "knot_mode", "knot_quantile",
@@ -306,6 +306,71 @@ def ingest_input(tmp_path, rng, labels_text):
     (src / "labels.csv").write_text(labels_text)
     return tiny_config(tmp_path / "out", input_dir=str(src), rate=25.0,
                        window_sec=2.0, band_low=0.5, band_high=10.0)
+
+
+def edited_after_first_read(monkeypatch, path, edited):
+    """Patch every read of ``path``: the first returns the file, each later one ``edited``.
+
+    Returns the list of reads made, ``"bytes"`` or ``"text"`` each.
+    """
+    reads = []
+    read_bytes, read_text = Path.read_bytes, Path.read_text
+
+    def fake_bytes(self):
+        if self != path:
+            return read_bytes(self)
+        reads.append("bytes")
+        return read_bytes(self) if len(reads) == 1 else edited.encode()
+
+    def fake_text(self, *args, **kwargs):
+        if self != path:
+            return read_text(self, *args, **kwargs)
+        reads.append("text")
+        return read_text(self, *args, **kwargs) if len(reads) == 1 else edited
+
+    monkeypatch.setattr(Path, "read_bytes", fake_bytes)
+    monkeypatch.setattr(Path, "read_text", fake_text)
+    return reads
+
+
+def zeroed_first_row(path):
+    header, first, rest = path.read_text().split("\n", 2)
+    return f"{header}\n{','.join('0.0' for _ in first.split(','))}\n{rest}"
+
+
+def segment_bytes(segments):
+    return [(s.source_id, s.index, s.channels, s.data.tobytes()) for s in segments]
+
+
+class TestReadOnce:
+    """A recording is read once per cut: the bytes hashed are the bytes cut."""
+
+    def test_cut_parses_the_bytes_it_hashed(self, tmp_path, rng, monkeypatch):
+        cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
+        path = tmp_path / "src" / "s0.csv"
+        sha = hashlib.sha256(path.read_bytes()).hexdigest()
+        expected = segment_bytes(cut_recording(path, cfg, sha))
+        reads = edited_after_first_read(monkeypatch, path, zeroed_first_row(path))
+        assert segment_bytes(cut_recording(path, cfg, sha)) == expected
+        assert reads == ["bytes"]
+
+    def test_ingest_hashes_the_bytes_it_cut(self, tmp_path, rng, monkeypatch):
+        cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
+        path = tmp_path / "src" / "s0.csv"
+        sha = hashlib.sha256(path.read_bytes()).hexdigest()
+        reads = edited_after_first_read(monkeypatch, path, zeroed_first_row(path))
+        manifest = json.loads(stage_ingest(cfg).read_text())
+        assert manifest["recordings"]["s0"] == sha
+        assert reads == ["bytes"]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_cut_reads_line_endings_as_read_text_does(self, tmp_path, rng, newline):
+        cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
+        path = tmp_path / "src" / "s0.csv"
+        expected = segment_bytes(cut_recording(path, cfg))
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        assert segment_bytes(cut_recording(path, cfg)) == expected
+        assert load_recording(path, cfg.rate).data.shape == (2, 100)
 
 
 class TestIngestStage:

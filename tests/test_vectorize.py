@@ -148,6 +148,8 @@ class TestPersistenceImage:
         rows = [[float(v) for v in ln.split(",")]
                 for ln in (tmp_path / "img.csv").read_text().strip().splitlines()]
         assert np.allclose(np.array(rows), img.pixels)
+        per_value = [",".join(repr(float(v)) for v in row) for row in img.pixels]
+        assert (tmp_path / "img.csv").read_text() == "\n".join(per_value) + "\n"
 
 
 class TestLandscape:
