@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end synthetic experiment: pipeline run, descriptor comparison, controls.
 
-Generates the two-class dataset, runs every stage, then re-vectorises the
-subject diagrams in memory with each descriptor and reports ACC/SE/SP, plus a
-label-permutation control for the headline persistence-image features.
+Generates the two-class dataset (unless ``--out`` already holds a cohort),
+runs every stage, then re-vectorises the subject diagrams in memory with each
+descriptor and reports ACC/SE/SP, plus a label-permutation control for the
+headline persistence-image features.
 """
 
 import argparse
@@ -17,7 +18,9 @@ import numpy as np
 
 from topofeat.classify import LabeledDataset, load_features_csv
 from topofeat.config import PipelineConfig
-from topofeat.pipeline import evaluate, load_subject_diagrams, run_pipeline, vectorize_features
+from topofeat.fileio import write_atomic
+from topofeat.pipeline import (evaluate, load_subject_diagrams, run_pipeline, stage_synth,
+                               vectorize_features)
 
 
 def descriptor_report(cfg: PipelineConfig, diagrams, labels, descriptor: str):
@@ -26,7 +29,7 @@ def descriptor_report(cfg: PipelineConfig, diagrams, labels, descriptor: str):
     return evaluate(LabeledDataset(features, y, ids), sub)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out_synthetic")
     ap.add_argument("--subjects", type=int, default=40)
@@ -35,12 +38,14 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--folds", type=int, default=10)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     t0 = time.time()
     cfg = PipelineConfig(out_dir=args.out, seed=args.seed, jobs=args.jobs, folds=args.folds)
-    report = run_pipeline(cfg, synth=True, n_subjects=args.subjects,
-                          segments_per_subject=args.segments, n_channels=args.channels)
+    if not (Path(args.out) / "manifest.json").exists():
+        stage_synth(cfg, n_subjects=args.subjects, segments_per_subject=args.segments,
+                    n_channels=args.channels)
+    report = run_pipeline(cfg)
     print(f"[{time.time() - t0:6.0f}s] pipeline (pi): "
           f"acc={report.acc:.4f} se={report.se:.4f} sp={report.sp:.4f}")
 
@@ -59,8 +64,8 @@ def main() -> int:
     summary["permuted_control"] = {"acc": null.acc}
     print(f"[{time.time() - t0:6.0f}s] label-permuted control: acc={null.acc:.4f}")
 
-    (Path(args.out) / "experiment_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_atomic(Path(args.out) / "experiment_summary.json",
+                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -3,7 +3,8 @@
 from .cloud import PointCloud
 from .classify import EvalReport, LabeledDataset, kfold_cv, metrics, predict, train_svm
 from .config import PipelineConfig, load_config
-from .denoise import CenterSet, MassParams, dtm, kpdtm_eval, kpdtm_fit, prune_cloud, remap_multichannel
+from .denoise import (CenterSet, MassParams, dtm_profile, kpdtm_eval, kpdtm_fit, prune_cloud,
+                      remap_multichannel)
 from .diagrams import BandwidthSpec, filter_by_density, merge_diagrams, mkde_density
 from .embedding import (EmbeddingParams, average_mutual_information, delay_embed,
                         false_nearest_neighbors, first_minimum_lag)

@@ -11,9 +11,9 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .config import DESCRIPTORS, KERNELS, PipelineConfig, load_config
+from .fileio import write_atomic
 from .pipeline import (StageError, run_pipeline, stage_classify, stage_denoise,
                        stage_embed, stage_filter, stage_ingest, stage_persist,
                        stage_synth, stage_vectorize, sweep_weights)
@@ -130,19 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-search", dest="grid_search", action="store_true", default=None)
     p.add_argument("--report", help="also copy the report JSON here")
 
-    p = sub.add_parser("run", help="run every stage end to end")
+    p = sub.add_parser("run", help="run every stage end to end (ingest unless --out has a manifest)")
     _add_common(p)
     p.add_argument("--input", dest="input_dir")
     p.add_argument("--rate", type=float)
     p.add_argument("--channels", help="comma-separated channel names to keep")
     p.add_argument("--window-sec", type=float)
-    p.add_argument("--synth", action="store_true", help="generate synthetic data instead of ingesting")
-    p.add_argument("--subjects", type=int, default=40)
-    p.add_argument("--segments", type=int, default=10)
-    p.add_argument("--channels-n", type=int, default=6)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--amp-low", type=float, default=0.55)
-    p.add_argument("--amp-high", type=float, default=1.0)
     p.add_argument("--descriptor", choices=DESCRIPTORS)
     p.add_argument("--folds", type=int)
     p.add_argument("--kernel", choices=KERNELS)
@@ -199,19 +192,16 @@ def main(argv=None) -> int:
         elif args.command == "classify":
             report = stage_classify(cfg, features_path=args.features)
             if args.report:
-                Path(args.report).write_text(report.to_json())
+                write_atomic(args.report, report.to_json())
             print(f"acc={report.acc:.4f} se={report.se:.4f} sp={report.sp:.4f}")
         elif args.command == "run":
-            report = run_pipeline(cfg, synth=args.synth, n_subjects=args.subjects,
-                                  segments_per_subject=args.segments,
-                                  n_channels=args.channels_n, noise_a=args.noise,
-                                  amp_low=args.amp_low, amp_high=args.amp_high)
+            report = run_pipeline(cfg)
             print(f"acc={report.acc:.4f} se={report.se:.4f} sp={report.sp:.4f}")
         elif args.command == "sweep":
             grid = sweep_weights(cfg, args.plateau_values, args.junction_values)
             text = json.dumps(grid, indent=2, sort_keys=True) + "\n"
             if args.table:
-                Path(args.table).write_text(text)
+                write_atomic(args.table, text)
             for row in grid:
                 print(f"plateau={row['plateau']} junction={row['junction']}: "
                       f"acc={row['acc']:.4f} se={row['se']:.4f} sp={row['sp']:.4f}")

@@ -1,6 +1,6 @@
 """Distance-to-measure scores, their k-center approximation, and pruning.
 
-``dtm`` averages over the q nearest sample points, which makes it robust to
+``dtm_profile`` averages over the q nearest sample points, which makes it robust to
 individual outliers.  ``kpdtm_fit`` approximates the same field with k
 centers carrying a (mean, variance) pair each, fitted by alternating
 minimisation of the summed score.  Pruning then removes the points with the
@@ -119,27 +119,13 @@ def _nearest_mass_stats(queries: np.ndarray, cloud: np.ndarray, q: int, fast: bo
     return means, spread
 
 
-def dtm(cloud, query, q: int) -> float:
-    """Squared-distance-like score of a query against the empirical measure.
+def dtm_profile(cloud, queries, q: int) -> np.ndarray:
+    """Squared-distance-like score of each query against the empirical measure.
 
     Equal to ||query - m||^2 + v with m the centroid of the q nearest cloud
     points and v their mean squared deviation from m.  With q = 1 this is
     the squared nearest-neighbour distance.
     """
-    pts = _as_points(cloud)
-    if len(pts) == 0:
-        raise ValueError("empty cloud")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if q > len(pts):
-        raise ValueError("q exceeds cloud size")
-    qv = np.asarray(query, dtype=float).reshape(1, -1)
-    m, v = _nearest_mass_stats(qv, pts, q)
-    return float(np.sum((qv[0] - m[0]) ** 2) + v[0])
-
-
-def dtm_profile(cloud, queries, q: int) -> np.ndarray:
-    """Vectorised ``dtm`` over many queries."""
     pts = _as_points(cloud)
     if q < 1:
         raise ValueError("q must be >= 1")

@@ -309,28 +309,23 @@ def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndar
     return feats
 
 
-def rips_diagram(points: np.ndarray, max_scale: float | None = None) -> PersistenceDiagram:
+def rips_diagram(points: np.ndarray) -> PersistenceDiagram:
     """H0/H1 persistence of the Rips filtration, without listing triangles.
 
-    ``max_scale`` defaults to the cloud diameter.  Internally the scale is
-    capped at the enclosing radius, which provably leaves the diagram
-    unchanged once zero-persistence pairs are dropped.  Non-finite
-    coordinates and a ``max_scale`` that is not positive raise ValueError.
+    The filtration stops at the enclosing radius, which provably leaves the
+    diagram of the full filtration unchanged once zero-persistence pairs are
+    dropped.  Non-finite coordinates raise ValueError.
     """
     pts = _as_points(points)
     if pts.ndim != 2 or len(pts) == 0:
         raise ValueError("point cloud must be a nonempty (n, d) array")
     if not np.isfinite(pts).all():
         raise ValueError("point cloud coordinates must be finite")
-    if max_scale is not None and not max_scale > 0:
-        raise ValueError("max_scale must be positive")
     n = len(pts)
     if n == 1:
         return PersistenceDiagram([(0, 0.0, INF)])
     dmat = squareform(pdist(pts))
-    if max_scale is None:
-        max_scale = float(dmat.max())
-    eff = min(float(max_scale), enclosing_radius(dmat))
+    eff = enclosing_radius(dmat)
 
     ii, jj = np.nonzero(np.triu(dmat <= eff, k=1))  # row-major: (i, j) ascending
     vals = dmat[ii, jj]

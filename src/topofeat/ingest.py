@@ -80,33 +80,38 @@ def _parse_recording(raw: bytes, rate: float, path: Path) -> RawRecording:
     Every cell goes through ``float()``: the body is checked for one cell
     count per line and then parsed in one ``map``.  Only when that fails are
     the lines scanned one by one, for the first ragged or non-numeric line.
-    Line numbers count the non-blank lines, the header being line 1.
+    Blank lines are skipped, the first other line is the header, and an
+    error names the line by its number in the file, blank lines included.
     """
     text = io.TextIOWrapper(io.BytesIO(raw)).read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = text.splitlines()
+    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if start is None:
         raise ValueError(f"empty recording file: {path}")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[start].split(",")]
     width = len(header)
-    body = lines[1:]
+    body = [ln for ln in lines[start + 1:] if ln.strip()]
     values = None
     if all(ln.count(",") == width - 1 for ln in body):
         with contextlib.suppress(ValueError):
             values = list(map(float, ",".join(body).split(","))) if body else []
     if values is None:
-        raise _first_bad_line(body, width)
+        raise _first_bad_line(lines, start + 1, width)
     data = np.array(values).reshape(-1, width).T
     if not np.all(np.isfinite(data)):
         raise ValueError("recording contains non-finite values")
     return RawRecording(header, data, rate, source_id=path.stem)
 
 
-def _first_bad_line(body: list[str], width: int) -> ValueError:
-    """The error for the first line of ``body`` that is ragged or holds a non-numeric cell.
+def _first_bad_line(lines: list[str], first: int, width: int) -> ValueError:
+    """The error for the first non-blank line from ``lines[first]`` on that is
+    ragged or holds a non-numeric cell, named by its 1-based number in ``lines``.
 
-    ``body`` must hold such a line.
+    There must be such a line.
     """
-    for lineno, ln in enumerate(body, start=2):
+    for lineno, ln in enumerate(lines[first:], start=first + 1):
+        if not ln.strip():
+            continue
         cells = ln.split(",")
         if len(cells) != width:
             return ValueError(f"ragged rows: line {lineno} has {len(cells)} cells, expected {width}")

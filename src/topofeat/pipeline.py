@@ -10,8 +10,8 @@ offending file.
 Layout under ``out_dir``:
 
     input/                         synthetic recordings + labels.csv (synth only)
-    manifest.json                  input dir, ingest settings, recording sha256s, segments
-    labels.csv                     subject_id,label
+    manifest.json                  input dir, cut settings; per recording its label,
+                                   segment count and sha256
     params.json                    embedding parameters in effect
     joint/<sid>_<idx>.csv          denoised joint clouds
     diagrams/<sid>_<idx>.csv       per-segment persistence diagrams
@@ -74,10 +74,30 @@ def _out(cfg: PipelineConfig) -> Path:
 
 
 def _manifest(cfg: PipelineConfig) -> dict:
+    """The cohort as ingest recorded it, refusing any other layout:
+
+        {"input_dir", "settings", "recordings": {sid: {"label", "segments", "sha256"}}}
+    """
     path = _out(cfg) / "manifest.json"
     if not path.exists():
         raise StageError("ingest", "manifest.json missing; run the ingest or synth stage first", path)
-    return json.loads(path.read_text())
+    manifest = json.loads(path.read_text())
+    try:
+        current = (manifest.keys() == {"input_dir", "settings", "recordings"}
+                   and manifest["settings"].keys() == set(CUT_FIELDS)
+                   and all(r.keys() == {"label", "segments", "sha256"}
+                           for r in manifest["recordings"].values()))
+    except AttributeError:  # a list or a string where this layout has a mapping
+        current = False
+    if not current:
+        raise StageError("ingest", "manifest.json is in an older layout; run the ingest stage again",
+                         path)
+    return manifest
+
+
+def _segment_name(sid: str, index: int) -> str:
+    """File name of a segment's joint cloud and of its diagram."""
+    return f"{sid}_{index:04d}.csv"
 
 
 def _labels(path: Path) -> dict[str, int]:
@@ -131,10 +151,13 @@ def _cut(raw: bytes, path: Path, cfg: PipelineConfig) -> list[Segment]:
 # --------------------------------------------------------------------- ingest
 
 def stage_ingest(cfg: PipelineConfig) -> Path:
-    """Check and cut every recording of input_dir, then write labels.csv and manifest.json.
+    """Check and cut every recording of input_dir, then write manifest.json.
 
     input_dir holds one ``<subject_id>.csv`` per recording plus a
     ``labels.csv`` (subject_id,label) that labels exactly those subjects.
+    Every recording must hold at least one window.  Nothing is written
+    until all have passed; the manifest then records, per recording, its
+    label, segment count and sha256.
     """
     validate_config(cfg)
     src = Path(cfg.input_dir)
@@ -150,24 +173,24 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
     if unrecorded:
         raise StageError("ingest", f"no recording for labelled subject(s) {unrecorded}",
                          label_file)
-    entries, hashes = [], {}
+    if not recordings:
+        raise StageError("ingest", "no recordings in the input directory", src)
+    cohort = {}
     for rec_path in recordings:
         try:
             raw = rec_path.read_bytes()
             segs = _cut(raw, rec_path, cfg)
         except Exception as exc:
             raise StageError("ingest", str(exc), rec_path) from exc
-        hashes[rec_path.stem] = hashlib.sha256(raw).hexdigest()
-        entries.extend({"source_id": s.source_id, "index": s.index, "window": s.window,
-                        "channels": s.channels} for s in segs)
-    if not entries:
-        raise StageError("ingest", "no segments produced (recordings shorter than one window?)")
-    manifest = {"input_dir": str(src.resolve()), "segments": entries,
-                "settings": {name: getattr(cfg, name) for name in CUT_FIELDS},
-                "recordings": hashes}
+        if not segs:
+            raise StageError("ingest", f"recording {rec_path.stem!r} is shorter than one window "
+                                       f"of {cfg.window_samples()} samples", rec_path)
+        cohort[rec_path.stem] = {"label": labels[rec_path.stem], "segments": len(segs),
+                                 "sha256": hashlib.sha256(raw).hexdigest()}
+    manifest = {"input_dir": str(src.resolve()), "recordings": cohort,
+                "settings": {name: getattr(cfg, name) for name in CUT_FIELDS}}
     out = _out(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    write_atomic(out / "labels.csv", label_file.read_text())
     write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return out / "manifest.json"
 
@@ -205,11 +228,11 @@ def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
         d = json.loads(params_path.read_text())
         return EmbeddingParams(d["m"], d["tau"])
     if cfg.auto_params:
-        sid = min(e["source_id"] for e in manifest["segments"])
+        sid = min(manifest["recordings"])
         path = Path(manifest["input_dir"], f"{sid}.csv")
         try:
             first = cut_recording(path, replace(cfg, **manifest["settings"]),
-                                  manifest["recordings"][sid])[0].data
+                                  manifest["recordings"][sid]["sha256"])[0].data
             params = estimate_embedding_params(list(first), bins=cfg.ami_bins,
                                                rtol=cfg.fnn_rtol, atol=cfg.fnn_atol)
         except Exception as exc:
@@ -249,18 +272,20 @@ def _segment_jobs(cfg: PipelineConfig, manifest: dict, stage: str,
     """One job per recording with a segment that lacks its joint cloud or its
     diagram; with no ``embedding`` to denoise with, a missing joint cloud is an error."""
     out = _out(cfg)
+    recordings = manifest["recordings"]
     todo: dict[str, dict[int, tuple[Path, Path]]] = {}
-    for entry in manifest["segments"]:
-        name = f"{entry['source_id']}_{entry['index']:04d}.csv"
-        joint, diagram = out / "joint" / name, out / "diagrams" / name
-        if embedding is None and not joint.exists():
-            raise StageError(stage, "joint cloud missing; run the denoise stage", joint)
-        if not (joint.exists() and diagram.exists()):
-            todo.setdefault(entry["source_id"], {})[entry["index"]] = joint, diagram
+    for sid, rec in recordings.items():
+        for index in range(rec["segments"]):
+            name = _segment_name(sid, index)
+            joint, diagram = out / "joint" / name, out / "diagrams" / name
+            if embedding is None and not joint.exists():
+                raise StageError(stage, "joint cloud missing; run the denoise stage", joint)
+            if not (joint.exists() and diagram.exists()):
+                todo.setdefault(sid, {})[index] = joint, diagram
     for stage_dir in ("joint", "diagrams"):
         (out / stage_dir).mkdir(exist_ok=True)
     cut_cfg = replace(cfg, **manifest["settings"])
-    return [(Path(manifest["input_dir"], f"{sid}.csv"), manifest["recordings"][sid], paths,
+    return [(Path(manifest["input_dir"], f"{sid}.csv"), recordings[sid]["sha256"], paths,
              cut_cfg, embedding, stage) for sid, paths in todo.items()]
 
 
@@ -308,24 +333,18 @@ def stage_filter(cfg: PipelineConfig, emit_density=None) -> None:
     """Merge per-subject diagrams and drop the lowest-density fraction."""
     validate_config(cfg)
     out = _out(cfg)
-    entries = _manifest(cfg)["segments"]
-    labels = _labels(out / "labels.csv")
+    recordings = _manifest(cfg)["recordings"]
     sd_dir = out / "subject_diagrams"
     sd_dir.mkdir(exist_ok=True)
-    subjects: dict[str, list[Path]] = {}
-    for entry in entries:
-        subjects.setdefault(entry["source_id"], []).append(
-            out / "diagrams" / f"{entry['source_id']}_{entry['index']:04d}.csv")
     spec = parse_bandwidth(cfg.bandwidth)
     density_rows = []
-    for sid in sorted(subjects):
-        if sid not in labels:
-            raise StageError("filter", f"subject {sid} missing from labels.csv")
+    for sid in sorted(recordings):
         target = sd_dir / f"{sid}.csv"
         if target.exists() and emit_density is None:
             continue
         diagrams = []
-        for p in subjects[sid]:
+        for index in range(recordings[sid]["segments"]):
+            p = out / "diagrams" / _segment_name(sid, index)
             if not p.exists():
                 raise StageError("filter", "segment diagram missing; run the denoise stage", p)
             diagrams.append(PersistenceDiagram.from_csv(p))
@@ -343,19 +362,20 @@ def stage_filter(cfg: PipelineConfig, emit_density=None) -> None:
                                 for (b, d), v in zip(points, dens))
         filter_by_density(points, dens, cfg.keep_fraction).to_csv(target)
     if emit_density is not None:
-        Path(emit_density).write_text("subject_id,birth,death,density\n"
-                                      + "\n".join(density_rows) + "\n")
+        write_atomic(emit_density, "subject_id,birth,death,density\n"
+                     + "\n".join(density_rows) + "\n")
 
 
 # ---------------------------------------------------------------- vectorize
 
 def load_subject_diagrams(cfg: PipelineConfig) -> tuple[dict[str, PersistenceDiagram],
                                                          dict[str, int]]:
-    """Filtered diagram and label of every labelled subject, in subject order."""
+    """Filtered diagram and label of every subject, in subject order."""
     sd_dir = _out(cfg) / "subject_diagrams"
-    labels = _labels(_out(cfg) / "labels.csv")
+    recordings = _manifest(cfg)["recordings"]
+    labels = {sid: recordings[sid]["label"] for sid in sorted(recordings)}
     diagrams = {}
-    for sid in sorted(labels):
+    for sid in labels:
         p = sd_dir / f"{sid}.csv"
         if not p.exists():
             raise StageError("vectorize", "subject diagram missing; run the filter stage", p)
@@ -480,15 +500,15 @@ def stage_classify(cfg: PipelineConfig, features_path=None) -> EvalReport:
 
 # ---------------------------------------------------------------------- run
 
-def run_pipeline(cfg: PipelineConfig, synth: bool = False, **synth_kwargs) -> EvalReport:
-    """Execute every stage in order; returns the final evaluation report."""
+def run_pipeline(cfg: PipelineConfig) -> EvalReport:
+    """Execute every stage in order; returns the final evaluation report.
+
+    Ingest runs only when ``out_dir`` holds no manifest.json yet; a cohort
+    that ``stage_synth`` (or an earlier ingest) recorded there is used as is.
+    """
     validate_config(cfg)
-    out = _out(cfg)
-    if not (out / "manifest.json").exists():
-        if synth:
-            stage_synth(cfg, **synth_kwargs)
-        else:
-            stage_ingest(cfg)
+    if not (_out(cfg) / "manifest.json").exists():
+        stage_ingest(cfg)
     stage_embed(cfg)
     stage_denoise(cfg)
     stage_filter(cfg)

@@ -21,7 +21,8 @@ from topofeat.config import PipelineConfig
 from topofeat.denoise import MassParams, dtm_profile, kpdtm_eval, kpdtm_fit, prune_cloud
 from topofeat.diagrams import BandwidthSpec, filter_by_density, mkde_density
 from topofeat.homology import betti_at, rips_diagram
-from topofeat.pipeline import evaluate, load_subject_diagrams, run_pipeline, vectorize_features
+from topofeat.pipeline import (evaluate, load_subject_diagrams, run_pipeline, stage_synth,
+                               vectorize_features)
 from topofeat.reference import brute_force_betti, rips_filtration
 from topofeat.synth import SynthSpec, gen_cloud
 from topofeat.vectorize import WeightParams, persistence_image, weight_fn
@@ -38,8 +39,8 @@ def synthetic_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_run")
     cfg = PipelineConfig(out_dir=str(out), seed=0, jobs=4)
     t0 = time.time()
-    rep = run_pipeline(cfg, synth=True, n_subjects=40, segments_per_subject=10,
-                       n_channels=6)
+    stage_synth(cfg, n_subjects=40, segments_per_subject=10, n_channels=6)
+    rep = run_pipeline(cfg)
     return cfg, rep, time.time() - t0
 
 
@@ -85,7 +86,7 @@ def test_criterion_03_circle_and_square():
     circle_ok = pers[0] > 5 * runner_up
 
     square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    sq_bars = rips_diagram(square, max_scale=2.0).bars(1)
+    sq_bars = rips_diagram(square).bars(1)
     square_ok = (sq_bars.shape == (1, 2)
                  and abs(sq_bars[0, 0] - 1.0) < 1e-9
                  and abs(sq_bars[0, 1] - math.sqrt(2)) < 1e-9)

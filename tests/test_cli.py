@@ -1,13 +1,16 @@
 import argparse
 import json
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from topofeat.cli import _base_config, build_parser, main
+from topofeat.cloud import PointCloud
 from topofeat.config import PipelineConfig
 from topofeat.embedding import estimate_embedding_params
 from topofeat.ingest import bandpass_filter, load_recording, segment
@@ -26,9 +29,8 @@ OPTION_STRINGS = {
                            "--junction", "--ramp-start", "--ramp-end"],
     "classify": COMMON + ["--features", "--kernel", "--C", "--gamma", "--folds",
                           "--grid-search", "--report"],
-    "run": COMMON + ["--input", "--rate", "--channels", "--window-sec", "--synth", "--subjects",
-                     "--segments", "--channels-n", "--noise", "--amp-low", "--amp-high",
-                     "--descriptor", "--folds", "--kernel", "--grid-search"],
+    "run": COMMON + ["--input", "--rate", "--channels", "--window-sec", "--descriptor", "--folds",
+                     "--kernel", "--grid-search"],
     "sweep": COMMON + ["--plateau-values", "--junction-values", "--folds", "--kernel",
                        "--grid-search", "--table"],
     "plot": ["-h", "--help", "--artifact", "--type", "--output"],
@@ -70,6 +72,16 @@ class TestSurface:
 
     def test_no_unpinned_subcommand(self):
         assert set(subcommands()) == set(OPTION_STRINGS)
+
+    def test_readme_cli_block_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI\n", 1)[1].split("```\n", 2)[1]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.replace("\\\n", " ").splitlines()]
+        assert {argv[1] for argv in commands} == set(OPTION_STRINGS)
+        for argv in commands:
+            assert argv[0] == "topofeat"
+            build_parser().parse_args(argv[1:])
 
     def test_every_config_field_is_a_flag(self):
         dests = {a.dest for p in subcommands().values() for a in p._actions}
@@ -175,7 +187,10 @@ class TestRun:
         assert run_cli("run", "--config", str(cfgfile), "--input", str(src), "--out", str(out),
                        "--channels", "Fz,C3") == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert {tuple(e["channels"]) for e in manifest["segments"]} == {("Fz", "C3")}
+        assert manifest["settings"]["channels"] == "Fz,C3"
+        joints = list((out / "joint").glob("*.csv"))
+        assert joints  # m = 2 coordinates for each of the two kept channels:
+        assert {PointCloud.from_csv(p).points.shape[1] for p in joints} == {2 * 2}
         assert (out / "report.json").exists()
 
 

@@ -6,7 +6,7 @@ from scipy.spatial.distance import cdist
 
 from topofeat import denoise
 from topofeat.cloud import PointCloud
-from topofeat.denoise import (CenterSet, MassParams, _fit_scores, _nearest_mass_stats, dtm,
+from topofeat.denoise import (CenterSet, MassParams, _fit_scores, _nearest_mass_stats,
                               dtm_profile, kpdtm_eval, kpdtm_fit, kpdtm_objective,
                               prune_cloud, remap_multichannel)
 from topofeat.synth import SynthSpec, gen_cloud
@@ -104,30 +104,31 @@ class TestDtm:
 
     def test_query_on_cloud_point(self, rng):
         pts = rng.normal(size=(30, 2))
-        assert dtm(pts, pts[7], 1) == 0.0
+        assert dtm_profile(pts, pts[7:8], 1).tolist() == [0.0]
 
     def test_hand_computed_line(self):
         cloud = np.array([[0.0], [2.0]])
-        assert dtm(cloud, [0.0], 2) == pytest.approx(2.0)
+        assert dtm_profile(cloud, [[0.0]], 2) == pytest.approx([2.0])
         assert brute_dtm(cloud, [0.0], 2) == pytest.approx(2.0)
 
     def test_matches_brute_oracle(self, rng):
         pts = rng.normal(size=(100, 4))
         for q in (1, 5, 17):
             for query in rng.normal(size=(10, 4)):
-                assert dtm(pts, query, q) == pytest.approx(brute_dtm(pts, query, q), abs=1e-10)
+                [val] = dtm_profile(pts, query[None, :], q)
+                assert val == pytest.approx(brute_dtm(pts, query, q), abs=1e-10)
 
     def test_empty_and_oversized(self, rng):
         with pytest.raises(ValueError):
-            dtm(np.empty((0, 2)), [0, 0], 1)
-        with pytest.raises(ValueError):
-            dtm(rng.normal(size=(5, 2)), [0, 0], 6)
+            dtm_profile(np.empty((0, 2)), [[0, 0]], 1)
+        with pytest.raises(ValueError, match="q exceeds cloud size"):
+            dtm_profile(rng.normal(size=(5, 2)), [[0, 0]], 6)
 
     @pytest.mark.parametrize("q", [0, -2])
     def test_q_below_one_rejected(self, rng, q):
         pts = rng.normal(size=(5, 2))
         with pytest.raises(ValueError, match="q must be"):
-            dtm(pts, [0, 0], q)
+            dtm_profile(pts, [[0, 0]], q)
         with pytest.raises(ValueError, match="q must be"):
             dtm_profile(pts, pts, q)
 

@@ -60,6 +60,13 @@ def joint_like_cloud(seed):
     return np.column_stack(cols) + rng.normal(scale=0.3, size=(140, 12))
 
 
+def cap_scale(monkeypatch, scale):
+    """Make ``rips_diagram`` stop its filtration at ``scale`` where that is below the
+    enclosing radius, so that it computes the diagram of a truncated filtration."""
+    radius = homology.enclosing_radius
+    monkeypatch.setattr(homology, "enclosing_radius", lambda dmat: min(scale, radius(dmat)))
+
+
 def filtration_edges(pts, scale):
     """Edges up to ``scale`` in the refined filtration order, as ``rips_diagram`` lists them."""
     dmat = squareform(pdist(pts))
@@ -152,11 +159,11 @@ class TestRipsDiagram:
             assert sorted(compute_persistence(filt).features) == \
                 sorted(rips_diagram(pts).features)
 
-    def test_matches_reference_route_capped_scale(self):
+    def test_matches_reference_route_capped_scale(self, monkeypatch):
         pts = circle_points(16)
         filt = rips_filtration(pts, max_scale=0.9)
-        assert sorted(compute_persistence(filt).features) == \
-            sorted(rips_diagram(pts, max_scale=0.9).features)
+        cap_scale(monkeypatch, 0.9)
+        assert sorted(compute_persistence(filt).features) == sorted(rips_diagram(pts).features)
 
     @pytest.mark.parametrize("kind", ["integer_grid", "joint_dimension"])
     def test_matches_reference_route_with_ties_and_12d(self, kind):
@@ -188,11 +195,6 @@ class TestRipsDiagram:
         pts[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             rips_diagram(pts)
-
-    @pytest.mark.parametrize("max_scale", [0.0, -1.0, np.nan])
-    def test_nonpositive_max_scale_rejected(self, max_scale):
-        with pytest.raises(ValueError, match="max_scale"):
-            rips_diagram(SQUARE[:3], max_scale=max_scale)
 
     def test_single_point(self):
         assert rips_diagram(np.zeros((1, 3))).features == [(0, 0.0, INF)]
@@ -294,17 +296,19 @@ class TestKruskalTree:
             merging = set(union_find_kruskal(n, ii, jj))
             assert cycle.tolist() == [e for e in range(len(ii)) if e not in merging]
 
-    def test_scale_below_smallest_gap_gives_n_essential_bars(self, rng):
+    def test_scale_below_smallest_gap_gives_n_essential_bars(self, rng, monkeypatch):
         pts = rng.normal(size=(12, 3))
         scale = float(pdist(pts).min()) / 2
-        diagram = rips_diagram(pts, max_scale=scale)
+        cap_scale(monkeypatch, scale)
+        diagram = rips_diagram(pts)
         assert diagram.features == [(0, 0.0, INF)] * 12
         ref = compute_persistence(rips_filtration(pts, max_scale=scale))
         assert sorted(ref.features) == sorted(diagram.features)
 
-    def test_two_clusters_keep_two_essential_bars(self, rng):
+    def test_two_clusters_keep_two_essential_bars(self, rng, monkeypatch):
         pts = np.vstack([rng.normal(size=(10, 2)), rng.normal(size=(8, 2)) + 50.0])
-        diagram = rips_diagram(pts, max_scale=20.0)
+        cap_scale(monkeypatch, 20.0)
+        diagram = rips_diagram(pts)
         ref = compute_persistence(rips_filtration(pts, max_scale=20.0))
         assert sorted(ref.features) == sorted(diagram.features)
         assert diagram.features.count((0, 0.0, INF)) == 2
@@ -374,7 +378,9 @@ class TestEdgeOrderAndRanks:
         monkeypatch.setattr(homology, "_h1_features", spy_h1)
         monkeypatch.setattr(homology, "_apparent_pairs", spy_pairs)
         scale = float(np.median(pdist(pts))) if capped else None
-        rips_diagram(pts, max_scale=scale)
+        if capped:
+            cap_scale(monkeypatch, scale)
+        rips_diagram(pts)
         dmat, ii, jj, vals, cycle = seen["edges"]
         ref_ii, ref_jj = filtration_edges(pts, min(scale or np.inf, enclosing_radius(dmat)))
         assert ii.tolist() == ref_ii.tolist() and jj.tolist() == ref_jj.tolist()
@@ -397,7 +403,7 @@ class TestEdgeOrderAndRanks:
 
 class TestBettiAt:
     def test_unit_square_at_1_2(self):
-        diagram = rips_diagram(SQUARE, max_scale=2.0)
+        diagram = rips_diagram(SQUARE)
         assert betti_at(diagram, 1.2, 1) == 1
         assert betti_at(diagram, 1.5, 1) == 0
 

@@ -12,12 +12,16 @@ TEN_TWENTY = ["Fz", "Cz", "Pz", "C3", "T3", "C4", "T4", "Fp1", "Fp2", "F3",
 
 
 def cell_by_cell_load(path, rate=128.0):
-    """Oracle for ``load_recording``: ``float()`` on each cell of each line in turn."""
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    header = [h.strip() for h in lines[0].split(",")]
+    """Oracle for ``load_recording``: ``float()`` on each cell of each line in turn.
+
+    Blank lines are skipped but counted, so an error names the file's line.
+    """
+    numbered = [(i, ln) for i, ln in enumerate(path.read_text().splitlines(), start=1)
+                if ln.strip()]
+    header = [h.strip() for h in numbered[0][1].split(",")]
     width = len(header)
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in numbered[1:]:
         cells = ln.split(",")
         if len(cells) != width:
             raise ValueError(f"ragged rows: line {lineno} has {len(cells)} cells, expected {width}")
@@ -77,12 +81,14 @@ class TestLoadRecording:
     @pytest.mark.parametrize("text, message", [
         ("a,b\n1,2,3\n4\n", "ragged rows: line 2 has 3 cells"),  # right total, ragged rows
         ("a,b\n1,2\n3\n", "ragged rows: line 3 has 1 cells"),
-        ("a,b\n1,2\n\n3,x\n", "non-numeric cell at line 3: could not convert string to float: 'x'"),
+        ("a,b\n1,2\n\n3,x\n", "non-numeric cell at line 4: could not convert string to float: 'x'"),
+        ("a,b\n\n\n1,2,3\n", "ragged rows: line 4 has 3 cells"),
+        ("\n\na,b\n1,2\n \n\n3,x\n", "non-numeric cell at line 7"),
         ("a,b\n1,x\n1,2,3\n", "non-numeric cell at line 2"),  # first bad line wins
         ("a,b\n1,2,3\n1,x\n", "ragged rows: line 2"),
         ("a,b\n1,2\n3, \n", "non-numeric cell at line 3"),
-    ], ids=["total_right", "short_row", "bad_cell_after_blank", "bad_cell_then_ragged",
-            "ragged_then_bad_cell", "blank_cell"])
+    ], ids=["total_right", "short_row", "bad_cell_after_blank", "ragged_after_blanks",
+            "blanks_before_header", "bad_cell_then_ragged", "ragged_then_bad_cell", "blank_cell"])
     def test_bad_line_named_as_cell_by_cell(self, tmp_path, text, message):
         p = tmp_path / "rec.csv"
         p.write_text(text)

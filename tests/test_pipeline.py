@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import shutil
 from concurrent.futures import Future
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from topofeat.cli import main
 from topofeat.cloud import PointCloud
 from topofeat.config import PipelineConfig, load_config, validate_config
 from topofeat.embedding import estimate_embedding_params
@@ -23,6 +25,7 @@ RETIRED_KEYS = ["ami_max_lag", "fnn_m_max", "knot_mode", "knot_quantile",
                 "landscape_layers", "curve_bins"]
 
 TINY = dict(n_subjects=3, segments_per_subject=2, n_channels=2)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_config(out_dir, **overrides):
@@ -36,7 +39,8 @@ def tiny_config(out_dir, **overrides):
 def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny")
     cfg = tiny_config(out)
-    report = run_pipeline(cfg, synth=True, **TINY)
+    stage_synth(cfg, **TINY)
+    report = run_pipeline(cfg)
     return cfg, report
 
 
@@ -69,8 +73,9 @@ class TestConfig:
 
     def test_bad_bandwidth_fails_before_any_stage(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", bandwidth="bogus")
-        with pytest.raises(ValueError, match="bandwidth"):
-            run_pipeline(cfg, synth=True, **TINY)
+        for stage in (stage_synth, run_pipeline):
+            with pytest.raises(ValueError, match="bandwidth"):
+                stage(cfg)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -82,8 +87,9 @@ class TestConfig:
     def test_bad_size_fails_before_any_stage(self, tmp_path, field, value):
         # ramp start 2 is valid on its own; it makes weight_ramp_end = 2 out of order
         cfg = tiny_config(tmp_path / "out", **{"weight_ramp_start": 2.0, field: value})
-        with pytest.raises(ValueError, match=field):
-            run_pipeline(cfg, synth=True, **TINY)
+        for stage in (stage_synth, run_pipeline):
+            with pytest.raises(ValueError, match=field):
+                stage(cfg)
         assert not (tmp_path / "out").exists()
 
     def test_window_samples(self):
@@ -95,7 +101,7 @@ class TestStages:
         cfg, report = tiny_run
         out = Path(cfg.out_dir)
         assert (out / "manifest.json").exists()
-        assert (out / "labels.csv").exists()
+        assert not (out / "labels.csv").exists()
         assert (out / "params.json").exists()
         assert not (out / "clouds").exists()
         assert len(list((out / "joint").glob("*.csv"))) == 12
@@ -163,7 +169,7 @@ class TestStages:
         manifest = json.loads(stage_synth(cfg, **{**TINY, "n_subjects": 1}).read_text())
         assert sorted(p.name for p in (tmp_path / "out" / "input").iterdir()) == [
             "a000.csv", "b000.csv", "labels.csv"]
-        assert {e["source_id"] for e in manifest["segments"]} == {"a000", "b000"}
+        assert manifest["recordings"].keys() == {"a000", "b000"}
 
     def test_layout_matches_readme(self, tiny_run):
         cfg, _ = tiny_run
@@ -360,7 +366,7 @@ class TestReadOnce:
         sha = hashlib.sha256(path.read_bytes()).hexdigest()
         reads = edited_after_first_read(monkeypatch, path, zeroed_first_row(path))
         manifest = json.loads(stage_ingest(cfg).read_text())
-        assert manifest["recordings"]["s0"] == sha
+        assert manifest["recordings"]["s0"]["sha256"] == sha
         assert reads == ["bytes"]
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
@@ -376,10 +382,16 @@ class TestReadOnce:
 class TestIngestStage:
     def test_ingest_roundtrip(self, tmp_path, rng):
         cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
-        manifest = stage_ingest(cfg)
-        entries = json.loads(manifest.read_text())["segments"]
-        assert len(entries) == 4  # two 50-sample windows per recording
-        assert {e["source_id"] for e in entries} == {"s0", "s1"}
+        manifest = json.loads(stage_ingest(cfg).read_text())
+        src = tmp_path / "src"
+        assert manifest == {
+            "input_dir": str(src.resolve()),
+            "settings": {"rate": 25.0, "band_low": 0.5, "band_high": 10.0, "filter_order": 4,
+                         "apply_bandpass": True, "channels": "", "window_sec": 2.0},
+            "recordings": {sid: {"label": label, "segments": 2,  # two 50-sample windows
+                                 "sha256": digest(src / f"{sid}.csv")}
+                           for sid, label in (("s0", 0), ("s1", 1))}}
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
 
     @pytest.mark.parametrize("labels_text, message", [
         ("s0,0\ns1,1\n", "header"),
@@ -409,6 +421,17 @@ class TestIngestStage:
         assert err.value.file == str(victim)
         assert not (tmp_path / "out").exists()
 
+    def test_recording_shorter_than_a_window_writes_nothing(self, tmp_path, rng):
+        cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
+        victim = tmp_path / "src" / "s1.csv"
+        victim.write_text("\n".join(victim.read_text().splitlines()[:50]) + "\n")  # 49 samples
+        with pytest.raises(StageError, match="recording 's1' is shorter than one window "
+                                             "of 50 samples") as err:
+            stage_ingest(cfg)
+        assert err.value.stage == "ingest"
+        assert err.value.file == str(victim)
+        assert not (tmp_path / "out").exists()
+
     def test_band_edge_at_nyquist_fails_before_any_write(self, tmp_path, rng):
         cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
         with pytest.raises(ValueError, match=r"band_high must be below rate / 2 = 12.5 Hz"):
@@ -418,12 +441,54 @@ class TestIngestStage:
         assert (tmp_path / "out" / "manifest.json").exists()
 
 
+def old_layout(manifest, kind):
+    """The cohort of ``manifest`` as an older ingest recorded it: with a flat
+    segment list beside bare sha256 strings, or with the bare strings alone."""
+    old = {"input_dir": manifest["input_dir"], "settings": manifest["settings"],
+           "recordings": {sid: r["sha256"] for sid, r in manifest["recordings"].items()}}
+    if kind == "flat_segments":
+        old["segments"] = [{"source_id": sid, "index": i, "window": 256, "channels": ["x0", "x1"]}
+                           for sid, r in manifest["recordings"].items()
+                           for i in range(r["segments"])]
+    return old
+
+
+class TestManifest:
+    @pytest.mark.parametrize("kind", ["flat_segments", "bare_sha256"])
+    @pytest.mark.parametrize("stage", [stage_embed, stage_denoise, stage_persist, stage_filter,
+                                       load_subject_diagrams, run_pipeline],
+                             ids=lambda f: f.__name__)
+    def test_old_layout_asks_for_ingest(self, tiny_run, tmp_path, stage, kind):
+        cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"))
+        shutil.copytree(tiny_run[0].out_dir, cfg.out_dir)
+        path = Path(cfg.out_dir) / "manifest.json"
+        path.write_text(json.dumps(old_layout(json.loads(path.read_text()), kind)))
+        with pytest.raises(StageError, match="manifest.json is in an older layout; "
+                                             "run the ingest stage again") as err:
+            stage(cfg)
+        assert err.value.stage == "ingest"
+        assert err.value.file == str(path)
+
+    def test_recordings_drive_every_stage(self, tiny_run):
+        cfg, _ = tiny_run
+        out = Path(cfg.out_dir)
+        recordings = json.loads((out / "manifest.json").read_text())["recordings"]
+        assert {sid: (r["label"], r["segments"]) for sid, r in recordings.items()} == {
+            **{f"a{i:03d}": (1, 2) for i in range(3)}, **{f"b{i:03d}": (0, 2) for i in range(3)}}
+        assert sorted(p.name for p in (out / "diagrams").iterdir()) == [
+            f"{sid}_{i:04d}.csv" for sid in sorted(recordings) for i in range(2)]
+        diagrams, labels = load_subject_diagrams(cfg)
+        assert list(diagrams) == sorted(recordings)
+        assert labels == {sid: r["label"] for sid, r in recordings.items()}
+
+
 class TestJobs:
     def test_jobs_do_not_change_bytes(self, tmp_path):
         outputs = []
         for jobs in (1, 2):
             cfg = tiny_config(tmp_path / f"jobs{jobs}", jobs=jobs)
-            run_pipeline(cfg, synth=True, **TINY)
+            stage_synth(cfg, **TINY)
+            run_pipeline(cfg)
             out = Path(cfg.out_dir)
             files = sorted(out.glob("joint/*.csv")) + sorted(out.glob("diagrams/*.csv"))
             outputs.append({str(p.relative_to(out)): p.read_bytes()
@@ -473,8 +538,10 @@ class TestJobs:
         assert victim.read_bytes() == expected
 
     def test_run_starts_one_pool(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "out", jobs=2)
+        stage_synth(cfg, **TINY)
         sizes = self.record_pools(monkeypatch)
-        run_pipeline(tiny_config(tmp_path / "out", jobs=2), synth=True, **TINY)
+        run_pipeline(cfg)
         assert sizes == [2]
 
     def test_run_parses_no_joint_cloud(self, tmp_path, monkeypatch):
@@ -486,7 +553,9 @@ class TestJobs:
             return parse(path)
 
         monkeypatch.setattr(PointCloud, "from_csv", counting)
-        run_pipeline(tiny_config(tmp_path / "out"), synth=True, **TINY)
+        cfg = tiny_config(tmp_path / "out")
+        stage_synth(cfg, **TINY)
+        run_pipeline(cfg)
         assert len(list((tmp_path / "out" / "diagrams").glob("*.csv"))) == 12
         assert reads == []
 
@@ -511,19 +580,22 @@ class TestSweep:
         # flooding low-persistence points with plateau weight drags the
         # images toward the (class-shared) noise bulk; zeroing them wins
         cfg = PipelineConfig(out_dir=str(tmp_path / "sweep"), seed=5, folds=4, jobs=2)
-        run_pipeline(cfg, synth=True, n_subjects=8, segments_per_subject=4, n_channels=4)
+        stage_synth(cfg, n_subjects=8, segments_per_subject=4, n_channels=4)
+        run_pipeline(cfg)
         grid = {g["plateau"]: g["acc"] for g in sweep_weights(cfg, [0.0, 1.0], [3.0])}
         assert grid[0.0] >= grid[1.0]
 
 
 class TestAtomicWrites:
     @staticmethod
-    def cut_off_after_first_line(monkeypatch, directory=None):
-        """Make every text write (into ``directory``, if given) stop after its first line and fail."""
+    def cut_off_after_first_line(monkeypatch, directory=None, name=None):
+        """Make every text write (into ``directory``, and to a file whose name
+        holds ``name``, if given) stop after its first line and fail."""
         write = Path.write_text
 
         def cut_off(path, text, *args, **kwargs):
-            if directory is not None and path.parent.name != directory:
+            if (directory is not None and path.parent.name != directory
+                    or name is not None and name not in path.name):
                 return write(path, text, *args, **kwargs)
             write(path, text.split("\n", 1)[0] + "\n", *args, **kwargs)
             raise OSError("no space left on device")
@@ -556,3 +628,34 @@ class TestAtomicWrites:
         for joint in sorted((out / "joint").glob("*.csv")):
             expected = rips_diagram(PointCloud.from_csv(joint).points).to_csv_text()
             assert (out / "diagrams" / joint.name).read_text() == expected
+
+    @pytest.mark.parametrize("command", ["sweep", "classify", "filter", "experiment"])
+    def test_cli_and_script_outputs_cut_off_midway_leave_no_file(self, tiny_run, tmp_path,
+                                                                 monkeypatch, command):
+        out = tmp_path / "out"
+        shutil.copytree(tiny_run[0].out_dir, out)
+        common = ["--out", str(out), "--seed", "1", "--folds", "3"]
+        argv, target = {
+            "sweep": (["sweep", *common, "--plateau-values", "0", "--junction-values", "3",
+                       "--table", str(tmp_path / "table.json")], tmp_path / "table.json"),
+            "classify": (["classify", *common, "--report", str(tmp_path / "copy.json")],
+                         tmp_path / "copy.json"),
+            "filter": (["filter", "--out", str(out), "--emit-density",
+                        str(tmp_path / "density.csv")], tmp_path / "density.csv"),
+            "experiment": (common, out / "experiment_summary.json"),
+        }[command]
+        spec = importlib.util.spec_from_file_location(
+            "run_synthetic_experiment", ROOT / "scripts" / "run_synthetic_experiment.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        run = script.main if command == "experiment" else main
+        with monkeypatch.context() as mp:
+            self.cut_off_after_first_line(mp, name=target.name)
+            if command == "experiment":
+                with pytest.raises(OSError, match="no space left on device"):
+                    run(argv)
+            else:
+                assert run(argv) == 1
+        assert not [p.name for p in target.parent.iterdir() if target.name in p.name]
+        assert run(argv) == 0
+        assert len(target.read_text().splitlines()) > 1

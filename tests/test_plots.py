@@ -18,7 +18,7 @@ class TestDiagramSvg:
 
     def test_unit_square_marker(self, tmp_path):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        diagram = rips_diagram(square, max_scale=2.0)
+        diagram = rips_diagram(square)
         path = tmp_path / "square.svg"
         plot_diagram(diagram, path)
         text = path.read_text()
