@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import read_table, write_atomic, write_table
 
 
 class UndefinedMetricError(ValueError):
@@ -102,10 +101,6 @@ class EvalReport:
         return cls(acc=d["acc"], se=d["se"], sp=d["sp"], tp=d["tp"], fn=d["fn"],
                    fp=d["fp"], tn=d["tn"],
                    per_fold=[FoldReport(**f) for f in d["per_fold"]])
-
-    @classmethod
-    def load(cls, path) -> "EvalReport":
-        return cls.from_json(Path(path).read_text())
 
 
 def metrics(tp: int, fn: int, fp: int, tn: int) -> tuple[float, float, float]:
@@ -326,18 +321,14 @@ def tune_hyperparameters(data: LabeledDataset, seed: int = 0, kernel: str = "rbf
 
 def load_features_csv(path) -> LabeledDataset:
     """Features CSV: subject_id, f0..f{D-1}, label (final column)."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    rows = [ln.split(",") for ln in lines[1:]]
-    ids = [r[0] for r in rows]
-    feats = np.array([list(map(float, r[1:-1])) for r in rows], dtype=float)
-    labels = np.array([int(r[-1]) for r in rows], dtype=int)
-    return LabeledDataset(feats, labels, subject_ids=ids)
+    table = read_table(path, ids=True, ints=("label",))
+    values = table.array()
+    return LabeledDataset(np.ascontiguousarray(values[:, :-1]), values[:, -1].astype(int),
+                          subject_ids=table.ids)
 
 
 def save_features_csv(path, ids: list[str], features: np.ndarray, labels: np.ndarray) -> None:
     features = np.asarray(features, dtype=float)
     header = ["subject_id"] + [f"f{i}" for i in range(features.shape[1])] + ["label"]
-    lines = [",".join(header)]
-    for sid, row, lab in zip(ids, features.tolist(), labels):
-        lines.append(",".join([sid, *map(repr, row), str(int(lab))]))
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_table(path, [header, *([sid, *row, int(lab)]
+                                 for sid, row, lab in zip(ids, features.tolist(), labels))])

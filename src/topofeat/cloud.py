@@ -1,12 +1,16 @@
-"""Point-cloud container shared by the embedding, denoising and homology stages."""
+"""Point clouds of the embedding, denoising and homology stages, stored as fileio tables."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import read_table, write_table
+
+
+def as_points(cloud) -> np.ndarray:
+    """The (n, d) coordinates of a PointCloud or array; an empty one keeps n = 0."""
+    pts = np.asarray(getattr(cloud, "points", cloud), dtype=float)
+    return pts if pts.ndim == 2 else pts.reshape(len(pts), -1 if pts.size else 0)
 
 
 class PointCloud:
@@ -49,24 +53,17 @@ class PointCloud:
         return PointCloud(self.points[idx], ti)
 
     def to_csv(self, path) -> None:
-        """Write ``x0..x{d-1}`` (and ``t``) columns of ``repr`` floats, which ``float()``
-        reads back exactly."""
-        cols = [f"x{i}" for i in range(self.dim)]
-        rows = [",".join(map(repr, row)) for row in self.points.tolist()]
+        """Write ``x0..x{d-1}`` (and ``t``) columns as a :mod:`topofeat.fileio` table."""
+        cols, rows = [f"x{i}" for i in range(self.dim)], self.points.tolist()
         if self.time_index is not None:
             cols.append("t")
-            rows = [f"{row},{t}" for row, t in zip(rows, self.time_index.tolist())]
-        write_atomic(path, "\n".join([",".join(cols), *rows]) + "\n")
+            rows = [[*row, t] for row, t in zip(rows, self.time_index.tolist())]
+        write_table(path, [cols, *rows])
 
     @classmethod
     def from_csv(cls, path) -> "PointCloud":
-        text = Path(path).read_text().strip().splitlines()
-        header = text[0].split(",")
-        has_t = header[-1] == "t"
-        rows = [ln.split(",") for ln in text[1:]]
-        if has_t:
-            pts = np.array([list(map(float, r[:-1])) for r in rows], dtype=float)
-            ti = np.array([int(r[-1]) for r in rows], dtype=int)
-            return cls(pts.reshape(len(rows), -1), ti)
-        pts = np.array([list(map(float, r)) for r in rows], dtype=float)
-        return cls(pts.reshape(len(rows), -1))
+        table = read_table(path, ints=("t",))
+        values = table.array()
+        if table.header[-1] == "t":
+            return cls(np.ascontiguousarray(values[:, :-1]), values[:, -1])
+        return cls(values)

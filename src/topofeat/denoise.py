@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cloud import PointCloud
+from .cloud import PointCloud, as_points
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,6 @@ class CenterSet:
         return len(self.means)
 
 
-def _as_points(cloud) -> np.ndarray:
-    pts = getattr(cloud, "points", cloud)
-    pts = np.asarray(pts, dtype=float)
-    return pts.reshape(len(pts), -1)
-
-
 # queries per block in _nearest_mass_stats: 64 rows of a ~500-point cloud's
 # distances and neighbour indices stay near 250 KB, well under one n x k score
 _ROWS = 64
@@ -126,19 +120,19 @@ def dtm_profile(cloud, queries, q: int) -> np.ndarray:
     points and v their mean squared deviation from m.  With q = 1 this is
     the squared nearest-neighbour distance.
     """
-    pts = _as_points(cloud)
+    pts = as_points(cloud)
     if q < 1:
         raise ValueError("q must be >= 1")
     if q > len(pts):
         raise ValueError("q exceeds cloud size")
-    qs = _as_points(queries)
+    qs = as_points(queries)
     m, v = _nearest_mass_stats(qs, pts, q)
     return ((qs - m) ** 2).sum(axis=1) + v
 
 
 def kpdtm_objective(centers: CenterSet, cloud) -> float:
     """Summed min-over-centers score of every cloud point."""
-    return float(np.sum(kpdtm_eval(centers, _as_points(cloud))))
+    return float(np.sum(kpdtm_eval(centers, as_points(cloud))))
 
 
 @functools.lru_cache(maxsize=16)
@@ -182,7 +176,7 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
     that size go back to the kernel and fault in again on the next fit,
     which costs more than the arithmetic.
     """
-    pts = _as_points(cloud)
+    pts = as_points(cloud)
     if not np.isfinite(pts).all():
         raise ValueError("point cloud coordinates must be finite")
     n = len(pts)
@@ -261,7 +255,7 @@ def prune_cloud(cloud: PointCloud, params: MassParams, keep_n: int) -> PointClou
 
     Output preserves the original point order, and with it any time index.
     """
-    pts = _as_points(cloud)
+    pts = as_points(cloud)
     if keep_n <= 0:
         raise ValueError("keep_n must be positive")
     if keep_n > len(pts):

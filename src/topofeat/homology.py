@@ -27,14 +27,13 @@ both.
 Conventions: Euclidean metric, vertices enter at scale 0, an edge at its
 length, a triangle at its longest edge.  Simplices are ordered by
 (scale, dimension, lexicographic vertices).  Zero-persistence pairs are
-dropped from diagrams; unbounded classes carry death = +inf and serialise
-with the ``inf`` sentinel.
+dropped from diagrams; unbounded classes carry death = +inf, written as
+``inf`` in a diagram's :mod:`topofeat.fileio` table of ``dim,birth,death`` rows.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -42,14 +41,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
-from .fileio import write_atomic
+from .cloud import as_points
+from .fileio import format_table, read_table, write_atomic
 
 INF = math.inf
-
-
-def _as_points(cloud) -> np.ndarray:
-    pts = getattr(cloud, "points", cloud)
-    return np.asarray(pts, dtype=float)
 
 
 class PersistenceDiagram:
@@ -92,26 +87,16 @@ class PersistenceDiagram:
         write_atomic(path, self.to_csv_text())
 
     def to_csv_text(self) -> str:
-        lines = ["dim,birth,death"]
-        for dim, birth, death in self.sorted_features():
-            lines.append(f"{dim},{birth!r},{death!r}")
-        return "\n".join(lines) + "\n"
+        """The ``dim,birth,death`` table of the sorted features, as ``to_csv`` writes it."""
+        return format_table([("dim", "birth", "death"), *self.sorted_features()])
 
     @classmethod
     def from_csv(cls, path) -> "PersistenceDiagram":
-        return cls.from_csv_text(Path(path).read_text())
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "PersistenceDiagram":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0].replace(" ", "") != "dim,birth,death":
+        table = read_table(path, ints=("dim",))
+        if table.header != ["dim", "birth", "death"]:
             raise ValueError("diagram CSV must start with header 'dim,birth,death'")
-        feats = []
-        for ln in lines[1:]:
-            dim_s, birth_s, death_s = ln.split(",")
-            death = INF if death_s.strip() == "inf" else float(death_s)
-            feats.append((int(dim_s), float(birth_s), death))
-        return cls(feats)
+        v = table.values
+        return cls(zip(v[0::3], v[1::3], v[2::3]))
 
 
 def enclosing_radius(dmat: np.ndarray) -> float:
@@ -316,7 +301,7 @@ def rips_diagram(points: np.ndarray) -> PersistenceDiagram:
     diagram of the full filtration unchanged once zero-persistence pairs are
     dropped.  Non-finite coordinates raise ValueError.
     """
-    pts = _as_points(points)
+    pts = as_points(points)
     if pts.ndim != 2 or len(pts) == 0:
         raise ValueError("point cloud must be a nonempty (n, d) array")
     if not np.isfinite(pts).all():

@@ -1,23 +1,21 @@
 """Loading, band-pass filtering, channel selection and segmentation of recordings.
 
-Input format is CSV with one column per channel and a single header row of
-channel names; the sampling rate comes from configuration, never from the
-file.  Filtering is zero-phase (forward-backward Butterworth), so the
-stated attenuation doubles in dB and phase structure survives embedding.
+Input format is the :mod:`topofeat.fileio` table: one column per channel under
+a header row of channel names; the sampling rate comes from configuration.
+Filtering is zero-phase (forward-backward Butterworth), so the stated
+attenuation doubles in dB and phase structure survives embedding.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import butter, filtfilt
 
-from .fileio import write_atomic
+from .fileio import read_table, write_table
 
 
 @dataclass
@@ -33,6 +31,8 @@ class RawRecording:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[0] != len(self.channels):
             raise ValueError("data must be (n_channels, n_samples) matching channel names")
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("recording contains non-finite values")
         if len(set(self.channels)) != len(self.channels):
             raise ValueError("channel names must be unique")
         if self.rate <= 0:
@@ -68,57 +68,13 @@ def load_recording(path, rate: float = 128.0) -> RawRecording:
     Channels keep the file's column order; ``select_channels`` restricts and
     reorders them.
     """
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"no such recording: {p}")
-    return _parse_recording(p.read_bytes(), rate, p)
+    return _recording_from_bytes(Path(path).read_bytes(), rate, Path(path))
 
 
-def _parse_recording(raw: bytes, rate: float, path: Path) -> RawRecording:
-    """The recording read from ``path`` as ``raw``, decoded as ``Path.read_text`` would.
-
-    Every cell goes through ``float()``: the body is checked for one cell
-    count per line and then parsed in one ``map``.  Only when that fails are
-    the lines scanned one by one, for the first ragged or non-numeric line.
-    Blank lines are skipped, the first other line is the header, and an
-    error names the line by its number in the file, blank lines included.
-    """
-    text = io.TextIOWrapper(io.BytesIO(raw)).read()
-    lines = text.splitlines()
-    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-    if start is None:
-        raise ValueError(f"empty recording file: {path}")
-    header = [h.strip() for h in lines[start].split(",")]
-    width = len(header)
-    body = [ln for ln in lines[start + 1:] if ln.strip()]
-    values = None
-    if all(ln.count(",") == width - 1 for ln in body):
-        with contextlib.suppress(ValueError):
-            values = list(map(float, ",".join(body).split(","))) if body else []
-    if values is None:
-        raise _first_bad_line(lines, start + 1, width)
-    data = np.array(values).reshape(-1, width).T
-    if not np.all(np.isfinite(data)):
-        raise ValueError("recording contains non-finite values")
-    return RawRecording(header, data, rate, source_id=path.stem)
-
-
-def _first_bad_line(lines: list[str], first: int, width: int) -> ValueError:
-    """The error for the first non-blank line from ``lines[first]`` on that is
-    ragged or holds a non-numeric cell, named by its 1-based number in ``lines``.
-
-    There must be such a line.
-    """
-    for lineno, ln in enumerate(lines[first:], start=first + 1):
-        if not ln.strip():
-            continue
-        cells = ln.split(",")
-        if len(cells) != width:
-            return ValueError(f"ragged rows: line {lineno} has {len(cells)} cells, expected {width}")
-        try:
-            list(map(float, cells))
-        except ValueError as exc:
-            return ValueError(f"non-numeric cell at line {lineno}: {exc}")
+def _recording_from_bytes(raw: bytes, rate: float, path: Path) -> RawRecording:
+    """The recording read from ``path`` as ``raw``."""
+    table = read_table(raw)
+    return RawRecording(table.header, table.array().T, rate, source_id=path.stem)
 
 
 @functools.lru_cache(maxsize=16)
@@ -170,6 +126,4 @@ def segment(rec: RawRecording, window_samples: int) -> list[Segment]:
 
 def save_recording(rec: RawRecording, path) -> None:
     """Write ``rec`` in the input format ``load_recording`` reads, every value exactly."""
-    lines = [",".join(rec.channels)]
-    lines.extend(",".join(map(repr, row)) for row in rec.data.T.tolist())
-    write_atomic(Path(path), "\n".join(lines) + "\n")
+    write_table(path, [rec.channels, *rec.data.T.tolist()])

@@ -47,10 +47,10 @@ from .config import PipelineConfig, validate_config
 from .denoise import MassParams, remap_multichannel
 from .diagrams import BandwidthSpec, merge_diagrams, mkde_density, filter_by_density, parse_bandwidth
 from .embedding import EmbeddingParams, delay_embed, estimate_embedding_params
-from .fileio import write_atomic
+from .fileio import write_atomic, write_table
 from .homology import PersistenceDiagram, rips_diagram
-from .ingest import (RawRecording, Segment, _parse_recording, bandpass_filter, save_recording,
-                     segment, select_channels)
+from .ingest import (RawRecording, Segment, _recording_from_bytes, bandpass_filter,
+                     save_recording, segment, select_channels)
 from .synth import SynthSpec, gen_two_class_signals
 from .vectorize import (PersistenceImage, WeightParams, betti_curve,
                         birth_persistence_transform, default_extent, entropy_summary,
@@ -81,7 +81,7 @@ def _manifest(cfg: PipelineConfig) -> dict:
     path = _out(cfg) / "manifest.json"
     if not path.exists():
         raise StageError("ingest", "manifest.json missing; run the ingest or synth stage first", path)
-    manifest = json.loads(path.read_text())
+    manifest = _staged("ingest", path)
     try:
         current = (manifest.keys() == {"input_dir", "settings", "recordings"}
                    and manifest["settings"].keys() == set(CUT_FIELDS)
@@ -93,6 +93,19 @@ def _manifest(cfg: PipelineConfig) -> dict:
         raise StageError("ingest", "manifest.json is in an older layout; run the ingest stage again",
                          path)
     return manifest
+
+
+def _staged(stage: str, path: Path, call=lambda p: json.loads(p.read_text())):
+    """``call(path)``, by default a JSON read, failing as a StageError naming stage and path."""
+    try:
+        return call(path)
+    except Exception as exc:
+        raise StageError(stage, str(exc), path) from exc
+
+
+def _embedding(path: Path) -> EmbeddingParams:
+    d = json.loads(path.read_text())
+    return EmbeddingParams(d["m"], d["tau"])
 
 
 def _segment_name(sid: str, index: int) -> str:
@@ -140,7 +153,7 @@ def cut_recording(path: Path, cfg: PipelineConfig, sha256: str | None = None) ->
 
 def _cut(raw: bytes, path: Path, cfg: PipelineConfig) -> list[Segment]:
     """Cut the recording read from ``path`` as ``raw``."""
-    rec = _parse_recording(raw, cfg.rate, path)
+    rec = _recording_from_bytes(raw, cfg.rate, path)
     if cfg.apply_bandpass:
         rec = bandpass_filter(rec, cfg.band_low, cfg.band_high, cfg.filter_order)
     if cfg.channel_list():
@@ -177,11 +190,8 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
         raise StageError("ingest", "no recordings in the input directory", src)
     cohort = {}
     for rec_path in recordings:
-        try:
-            raw = rec_path.read_bytes()
-            segs = _cut(raw, rec_path, cfg)
-        except Exception as exc:
-            raise StageError("ingest", str(exc), rec_path) from exc
+        raw = _staged("ingest", rec_path, Path.read_bytes)
+        segs = _staged("ingest", rec_path, lambda p: _cut(raw, p, cfg))
         if not segs:
             raise StageError("ingest", f"recording {rec_path.stem!r} is shorter than one window "
                                        f"of {cfg.window_samples()} samples", rec_path)
@@ -211,8 +221,8 @@ def stage_synth(cfg: PipelineConfig, n_subjects: int = 40, segments_per_subject:
         data = np.hstack([s.data for s in sub.segments])
         save_recording(RawRecording(sub.segments[0].channels, data, cfg.rate),
                        src / f"{sub.subject_id}.csv")
-    labels = ["subject_id,label"] + [f"{sub.subject_id},{sub.label}" for sub in subjects]
-    write_atomic(src / "labels.csv", "\n".join(labels) + "\n")
+    write_table(src / "labels.csv", [("subject_id", "label"),
+                                     *((sub.subject_id, sub.label) for sub in subjects)])
     return stage_ingest(replace(cfg, input_dir=str(src)))
 
 
@@ -225,8 +235,7 @@ def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
     manifest = _manifest(cfg)
     params_path = out / "params.json"
     if params_path.exists():
-        d = json.loads(params_path.read_text())
-        return EmbeddingParams(d["m"], d["tau"])
+        return _staged("embed", params_path, _embedding)
     if cfg.auto_params:
         sid = min(manifest["recordings"])
         path = Path(manifest["input_dir"], f"{sid}.csv")
@@ -253,10 +262,7 @@ def _segment_job(args) -> None:
     segs = None
     for index, (joint_path, diagram_path) in paths.items():
         if joint_path.exists():
-            try:
-                joint = PointCloud.from_csv(joint_path)
-            except Exception as exc:
-                raise StageError(stage, str(exc), joint_path) from exc
+            joint = _staged(stage, joint_path, PointCloud.from_csv)
         else:
             segs = segs or cut_recording(recording, cfg, sha256)
             clouds = [delay_embed(x, embedding) for x in segs[index].data]
@@ -296,8 +302,7 @@ def stage_denoise(cfg: PipelineConfig) -> None:
     params_path = _out(cfg) / "params.json"
     if not params_path.exists():
         raise StageError("denoise", "params.json missing; run the embed stage", params_path)
-    d = json.loads(params_path.read_text())
-    embedding = EmbeddingParams(d["m"], d["tau"])
+    embedding = _staged("denoise", params_path, _embedding)
     _run_jobs("denoise", _segment_jobs(cfg, manifest, "denoise", embedding), cfg.jobs)
 
 
@@ -337,7 +342,7 @@ def stage_filter(cfg: PipelineConfig, emit_density=None) -> None:
     sd_dir = out / "subject_diagrams"
     sd_dir.mkdir(exist_ok=True)
     spec = parse_bandwidth(cfg.bandwidth)
-    density_rows = []
+    density_rows = [("subject_id", "birth", "death", "density")]
     for sid in sorted(recordings):
         target = sd_dir / f"{sid}.csv"
         if target.exists() and emit_density is None:
@@ -347,23 +352,18 @@ def stage_filter(cfg: PipelineConfig, emit_density=None) -> None:
             p = out / "diagrams" / _segment_name(sid, index)
             if not p.exists():
                 raise StageError("filter", "segment diagram missing; run the denoise stage", p)
-            diagrams.append(PersistenceDiagram.from_csv(p))
+            diagrams.append(_staged("filter", p, PersistenceDiagram.from_csv))
         points = merge_diagrams(diagrams)
         if len(points) == 0:
             PersistenceDiagram().to_csv(target)
             continue
         bw = BandwidthSpec.from_covariance(points, 10.0) if spec == "cov10" else spec
-        try:
-            dens = mkde_density(points, bw)
-        except Exception as exc:
-            raise StageError("filter", str(exc), target) from exc
+        dens = _staged("filter", target, lambda _: mkde_density(points, bw))
         if emit_density is not None:
-            density_rows.extend(f"{sid},{float(b)!r},{float(d)!r},{float(v)!r}"
-                                for (b, d), v in zip(points, dens))
+            density_rows.extend([sid, *row] for row in np.column_stack([points, dens]).tolist())
         filter_by_density(points, dens, cfg.keep_fraction).to_csv(target)
     if emit_density is not None:
-        write_atomic(emit_density, "subject_id,birth,death,density\n"
-                     + "\n".join(density_rows) + "\n")
+        write_table(emit_density, density_rows)
 
 
 # ---------------------------------------------------------------- vectorize
@@ -379,7 +379,7 @@ def load_subject_diagrams(cfg: PipelineConfig) -> tuple[dict[str, PersistenceDia
         p = sd_dir / f"{sid}.csv"
         if not p.exists():
             raise StageError("vectorize", "subject diagram missing; run the filter stage", p)
-        diagrams[sid] = PersistenceDiagram.from_csv(p)
+        diagrams[sid] = _staged("vectorize", p, PersistenceDiagram.from_csv)
     return diagrams, labels
 
 
@@ -490,10 +490,7 @@ def stage_classify(cfg: PipelineConfig, features_path=None) -> EvalReport:
     fpath = Path(features_path) if features_path else out / "features.csv"
     if not fpath.exists():
         raise StageError("classify", "features.csv missing; run the vectorize stage", fpath)
-    try:
-        report = evaluate(load_features_csv(fpath), cfg)
-    except Exception as exc:
-        raise StageError("classify", str(exc), fpath) from exc
+    report = _staged("classify", fpath, lambda p: evaluate(load_features_csv(p), cfg))
     report.save(out / "report.json")
     return report
 

@@ -1,8 +1,7 @@
 """Deterministic figure output: diagram/barcode scatter SVGs and image PNGs.
 
-SVG files are assembled as plain text and PNG pixels are written through a
-minimal encoder, so reruns produce byte-identical files (a requirement the
-resume contract extends to every artifact).
+SVG files are assembled as plain text and PNG pixels go through a minimal
+encoder, so reruns write byte-identical files, through ``write_atomic``.
 """
 
 from __future__ import annotations
@@ -10,10 +9,10 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
+from .fileio import read_table, write_atomic
 from .homology import PersistenceDiagram
 
 _SIZE = 480
@@ -57,7 +56,7 @@ def plot_diagram(diagram: PersistenceDiagram, path) -> None:
         parts.append(f'<circle cx="{sx(birth):.2f}" cy="{sy(y):.2f}" r="4" '
                      f'fill="{marker}" stroke="{stroke}"/>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    write_atomic(path, "\n".join(parts) + "\n")
 
 
 def plot_barcode(diagram: PersistenceDiagram, path) -> None:
@@ -79,7 +78,7 @@ def plot_barcode(diagram: PersistenceDiagram, path) -> None:
         parts.append(f'<line x1="{sx(birth):.2f}" y1="{y}" x2="{sx(end):.2f}" y2="{y}" '
                      f'stroke="{_COLORS.get(dim, "#333333")}" stroke-width="3"/>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    write_atomic(path, "\n".join(parts) + "\n")
 
 
 def write_png_gray(pixels: np.ndarray, path) -> None:
@@ -99,7 +98,7 @@ def write_png_gray(pixels: np.ndarray, path) -> None:
     header = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
     png = (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
            + chunk(b"IDAT", zlib.compress(raw, 9)) + chunk(b"IEND", b""))
-    Path(path).write_bytes(png)
+    write_atomic(path, png)
 
 
 def plot(artifact_path, kind: str, out_path) -> None:
@@ -109,8 +108,6 @@ def plot(artifact_path, kind: str, out_path) -> None:
     elif kind == "barcode":
         plot_barcode(PersistenceDiagram.from_csv(artifact_path), out_path)
     elif kind == "image":
-        rows = [[float(v) for v in ln.split(",")]
-                for ln in Path(artifact_path).read_text().strip().splitlines()]
-        write_png_gray(np.asarray(rows, dtype=float), out_path)
+        write_png_gray(read_table(artifact_path, header=False).array(), out_path)
     else:
         raise ValueError(f"unknown artifact type {kind!r}")

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .homology import INF, PersistenceDiagram, _as_points
+from .cloud import as_points
+from .homology import INF, PersistenceDiagram
 
 @dataclass(frozen=True)
 class FiltrationSimplex:
@@ -50,7 +51,7 @@ def rips_filtration(points: np.ndarray, max_scale: float, max_dim: int = 2) -> l
     a triangle at the largest of its three edge values.  ``max_dim`` caps the
     simplex dimension (0, 1 or 2).
     """
-    pts = _as_points(points)
+    pts = as_points(points)
     if pts.ndim != 2 or len(pts) == 0:
         raise ValueError("point cloud must be a nonempty (n, d) array")
     if max_scale <= 0:

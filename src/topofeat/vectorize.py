@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .fileio import write_atomic
+from .fileio import write_table
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ class PersistenceImage:
         return self.pixels.reshape(-1)
 
     def to_csv(self, path) -> None:
-        lines = [",".join(map(repr, row)) for row in self.pixels.tolist()]
-        write_atomic(path, "\n".join(lines) + "\n")
+        write_table(path, self.pixels.tolist())
 
 
 def birth_persistence_transform(bars: np.ndarray) -> np.ndarray:

@@ -304,7 +304,7 @@ class TestEvalReport:
     def test_counts_roundtrip(self, tmp_path):
         report = EvalReport.from_counts(5, 1, 2, 8, [FoldReport(5, 1, 2, 8)])
         report.save(tmp_path / "r.json")
-        loaded = EvalReport.load(tmp_path / "r.json")
+        loaded = EvalReport.from_json((tmp_path / "r.json").read_text())
         assert loaded.acc == report.acc
         assert loaded.per_fold[0].tp == 5
 

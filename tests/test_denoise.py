@@ -133,6 +133,19 @@ class TestDtm:
             dtm_profile(pts, pts, q)
 
 
+class TestEmptyCloud:
+    @pytest.mark.parametrize("call, message", [
+        (lambda pts: dtm_profile(pts, [[0.0, 0.0]], 1), "q exceeds cloud size"),
+        (lambda pts: kpdtm_fit(pts, MassParams(n_neighbors=1, n_centers=1)),
+         "n_neighbors=1 exceeds cloud size 0"),
+        (lambda pts: prune_cloud(pts, MassParams(), 1), "keep_n=1 exceeds cloud size 0"),
+    ], ids=["dtm_profile", "kpdtm_fit", "prune_cloud"])
+    @pytest.mark.parametrize("shape", [(0, 2), (0,)], ids=["0x2", "flat"])
+    def test_reaches_its_own_size_check(self, call, message, shape):
+        with pytest.raises(ValueError, match=message):
+            call(np.empty(shape))
+
+
 class TestKpdtmFit:
     def test_every_point_its_own_center(self, rng):
         pts = rng.normal(size=(30, 2))

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module (``__init__.py`` re-exports are exempt)."""
+"""Every name a module imports is used in that module (``__init__.py`` re-exports are
+exempt), and only ``topofeat.fileio`` opens or writes files."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,23 @@ def test_scan_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def file_calls(source: str) -> list[str]:
+    """The calls of ``open`` and of ``write_text``, ``write_bytes`` or ``open`` methods."""
+    names = [node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return [name for name in names if name in ("open", "write_text", "write_bytes")]
+
+
+def test_scan_flags_file_writes_only():
+    source = "open(p)\np.write_text(t)\nPath(p).write_bytes(b)\np.read_text()\nos.replace(a, b)\n"
+    assert file_calls(source) == ["open", "write_text", "write_bytes"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent.name != "tests"
+                                  and p.name != "fileio.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_fileio_opens_or_writes_files(path):
+    """Every other file goes through ``fileio.write_atomic``, so none is left half written."""
+    assert file_calls(path.read_text()) == []

@@ -3,39 +3,63 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import butter, freqz
 
+from test_cloud import EDGE_VALUES
 from topofeat import ingest
+from topofeat.classify import load_features_csv, save_features_csv
+from topofeat.cloud import PointCloud
+from topofeat.fileio import read_table
+from topofeat.homology import INF, PersistenceDiagram
 from topofeat.ingest import (RawRecording, bandpass_filter, load_recording, save_recording,
                              segment, select_channels)
+from topofeat.vectorize import PersistenceImage
 
 TEN_TWENTY = ["Fz", "Cz", "Pz", "C3", "T3", "C4", "T4", "Fp1", "Fp2", "F3",
               "F4", "F7", "F8", "P3", "P4", "T5", "T6", "O1", "O2"]
 
 
-def cell_by_cell_load(path, rate=128.0):
-    """Oracle for ``load_recording``: ``float()`` on each cell of each line in turn.
-
-    Blank lines are skipped but counted, so an error names the file's line.
+def cell_by_cell_table(path, header=True, ids=False, ints=()):
+    """Oracle for ``read_table``: ``float()`` on each cell of each line in turn,
+    after a leading text cell with ``ids``, and ``int()`` too on a cell in a
+    column named in ``ints``.  Blank lines are skipped but counted, so an error
+    names the file's line.  Returns the header, the text cells and the number rows.
     """
     numbered = [(i, ln) for i, ln in enumerate(path.read_text().splitlines(), start=1)
                 if ln.strip()]
-    header = [h.strip() for h in numbered[0][1].split(",")]
-    width = len(header)
-    rows = []
-    for lineno, ln in numbered[1:]:
+    names = [h.strip() for h in numbered[0][1].split(",")] if header else []
+    width = len(numbered[0][1].split(","))
+    texts, rows = [], []
+    for lineno, ln in numbered[1 if header else 0:]:
         cells = ln.split(",")
         if len(cells) != width:
             raise ValueError(f"ragged rows: line {lineno} has {len(cells)} cells, expected {width}")
         try:
-            rows.append([float(c) for c in cells])
+            rows.append([float(c) for c in cells[ids:]])
         except ValueError as exc:
             raise ValueError(f"non-numeric cell at line {lineno}: {exc}") from None
-    data = np.asarray(rows, dtype=float).T.reshape(width, -1)
+        try:
+            [int(cells[names.index(name)]) for name in ints if name in names]
+        except ValueError as exc:
+            raise ValueError(f"non-integer cell at line {lineno}: {exc}") from None
+        texts.append(cells[0])
+    return (names if header else None), (texts if ids else None), rows
+
+
+def cell_by_cell_load(path, rate=128.0):
+    """Oracle for ``load_recording``: ``cell_by_cell_table`` of the file."""
+    header, _, rows = cell_by_cell_table(path)
+    data = np.asarray(rows, dtype=float).T.reshape(len(header), -1)
     return RawRecording(header, data, rate, source_id=path.stem)
 
 
-def per_value_lines(header, data):
-    """Oracle for the CSV writers: ``repr(float(v))`` of each value in turn."""
-    return [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in data]
+def per_value_lines(header, rows):
+    """Oracle for the table writers: each cell in turn, text as it is, an int as
+    ``str`` and any other number as ``repr(float(v))``."""
+    def cell(v):
+        if isinstance(v, str):
+            return v
+        return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+    return ([] if header is None else [",".join(header)]) + [
+        ",".join(cell(v) for v in row) for row in rows]
 
 
 def write_csv(path, header, rows):
@@ -271,3 +295,83 @@ class TestRecordingIO:
         assert loaded.data.tobytes() == data.tobytes()
         lines = (tmp_path / "subj.csv").read_text().splitlines()
         assert lines == per_value_lines(["a", "b"], data.T)
+
+
+def write_artifact(kind, path):
+    """Write an artifact of ``kind`` that holds EDGE_VALUES (and ``inf`` deaths);
+    returns its reader, its content, the header and rows ``per_value_lines``
+    takes, and the ``cell_by_cell_table`` arguments of its format."""
+    vals = np.array([EDGE_VALUES, EDGE_VALUES[::-1]])
+    if kind == "recording":
+        save_recording(RawRecording(["a", "b"], vals, 32.0), path)
+        return (lambda p: load_recording(p).data), vals, ["a", "b"], vals.T, {}
+    if kind == "joint_cloud":
+        cloud = PointCloud(vals.T, np.arange(len(EDGE_VALUES)) * 3 + 7)
+        cloud.to_csv(path)
+        rows = [[*pt, t] for pt, t in zip(cloud.points, cloud.time_index)]
+        return (lambda p: PointCloud.from_csv(p).points), cloud.points, ["x0", "x1", "t"], rows, \
+            {"ints": ("t",)}
+    if kind == "diagram":
+        diagram = PersistenceDiagram([(0, v, INF) for v in EDGE_VALUES]
+                                     + [(1, min(a, b), max(a, b)) for a, b in vals.T])
+        diagram.to_csv(path)
+        return (lambda p: np.array(PersistenceDiagram.from_csv(p).sorted_features())), \
+            np.array(diagram.sorted_features()), ["dim", "birth", "death"], \
+            diagram.sorted_features(), {"ints": ("dim",)}
+    if kind == "image":
+        PersistenceImage(np.abs(vals), ((0.0, 1.0), (0.0, 1.0)), 1.0).to_csv(path)
+        return (lambda p: read_table(p, header=False).array()), np.abs(vals), None, \
+            np.abs(vals), {"header": False}
+    ids, labels = ["s0", "s1"], [1, 0]
+    save_features_csv(path, ids, vals, np.array(labels))
+    header = ["subject_id", *(f"f{i}" for i in range(len(EDGE_VALUES))), "label"]
+    return (lambda p: load_features_csv(p).features), vals, header, \
+        [[sid, *row, lab] for sid, row, lab in zip(ids, vals, labels)], \
+        {"ids": True, "ints": ("label",)}
+
+
+ARTIFACTS = ["recording", "joint_cloud", "diagram", "image", "features"]
+# (artifact, damage): how the fourth line of the file, after two blank lines, is broken
+DAMAGES = [(kind, damage) for kind in ARTIFACTS for damage in ("ragged", "non_numeric")] + [
+    ("joint_cloud", "non_integer"), ("diagram", "non_integer"), ("features", "non_integer")]
+
+
+class TestArtifactTables:
+    """Every artifact's writer against ``per_value_lines`` and its reader
+    against ``cell_by_cell_table``."""
+
+    @pytest.mark.parametrize("kind", ARTIFACTS)
+    def test_text_equals_per_value_lines(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.csv"
+        _, _, header, rows, _ = write_artifact(kind, path)
+        assert path.read_text().splitlines() == per_value_lines(header, rows)
+        assert path.read_text().endswith("\n") and not path.read_text().endswith("\n\n")
+
+    @pytest.mark.parametrize("kind", ARTIFACTS)
+    def test_read_back_is_bit_exact(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.csv"
+        read, content, _, _, _ = write_artifact(kind, path)
+        back = read(path)
+        assert back.shape == content.shape and back.tobytes() == content.tobytes()
+
+    @pytest.mark.parametrize("kind, damage", DAMAGES, ids=[f"{k}-{d}" for k, d in DAMAGES])
+    def test_bad_line_named_as_cell_by_cell(self, tmp_path, kind, damage):
+        path = tmp_path / f"{kind}.csv"
+        read, _, header, _, fmt = write_artifact(kind, path)
+        lines = path.read_text().splitlines()
+        lines[1:1] = ["", "  "]
+        cells = lines[3].split(",")
+        if damage == "ragged":
+            del cells[-1]
+        elif damage == "non_numeric":
+            cells[-2] = "x"
+        else:
+            cells[header.index(fmt["ints"][0])] = "1.5"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as ref:
+            cell_by_cell_table(path, **fmt)
+        assert "line 4" in str(ref.value)
+        with pytest.raises(ValueError) as got:
+            read(path)
+        assert str(got.value) == str(ref.value)

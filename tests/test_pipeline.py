@@ -163,6 +163,14 @@ class TestStages:
         stage_persist(cfg)
         assert {p.name: p.read_bytes() for p in diagrams.iterdir()} == before
 
+    def test_density_dump_without_points_is_its_header(self, tiny_run, tmp_path):
+        cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"))
+        shutil.copytree(tiny_run[0].out_dir, cfg.out_dir)
+        for diagram in (Path(cfg.out_dir) / "diagrams").iterdir():
+            diagram.write_text("dim,birth,death\n")
+        stage_filter(cfg, emit_density=tmp_path / "density.csv")
+        assert (tmp_path / "density.csv").read_text() == "subject_id,birth,death,density\n"
+
     def test_synth_again_replaces_the_cohort(self, tmp_path):
         cfg = tiny_config(tmp_path / "out")
         stage_synth(cfg, **TINY)
@@ -268,6 +276,47 @@ class TestStageErrors:
             stage_persist(cfg)
         assert err.value.stage == "persist"
         assert err.value.file == str(joint)
+
+    # artifact under out/, the reused outputs that would keep a stage from reading
+    # it, the stage that reads it, and the stage an error names
+    DAMAGED = {
+        "recording": ("input/a000.csv", [], "ingest", "ingest"),
+        "joint_cloud": ("joint/a000_0000.csv", ["diagrams/a000_0000.csv"], "denoise", "denoise"),
+        "segment_diagram": ("diagrams/a000_0000.csv", ["subject_diagrams/a000.csv"], "filter",
+                            "filter"),
+        "subject_diagram": ("subject_diagrams/a000.csv", ["features.csv"], "vectorize",
+                            "vectorize"),
+        "subject_diagram_sweep": ("subject_diagrams/a000.csv", [], "sweep", "vectorize"),
+        "features": ("features.csv", [], "classify", "classify"),
+        "manifest": ("manifest.json", [], "denoise", "ingest"),
+        "params_embed": ("params.json", [], "embed", "embed"),
+        "params_denoise": ("params.json", [], "denoise", "denoise"),
+    }
+    STAGES = {"ingest": stage_ingest, "embed": stage_embed, "denoise": stage_denoise,
+              "filter": stage_filter, "vectorize": stage_vectorize, "classify": stage_classify,
+              "sweep": lambda cfg: sweep_weights(cfg, [0.0], [3.0])}
+
+    @pytest.mark.parametrize("artifact", list(DAMAGED))
+    def test_damaged_artifact_names_stage_file_and_line(self, tiny_run, tmp_path, artifact):
+        name, reused, stage, named = self.DAMAGED[artifact]
+        out = tmp_path / "out"
+        shutil.copytree(tiny_run[0].out_dir, out)
+        cfg = replace(tiny_run[0], out_dir=str(out), input_dir=str(out / "input"))
+        for reuse in reused:
+            (out / reuse).unlink()
+        victim = out / name
+        if victim.suffix == ".json":
+            victim.write_text("{not json\n")
+        else:  # the first row loses its last cell
+            lines = victim.read_text().splitlines()
+            lines[1] = lines[1].rsplit(",", 1)[0]
+            victim.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StageError) as err:
+            self.STAGES[stage](cfg)
+        assert err.value.stage == named
+        assert err.value.file == str(victim)
+        assert ("ragged rows: line 2" if victim.suffix == ".csv"
+                else "Expecting property name") in err.value.message
 
     def test_persist_without_joint_cloud_names_it(self, tiny_run, tmp_path):
         cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"))
@@ -589,29 +638,30 @@ class TestSweep:
 class TestAtomicWrites:
     @staticmethod
     def cut_off_after_first_line(monkeypatch, directory=None, name=None):
-        """Make every text write (into ``directory``, and to a file whose name
-        holds ``name``, if given) stop after its first line and fail."""
-        write = Path.write_text
+        """Make every text or bytes write (into ``directory``, and to a file whose
+        name holds ``name``, if given) stop after its first line and fail."""
+        for method in ("write_text", "write_bytes"):
+            def cut_off(path, data, *args, write=getattr(Path, method), **kwargs):
+                if (directory is not None and path.parent.name != directory
+                        or name is not None and name not in path.name):
+                    return write(path, data, *args, **kwargs)
+                newline = "\n" if isinstance(data, str) else b"\n"
+                write(path, data.split(newline, 1)[0] + newline, *args, **kwargs)
+                raise OSError("no space left on device")
 
-        def cut_off(path, text, *args, **kwargs):
-            if (directory is not None and path.parent.name != directory
-                    or name is not None and name not in path.name):
-                return write(path, text, *args, **kwargs)
-            write(path, text.split("\n", 1)[0] + "\n", *args, **kwargs)
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(Path, "write_text", cut_off)
+            monkeypatch.setattr(Path, method, cut_off)
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         target = tmp_path / "a.csv"
-        write_atomic(target, "x\n1\n")
-        assert target.read_text() == "x\n1\n"
-        with monkeypatch.context() as mp:
-            self.cut_off_after_first_line(mp)
-            with pytest.raises(OSError):
-                write_atomic(target, "y\n2\n")
-        assert target.read_text() == "x\n1\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+        for encode in (str, str.encode):  # a text write, then a bytes write
+            write_atomic(target, encode("x\n1\n"))
+            assert target.read_bytes() == b"x\n1\n"
+            with monkeypatch.context() as mp:
+                self.cut_off_after_first_line(mp)
+                with pytest.raises(OSError):
+                    write_atomic(target, encode("y\n2\n"))
+            assert target.read_bytes() == b"x\n1\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
     def test_diagram_cut_off_midway_is_not_resumed(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path / "out")
@@ -629,7 +679,7 @@ class TestAtomicWrites:
             expected = rips_diagram(PointCloud.from_csv(joint).points).to_csv_text()
             assert (out / "diagrams" / joint.name).read_text() == expected
 
-    @pytest.mark.parametrize("command", ["sweep", "classify", "filter", "experiment"])
+    @pytest.mark.parametrize("command", ["sweep", "classify", "filter", "experiment", "plot"])
     def test_cli_and_script_outputs_cut_off_midway_leave_no_file(self, tiny_run, tmp_path,
                                                                  monkeypatch, command):
         out = tmp_path / "out"
@@ -643,6 +693,8 @@ class TestAtomicWrites:
             "filter": (["filter", "--out", str(out), "--emit-density",
                         str(tmp_path / "density.csv")], tmp_path / "density.csv"),
             "experiment": (common, out / "experiment_summary.json"),
+            "plot": (["plot", "--artifact", str(out / "diagrams" / "a000_0000.csv"), "--type",
+                      "diagram", "--output", str(tmp_path / "d.svg")], tmp_path / "d.svg"),
         }[command]
         spec = importlib.util.spec_from_file_location(
             "run_synthetic_experiment", ROOT / "scripts" / "run_synthetic_experiment.py")
