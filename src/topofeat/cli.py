@@ -15,8 +15,8 @@ from dataclasses import replace
 from .config import DESCRIPTORS, KERNELS, PipelineConfig, load_config
 from .fileio import write_atomic
 from .pipeline import (StageError, run_pipeline, stage_classify, stage_denoise,
-                       stage_embed, stage_filter, stage_ingest, stage_persist,
-                       stage_synth, stage_vectorize, sweep_weights)
+                       stage_embed, stage_filter, stage_ingest, stage_synth,
+                       stage_vectorize, sweep_weights)
 from .plots import plot
 
 
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Topological feature extraction and classification for multichannel time series")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="load recordings, band-pass, select channels, segment")
+    p = sub.add_parser("ingest", help="check each recording and record it in manifest.json")
     _add_common(p)
     p.add_argument("--input", dest="input_dir", required=True)
     p.add_argument("--rate", type=float)
@@ -99,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--keep", dest="keep_n", type=int)
     p.add_argument("--iters", type=int)
-
-    p = sub.add_parser("persist", help="rebuild missing diagrams from the joint clouds")
-    _add_common(p)
 
     p = sub.add_parser("filter", help="merge per-subject diagrams and density-filter them")
     _add_common(p)
@@ -180,9 +177,6 @@ def main(argv=None) -> int:
         elif args.command == "denoise":
             stage_denoise(cfg)
             print("joint clouds and diagrams written")
-        elif args.command == "persist":
-            stage_persist(cfg)
-            print("diagrams written")
         elif args.command == "filter":
             stage_filter(cfg, emit_density=args.emit_density)
             print("subject diagrams written")

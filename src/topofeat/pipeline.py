@@ -21,10 +21,12 @@ Layout under ``out_dir``:
     features.csv                   one row per subject, final column = label
     report.json                    evaluation report
 
-Recordings are the only signal on disk: ingest and each denoise job cut them
-(``cut_recording``) as manifest.json records, and go on from each joint cloud
-to its diagram in memory; persist runs the same jobs from ``joint/``.  Weight
-sweeps and descriptor comparisons re-vectorise the subject diagrams in memory
+Recordings are the only signal on disk.  Ingest reads, hashes and parses each
+one and counts its windows, but cuts nothing; each denoise job cuts its
+recording (``cut_recording``) with the settings manifest.json records, and
+persists each joint cloud to its diagram in memory.  A missing diagram whose
+joint cloud exists is rebuilt from ``joint/`` without a cut.  Weight sweeps
+and descriptor comparisons re-vectorise the subject diagrams in memory
 (``vectorize_features`` + ``evaluate``) and write nothing.
 """
 
@@ -148,11 +150,6 @@ def cut_recording(path: Path, cfg: PipelineConfig, sha256: str | None = None) ->
     raw = path.read_bytes()
     if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
         raise ValueError("recording changed since ingest (sha256 differs from manifest.json)")
-    return _cut(raw, path, cfg)
-
-
-def _cut(raw: bytes, path: Path, cfg: PipelineConfig) -> list[Segment]:
-    """Cut the recording read from ``path`` as ``raw``."""
     rec = _recording_from_bytes(raw, cfg.rate, path)
     if cfg.apply_bandpass:
         rec = bandpass_filter(rec, cfg.band_low, cfg.band_high, cfg.filter_order)
@@ -164,13 +161,15 @@ def _cut(raw: bytes, path: Path, cfg: PipelineConfig) -> list[Segment]:
 # --------------------------------------------------------------------- ingest
 
 def stage_ingest(cfg: PipelineConfig) -> Path:
-    """Check and cut every recording of input_dir, then write manifest.json.
+    """Check every recording of input_dir, then write manifest.json.
 
     input_dir holds one ``<subject_id>.csv`` per recording plus a
     ``labels.csv`` (subject_id,label) that labels exactly those subjects.
-    Every recording must hold at least one window.  Nothing is written
-    until all have passed; the manifest then records, per recording, its
-    label, segment count and sha256.
+    Each recording is read once, hashed and parsed, and must hold the
+    ``--channels`` and at least one window; ingest counts the windows
+    ``segment`` would cut, but cuts nothing.  Nothing is written until all
+    have passed; the manifest then records, per recording, its label,
+    segment count and sha256.
     """
     validate_config(cfg)
     src = Path(cfg.input_dir)
@@ -191,11 +190,14 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
     cohort = {}
     for rec_path in recordings:
         raw = _staged("ingest", rec_path, Path.read_bytes)
-        segs = _staged("ingest", rec_path, lambda p: _cut(raw, p, cfg))
-        if not segs:
+        rec = _staged("ingest", rec_path, lambda p: _recording_from_bytes(raw, cfg.rate, p))
+        if cfg.channel_list():
+            _staged("ingest", rec_path, lambda _: select_channels(rec, cfg.channel_list()))
+        segments = rec.n_samples // cfg.window_samples()
+        if not segments:
             raise StageError("ingest", f"recording {rec_path.stem!r} is shorter than one window "
                                        f"of {cfg.window_samples()} samples", rec_path)
-        cohort[rec_path.stem] = {"label": labels[rec_path.stem], "segments": len(segs),
+        cohort[rec_path.stem] = {"label": labels[rec_path.stem], "segments": segments,
                                  "sha256": hashlib.sha256(raw).hexdigest()}
     manifest = {"input_dir": str(src.resolve()), "recordings": cohort,
                 "settings": {name: getattr(cfg, name) for name in CUT_FIELDS}}
@@ -252,17 +254,17 @@ def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
     return params
 
 
-# ------------------------------------------------------- denoise and persist
+# ------------------------------------------------------------------ denoise
 
 def _segment_job(args) -> None:
     """Read back or denoise each listed segment's joint cloud (cutting the recording
     at most once), then compute a missing diagram from the points in memory, which
     equal the written cloud's: ``PointCloud.to_csv`` writes ``repr`` floats."""
-    recording, sha256, paths, cfg, embedding, stage = args
+    recording, sha256, paths, cfg, embedding = args
     segs = None
     for index, (joint_path, diagram_path) in paths.items():
         if joint_path.exists():
-            joint = _staged(stage, joint_path, PointCloud.from_csv)
+            joint = _staged("denoise", joint_path, PointCloud.from_csv)
         else:
             segs = segs or cut_recording(recording, cfg, sha256)
             clouds = [delay_embed(x, embedding) for x in segs[index].data]
@@ -273,10 +275,8 @@ def _segment_job(args) -> None:
             rips_diagram(joint.points).to_csv(diagram_path)
 
 
-def _segment_jobs(cfg: PipelineConfig, manifest: dict, stage: str,
-                  embedding: EmbeddingParams | None) -> list:
-    """One job per recording with a segment that lacks its joint cloud or its
-    diagram; with no ``embedding`` to denoise with, a missing joint cloud is an error."""
+def _segment_jobs(cfg: PipelineConfig, manifest: dict, embedding: EmbeddingParams) -> list:
+    """One job per recording with a segment that lacks its joint cloud or its diagram."""
     out = _out(cfg)
     recordings = manifest["recordings"]
     todo: dict[str, dict[int, tuple[Path, Path]]] = {}
@@ -284,15 +284,13 @@ def _segment_jobs(cfg: PipelineConfig, manifest: dict, stage: str,
         for index in range(rec["segments"]):
             name = _segment_name(sid, index)
             joint, diagram = out / "joint" / name, out / "diagrams" / name
-            if embedding is None and not joint.exists():
-                raise StageError(stage, "joint cloud missing; run the denoise stage", joint)
             if not (joint.exists() and diagram.exists()):
                 todo.setdefault(sid, {})[index] = joint, diagram
     for stage_dir in ("joint", "diagrams"):
         (out / stage_dir).mkdir(exist_ok=True)
     cut_cfg = replace(cfg, **manifest["settings"])
     return [(Path(manifest["input_dir"], f"{sid}.csv"), recordings[sid]["sha256"], paths,
-             cut_cfg, embedding, stage) for sid, paths in todo.items()]
+             cut_cfg, embedding) for sid, paths in todo.items()]
 
 
 def stage_denoise(cfg: PipelineConfig) -> None:
@@ -303,16 +301,15 @@ def stage_denoise(cfg: PipelineConfig) -> None:
     if not params_path.exists():
         raise StageError("denoise", "params.json missing; run the embed stage", params_path)
     embedding = _staged("denoise", params_path, _embedding)
-    _run_jobs("denoise", _segment_jobs(cfg, manifest, "denoise", embedding), cfg.jobs)
+    _run_jobs(_segment_jobs(cfg, manifest, embedding), cfg.jobs)
 
 
-def stage_persist(cfg: PipelineConfig) -> None:
-    """Rebuild every missing diagram from its joint cloud; cuts no recording."""
-    validate_config(cfg)
-    _run_jobs("persist", _segment_jobs(cfg, _manifest(cfg), "persist", None), cfg.jobs)
+# Persist runs inside each denoise job and has no entry point of its own.  The
+# name stays because a timing harness wraps every stage by name.
+stage_persist = stage_denoise
 
 
-def _run_jobs(stage: str, jobs: list, n_workers: int) -> None:
+def _run_jobs(jobs: list, n_workers: int) -> None:
     """Run ``_segment_job`` on every job: in-process at ``n_workers <= 1``, else in
     one pool of at most one worker per job.  Errors name ``job[0]``, always the
     recording, unless the job raised a :class:`StageError` naming a joint cloud.
@@ -329,7 +326,7 @@ def _run_jobs(stage: str, jobs: list, n_workers: int) -> None:
             except StageError:
                 raise
             except Exception as exc:
-                raise StageError(stage, str(exc), job[0]) from exc
+                raise StageError("denoise", str(exc), job[0]) from exc
 
 
 # ------------------------------------------------------------------- filter
@@ -456,11 +453,15 @@ def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str
 
 
 def stage_vectorize(cfg: PipelineConfig) -> Path:
-    """Turn subject diagrams into one feature row per subject."""
+    """Turn subject diagrams into one feature row per subject; reuse them only
+    when features.csv, vectorize_meta.json and (for ``pi``) every image exist."""
     validate_config(cfg)
     out = _out(cfg)
     feats_path = out / "features.csv"
-    if feats_path.exists():
+    outputs = [feats_path, out / "vectorize_meta.json"]
+    if cfg.descriptor == "pi":
+        outputs += [out / "images" / f"{sid}.csv" for sid in _manifest(cfg)["recordings"]]
+    if all(p.exists() for p in outputs):
         return feats_path
     ids, features, labels, meta = vectorize_features(*load_subject_diagrams(cfg), cfg)
     write_atomic(out / "vectorize_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -490,6 +491,7 @@ def stage_classify(cfg: PipelineConfig, features_path=None) -> EvalReport:
     fpath = Path(features_path) if features_path else out / "features.csv"
     if not fpath.exists():
         raise StageError("classify", "features.csv missing; run the vectorize stage", fpath)
+    out.mkdir(parents=True, exist_ok=True)
     report = _staged("classify", fpath, lambda p: evaluate(load_features_csv(p), cfg))
     report.save(out / "report.json")
     return report

@@ -43,3 +43,8 @@ def test_evaluate_trains_through_the_module_attribute(monkeypatch):
     data = LabeledDataset(rng.normal(size=(20, 3)), np.array([0, 1] * 10))
     pipeline.evaluate(data, PipelineConfig(folds=5))
     assert len(calls) == 5
+
+
+def test_persist_is_denoise():
+    """Persist runs inside each denoise job; its stage name is kept as an alias."""
+    assert pipeline.stage_persist is pipeline.stage_denoise

@@ -23,7 +23,6 @@ OPTION_STRINGS = {
                        "--noise", "--amp-low", "--amp-high"],
     "embed": COMMON + ["--m", "--tau", "--auto-params", "--bins", "--rtol", "--atol"],
     "denoise": COMMON + ["--q", "--k", "--keep", "--iters"],
-    "persist": COMMON,
     "filter": COMMON + ["--bandwidth", "--keep-fraction", "--emit-density"],
     "vectorize": COMMON + ["--descriptor", "--pi-rows", "--pi-cols", "--sigma", "--plateau",
                            "--junction", "--ramp-start", "--ramp-end"],
@@ -121,7 +120,6 @@ class TestSubcommands:
         assert run_cli("embed", "--out", out, "--m", "2", "--tau", "10") == 0
         assert run_cli("denoise", "--out", out, "--q", "5", "--k", "60", "--keep", "50",
                        "--iters", "50", "--seed", "3") == 0
-        assert run_cli("persist", "--out", out) == 0
         assert run_cli("filter", "--out", out, "--keep-fraction", "0.99",
                        "--emit-density", str(workdir / "dens.csv")) == 0
         assert (workdir / "dens.csv").read_text().startswith("subject_id,birth,death,density")

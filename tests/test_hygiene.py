@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module (``__init__.py`` re-exports are
-exempt), and only ``topofeat.fileio`` opens or writes files."""
+exempt), only ``topofeat.fileio`` opens or writes files, and every function, class and
+method of the package has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,67 @@ def test_scan_flags_file_writes_only():
 def test_only_fileio_opens_or_writes_files(path):
     """Every other file goes through ``fileio.write_atomic``, so none is left half written."""
     assert file_calls(path.read_text()) == []
+
+
+# Definitions with no caller in src/, scripts/ or perfbench/ that stay on purpose.
+UNCALLED = {
+    "denoise.kpdtm_objective": "test oracle: the k-PDTM objective a fit's history must match",
+    "reference.rips_filtration": "test oracle: the textbook filtration behind rips_diagram",
+    "reference.compute_persistence": "test oracle: boundary-matrix reduction for rips_diagram",
+    "reference.brute_force_betti": "test oracle: Betti numbers by brute-force rank",
+    "EvalReport.from_json": "reads report.json back; the acceptance round trip uses it",
+}
+
+
+def definitions(source: str) -> list[str]:
+    """Top-level functions and classes, and ``Class.method`` for each method but dunders."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return names
+
+
+def references(source: str) -> set[str]:
+    """Every name, attribute and string constant; a benchmark looks hooks up by string."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def uncalled(source: str, refs: set[str], exported: set[str]) -> list[str]:
+    """Definitions of ``source`` that ``refs`` never names and the package does not export."""
+    return [name for name in definitions(source)
+            if name.rsplit(".", 1)[-1] not in refs and name not in exported]
+
+
+def test_scan_flags_only_uncalled_definitions():
+    source = ("def used(): pass\ndef unused(): pass\ndef hooked(): pass\ndef public(): pass\n"
+              "class Box:\n    def __init__(self): pass\n    def get(self): pass\n"
+              "    def put(self): pass\n")
+    refs = references("used()\nbox.get()\nsetattr(m, 'hooked', w)\n")
+    assert uncalled(source, refs, {"public"}) == ["unused", "Box", "Box.put"]
+
+
+def test_every_definition_has_a_caller():
+    refs = set()
+    for path in [*ROOT.glob("src/topofeat/*.py"), *ROOT.glob("scripts/*.py"),
+                 *ROOT.glob("perfbench/*.py")]:
+        refs |= references(path.read_text())
+    init = ast.parse((ROOT / "src" / "topofeat" / "__init__.py").read_text())
+    exported = {a.asname or a.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    found = [name if "." in name else f"{path.stem}.{name}"
+             for path in sorted(ROOT.glob("src/topofeat/*.py"))
+             for name in uncalled(path.read_text(), refs, exported)]
+    assert sorted(found) == sorted(UNCALLED)

@@ -17,8 +17,8 @@ from topofeat.homology import rips_diagram
 from topofeat.ingest import bandpass_filter, load_recording, segment
 from topofeat.pipeline import (StageError, cut_recording, load_subject_diagrams, run_pipeline,
                                stage_classify, stage_denoise, stage_embed, stage_filter,
-                               stage_ingest, stage_persist, stage_synth, stage_vectorize,
-                               sweep_weights, vectorize_features)
+                               stage_ingest, stage_synth, stage_vectorize, sweep_weights,
+                               vectorize_features)
 
 # Method constants that are not config keys; a config file that sets one is rejected.
 RETIRED_KEYS = ["ami_max_lag", "fnn_m_max", "knot_mode", "knot_quantile",
@@ -128,7 +128,6 @@ class TestStages:
         for t in targets:
             t.unlink()
         stage_denoise(cfg)
-        stage_persist(cfg)
         stage_filter(cfg)
         stage_vectorize(cfg)
         assert [digest(t) for t in targets] == before
@@ -157,11 +156,30 @@ class TestStages:
         shutil.rmtree(diagrams)
 
         def refuse(*args):
-            raise AssertionError("persist cut a recording")
+            raise AssertionError("rebuilding a diagram cut a recording")
 
         monkeypatch.setattr("topofeat.pipeline.cut_recording", refuse)
-        stage_persist(cfg)
+        stage_denoise(cfg)
         assert {p.name: p.read_bytes() for p in diagrams.iterdir()} == before
+
+    @pytest.mark.parametrize("victim", ["features.csv", "vectorize_meta.json", "images/a000.csv",
+                                        "images"])
+    def test_vectorize_restores_a_deleted_output(self, tiny_run, tmp_path, victim):
+        out = tmp_path / "out"
+        shutil.copytree(tiny_run[0].out_dir, out)
+        outputs = [out / "features.csv", out / "vectorize_meta.json",
+                   *sorted((out / "images").iterdir())]
+        before = {p: p.read_bytes() for p in outputs}
+        shutil.rmtree(out / victim) if victim == "images" else (out / victim).unlink()
+        stage_vectorize(replace(tiny_run[0], out_dir=str(out)))
+        assert {p: p.read_bytes() for p in outputs} == before
+
+    def test_classify_features_into_a_new_out_dir(self, tiny_run, tmp_path):
+        run = Path(tiny_run[0].out_dir)
+        fresh = tmp_path / "fresh" / "out"
+        assert main(["classify", "--features", str(run / "features.csv"), "--out", str(fresh),
+                     "--folds", "3", "--seed", "1"]) == 0
+        assert (fresh / "report.json").read_bytes() == (run / "report.json").read_bytes()
 
     def test_density_dump_without_points_is_its_header(self, tiny_run, tmp_path):
         cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"))
@@ -273,8 +291,8 @@ class TestStageErrors:
         joint.write_text("x0,x1,t\n1.0,zz,3\n")
         (Path(cfg.out_dir) / "diagrams" / "a000_0000.csv").unlink()
         with pytest.raises(StageError, match="could not convert string to float") as err:
-            stage_persist(cfg)
-        assert err.value.stage == "persist"
+            stage_denoise(cfg)
+        assert err.value.stage == "denoise"
         assert err.value.file == str(joint)
 
     # artifact under out/, the reused outputs that would keep a stage from reading
@@ -318,20 +336,9 @@ class TestStageErrors:
         assert ("ragged rows: line 2" if victim.suffix == ".csv"
                 else "Expecting property name") in err.value.message
 
-    def test_persist_without_joint_cloud_names_it(self, tiny_run, tmp_path):
-        cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"))
-        shutil.copytree(tiny_run[0].out_dir, cfg.out_dir)
-        joint = Path(cfg.out_dir) / "joint" / "b001_0001.csv"
-        joint.unlink()
-        (Path(cfg.out_dir) / "diagrams" / joint.name).unlink()
-        with pytest.raises(StageError, match="joint cloud missing; run the denoise stage") as err:
-            stage_persist(cfg)
-        assert err.value.stage == "persist"
-        assert err.value.file == str(joint)
-
 
 def first_cut(cfg, sid):
-    """The first window of a recording under the input, band-passed as ingest does."""
+    """The first window of a recording under the input, band-passed as a denoise job does."""
     rec = load_recording(Path(cfg.out_dir) / "input" / f"{sid}.csv", rate=cfg.rate)
     rec = bandpass_filter(rec, cfg.band_low, cfg.band_high, cfg.filter_order)
     return segment(rec, cfg.window_samples())[0].data
@@ -398,7 +405,7 @@ def segment_bytes(segments):
 
 
 class TestReadOnce:
-    """A recording is read once per cut: the bytes hashed are the bytes cut."""
+    """A recording is read once per cut or ingest: the bytes hashed are the bytes parsed."""
 
     def test_cut_parses_the_bytes_it_hashed(self, tmp_path, rng, monkeypatch):
         cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
@@ -409,7 +416,7 @@ class TestReadOnce:
         assert segment_bytes(cut_recording(path, cfg, sha)) == expected
         assert reads == ["bytes"]
 
-    def test_ingest_hashes_the_bytes_it_cut(self, tmp_path, rng, monkeypatch):
+    def test_ingest_hashes_the_bytes_it_parsed(self, tmp_path, rng, monkeypatch):
         cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
         path = tmp_path / "src" / "s0.csv"
         sha = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -481,6 +488,58 @@ class TestIngestStage:
         assert err.value.file == str(victim)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("damage, message", [
+        ("non_finite", "non-finite values"),
+        ("unknown_channel", r"unknown channel name\(s\): \['c9'\]"),
+    ])
+    def test_bad_recording_fails_at_ingest(self, tmp_path, rng, damage, message):
+        cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
+        victim = tmp_path / "src" / "s0.csv"
+        if damage == "non_finite":
+            header, first, rest = victim.read_text().split("\n", 2)
+            victim.write_text(f"{header}\nnan,{first.split(',')[1]}\n{rest}")
+        else:
+            cfg = replace(cfg, channels="c1,c9")
+        with pytest.raises(StageError, match=message) as err:
+            stage_ingest(cfg)
+        assert err.value.stage == "ingest"
+        assert err.value.file == str(victim)
+        assert not (tmp_path / "out").exists()
+
+    def test_ingest_counts_windows_without_cutting(self, tmp_path, rng, monkeypatch):
+        cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
+        cfg = replace(cfg, channels="c1")
+        src = tmp_path / "src"
+        short = src / "s1.csv"
+        short.write_text("\n".join(short.read_text().splitlines()[:81]) + "\n")  # 80 samples
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ingest cut a recording")
+
+        with monkeypatch.context() as mp:
+            mp.setattr("topofeat.pipeline.bandpass_filter", refuse)
+            mp.setattr("topofeat.pipeline.segment", refuse)
+            manifest = json.loads(stage_ingest(cfg).read_text())
+        assert {sid: (r["segments"], r["sha256"]) for sid, r in manifest["recordings"].items()} == {
+            sid: (len(cut_recording(src / f"{sid}.csv", cfg)), digest(src / f"{sid}.csv"))
+            for sid in ("s0", "s1")}
+        assert [r["segments"] for r in manifest["recordings"].values()] == [2, 1]
+
+    def test_recording_too_short_to_filter_fails_in_denoise(self, tmp_path, rng):
+        # 20 samples hold one 16-sample window, but an order-8 filter pads by 24
+        cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
+        cfg = replace(cfg, rate=32.0, window_sec=0.5, filter_order=8)
+        victim = tmp_path / "src" / "s0.csv"
+        victim.write_text("\n".join(victim.read_text().splitlines()[:21]) + "\n")
+        manifest = json.loads(stage_ingest(cfg).read_text())
+        assert manifest["recordings"]["s0"]["segments"] == 1
+        stage_embed(cfg)
+        with pytest.raises(StageError, match="must be greater than padlen, which is 24") as err:
+            stage_denoise(cfg)
+        assert err.value.stage == "denoise"
+        assert err.value.file == str(victim)
+        assert not list((tmp_path / "out" / "joint").glob("s0_*.csv"))
+
     def test_band_edge_at_nyquist_fails_before_any_write(self, tmp_path, rng):
         cfg = ingest_input(tmp_path, rng, "subject_id,label\ns0,0\ns1,1\n")
         with pytest.raises(ValueError, match=r"band_high must be below rate / 2 = 12.5 Hz"):
@@ -504,7 +563,7 @@ def old_layout(manifest, kind):
 
 class TestManifest:
     @pytest.mark.parametrize("kind", ["flat_segments", "bare_sha256"])
-    @pytest.mark.parametrize("stage", [stage_embed, stage_denoise, stage_persist, stage_filter,
+    @pytest.mark.parametrize("stage", [stage_embed, stage_denoise, stage_filter,
                                        load_subject_diagrams, run_pipeline],
                              ids=lambda f: f.__name__)
     def test_old_layout_asks_for_ingest(self, tiny_run, tmp_path, stage, kind):
@@ -577,12 +636,11 @@ class TestJobs:
         stage_synth(cfg, **TINY)
         stage_embed(cfg)
         stage_denoise(cfg)
-        stage_persist(cfg)
         assert sizes == []  # jobs=1 runs in-process
         victim = next(iter((Path(cfg.out_dir) / "diagrams").glob("*.csv")))
         expected = victim.read_bytes()
         victim.unlink()
-        stage_persist(replace(cfg, jobs=16))
+        stage_denoise(replace(cfg, jobs=16))
         assert sizes == [1]
         assert victim.read_bytes() == expected
 
