@@ -12,7 +12,7 @@ from .homology import PersistenceDiagram, betti_at, rips_diagram
 from .ingest import RawRecording, Segment, bandpass_filter, load_recording, segment, select_channels
 from .pipeline import StageError, run_pipeline, sweep_weights
 from .synth import SynthSpec, gen_cloud, gen_two_class_signals
-from .vectorize import (PersistenceImage, WeightParams, betti_curve, birth_persistence_transform,
-                        entropy_summary, persistence_image, persistence_landscape, weight_fn)
+from .vectorize import (WeightParams, betti_curve, birth_persistence_transform, entropy_summary,
+                        persistence_image, persistence_landscape, weight_fn)
 
 __version__ = "0.1.0"

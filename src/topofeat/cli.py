@@ -80,9 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels-n", type=int, default=6)
     p.add_argument("--rate", type=float)
     p.add_argument("--window-sec", type=float)
-    p.add_argument("--noise", type=float, default=0.3, help="periodic-class noise level")
-    p.add_argument("--amp-low", type=float, default=0.55)
-    p.add_argument("--amp-high", type=float, default=1.0)
 
     p = sub.add_parser("embed", help="settle the delay-embedding parameters m and tau")
     _add_common(p)
@@ -147,8 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-search", dest="grid_search", action="store_true", default=None)
     p.add_argument("--table", help="write the result table to this JSON file")
 
-    p = sub.add_parser("plot", help="render a diagram, barcode or image artifact")
-    p.add_argument("--artifact", required=True, help="artifact file (diagram CSV or image CSV)")
+    p = sub.add_parser("plot", help="draw a diagram CSV as a scatter, barcode or persistence image")
+    p.add_argument("--artifact", required=True,
+                   help="diagram CSV; an image reads vectorize_meta.json from its run directory")
     p.add_argument("--type", required=True, choices=["diagram", "barcode", "image"])
     p.add_argument("--output", required=True, help="output SVG (diagram/barcode) or PNG (image)")
     return ap
@@ -167,9 +165,7 @@ def main(argv=None) -> int:
             print(f"wrote {manifest}")
         elif args.command == "synth":
             manifest = stage_synth(cfg, n_subjects=args.subjects,
-                                   segments_per_subject=args.segments,
-                                   n_channels=args.channels_n, noise_a=args.noise,
-                                   amp_low=args.amp_low, amp_high=args.amp_high)
+                                   segments_per_subject=args.segments, n_channels=args.channels_n)
             print(f"wrote {manifest}")
         elif args.command == "embed":
             params = stage_embed(cfg)

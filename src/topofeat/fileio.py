@@ -1,9 +1,9 @@
 """Artifact files: atomic writes, and the one table format every artifact uses.
 
-Recordings, joint clouds, diagrams, persistence images, ``features.csv`` and
-the density dump are tables: an optional header line, then one line of
-comma-separated cells per row.  A number is written as ``repr``, which
-``float()`` reads back exactly (``inf`` included), and a text cell as it is.
+Recordings, joint clouds, diagrams, ``features.csv`` and the density dump
+are tables: a header line, then one line of comma-separated cells per row.
+A number is written as ``repr``, which ``float()`` reads back exactly
+(``inf`` included), and a text cell as it is.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def write_table(path, rows) -> None:
 
 
 class Table(NamedTuple):
-    header: list[str] | None  # column names, stripped
+    header: list[str]         # column names, stripped
     ids: list[str] | None     # each row's text cell
     values: list[float]       # the numbers, row after row
     width: int                # numbers per row
@@ -57,7 +57,7 @@ class Table(NamedTuple):
         return np.fromiter(self.values, float, len(self.values)).reshape(-1, self.width)
 
 
-def read_table(source, header: bool = True, ids: bool = False, ints=()) -> Table:
+def read_table(source, ids: bool = False, ints=()) -> Table:
     """The table in the file at ``source``, or in the bytes read from one.
 
     The bytes decode as ``Path.read_text`` would, and blank lines are skipped.
@@ -73,9 +73,9 @@ def read_table(source, header: bool = True, ids: bool = False, ints=()) -> Table
     start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if start is None:
         raise ValueError("empty file")
-    names = [h.strip() for h in lines[start].split(",")] if header else None
-    first, width = start + header, lines[start].count(",") + 1
-    numeric = [j - ids for j, name in enumerate(names or ()) if name in ints]
+    names = [h.strip() for h in lines[start].split(",")]
+    first, width = start + 1, lines[start].count(",") + 1
+    numeric = [j - ids for j, name in enumerate(names) if name in ints]
     body = [ln for ln in lines[first:] if ln.strip()]
     # Each row but the first starts with a newline, which float() and int()
     # skip; the rows are even exactly when those cells sit ``width`` apart.

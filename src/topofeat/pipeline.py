@@ -16,8 +16,7 @@ Layout under ``out_dir``:
     joint/<sid>_<idx>.csv          denoised joint clouds
     diagrams/<sid>_<idx>.csv       per-segment persistence diagrams
     subject_diagrams/<sid>.csv     merged + density-filtered diagrams
-    images/<sid>.csv               persistence images (when descriptor = pi)
-    vectorize_meta.json            shared extent / sigma / weight knots
+    vectorize_meta.json            shared image grid / extent / sigma / weight knots
     features.csv                   one row per subject, final column = label
     report.json                    evaluation report
 
@@ -54,9 +53,8 @@ from .homology import PersistenceDiagram, rips_diagram
 from .ingest import (RawRecording, Segment, _recording_from_bytes, bandpass_filter,
                      save_recording, segment, select_channels)
 from .synth import SynthSpec, gen_two_class_signals
-from .vectorize import (PersistenceImage, WeightParams, betti_curve,
-                        birth_persistence_transform, default_extent, entropy_summary,
-                        peak_split_knot, persistence_image, persistence_landscape)
+from .vectorize import (WeightParams, betti_curve, birth_persistence_transform, default_extent,
+                        entropy_summary, peak_split_knot, persistence_image, persistence_landscape)
 
 
 class StageError(RuntimeError):
@@ -207,15 +205,19 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
     return out / "manifest.json"
 
 
+# The periodic class of a synthetic cohort: its noise level and amplitude range.
+SYNTH_NOISE = 0.3
+SYNTH_AMPLITUDES = (0.55, 1.0)
+
+
 def stage_synth(cfg: PipelineConfig, n_subjects: int = 40, segments_per_subject: int = 10,
-                n_channels: int = 6, noise_a: float = 0.3, amp_low: float = 0.55,
-                amp_high: float = 1.0) -> Path:
+                n_channels: int = 6) -> Path:
     """Write a two-class synthetic cohort as recordings under ``<out>/input``, then ingest it."""
     validate_config(cfg)
     src = _out(cfg) / "input"
     shutil.rmtree(src, ignore_errors=True)  # a recording left from an earlier cohort has no label
     src.mkdir(parents=True)
-    spec_a = SynthSpec("sine", 1, noise_a, seed=cfg.seed + 100, amp_range=(amp_low, amp_high))
+    spec_a = SynthSpec("sine", 1, SYNTH_NOISE, seed=cfg.seed + 100, amp_range=SYNTH_AMPLITUDES)
     spec_b = SynthSpec("noise", 1, 1.0, seed=cfg.seed + 200)
     subjects = gen_two_class_signals(spec_a, spec_b, n_subjects, segments_per_subject,
                                      n_channels, window=cfg.window_samples(), rate=cfg.rate)
@@ -412,8 +414,8 @@ def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str
                        cfg: PipelineConfig):
     """One feature row per subject; returns ``(ids, features, labels, meta)``.
 
-    ``meta`` holds what every row shares: the descriptor, the image sigma and
-    extent, and the weight knots from ``resolve_weights``.
+    ``meta`` holds what every row shares: the descriptor, the image grid,
+    sigma and extent, and the weight knots from ``resolve_weights``.
     """
     all_bars = [d.finite_bars(1) for d in diagrams.values()]
     pooled = np.vstack([np.empty((0, 2)), *all_bars])
@@ -430,6 +432,7 @@ def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str
     extent = default_extent(bp, sigma)
     tgrid = np.linspace(0.0, t_hi, CURVE_BINS)
     meta = {"descriptor": cfg.descriptor, "sigma": sigma, "extent": extent,
+            "grid": [cfg.pi_rows, cfg.pi_cols],
             "weights": {"plateau": wp.plateau, "junction": wp.junction,
                         "ramp_start": wp.ramp_start, "ramp_end": wp.ramp_end}}
 
@@ -439,7 +442,7 @@ def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str
             if cfg.descriptor == "pi":
                 bp = birth_persistence_transform(bars)
                 img = persistence_image(bp, (cfg.pi_rows, cfg.pi_cols), extent, sigma, wp)
-                rows.append(img.flatten())
+                rows.append(img.reshape(-1))
             elif cfg.descriptor == "landscape":
                 rows.append(persistence_landscape(bars, LANDSCAPE_LAYERS, tgrid))
             elif cfg.descriptor == "betti":
@@ -453,24 +456,14 @@ def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str
 
 
 def stage_vectorize(cfg: PipelineConfig) -> Path:
-    """Turn subject diagrams into one feature row per subject; reuse them only
-    when features.csv, vectorize_meta.json and (for ``pi``) every image exist."""
+    """Write features.csv, one row per subject, and vectorize_meta.json, unless both exist."""
     validate_config(cfg)
     out = _out(cfg)
-    feats_path = out / "features.csv"
-    outputs = [feats_path, out / "vectorize_meta.json"]
-    if cfg.descriptor == "pi":
-        outputs += [out / "images" / f"{sid}.csv" for sid in _manifest(cfg)["recordings"]]
-    if all(p.exists() for p in outputs):
+    feats_path, meta_path = out / "features.csv", out / "vectorize_meta.json"
+    if feats_path.exists() and meta_path.exists():
         return feats_path
     ids, features, labels, meta = vectorize_features(*load_subject_diagrams(cfg), cfg)
-    write_atomic(out / "vectorize_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    if cfg.descriptor == "pi":
-        img_dir = out / "images"
-        img_dir.mkdir(exist_ok=True)
-        for sid, row in zip(ids, features):
-            PersistenceImage(row.reshape(cfg.pi_rows, cfg.pi_cols), meta["extent"],
-                             meta["sigma"]).to_csv(img_dir / f"{sid}.csv")
+    write_atomic(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
     save_features_csv(feats_path, ids, features, labels)
     return feats_path
 

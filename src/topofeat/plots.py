@@ -1,4 +1,5 @@
-"""Deterministic figure output: diagram/barcode scatter SVGs and image PNGs.
+"""Deterministic figure output from a diagram CSV: scatter and barcode SVGs,
+and the PNG of its persistence image.
 
 SVG files are assembled as plain text and PNG pixels go through a minimal
 encoder, so reruns write byte-identical files, through ``write_atomic``.
@@ -6,14 +7,17 @@ encoder, so reruns write byte-identical files, through ``write_atomic``.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
-from .fileio import read_table, write_atomic
+from .fileio import write_atomic
 from .homology import PersistenceDiagram
+from .vectorize import WeightParams, birth_persistence_transform, persistence_image
 
 _SIZE = 480
 _MARGIN = 50
@@ -102,12 +106,21 @@ def write_png_gray(pixels: np.ndarray, path) -> None:
 
 
 def plot(artifact_path, kind: str, out_path) -> None:
-    """Render a stored artifact: ``diagram``/``barcode`` (SVG) or ``image`` (PNG)."""
-    if kind == "diagram":
-        plot_diagram(PersistenceDiagram.from_csv(artifact_path), out_path)
-    elif kind == "barcode":
-        plot_barcode(PersistenceDiagram.from_csv(artifact_path), out_path)
-    elif kind == "image":
-        write_png_gray(read_table(artifact_path, header=False).array(), out_path)
-    else:
+    """Render a diagram CSV as a ``diagram`` or ``barcode`` SVG, or as the PNG of
+    its persistence ``image`` under the vectorize_meta.json of its run directory."""
+    if kind not in ("diagram", "barcode", "image"):
         raise ValueError(f"unknown artifact type {kind!r}")
+    diagram = PersistenceDiagram.from_csv(artifact_path)
+    if kind == "diagram":
+        plot_diagram(diagram, out_path)
+    elif kind == "barcode":
+        plot_barcode(diagram, out_path)
+    else:  # subject_diagrams/<sid>.csv and diagrams/<sid>_<idx>.csv sit one below the run
+        meta_path = Path(artifact_path).resolve().parents[1] / "vectorize_meta.json"
+        meta = json.loads(meta_path.read_text())
+        if not meta.keys() >= {"grid", "extent", "sigma", "weights"}:
+            raise ValueError(f"{meta_path} has no image grid or settings; delete it and run "
+                             "vectorize again")
+        write_png_gray(persistence_image(birth_persistence_transform(diagram.finite_bars(1)),
+                                         meta["grid"], meta["extent"], meta["sigma"],
+                                         WeightParams(**meta["weights"])), out_path)

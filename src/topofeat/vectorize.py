@@ -4,7 +4,9 @@ The main descriptor is the persistence image: diagram points move to
 (birth, persistence) coordinates, each gets a weight from a piecewise
 (flat / linear ramp / quadratic) function of its persistence, is spread by
 an isotropic Gaussian, and pixel values are the exact integrals of that
-surface over the grid cells.  Landscape, entropy-curve and rank-curve
+surface over the grid cells.  An image is a (rows, cols) array, and a
+subject's feature row is that array flattened row by row; ``features.csv``
+holds the only copy.  Landscape, entropy-curve and rank-curve
 descriptors are provided for comparison runs.  Every descriptor takes the
 finite H1 bars of a diagram as an (n, 2) array of (birth, death) rows.
 """
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
-
-from .fileio import write_table
 
 
 @dataclass(frozen=True)
@@ -39,33 +39,6 @@ class WeightParams:
             raise ValueError("need 0 <= ramp_start < ramp_end")
         if self.plateau < 0 or self.junction < 0:
             raise ValueError("weights must be nonnegative")
-
-
-@dataclass
-class PersistenceImage:
-    """Pixel grid over (birth, persistence) space.
-
-    ``pixels[r, c]`` covers the r-th persistence bin (ascending) and c-th
-    birth bin (ascending).  After normalisation the max pixel is 1 unless
-    the image is identically zero.
-    """
-
-    pixels: np.ndarray
-    extent: tuple[tuple[float, float], tuple[float, float]]
-    sigma: float
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=float)
-        if self.pixels.ndim != 2 or self.pixels.size == 0:
-            raise ValueError("pixels must be a nonempty 2-D grid")
-        if np.any(self.pixels < 0):
-            raise ValueError("pixel intensities must be nonnegative")
-
-    def flatten(self) -> np.ndarray:
-        return self.pixels.reshape(-1)
-
-    def to_csv(self, path) -> None:
-        write_table(path, self.pixels.tolist())
 
 
 def birth_persistence_transform(bars: np.ndarray) -> np.ndarray:
@@ -109,15 +82,16 @@ def default_extent(points: np.ndarray, sigma: float, pad_sigmas: float = 3.0):
 
 def persistence_image(points: np.ndarray, grid: tuple[int, int], extent, sigma: float,
                       params: WeightParams = WeightParams(),
-                      normalize: bool = True) -> PersistenceImage:
-    """Rasterise weighted (birth, persistence) points into a pixel grid.
+                      normalize: bool = True) -> np.ndarray:
+    """Rasterise weighted (birth, persistence) points into a ``grid`` of pixels.
 
     ``extent`` is ((birth lo, hi), (persistence lo, hi)) and ``sigma`` the
     Gaussian width; one cohort shares both (see ``default_extent``).  Each
     point contributes weight x Gaussian mass; a pixel integrates the
     resulting surface exactly (product of 1-D Gaussian CDF differences).
-    With ``normalize`` the grid is divided by its max pixel (skipped when
-    the image is identically zero).
+    Pixel ``[r, c]`` covers the r-th persistence bin and the c-th birth bin,
+    both ascending.  With ``normalize`` the grid is divided by its max pixel
+    (skipped when the image is identically zero).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     rows, cols = grid
@@ -144,7 +118,7 @@ def persistence_image(points: np.ndarray, grid: tuple[int, int], extent, sigma: 
         peak = img.max()
         if peak > 0:
             img = img / peak
-    return PersistenceImage(img, ((float(x0), float(x1)), (float(y0), float(y1))), float(sigma))
+    return img
 
 
 def persistence_landscape(bars: np.ndarray, k_max: int, grid: np.ndarray) -> np.ndarray:

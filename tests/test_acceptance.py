@@ -204,13 +204,13 @@ def test_criterion_09_image_mass_and_additivity():
     kw = dict(grid=(40, 40), extent=extent, sigma=sigma, params=params, normalize=False)
     img = persistence_image(pts, **kw)
     total = weight_fn(pts[:, 1], params).sum()
-    mass_ok = abs(img.pixels.sum() - total) <= 0.005 * total
+    mass_ok = abs(img.sum() - total) <= 0.005 * total
 
     img_a = persistence_image(pts[:5], **kw)
     img_b = persistence_image(pts[5:], **kw)
-    additive_err = np.abs(img.pixels - (img_a.pixels + img_b.pixels)).max()
+    additive_err = np.abs(img - (img_a + img_b)).max()
     report(9, mass_ok and additive_err < 1e-9,
-           f"pixel sum off by {abs(img.pixels.sum() - total) / total:.2e}; "
+           f"pixel sum off by {abs(img.sum() - total) / total:.2e}; "
            f"additivity err {additive_err:.1e}")
 
 

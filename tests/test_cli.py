@@ -1,6 +1,7 @@
 import argparse
 import json
 import shlex
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -19,8 +20,7 @@ COMMON = ["-h", "--help", "--config", "--out", "--seed", "--jobs"]
 OPTION_STRINGS = {
     "ingest": COMMON + ["--input", "--rate", "--band", "--order", "--channels", "--window-sec",
                         "--no-bandpass"],
-    "synth": COMMON + ["--subjects", "--segments", "--channels-n", "--rate", "--window-sec",
-                       "--noise", "--amp-low", "--amp-high"],
+    "synth": COMMON + ["--subjects", "--segments", "--channels-n", "--rate", "--window-sec"],
     "embed": COMMON + ["--m", "--tau", "--auto-params", "--bins", "--rtol", "--atol"],
     "denoise": COMMON + ["--q", "--k", "--keep", "--iters"],
     "filter": COMMON + ["--bandwidth", "--keep-fraction", "--emit-density"],
@@ -46,12 +46,27 @@ def subcommands() -> dict[str, argparse.ArgumentParser]:
     return action.choices
 
 
+def stagewise_run(out: Path) -> list[int]:
+    """Exit codes of synth and then each stage in turn on ``out``; the filter
+    stage dumps densities to dens.csv and classify copies its report to copy.json."""
+    o = str(out)
+    return [run_cli("synth", "--out", o, "--subjects", "2", "--segments", "2",
+                    "--channels-n", "2", "--seed", "3", "--window-sec", "2"),
+            run_cli("embed", "--out", o, "--m", "2", "--tau", "10"),
+            run_cli("denoise", "--out", o, "--q", "5", "--k", "60", "--keep", "50",
+                    "--iters", "50", "--seed", "3"),
+            run_cli("filter", "--out", o, "--keep-fraction", "0.99",
+                    "--emit-density", str(out / "dens.csv")),
+            run_cli("vectorize", "--out", o, "--descriptor", "pi"),
+            run_cli("classify", "--out", o, "--folds", "2", "--seed", "3",
+                    "--report", str(out / "copy.json"))]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
+    """A finished stage-wise run."""
     out = tmp_path_factory.mktemp("cli")
-    code = run_cli("synth", "--out", str(out), "--subjects", "2", "--segments", "2",
-                   "--channels-n", "2", "--seed", "3", "--window-sec", "2")
-    assert code == 0
+    assert stagewise_run(out) == [0] * 6
     return out
 
 
@@ -115,18 +130,10 @@ class TestSurface:
 
 
 class TestSubcommands:
-    def test_stagewise_run(self, workdir):
-        out = str(workdir)
-        assert run_cli("embed", "--out", out, "--m", "2", "--tau", "10") == 0
-        assert run_cli("denoise", "--out", out, "--q", "5", "--k", "60", "--keep", "50",
-                       "--iters", "50", "--seed", "3") == 0
-        assert run_cli("filter", "--out", out, "--keep-fraction", "0.99",
-                       "--emit-density", str(workdir / "dens.csv")) == 0
-        assert (workdir / "dens.csv").read_text().startswith("subject_id,birth,death,density")
-        assert run_cli("vectorize", "--out", out, "--descriptor", "pi") == 0
-        assert run_cli("classify", "--out", out, "--folds", "2", "--seed", "3",
-                       "--report", str(workdir / "copy.json")) == 0
-        report = json.loads((workdir / "copy.json").read_text())
+    def test_stagewise_run(self, tmp_path):
+        assert stagewise_run(tmp_path) == [0] * 6
+        assert (tmp_path / "dens.csv").read_text().startswith("subject_id,birth,death,density")
+        report = json.loads((tmp_path / "copy.json").read_text())
         assert set(report) >= {"acc", "se", "sp", "per_fold"}
 
     def test_plot_outputs(self, workdir):
@@ -138,11 +145,28 @@ class TestSubcommands:
         bc = workdir / "b.svg"
         assert run_cli("plot", "--artifact", str(diagram), "--type", "barcode",
                        "--output", str(bc)) == 0
-        image = next(iter((workdir / "images").glob("*.csv")))
+        subject = next(iter((workdir / "subject_diagrams").glob("*.csv")))
         png = workdir / "i.png"
-        assert run_cli("plot", "--artifact", str(image), "--type", "image",
+        assert run_cli("plot", "--artifact", str(subject), "--type", "image",
                        "--output", str(png)) == 0
         assert png.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
+
+    @pytest.mark.parametrize("meta", ["missing", "without_grid"])
+    def test_plot_image_needs_the_grid_in_the_meta_file(self, workdir, tmp_path, capsys, meta):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "subject_diagrams", run / "subject_diagrams")
+        if meta == "without_grid":
+            recorded = json.loads((workdir / "vectorize_meta.json").read_text())
+            del recorded["grid"]
+            (run / "vectorize_meta.json").write_text(json.dumps(recorded))
+        subject = next(iter((run / "subject_diagrams").glob("*.csv")))
+        assert run_cli("plot", "--artifact", str(subject), "--type", "image",
+                       "--output", str(tmp_path / "i.png")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(run.resolve() / "vectorize_meta.json") in err
+        assert not (tmp_path / "i.png").exists()
+        if meta == "without_grid":
+            assert "delete it and run vectorize again" in err
 
     def test_plot_deterministic(self, workdir):
         diagram = next(iter((workdir / "diagrams").glob("*.csv")))

@@ -7,17 +7,15 @@ from test_cloud import EDGE_VALUES
 from topofeat import ingest
 from topofeat.classify import load_features_csv, save_features_csv
 from topofeat.cloud import PointCloud
-from topofeat.fileio import read_table
 from topofeat.homology import INF, PersistenceDiagram
 from topofeat.ingest import (RawRecording, bandpass_filter, load_recording, save_recording,
                              segment, select_channels)
-from topofeat.vectorize import PersistenceImage
 
 TEN_TWENTY = ["Fz", "Cz", "Pz", "C3", "T3", "C4", "T4", "Fp1", "Fp2", "F3",
               "F4", "F7", "F8", "P3", "P4", "T5", "T6", "O1", "O2"]
 
 
-def cell_by_cell_table(path, header=True, ids=False, ints=()):
+def cell_by_cell_table(path, ids=False, ints=()):
     """Oracle for ``read_table``: ``float()`` on each cell of each line in turn,
     after a leading text cell with ``ids``, and ``int()`` too on a cell in a
     column named in ``ints``.  Blank lines are skipped but counted, so an error
@@ -25,10 +23,10 @@ def cell_by_cell_table(path, header=True, ids=False, ints=()):
     """
     numbered = [(i, ln) for i, ln in enumerate(path.read_text().splitlines(), start=1)
                 if ln.strip()]
-    names = [h.strip() for h in numbered[0][1].split(",")] if header else []
+    names = [h.strip() for h in numbered[0][1].split(",")]
     width = len(numbered[0][1].split(","))
     texts, rows = [], []
-    for lineno, ln in numbered[1 if header else 0:]:
+    for lineno, ln in numbered[1:]:
         cells = ln.split(",")
         if len(cells) != width:
             raise ValueError(f"ragged rows: line {lineno} has {len(cells)} cells, expected {width}")
@@ -41,7 +39,7 @@ def cell_by_cell_table(path, header=True, ids=False, ints=()):
         except ValueError as exc:
             raise ValueError(f"non-integer cell at line {lineno}: {exc}") from None
         texts.append(cells[0])
-    return (names if header else None), (texts if ids else None), rows
+    return names, (texts if ids else None), rows
 
 
 def cell_by_cell_load(path, rate=128.0):
@@ -58,8 +56,7 @@ def per_value_lines(header, rows):
         if isinstance(v, str):
             return v
         return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
-    return ([] if header is None else [",".join(header)]) + [
-        ",".join(cell(v) for v in row) for row in rows]
+    return [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
 
 
 def write_csv(path, header, rows):
@@ -318,10 +315,6 @@ def write_artifact(kind, path):
         return (lambda p: np.array(PersistenceDiagram.from_csv(p).sorted_features())), \
             np.array(diagram.sorted_features()), ["dim", "birth", "death"], \
             diagram.sorted_features(), {"ints": ("dim",)}
-    if kind == "image":
-        PersistenceImage(np.abs(vals), ((0.0, 1.0), (0.0, 1.0)), 1.0).to_csv(path)
-        return (lambda p: read_table(p, header=False).array()), np.abs(vals), None, \
-            np.abs(vals), {"header": False}
     ids, labels = ["s0", "s1"], [1, 0]
     save_features_csv(path, ids, vals, np.array(labels))
     header = ["subject_id", *(f"f{i}" for i in range(len(EDGE_VALUES))), "label"]
@@ -330,7 +323,7 @@ def write_artifact(kind, path):
         {"ids": True, "ints": ("label",)}
 
 
-ARTIFACTS = ["recording", "joint_cloud", "diagram", "image", "features"]
+ARTIFACTS = ["recording", "joint_cloud", "diagram", "features"]
 # (artifact, damage): how the fourth line of the file, after two blank lines, is broken
 DAMAGES = [(kind, damage) for kind in ARTIFACTS for damage in ("ragged", "non_numeric")] + [
     ("joint_cloud", "non_integer"), ("diagram", "non_integer"), ("features", "non_integer")]

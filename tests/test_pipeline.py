@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from topofeat.classify import load_features_csv
 from topofeat.cli import main
 from topofeat.cloud import PointCloud
 from topofeat.config import PipelineConfig, load_config, validate_config
@@ -15,6 +16,7 @@ from topofeat.embedding import estimate_embedding_params
 from topofeat.fileio import write_atomic
 from topofeat.homology import rips_diagram
 from topofeat.ingest import bandpass_filter, load_recording, segment
+from topofeat.plots import write_png_gray
 from topofeat.pipeline import (StageError, cut_recording, load_subject_diagrams, run_pipeline,
                                stage_classify, stage_denoise, stage_embed, stage_filter,
                                stage_ingest, stage_synth, stage_vectorize, sweep_weights,
@@ -107,6 +109,7 @@ class TestStages:
         assert len(list((out / "joint").glob("*.csv"))) == 12
         assert len(list((out / "diagrams").glob("*.csv"))) == 12
         assert len(list((out / "subject_diagrams").glob("*.csv"))) == 6
+        assert not (out / "images").exists()
         assert (out / "features.csv").exists()
         assert (out / "report.json").exists()
         assert 0.0 <= report.acc <= 1.0
@@ -162,17 +165,33 @@ class TestStages:
         stage_denoise(cfg)
         assert {p.name: p.read_bytes() for p in diagrams.iterdir()} == before
 
-    @pytest.mark.parametrize("victim", ["features.csv", "vectorize_meta.json", "images/a000.csv",
-                                        "images"])
+    @pytest.mark.parametrize("victim", ["features.csv", "vectorize_meta.json"])
     def test_vectorize_restores_a_deleted_output(self, tiny_run, tmp_path, victim):
         out = tmp_path / "out"
         shutil.copytree(tiny_run[0].out_dir, out)
-        outputs = [out / "features.csv", out / "vectorize_meta.json",
-                   *sorted((out / "images").iterdir())]
+        outputs = [out / "features.csv", out / "vectorize_meta.json"]
         before = {p: p.read_bytes() for p in outputs}
-        shutil.rmtree(out / victim) if victim == "images" else (out / victim).unlink()
+        (out / victim).unlink()
         stage_vectorize(replace(tiny_run[0], out_dir=str(out)))
         assert {p: p.read_bytes() for p in outputs} == before
+
+    def test_plot_image_is_the_features_row(self, tiny_run, tmp_path):
+        out = Path(tiny_run[0].out_dir)
+        grid = json.loads((out / "vectorize_meta.json").read_text())["grid"]
+        rows = load_features_csv(out / "features.csv")
+        assert grid == [tiny_run[0].pi_rows, tiny_run[0].pi_cols]
+        assert len(rows.subject_ids) == 6
+        for sid, row in zip(rows.subject_ids, rows.features):
+            write_png_gray(row.reshape(grid), tmp_path / "row.png")
+            assert main(["plot", "--artifact", str(out / "subject_diagrams" / f"{sid}.csv"),
+                         "--type", "image", "--output", str(tmp_path / "plot.png")]) == 0
+            assert (tmp_path / "plot.png").read_bytes() == (tmp_path / "row.png").read_bytes()
+
+    def test_plot_image_of_a_segment_diagram(self, tiny_run, tmp_path):
+        diagram = Path(tiny_run[0].out_dir) / "diagrams" / "a000_0000.csv"
+        assert main(["plot", "--artifact", str(diagram), "--type", "image",
+                     "--output", str(tmp_path / "seg.png")]) == 0
+        assert (tmp_path / "seg.png").read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
 
     def test_classify_features_into_a_new_out_dir(self, tiny_run, tmp_path):
         run = Path(tiny_run[0].out_dir)
@@ -204,7 +223,7 @@ class TestStages:
         listed = set(block.split()) - {"out/"}
         out = Path(cfg.out_dir)
         paths = [p.relative_to(out) for p in out.rglob("*") if p.is_file()]
-        assert {p.parts[0] + "/" if len(p.parts) > 1 else p.name for p in paths} <= listed
+        assert {p.parts[0] + "/" if len(p.parts) > 1 else p.name for p in paths} == listed
         assert not list(out.rglob("*_seg*.csv"))
 
     def test_denoise_cuts_with_the_ingest_band(self, tiny_run, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import zlib
 
@@ -5,6 +6,7 @@ import numpy as np
 
 from topofeat.homology import INF, PersistenceDiagram, rips_diagram
 from topofeat.plots import plot, plot_barcode, plot_diagram, write_png_gray
+from topofeat.vectorize import WeightParams, persistence_image
 
 
 class TestDiagramSvg:
@@ -76,6 +78,15 @@ class TestPlotDispatch:
             raise AssertionError("expected ValueError")
 
     def test_image_roundtrip(self, tmp_path):
-        (tmp_path / "img.csv").write_text("0.0,1.0\n0.25,0.5\n")
-        plot(tmp_path / "img.csv", "image", tmp_path / "img.png")
+        diagram = PersistenceDiagram([(0, 0.0, INF), (1, 0.5, 2.0), (1, 1.0, 1.5)])
+        (tmp_path / "subject_diagrams").mkdir()
+        diagram.to_csv(tmp_path / "subject_diagrams" / "s.csv")
+        meta = {"grid": [3, 4], "extent": [[0.0, 2.0], [0.0, 2.0]], "sigma": 0.3,
+                "weights": {"plateau": 1.0, "junction": 2.0, "ramp_start": 0.2, "ramp_end": 1.0}}
+        (tmp_path / "vectorize_meta.json").write_text(json.dumps(meta))
+        plot(tmp_path / "subject_diagrams" / "s.csv", "image", tmp_path / "img.png")
         assert (tmp_path / "img.png").read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
+        pixels = persistence_image(np.array([[0.5, 1.5], [1.0, 0.5]]), (3, 4),
+                                   ((0.0, 2.0), (0.0, 2.0)), 0.3, WeightParams(1.0, 2.0, 0.2, 1.0))
+        write_png_gray(pixels, tmp_path / "expected.png")
+        assert (tmp_path / "img.png").read_bytes() == (tmp_path / "expected.png").read_bytes()

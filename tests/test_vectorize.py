@@ -78,14 +78,14 @@ class TestWeightFn:
 class TestPersistenceImage:
     def test_empty_points(self):
         img = persistence_image(np.empty((0, 2)), grid=(5, 5), extent=((0, 1), (0, 1)), sigma=0.1)
-        assert img.pixels.shape == (5, 5)
-        assert np.all(img.pixels == 0)
+        assert img.shape == (5, 5)
+        assert np.all(img == 0)
 
     def test_zero_weight_annihilates(self):
         pts = np.array([[0.5, 50.0]])  # persistence below ramp_start, plateau 0
         img = persistence_image(pts, grid=(8, 8), extent=((0, 1), (0, 100)), sigma=2.0,
                                 params=PAPER_WEIGHTS)
-        assert np.all(img.pixels == 0)
+        assert np.all(img == 0)
 
     def test_mass_conservation_and_normalization(self):
         pts = np.array([[0.0, 150.0]])
@@ -93,10 +93,10 @@ class TestPersistenceImage:
         img_raw = persistence_image(pts, grid=(30, 30), extent=((-20, 20), (130, 170)),
                                     sigma=sigma, params=PAPER_WEIGHTS, normalize=False)
         expected = weight_fn(150.0, PAPER_WEIGHTS)
-        assert img_raw.pixels.sum() == pytest.approx(expected, rel=0.01)
+        assert img_raw.sum() == pytest.approx(expected, rel=0.01)
         img_norm = persistence_image(pts, grid=(30, 30), extent=((-20, 20), (130, 170)),
                                      sigma=sigma, params=PAPER_WEIGHTS)
-        assert img_norm.pixels.max() == pytest.approx(1.0)
+        assert img_norm.max() == pytest.approx(1.0)
 
     def test_quadrature_oracle(self):
         # midpoint-rule quadrature of the weighted Gaussian surface, per pixel
@@ -123,7 +123,7 @@ class TestPersistenceImage:
                     w = weight_fn(py, PAPER_WEIGHTS)
                     rho += w / (2 * math.pi * sigma**2) * np.exp(
                         -((xx - bx) ** 2 + (yy - py) ** 2) / (2 * sigma**2))
-                assert img.pixels[r, c] == pytest.approx(float(rho.sum() * hx * hy), rel=1e-4)
+                assert img[r, c] == pytest.approx(float(rho.sum() * hx * hy), rel=1e-4)
 
     def test_additivity(self, rng):
         a = np.column_stack([rng.normal(size=6), rng.uniform(120, 260, 6)])
@@ -133,23 +133,12 @@ class TestPersistenceImage:
         img_ab = persistence_image(np.vstack([a, b]), **kw)
         img_a = persistence_image(a, **kw)
         img_b = persistence_image(b, **kw)
-        assert np.abs(img_ab.pixels - (img_a.pixels + img_b.pixels)).max() < 1e-9
+        assert np.abs(img_ab - (img_a + img_b)).max() < 1e-9
 
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             persistence_image(np.array([[0.0, 1.0]]), grid=(4, 4), extent=((0, 1), (0, 2)),
                               sigma=-1.0)
-
-    def test_csv_roundtrip(self, tmp_path):
-        img = persistence_image(np.array([[0.0, 150.0]]), grid=(4, 4),
-                                extent=((-10, 10), (140, 160)), sigma=2.0,
-                                params=PAPER_WEIGHTS)
-        img.to_csv(tmp_path / "img.csv")
-        rows = [[float(v) for v in ln.split(",")]
-                for ln in (tmp_path / "img.csv").read_text().strip().splitlines()]
-        assert np.allclose(np.array(rows), img.pixels)
-        per_value = [",".join(repr(float(v)) for v in row) for row in img.pixels]
-        assert (tmp_path / "img.csv").read_text() == "\n".join(per_value) + "\n"
 
 
 class TestLandscape:
