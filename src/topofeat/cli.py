@@ -14,9 +14,8 @@ from dataclasses import replace
 
 from .config import DESCRIPTORS, KERNELS, PipelineConfig, load_config
 from .fileio import write_atomic
-from .pipeline import (StageError, run_pipeline, stage_classify, stage_denoise,
-                       stage_embed, stage_filter, stage_ingest, stage_synth,
-                       stage_vectorize, sweep_weights)
+from .pipeline import (StageError, run_pipeline, stage_classify, stage_denoise, stage_embed,
+                       stage_ingest, stage_synth, stage_vectorize, sweep_weights)
 from .plots import plot
 
 
@@ -54,7 +53,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file; flags override it")
     p.add_argument("--out", dest="out_dir", help="artifact directory")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help="worker processes for the per-recording denoise jobs")
+    p.add_argument("--jobs", type=int, help="worker processes for denoise, one job per recording")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,15 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtol", dest="fnn_rtol", type=float)
     p.add_argument("--atol", dest="fnn_atol", type=float)
 
-    p = sub.add_parser("denoise", help="denoise each segment into a joint cloud, then its diagram")
+    p = sub.add_parser("denoise", help="denoise, persist and density-filter each recording")
     _add_common(p)
     p.add_argument("--q", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--keep", dest="keep_n", type=int)
     p.add_argument("--iters", type=int)
-
-    p = sub.add_parser("filter", help="merge per-subject diagrams and density-filter them")
-    _add_common(p)
     p.add_argument("--bandwidth", help="cov10 | identity:<s> | manual:<4 entries>")
     p.add_argument("--keep-fraction", dest="keep_fraction", type=float)
     p.add_argument("--emit-density", help="optional CSV dump of point densities")
@@ -171,11 +167,8 @@ def main(argv=None) -> int:
             params = stage_embed(cfg)
             print(f"embedding parameters m={params.dim} tau={params.delay}")
         elif args.command == "denoise":
-            stage_denoise(cfg)
-            print("joint clouds and diagrams written")
-        elif args.command == "filter":
-            stage_filter(cfg, emit_density=args.emit_density)
-            print("subject diagrams written")
+            stage_denoise(cfg, emit_density=args.emit_density)
+            print("joint clouds, diagrams and subject diagrams written")
         elif args.command == "vectorize":
             path = stage_vectorize(cfg)
             print(f"wrote {path}")

@@ -21,11 +21,12 @@ Layout under ``out_dir``:
     report.json                    evaluation report
 
 Recordings are the only signal on disk.  Ingest reads, hashes and parses each
-one and counts its windows, but cuts nothing; each denoise job cuts its
-recording (``cut_recording``) with the settings manifest.json records, and
-persists each joint cloud to its diagram in memory.  A missing diagram whose
-joint cloud exists is rebuilt from ``joint/`` without a cut.  Weight sweeps
-and descriptor comparisons re-vectorise the subject diagrams in memory
+one and counts its windows, but cuts nothing.  Each denoise job takes one
+recording from the cut (``cut_recording``, with the settings manifest.json
+records) through its joint clouds and diagrams, in memory, to its merged and
+density-filtered subject diagram.  Missing outputs are rebuilt from the ones on
+disk: a diagram from ``joint/``, a subject diagram from ``diagrams/``.  Weight
+sweeps and descriptor comparisons re-vectorise the subject diagrams in memory
 (``vectorize_features`` + ``evaluate``) and write nothing.
 """
 
@@ -258,111 +259,108 @@ def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
 
 # ------------------------------------------------------------------ denoise
 
-def _segment_job(args) -> None:
-    """Read back or denoise each listed segment's joint cloud (cutting the recording
-    at most once), then compute a missing diagram from the points in memory, which
-    equal the written cloud's: ``PointCloud.to_csv`` writes ``repr`` floats."""
-    recording, sha256, paths, cfg, embedding = args
-    segs = None
-    for index, (joint_path, diagram_path) in paths.items():
-        if joint_path.exists():
-            joint = _staged("denoise", joint_path, PointCloud.from_csv)
-        else:
+def _segment_job(args) -> list:
+    """Bring one recording up to its subject diagram; returns its density rows.
+
+    A joint cloud is read back or denoised (cutting the recording at most once),
+    and a missing diagram computed from the points in memory, which equal the
+    written cloud's (``repr`` floats).  The diagrams merge in the
+    ``sorted_features`` order their files hold, whether held in memory or read
+    back, so the densities do not depend on which were on disk."""
+    recording, sha256, sid, segments, target, cfg, embedding, emit = args
+    merge = emit or not target.exists()
+    segs, diagrams = None, []
+    for index, (joint_path, diagram_path) in enumerate(segments):
+        joint = None
+        if not joint_path.exists():
             segs = segs or cut_recording(recording, cfg, sha256)
             clouds = [delay_embed(x, embedding) for x in segs[index].data]
             params = MassParams(cfg.q, cfg.k, cfg.iters, cfg.seed).capped(len(clouds[0]))
             joint = remap_multichannel(clouds, cfg.keep_n, params)
             joint.to_csv(joint_path)
-        if not diagram_path.exists():
-            rips_diagram(joint.points).to_csv(diagram_path)
+        if diagram_path.exists():
+            if merge:
+                diagrams.append(_staged("denoise", diagram_path, PersistenceDiagram.from_csv))
+            continue
+        if joint is None:
+            joint = _staged("denoise", joint_path, PointCloud.from_csv)
+        diagram = rips_diagram(joint.points)
+        diagram.to_csv(diagram_path)
+        diagrams.append(PersistenceDiagram(diagram.sorted_features()))
+    if not merge:
+        return []
+    points = merge_diagrams(diagrams)
+    if len(points) == 0:
+        PersistenceDiagram().to_csv(target)
+        return []
+    bw = parse_bandwidth(cfg.bandwidth)
+    dens = mkde_density(points, BandwidthSpec.from_covariance(points) if bw == "cov10" else bw)
+    filter_by_density(points, dens, cfg.keep_fraction).to_csv(target)
+    return [[sid, *row] for row in np.column_stack([points, dens]).tolist()] if emit else []
 
 
-def _segment_jobs(cfg: PipelineConfig, manifest: dict, embedding: EmbeddingParams) -> list:
-    """One job per recording with a segment that lacks its joint cloud or its diagram."""
+def _segment_jobs(cfg: PipelineConfig, manifest: dict, embedding: EmbeddingParams,
+                  emit: bool) -> list:
+    """One job per recording that lacks a joint cloud, a diagram or its subject
+    diagram, in subject order; with ``emit``, one per recording."""
     out = _out(cfg)
-    recordings = manifest["recordings"]
-    todo: dict[str, dict[int, tuple[Path, Path]]] = {}
-    for sid, rec in recordings.items():
-        for index in range(rec["segments"]):
-            name = _segment_name(sid, index)
-            joint, diagram = out / "joint" / name, out / "diagrams" / name
-            if not (joint.exists() and diagram.exists()):
-                todo.setdefault(sid, {})[index] = joint, diagram
-    for stage_dir in ("joint", "diagrams"):
+    for stage_dir in ("joint", "diagrams", "subject_diagrams"):
         (out / stage_dir).mkdir(exist_ok=True)
     cut_cfg = replace(cfg, **manifest["settings"])
-    return [(Path(manifest["input_dir"], f"{sid}.csv"), recordings[sid]["sha256"], paths,
-             cut_cfg, embedding) for sid, paths in todo.items()]
+    jobs = []
+    for sid, rec in sorted(manifest["recordings"].items()):
+        names = [_segment_name(sid, index) for index in range(rec["segments"])]
+        segments = [(out / "joint" / name, out / "diagrams" / name) for name in names]
+        target = out / "subject_diagrams" / f"{sid}.csv"
+        if emit or not (target.exists() and all(j.exists() and d.exists() for j, d in segments)):
+            jobs.append((Path(manifest["input_dir"], f"{sid}.csv"), rec["sha256"], sid,
+                         segments, target, cut_cfg, embedding, emit))
+    return jobs
 
 
-def stage_denoise(cfg: PipelineConfig) -> None:
-    """Denoise each segment into a joint cloud and compute its diagram; one job per recording."""
+def stage_denoise(cfg: PipelineConfig, emit_density=None) -> None:
+    """Denoise, persist and density-filter each recording, one job each, into its
+    subject diagram; write every merged point's density to ``emit_density`` if given."""
     validate_config(cfg)
     manifest = _manifest(cfg)
     params_path = _out(cfg) / "params.json"
     if not params_path.exists():
         raise StageError("denoise", "params.json missing; run the embed stage", params_path)
     embedding = _staged("denoise", params_path, _embedding)
-    _run_jobs(_segment_jobs(cfg, manifest, embedding), cfg.jobs)
+    emit = emit_density is not None
+    rows = _run_jobs(_segment_jobs(cfg, manifest, embedding, emit), cfg.jobs)
+    if emit:
+        write_table(emit_density, [("subject_id", "birth", "death", "density"),
+                                   *(row for job_rows in rows for row in job_rows)])
 
 
-# Persist runs inside each denoise job and has no entry point of its own.  The
-# name stays because a timing harness wraps every stage by name.
+# Persist and filter run inside each denoise job and have no entry points of
+# their own.  The names stay because a timing harness wraps every stage by name.
 stage_persist = stage_denoise
+stage_filter = stage_denoise
 
 
-def _run_jobs(jobs: list, n_workers: int) -> None:
-    """Run ``_segment_job`` on every job: in-process at ``n_workers <= 1``, else in
-    one pool of at most one worker per job.  Errors name ``job[0]``, always the
-    recording, unless the job raised a :class:`StageError` naming a joint cloud.
+def _run_jobs(jobs: list, n_workers: int) -> list:
+    """Run ``_segment_job`` on every job and return the results in job order:
+    in-process at ``n_workers <= 1``, else in one pool of at most one worker per
+    job.  Errors name ``job[0]``, always the recording, unless the job raised a
+    :class:`StageError` naming a joint cloud or a diagram.
     """
     if not jobs:
-        return
+        return []
     parallel = n_workers > 1
     pool = ProcessPoolExecutor(min(n_workers, len(jobs))) if parallel else contextlib.nullcontext()
+    results = []
     with pool:
-        results = (pool.map if parallel else map)(_segment_job, jobs)
+        returns = (pool.map if parallel else map)(_segment_job, jobs)
         for job in jobs:
             try:
-                next(results)
+                results.append(next(returns))
             except StageError:
                 raise
             except Exception as exc:
                 raise StageError("denoise", str(exc), job[0]) from exc
-
-
-# ------------------------------------------------------------------- filter
-
-def stage_filter(cfg: PipelineConfig, emit_density=None) -> None:
-    """Merge per-subject diagrams and drop the lowest-density fraction."""
-    validate_config(cfg)
-    out = _out(cfg)
-    recordings = _manifest(cfg)["recordings"]
-    sd_dir = out / "subject_diagrams"
-    sd_dir.mkdir(exist_ok=True)
-    spec = parse_bandwidth(cfg.bandwidth)
-    density_rows = [("subject_id", "birth", "death", "density")]
-    for sid in sorted(recordings):
-        target = sd_dir / f"{sid}.csv"
-        if target.exists() and emit_density is None:
-            continue
-        diagrams = []
-        for index in range(recordings[sid]["segments"]):
-            p = out / "diagrams" / _segment_name(sid, index)
-            if not p.exists():
-                raise StageError("filter", "segment diagram missing; run the denoise stage", p)
-            diagrams.append(_staged("filter", p, PersistenceDiagram.from_csv))
-        points = merge_diagrams(diagrams)
-        if len(points) == 0:
-            PersistenceDiagram().to_csv(target)
-            continue
-        bw = BandwidthSpec.from_covariance(points, 10.0) if spec == "cov10" else spec
-        dens = _staged("filter", target, lambda _: mkde_density(points, bw))
-        if emit_density is not None:
-            density_rows.extend([sid, *row] for row in np.column_stack([points, dens]).tolist())
-        filter_by_density(points, dens, cfg.keep_fraction).to_csv(target)
-    if emit_density is not None:
-        write_table(emit_density, density_rows)
+    return results
 
 
 # ---------------------------------------------------------------- vectorize
@@ -377,7 +375,7 @@ def load_subject_diagrams(cfg: PipelineConfig) -> tuple[dict[str, PersistenceDia
     for sid in labels:
         p = sd_dir / f"{sid}.csv"
         if not p.exists():
-            raise StageError("vectorize", "subject diagram missing; run the filter stage", p)
+            raise StageError("vectorize", "subject diagram missing; run the denoise stage", p)
         diagrams[sid] = _staged("vectorize", p, PersistenceDiagram.from_csv)
     return diagrams, labels
 
@@ -503,7 +501,6 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
         stage_ingest(cfg)
     stage_embed(cfg)
     stage_denoise(cfg)
-    stage_filter(cfg)
     stage_vectorize(cfg)
     return stage_classify(cfg)
 

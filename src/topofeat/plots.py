@@ -105,20 +105,28 @@ def write_png_gray(pixels: np.ndarray, path) -> None:
     write_atomic(path, png)
 
 
+def _read(path, parse):
+    """``parse(path)``; a ValueError it raises is raised again naming ``path``."""
+    try:
+        return parse(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def plot(artifact_path, kind: str, out_path) -> None:
     """Render a diagram CSV as a ``diagram`` or ``barcode`` SVG, or as the PNG of
     its persistence ``image`` under the vectorize_meta.json of its run directory."""
     if kind not in ("diagram", "barcode", "image"):
         raise ValueError(f"unknown artifact type {kind!r}")
-    diagram = PersistenceDiagram.from_csv(artifact_path)
+    diagram = _read(artifact_path, PersistenceDiagram.from_csv)
     if kind == "diagram":
         plot_diagram(diagram, out_path)
     elif kind == "barcode":
         plot_barcode(diagram, out_path)
     else:  # subject_diagrams/<sid>.csv and diagrams/<sid>_<idx>.csv sit one below the run
         meta_path = Path(artifact_path).resolve().parents[1] / "vectorize_meta.json"
-        meta = json.loads(meta_path.read_text())
-        if not meta.keys() >= {"grid", "extent", "sigma", "weights"}:
+        meta = _read(meta_path, lambda p: json.loads(p.read_text()))
+        if not (isinstance(meta, dict) and meta.keys() >= {"grid", "extent", "sigma", "weights"}):
             raise ValueError(f"{meta_path} has no image grid or settings; delete it and run "
                              "vectorize again")
         write_png_gray(persistence_image(birth_persistence_transform(diagram.finite_bars(1)),

@@ -48,3 +48,8 @@ def test_evaluate_trains_through_the_module_attribute(monkeypatch):
 def test_persist_is_denoise():
     """Persist runs inside each denoise job; its stage name is kept as an alias."""
     assert pipeline.stage_persist is pipeline.stage_denoise
+
+
+def test_filter_is_denoise():
+    """The density filter runs inside each denoise job; its stage name is kept as an alias."""
+    assert pipeline.stage_filter is pipeline.stage_denoise

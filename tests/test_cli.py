@@ -22,8 +22,8 @@ OPTION_STRINGS = {
                         "--no-bandpass"],
     "synth": COMMON + ["--subjects", "--segments", "--channels-n", "--rate", "--window-sec"],
     "embed": COMMON + ["--m", "--tau", "--auto-params", "--bins", "--rtol", "--atol"],
-    "denoise": COMMON + ["--q", "--k", "--keep", "--iters"],
-    "filter": COMMON + ["--bandwidth", "--keep-fraction", "--emit-density"],
+    "denoise": COMMON + ["--q", "--k", "--keep", "--iters", "--bandwidth", "--keep-fraction",
+                         "--emit-density"],
     "vectorize": COMMON + ["--descriptor", "--pi-rows", "--pi-cols", "--sigma", "--plateau",
                            "--junction", "--ramp-start", "--ramp-end"],
     "classify": COMMON + ["--features", "--kernel", "--C", "--gamma", "--folds",
@@ -47,15 +47,14 @@ def subcommands() -> dict[str, argparse.ArgumentParser]:
 
 
 def stagewise_run(out: Path) -> list[int]:
-    """Exit codes of synth and then each stage in turn on ``out``; the filter
+    """Exit codes of synth and then each stage in turn on ``out``; the denoise
     stage dumps densities to dens.csv and classify copies its report to copy.json."""
     o = str(out)
     return [run_cli("synth", "--out", o, "--subjects", "2", "--segments", "2",
                     "--channels-n", "2", "--seed", "3", "--window-sec", "2"),
             run_cli("embed", "--out", o, "--m", "2", "--tau", "10"),
             run_cli("denoise", "--out", o, "--q", "5", "--k", "60", "--keep", "50",
-                    "--iters", "50", "--seed", "3"),
-            run_cli("filter", "--out", o, "--keep-fraction", "0.99",
+                    "--iters", "50", "--seed", "3", "--keep-fraction", "0.99",
                     "--emit-density", str(out / "dens.csv")),
             run_cli("vectorize", "--out", o, "--descriptor", "pi"),
             run_cli("classify", "--out", o, "--folds", "2", "--seed", "3",
@@ -66,13 +65,13 @@ def stagewise_run(out: Path) -> list[int]:
 def workdir(tmp_path_factory):
     """A finished stage-wise run."""
     out = tmp_path_factory.mktemp("cli")
-    assert stagewise_run(out) == [0] * 6
+    assert stagewise_run(out) == [0] * 5
     return out
 
 
 @pytest.mark.parametrize("spec", ["identity:abc", "manual:1,2,x,4"])
 def test_bad_bandwidth_names_the_option(tmp_path, capsys, spec):
-    assert run_cli("filter", "--out", str(tmp_path), "--bandwidth", spec) == 1
+    assert run_cli("denoise", "--out", str(tmp_path), "--bandwidth", spec) == 1
     err = capsys.readouterr().err
     assert f"bandwidth {spec!r}" in err
     assert "is not a number" in err
@@ -131,7 +130,7 @@ class TestSurface:
 
 class TestSubcommands:
     def test_stagewise_run(self, tmp_path):
-        assert stagewise_run(tmp_path) == [0] * 6
+        assert stagewise_run(tmp_path) == [0] * 5
         assert (tmp_path / "dens.csv").read_text().startswith("subject_id,birth,death,density")
         report = json.loads((tmp_path / "copy.json").read_text())
         assert set(report) >= {"acc", "se", "sp", "per_fold"}
@@ -151,7 +150,7 @@ class TestSubcommands:
                        "--output", str(png)) == 0
         assert png.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
 
-    @pytest.mark.parametrize("meta", ["missing", "without_grid"])
+    @pytest.mark.parametrize("meta", ["missing", "without_grid", "not_json", "not_an_object"])
     def test_plot_image_needs_the_grid_in_the_meta_file(self, workdir, tmp_path, capsys, meta):
         run = tmp_path / "run"
         shutil.copytree(workdir / "subject_diagrams", run / "subject_diagrams")
@@ -159,14 +158,29 @@ class TestSubcommands:
             recorded = json.loads((workdir / "vectorize_meta.json").read_text())
             del recorded["grid"]
             (run / "vectorize_meta.json").write_text(json.dumps(recorded))
+        elif meta != "missing":
+            (run / "vectorize_meta.json").write_text("{bad" if meta == "not_json" else "[1]")
         subject = next(iter((run / "subject_diagrams").glob("*.csv")))
         assert run_cli("plot", "--artifact", str(subject), "--type", "image",
                        "--output", str(tmp_path / "i.png")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(run.resolve() / "vectorize_meta.json") in err
         assert not (tmp_path / "i.png").exists()
-        if meta == "without_grid":
+        if meta in ("without_grid", "not_an_object"):
             assert "delete it and run vectorize again" in err
+
+    @pytest.mark.parametrize("kind, output", [("diagram", "d.svg"), ("image", "i.png")])
+    def test_plot_names_a_ragged_diagram(self, workdir, tmp_path, capsys, kind, output):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "subject_diagrams", run / "subject_diagrams")
+        shutil.copy(workdir / "vectorize_meta.json", run)
+        subject = next(iter((run / "subject_diagrams").glob("*.csv")))
+        subject.write_text("dim,birth,death\n1,0.5\n")
+        assert run_cli("plot", "--artifact", str(subject), "--type", kind,
+                       "--output", str(tmp_path / output)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {subject}: ragged rows: line 2 has 2 cells, expected 3\n"
+        assert not (tmp_path / output).exists()
 
     def test_plot_deterministic(self, workdir):
         diagram = next(iter((workdir / "diagrams").glob("*.csv")))
@@ -230,7 +244,7 @@ class TestErrors:
         assert "ingest" in captured.err
 
     def test_bad_flag_value(self, workdir, capsys):
-        code = run_cli("filter", "--out", str(workdir), "--keep-fraction", "1.5")
+        code = run_cli("denoise", "--out", str(workdir), "--keep-fraction", "1.5")
         assert code == 1
 
     def test_subprocess_entry_point(self, tmp_path):
