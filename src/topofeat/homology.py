@@ -3,22 +3,30 @@
 ``rips_diagram`` follows Ripser (Bauer, arXiv:1908.02518) and never
 materialises the triangle list.
 
-* H0 is the Kruskal tree of the edge sequence, found as the minimum
-  spanning tree of the edges weighted by their position in the filtration.
-  Those weights are distinct, so the tree is unique and equals Kruskal's,
-  ties and duplicate points included.  The edges off the tree close cycles.
+* H0 is the Kruskal tree of the edge sequence: a union-find sweep over the
+  edges in filtration order, ties and duplicate points included.  The edges
+  off the tree close cycles.
 * H1 reduces the coboundary columns of the cycle edges.  A triangle is one
   int64 key: the rank of its diameter among the distinct edge lengths, then
   its sorted vertices.  One vectorised pass over blocks of cycle edges (as
   in Ripser++, arXiv:2003.07989) finds every edge's earliest cofacet and
   settles the apparent pairs; it compares int32 diameter ranks and edge
-  indices and builds int64 keys only for the cofacets it picks.  An edge
-  whose earliest cofacet is still unclaimed forms an emergent pair.  Neither
-  kind builds its column until another column must add it.  The remaining
-  columns are sorted key arrays.  While a column is reduced, the columns
-  added to it collect in a small sorted buffer, which is merged into the
-  column only once it outgrows a fixed fraction of it; each new pivot is
-  read off the two fronts.
+  indices and builds int64 keys only for the cofacets it picks.  The other
+  columns are reduced in C, on int64 keys alone.  An edge whose earliest
+  cofacet is still unclaimed forms an emergent pair.  Neither kind builds
+  its column until another column must add it.  While a column is reduced,
+  the columns added to it collect in a small sorted buffer, which is merged
+  into the column only once it outgrows a fixed fraction of it; each new
+  pivot is read off the two fronts.
+
+The Kruskal sweep and the column reduction are the two functions of
+``_homology.c``.  The first diagram that needs them compiles that file with
+gcc (``-O2``, no machine-specific or fast-math flags) into
+``~/.cache/topofeat/``, keyed by the source and the flags, and loads it with
+:mod:`ctypes`.  Without a working gcc, ``rips_diagram`` raises RuntimeError.
+Distances, the edge order, ranks and the apparent pairs stay in numpy, and
+the C code sees no float, so the diagrams are those of the integer
+algorithm.
 
 :mod:`topofeat.reference` holds the textbook boundary-matrix route and a
 brute-force Betti oracle; the test suite checks ``rips_diagram`` against
@@ -33,12 +41,17 @@ dropped from diagrams; unbounded classes carry death = +inf, written as
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import shutil
+import subprocess
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
 from .cloud import as_points
@@ -108,87 +121,74 @@ def enclosing_radius(dmat: np.ndarray) -> float:
     return float(np.min(np.max(dmat, axis=1)))
 
 
+# The integer loops live in one C file, compiled on first use into a library
+# keyed by the source and the flags, so an edited source is never run stale.
+_SOURCE = Path(__file__).with_name("_homology.c")
+_CC = "gcc"
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_CACHE = Path.home() / ".cache" / "topofeat"
+_LIB = None  # the loaded library, once a diagram needs it
+_int64 = functools.partial(np.ascontiguousarray, dtype=np.int64)
+
+
+def _compiled() -> Path:
+    """The library built from ``_SOURCE``, compiling it into ``_CACHE`` if absent.
+
+    The compiler writes a file named for this process, which then replaces
+    the library in one step, so processes that build at once never see a
+    partial file.  A missing or failing compiler raises RuntimeError.
+    """
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    lib = _CACHE / f"_homology-{key}.so"
+    if lib.exists():
+        return lib
+    cc = shutil.which(_CC)
+    if cc is None:
+        raise RuntimeError(f"C compiler {_CC!r} not found; it is needed to build {_SOURCE}")
+    _CACHE.mkdir(mode=0o700, parents=True, exist_ok=True)
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    try:
+        subprocess.run([cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE)], check=True,
+                       capture_output=True, text=True)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        tmp.unlink(missing_ok=True)
+        detail = getattr(exc, "stderr", None) or str(exc)
+        raise RuntimeError(f"{cc} failed to build {_SOURCE}: {detail.strip()}") from exc
+    os.replace(tmp, lib)
+    return lib
+
+
+def _library() -> ctypes.CDLL:
+    """The compiled kernels, built and loaded on the first call of this process."""
+    global _LIB
+    if _LIB is None:
+        lib = ctypes.CDLL(str(_compiled()))
+        i64, keys = ctypes.c_int64, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+        lib.reduce_h1.argtypes = [i64, keys, keys, i64, keys, keys, i64, keys, keys,
+                                  i64, keys, keys, i64, keys]
+        lib.reduce_h1.restype = ctypes.c_int
+        lib.kruskal_tree.argtypes = [i64, i64, keys, keys, keys]
+        lib.kruskal_tree.restype = i64
+        _LIB = lib
+    return _LIB
+
+
 def _kruskal_tree(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """Positions, ascending, of the edges that merge two components.
 
-    The edges (ii[e], jj[e]) on vertices 0..n-1 enter in position order.
-    Weighted 1 + position, their weights are distinct and nonzero, so the
-    minimum spanning forest is unique and is exactly the forest a Kruskal
-    sweep in that order keeps, whatever the edge lengths.
+    A union-find sweep over the edges (ii[e], jj[e]) on vertices 0..n-1 in
+    position order, whatever the edge lengths: Kruskal's forest of that order.
     """
-    weights = np.arange(1, len(ii) + 1, dtype=float)
-    tree = minimum_spanning_tree(csr_matrix((weights, (ii, jj)), shape=(n, n)))
-    return np.sort(tree.data.astype(np.int64)) - 1
+    merging = np.empty(n - 1, dtype=np.int64)
+    count = _library().kruskal_tree(n, len(ii), _int64(ii), _int64(jj), merging)
+    if count < 0:
+        raise MemoryError("out of memory in the Kruskal sweep")
+    return merging[:count]
 
 
 _BLOCK = 256  # cycle edges per apparent-pair block; temporaries are O(block x n)
-
-
-def _add_mod2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Symmetric difference of two sorted key arrays, itself sorted.
-
-    Timsort merges the two sorted runs in linear time; a key present in both
-    lands in two adjacent slots and both copies are dropped.
-    """
-    s = np.concatenate((x, y))
-    s.sort(kind="stable")
-    differs = np.empty(len(s) + 1, dtype=bool)  # differs[i]: s[i - 1] != s[i]
-    differs[0] = differs[-1] = True
-    np.not_equal(s[1:], s[:-1], out=differs[1:-1])
-    return s[differs[1:] & differs[:-1]]
-
-
 _FOLD = 8     # pending addends fold into the working column beyond 1/_FOLD of its size
-_WINDOW = 64  # keys compared per front and step of the pivot search
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _next_pivot(col: np.ndarray, buf: np.ndarray, low: int) -> int:
-    """Smallest key above ``low`` of the sum ``col`` + ``buf``, or -1 if there is none.
-
-    Both arrays are sorted, and their keys up to ``low`` must cancel.  Above
-    ``low`` the merge of the two fronts cancels them in lockstep, so the
-    smallest key of the sum is the smaller one at the first position where
-    they differ.  The fronts are compared a window at a time, and the keys
-    beyond the pivot are never read.
-    """
-    ic, ib = int(col.searchsorted(low, "right")), int(buf.searchsorted(low, "right"))
-    while True:
-        c, b = col[ic:ic + _WINDOW], buf[ib:ib + _WINDOW]
-        both = min(len(c), len(b))
-        differ = (c[:both] != b[:both]).nonzero()[0]
-        if len(differ):
-            return int(min(c[differ[0]], b[differ[0]]))
-        if both < _WINDOW:  # a front ran out: the other one's next key, if any
-            rest = c[both:] if len(c) > both else b[both:]
-            return int(rest[0]) if len(rest) else -1
-        ic, ib = ic + both, ib + both
-
-
-def _reduce_column(col: np.ndarray, key: int, pivots: dict,
-                   coboundary) -> tuple[int, np.ndarray]:
-    """Add pivot-table columns to ``col``, whose pivot is ``key``, until its pivot is new.
-
-    Returns the final pivot, or -1 if the column vanishes, and the reduced
-    column.  A table entry that is still an edge is replaced by the edge's
-    coboundary on first use.  The addends collect in a sorted buffer that
-    is merged into the column only once it outgrows 1/_FOLD of it, so a
-    short coboundary costs a merge with the buffer, not with the column.
-    """
-    buf = _EMPTY
-    while key in pivots:
-        other = pivots[key]
-        if isinstance(other, int):
-            other = pivots[key] = coboundary(other)
-        buf = _add_mod2(buf, other)
-        if len(buf) * _FOLD > len(col):  # keys up to ``key`` cancel: drop them
-            col = _add_mod2(col[col.searchsorted(key, "right"):],
-                            buf[buf.searchsorted(key, "right"):])
-            buf = _EMPTY
-        key = _next_pivot(col, buf, key)
-    if key < 0:
-        return key, _EMPTY
-    return key, _add_mod2(col[col.searchsorted(key):], buf[buf.searchsorted(key):])
 
 
 def _apparent_pairs(rank: np.ndarray, lead: np.ndarray, ii: np.ndarray, jj: np.ndarray,
@@ -260,38 +260,19 @@ def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndar
     verts = np.arange(n)
     lead = (np.minimum.outer(verts, verts) * n + np.maximum.outer(verts, verts)) * n
     first, apparent = _apparent_pairs(rank, lead, ii, jj, cycle, over, n3)
-
-    def coboundary(e: int) -> np.ndarray:
-        a, b = int(ii[e]), int(jj[e])
-        col = (np.maximum(np.maximum(diam[a], diam[b]), diam[a, b])
-               + np.minimum(lead[a] + b, lead[a, b] + verts))
-        col[a] = col[b] = top
-        col.sort()
-        return col[:col.searchsorted(top)]
-
-    # Pivot table: triangle key -> the column it is the pivot of, either as
-    # the edge whose coboundary is built on first use, or as the reduced
-    # array when reduction changed it.  Apparent and emergent pairs never
-    # build a column unless another column needs to add it.
-    pivots: dict[int, int | np.ndarray] = dict(zip(first[apparent].tolist(),
-                                                   cycle[apparent].tolist()))
-    feats = []
+    # The other columns, latest edge first; each one's final pivot, -1 if it vanishes
     todo = ~apparent
-    for e, key in zip(cycle[todo][::-1].tolist(), first[todo][::-1].tolist()):
-        if key in pivots:
-            key, col = _reduce_column(coboundary(e), key, pivots, coboundary)
-            if key >= 0:
-                pivots[key] = col
-        elif key >= 0:  # emergent pair: the column is reduced as it stands
-            pivots[key] = e
-        birth = float(vals[e])
-        if key < 0:  # no cofacet left: essential class
-            feats.append((1, birth, INF))
-        else:
-            death = float(uniq[key // n3])
-            if death > birth:
-                feats.append((1, birth, death))
-    return feats
+    edges, keys = _int64(cycle[todo][::-1]), _int64(first[todo][::-1])
+    pivots = np.empty(len(edges), dtype=np.int64)
+    failed = _library().reduce_h1(n, diam, lead, top, _int64(ii), _int64(jj),
+                                  int(apparent.sum()), first[apparent], cycle[apparent],
+                                  len(edges), edges, keys, _FOLD, pivots)
+    if failed:
+        raise MemoryError("out of memory in the H1 column reduction")
+    births = vals[edges]
+    deaths = np.where(pivots < 0, INF, uniq[pivots // n3])  # no cofacet left: essential
+    alive = deaths > births
+    return [(1, b, d) for b, d in zip(births[alive].tolist(), deaths[alive].tolist())]
 
 
 def rips_diagram(points: np.ndarray) -> PersistenceDiagram:

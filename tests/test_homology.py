@@ -1,4 +1,10 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,18 +25,36 @@ def circle_points(n, radius=1.0):
     return radius * np.c_[np.cos(th), np.sin(th)]
 
 
-def materialised_reduce(col, key, pivots, coboundary):
-    """Oracle for ``homology._reduce_column``: the reduction loop that builds every sum.
+def materialised_reduce_h1(n, diam, lead, top, ii, jj, n_apparent, apparent_key,
+                           apparent_edge, n_columns, edges, keys, fold, pivot):
+    """Oracle for the compiled ``reduce_h1``, with its arguments: the reduction loop
+    that builds every sum, with numpy's ``setxor1d`` as the mod-2 addition."""
+    verts = np.arange(n)
 
-    The loop ``rips_diagram`` ran before the buffered working column, with
-    numpy's ``setxor1d`` as the mod-2 addition.
-    """
-    while len(col) and int(col[0]) in pivots:
-        other = pivots[int(col[0])]
-        if isinstance(other, int):
-            other = pivots[int(col[0])] = coboundary(other)
-        col = np.setxor1d(col, other, assume_unique=True)
-    return (int(col[0]) if len(col) else -1), col
+    def coboundary(e):
+        a, b = int(ii[e]), int(jj[e])
+        col = (np.maximum(np.maximum(diam[a], diam[b]), diam[a, b])
+               + np.minimum(lead[a] + b, lead[a, b] + verts))
+        col[a] = col[b] = top
+        col.sort()
+        return col[:col.searchsorted(top)]
+
+    pivots = dict(zip(apparent_key.tolist(), apparent_edge.tolist()))
+    for c, (e, key) in enumerate(zip(edges.tolist(), keys.tolist())):
+        if key in pivots:
+            col = coboundary(e)
+            while len(col) and int(col[0]) in pivots:
+                other = pivots[int(col[0])]
+                if isinstance(other, int):
+                    other = pivots[int(col[0])] = coboundary(other)
+                col = np.setxor1d(col, other, assume_unique=True)
+            key = int(col[0]) if len(col) else -1
+            if key >= 0:
+                pivots[key] = col
+        elif key >= 0:
+            pivots[key] = e
+        pivot[c] = key
+    return 0
 
 
 def union_find_kruskal(n, ii, jj):
@@ -231,8 +255,19 @@ class TestRipsDiagram:
         assert abs(b1 - b0) <= 2 * delta and abs(d1 - d0) <= 2 * delta
 
 
+def union_find_tree(n, m, ii, jj, merging):
+    """``union_find_kruskal`` with the compiled ``kruskal_tree``'s arguments."""
+    found = union_find_kruskal(n, ii[:m], jj[:m])
+    merging[:len(found)] = found
+    return len(found)
+
+
+ORACLE_LIBRARY = SimpleNamespace(reduce_h1=materialised_reduce_h1, kruskal_tree=union_find_tree)
+
+
 class TestBufferedReduction:
-    """The buffered working column gives the diagrams of the materialised loop."""
+    """The compiled reduction, with its buffered working column, gives the diagrams
+    of the materialised loop."""
 
     # hundreds of additions per joint-like cloud, mostly into a pending buffer;
     # half-integer grids tie distances and duplicate points
@@ -242,29 +277,81 @@ class TestBufferedReduction:
     @pytest.fixture(scope="class")
     def expected(self):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(homology, "_reduce_column", materialised_reduce)
+            mp.setattr(homology, "_library", lambda: ORACLE_LIBRARY)
             return [rips_diagram(p).to_csv_text() for p in self.CLOUDS]
 
-    @pytest.mark.parametrize("fold, window", [(8, 64), (1, 1), (2, 3), (10**9, 2)])
-    def test_matches_materialised_oracle(self, monkeypatch, expected, fold, window):
-        # fold 1 keeps a buffer as large as the column, 10**9 folds every
-        # addend at once; windows of 1-3 keys make the pivot search step on
+    @pytest.mark.parametrize("fold", [8, 1, 10**9])
+    def test_matches_materialised_oracle(self, monkeypatch, expected, fold):
+        # fold 1 keeps a buffer as large as the column, 10**9 folds every addend at once
         monkeypatch.setattr(homology, "_FOLD", fold)
-        monkeypatch.setattr(homology, "_WINDOW", window)
         assert [rips_diagram(p).to_csv_text() for p in self.CLOUDS] == expected
 
-    def test_cohort_sized_reductions_cross_the_fold_threshold(self, monkeypatch):
-        buffered = []
-        search = homology._next_pivot
+    @given(n=st.integers(2, 25), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_route_on_drawn_grids(self, n, d, seed):
+        pts = np.random.default_rng(seed).integers(-3, 4, size=(n, d)) / 2.0
+        filt = rips_filtration(pts, max_scale=float(pdist(pts).max()) or 1.0)  # 0 if all coincide
+        assert sorted(compute_persistence(filt).features) == sorted(rips_diagram(pts).features)
 
-        def spy(col, buf, low):
-            buffered.append(len(buf) > 0)
-            return search(col, buf, low)
 
-        monkeypatch.setattr(homology, "_next_pivot", spy)
-        for pts in self.CLOUDS[:2]:
-            rips_diagram(pts)
-        assert any(buffered) and not all(buffered)
+BUILD_AT_BARRIER = """
+import sys, time
+from pathlib import Path
+from topofeat import homology
+cache, barrier, name = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+homology._CACHE = cache
+(barrier / name).touch()
+while len(list(barrier.iterdir())) < 2:
+    time.sleep(0.005)
+assert homology.rips_diagram(homology.np.eye(4)).bars(0).shape == (4, 2)
+"""
+
+
+class TestBuild:
+    """The library is built once per source and flags, into the cache directory."""
+
+    def test_concurrent_builds_leave_one_library(self, tmp_path):
+        cache, barrier = tmp_path / "cache", tmp_path / "barrier"
+        barrier.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(homology.__file__).parents[1])}
+        children = [subprocess.Popen([sys.executable, "-c", BUILD_AT_BARRIER, str(cache),
+                                      str(barrier), name], env=env, stderr=subprocess.PIPE)
+                    for name in ("a", "b")]
+        errors = [child.communicate(timeout=300)[1].decode() for child in children]
+        assert [child.returncode for child in children] == [0, 0], errors
+        assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+    def test_missing_compiler_is_named_and_nothing_runs(self, tmp_path, monkeypatch):
+        missing = str(tmp_path / "no-such-gcc")
+        monkeypatch.setattr(homology, "_CC", missing)
+        monkeypatch.setattr(homology, "_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(homology, "_LIB", None)
+        monkeypatch.setattr(subprocess, "run", lambda *a, **k: pytest.fail("a compiler ran"))
+        with pytest.raises(RuntimeError) as err:
+            rips_diagram(SQUARE)
+        assert missing in str(err.value) and str(homology._SOURCE) in str(err.value)
+        assert not (tmp_path / "cache").exists()
+
+    def test_edited_source_builds_a_new_library(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(homology, "_CACHE", tmp_path / "cache")
+        old = homology._compiled()
+        source = homology._SOURCE.read_bytes()
+        edited = tmp_path / "_homology.c"
+        edited.write_bytes(source.replace(b"Kruskal", b"kruskal", 1))  # one byte, in a comment
+        monkeypatch.setattr(homology, "_SOURCE", edited)
+        old.write_bytes(b"not a library")  # loading it would fail
+        monkeypatch.setattr(homology, "_LIB", None)
+        assert rips_diagram(SQUARE).to_csv_text() == compute_persistence(
+            rips_filtration(SQUARE, max_scale=2.0)).to_csv_text()
+        new = homology._compiled()
+        assert new != old and homology._LIB._name == str(new)
+        assert sorted((tmp_path / "cache").iterdir()) == sorted([old, new])
+
+    def test_source_compiles_without_warnings(self):
+        cc = shutil.which(homology._CC)
+        assert cc, f"no {homology._CC} on PATH"
+        result = subprocess.run([cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                                 str(homology._SOURCE)], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestKruskalTree:

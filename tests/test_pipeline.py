@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from topofeat import pipeline
+from topofeat import homology, pipeline
 from topofeat.classify import load_features_csv
 from topofeat.cli import main
 from topofeat.cloud import PointCloud
@@ -330,6 +330,20 @@ class TestStageErrors:
         assert err.value.file == str(victim)
         assert not list((Path(cfg.out_dir) / "joint").glob("*.csv"))
         assert not list((Path(cfg.out_dir) / "diagrams").glob("*.csv"))
+
+    def test_missing_compiler_names_the_recording(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "out")
+        stage_synth(cfg, **TINY)
+        stage_embed(cfg)
+        missing = str(tmp_path / "no-such-gcc")
+        monkeypatch.setattr(homology, "_CC", missing)
+        monkeypatch.setattr(homology, "_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(homology, "_LIB", None)
+        with pytest.raises(StageError, match="no-such-gcc") as err:
+            stage_denoise(cfg)
+        assert err.value.stage == "denoise"
+        assert err.value.file == str(Path(cfg.out_dir) / "input" / "a000.csv")
+        assert missing in err.value.message
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_bad_joint_cloud_names_file(self, tiny_run, tmp_path, jobs):
