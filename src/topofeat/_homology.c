@@ -1,13 +1,18 @@
 /* The integer loops of topofeat.homology: the Kruskal sweep of H0 and the
  * mod-2 reduction of the H1 coboundary columns.  homology.py compiles this
- * file on first use and calls it through ctypes.  Every value here is an
- * int64 key or index; the float distances never reach C, so the pairs and
- * the diagram bytes are those of the integer algorithm, whatever the
- * compiler does with floating point.
+ * file on first use and calls it through ctypes.  It hands over integers
+ * only: the edge list in filtration order and, for every vertex pair, the
+ * rank of its length among the distinct edge lengths.  The float distances
+ * never reach C, so the pairs and the diagram bytes are those of the
+ * integer algorithm, whatever the compiler does with floating point.
  *
- * A triangle is the key diam + digits (see homology._h1_features): its
- * diameter rank times n^3, plus its sorted vertices in base n.  A column is
- * a sorted array of triangle keys; its pivot is its smallest key.
+ * The triangle key lives here and nowhere else.  Triangle {x, y, z},
+ * x < y < z, whose longest edge has diameter rank r, is the int64
+ * ((r * n + x) * n + y) * n + z, so keys order triangles as the refined
+ * filtration does: by diameter, then lexicographically.  A death leaves
+ * this file as a diameter rank, key / n^3.  A column is a sorted array of
+ * triangle keys; its pivot is its smallest key.  homology.py checks that
+ * every key fits in an int64.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -81,20 +86,52 @@ static i64 next_pivot(const i64 *col, i64 nc, const i64 *buf, i64 nb, i64 low)
     return ib < nb ? buf[ib] : -1;
 }
 
-/* The sorted coboundary of edge (a, b), a < b, up to the cap, into out. */
-static i64 coboundary(i64 n, const i64 *diam, const i64 *lead, i64 top, i64 a, i64 b, i64 *out)
+/* The vertex digits (x * n + y) * n + z of triangle {a, b, k}, a < b, with
+ * x < y < z its vertices; for fixed (a, b) they grow with k. */
+static i64 digits(i64 n, i64 a, i64 b, i64 k)
 {
-    const i64 *da = diam + a * n, *db = diam + b * n, *la = lead + a * n;
-    i64 dab = da[b], lab = la[b], len = 0;
+    if (k < a) return (k * n + a) * n + b;
+    if (k < b) return (a * n + k) * n + b;
+    return (a * n + b) * n + k;
+}
+
+/* The sorted coboundary of edge (a, b), a < b, up to the cap, into out.
+ * rank is the n x n table of diameter ranks; over marks a pair past the cap. */
+static i64 coboundary(i64 n, const int32_t *rank, i64 over, i64 a, i64 b, i64 *out)
+{
+    const int32_t *ra = rank + a * n, *rb = rank + b * n;
+    i64 n3 = n * n * n, rab = ra[b], len = 0;
     for (i64 k = 0; k < n; k++) {
-        i64 d = da[k] > db[k] ? da[k] : db[k];
-        if (d < dab) d = dab;
-        if (k == a || k == b || d >= top) continue;
-        i64 x = la[k] + b, y = lab + k;
-        out[len++] = d + (x < y ? x : y);
+        i64 d = ra[k] > rb[k] ? ra[k] : rb[k];
+        if (d < rab) d = rab;
+        if (k == a || k == b || d >= over) continue;
+        out[len++] = d * n3 + digits(n, a, b, k);
     }
     sort_keys(out, len);
     return len;
+}
+
+/* Key of the earliest cofacet of edge (a, b), a < b: least diameter rank,
+ * then least third vertex, so the least key of its coboundary; -1 if every
+ * cofacet lies past the cap.  Sets *apparent when (a, b) is that cofacet's
+ * latest facet.  Edges enter the filtration by (rank, smaller vertex,
+ * larger vertex), which the facet order (rank * n + x) * n + y follows. */
+static i64 earliest_cofacet(i64 n, const int32_t *rank, i64 over, i64 a, i64 b, int *apparent)
+{
+    const int32_t *ra = rank + a * n, *rb = rank + b * n;
+    i64 rab = ra[b], best = over, k = -1;
+    for (i64 v = 0; v < n; v++) {
+        i64 d = ra[v] > rb[v] ? ra[v] : rb[v];
+        if (d < rab) d = rab;
+        if (d < best && v != a && v != b) { best = d; k = v; }
+    }
+    *apparent = 0;
+    if (k < 0) return -1;
+    i64 ab = (rab * n + a) * n + b;
+    i64 ak = k < a ? (ra[k] * n + k) * n + a : (ra[k] * n + a) * n + k;
+    i64 bk = k < b ? (rb[k] * n + k) * n + b : (rb[k] * n + b) * n + k;
+    *apparent = ak < ab && bk < ab;
+    return best * n * n * n + digits(n, a, b, k);
 }
 
 typedef struct { i64 *key; i64 len, cap; } run;
@@ -134,52 +171,59 @@ static void insert(table *t, i64 key, i64 slot)
     t->slot[h] = slot;
 }
 
-/* Reduce the coboundary columns of the cycle edges that do not pair
- * apparently, in processing order, and write each one's final pivot key
- * (-1 once the column vanishes or if it had no cofacet) to pivot.
+/* Reduce the coboundary columns of the cycle edges, given in filtration
+ * order, and write each one's death to death: the diameter rank of its
+ * final pivot, or -1 once the column vanishes or if it has no cofacet.
  *
- * The table starts with the apparent pairs, key -> edge.  A column whose
- * pivot is new enters as its edge (an emergent pair); a column that had to
- * be reduced enters as its reduced keys.  An edge's coboundary is built the
- * first time another column adds it.  While a column is reduced, the
- * columns added to it collect in a sorted buffer, which folds into the
- * column once len(buf) * fold > len(col).  Returns nonzero when memory runs
- * out. */
-int reduce_h1(i64 n, const i64 *diam, const i64 *lead, i64 top, const i64 *ii, const i64 *jj,
-              i64 n_apparent, const i64 *apparent_key, const i64 *apparent_edge,
-              i64 n_columns, const i64 *edge, const i64 *first, i64 fold, i64 *pivot)
+ * One scan per edge finds its earliest cofacet.  An edge that is the latest
+ * facet of that cofacet pairs with it apparently, and those pairs seed the
+ * pivot table, key -> slot.  The other columns are reduced latest edge
+ * first.  A column whose pivot is new enters as its edge (an emergent
+ * pair); a column that had to be reduced enters as its reduced keys.  An
+ * edge's coboundary is built the first time another column adds it.  While
+ * a column is reduced, the columns added to it collect in a sorted buffer,
+ * which folds into the column once len(buf) * fold > len(col).  Returns
+ * nonzero when memory runs out. */
+int reduce_h1(i64 n, const int32_t *rank, i64 over, const i64 *ii, const i64 *jj,
+              i64 n_cycle, const i64 *cycle, i64 fold, i64 *death)
 {
-    i64 slots = n_apparent + n_columns, used = n_apparent, *edge_of, *len;
+    i64 n3 = n * n * n, used = 0, *first, *edge_of, *len;
     i64 **keys;
     table t = {NULL, NULL, 1};
     run col = {NULL, 0, 0}, buf = {NULL, 0, 0}, tmp = {NULL, 0, 0}, swap;
-    int failed = 1;
-    if (n_columns == 0) return 0;
-    while (((i64)1 << t.bits) < 2 * slots) t.bits++;
+    int failed = 1, apparent;
+    if (n_cycle == 0) return 0;
+    while (((i64)1 << t.bits) < 2 * n_cycle) t.bits++;
     t.key = malloc(((size_t)1 << t.bits) * sizeof *t.key);
     t.slot = malloc(((size_t)1 << t.bits) * sizeof *t.slot);
-    edge_of = malloc((size_t)slots * sizeof *edge_of);
-    len = malloc((size_t)slots * sizeof *len);
-    keys = calloc((size_t)slots, sizeof *keys);
-    if (!t.key || !t.slot || !edge_of || !len || !keys || reserve(&buf, n))
+    first = malloc((size_t)n_cycle * sizeof *first);
+    edge_of = malloc((size_t)n_cycle * sizeof *edge_of);
+    len = malloc((size_t)n_cycle * sizeof *len);
+    keys = calloc((size_t)n_cycle, sizeof *keys);
+    if (!t.key || !t.slot || !first || !edge_of || !len || !keys || reserve(&buf, n))
         goto done;
     memset(t.key, -1, ((size_t)1 << t.bits) * sizeof *t.key);
-    for (i64 s = 0; s < n_apparent; s++) {
-        edge_of[s] = apparent_edge[s];
-        insert(&t, apparent_key[s], s);
+    for (i64 c = 0; c < n_cycle; c++) {
+        first[c] = earliest_cofacet(n, rank, over, ii[cycle[c]], jj[cycle[c]], &apparent);
+        death[c] = apparent ? first[c] / n3 : -1; /* >= 0 marks the apparent pairs */
+        if (apparent) {
+            edge_of[used] = cycle[c];
+            insert(&t, first[c], used++);
+        }
     }
-    for (i64 c = 0; c < n_columns; c++) {
-        i64 key = first[c], s = key >= 0 ? find(&t, key) : -1;
+    for (i64 c = n_cycle - 1; c >= 0; c--) {
+        i64 key = first[c], s;
+        if (death[c] >= 0) continue; /* paired apparently */
+        s = key >= 0 ? find(&t, key) : -1;
         if (s >= 0) {
             if (reserve(&col, n)) goto done; /* the runs swap roles as they grow */
-            col.len = coboundary(n, diam, lead, top, ii[edge[c]], jj[edge[c]], col.key);
+            col.len = coboundary(n, rank, over, ii[cycle[c]], jj[cycle[c]], col.key);
             buf.len = 0;
             while (s >= 0) {
                 if (!keys[s]) {
                     if (!(keys[s] = malloc((size_t)n * sizeof **keys)))
                         goto done;
-                    len[s] = coboundary(n, diam, lead, top, ii[edge_of[s]], jj[edge_of[s]],
-                                        keys[s]);
+                    len[s] = coboundary(n, rank, over, ii[edge_of[s]], jj[edge_of[s]], keys[s]);
                 }
                 if (reserve(&tmp, buf.len + len[s])) goto done;
                 tmp.len = add_mod2(buf.key, buf.len, keys[s], len[s], tmp.key);
@@ -204,16 +248,16 @@ int reduce_h1(i64 n, const i64 *diam, const i64 *lead, i64 top, const i64 *ii, c
                 insert(&t, key, used++);
             }
         } else if (key >= 0) { /* emergent pair: the column is reduced as it stands */
-            edge_of[used] = edge[c];
+            edge_of[used] = cycle[c];
             insert(&t, key, used++);
         }
-        pivot[c] = key;
+        death[c] = key >= 0 ? key / n3 : -1;
     }
     failed = 0;
 done:
     if (keys)
         for (i64 s = 0; s < used; s++) free(keys[s]);
-    free(keys); free(len); free(edge_of); free(t.slot); free(t.key);
+    free(keys); free(len); free(edge_of); free(first); free(t.slot); free(t.key);
     free(col.key); free(buf.key); free(tmp.key);
     return failed;
 }

@@ -86,7 +86,7 @@ def _coerce(name: str, raw: str):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"bad boolean for {name}: {raw!r}")
+        raise ValueError(raw)
     return {"int": int, "float": float}.get(target, str)(raw)
 
 
@@ -103,7 +103,12 @@ def load_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
         key, raw = [part.strip() for part in ln.split("=", 1)]
         if key not in _FIELD_TYPES:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        updates[key] = _coerce(key, raw)
+        try:
+            updates[key] = _coerce(key, raw)
+        except ValueError:
+            article = "an" if _FIELD_TYPES[key] == "int" else "a"
+            raise ValueError(f"config line {lineno}: {key} expects {article} "
+                             f"{_FIELD_TYPES[key]}, got {raw!r}") from None
     return replace(cfg, **updates)
 
 

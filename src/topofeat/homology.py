@@ -6,27 +6,27 @@ materialises the triangle list.
 * H0 is the Kruskal tree of the edge sequence: a union-find sweep over the
   edges in filtration order, ties and duplicate points included.  The edges
   off the tree close cycles.
-* H1 reduces the coboundary columns of the cycle edges.  A triangle is one
-  int64 key: the rank of its diameter among the distinct edge lengths, then
-  its sorted vertices.  One vectorised pass over blocks of cycle edges (as
-  in Ripser++, arXiv:2003.07989) finds every edge's earliest cofacet and
-  settles the apparent pairs; it compares int32 diameter ranks and edge
-  indices and builds int64 keys only for the cofacets it picks.  The other
-  columns are reduced in C, on int64 keys alone.  An edge whose earliest
-  cofacet is still unclaimed forms an emergent pair.  Neither kind builds
-  its column until another column must add it.  While a column is reduced,
-  the columns added to it collect in a small sorted buffer, which is merged
-  into the column only once it outgrows a fixed fraction of it; each new
-  pivot is read off the two fronts.
+* H1 reduces the coboundary columns of the cycle edges.  numpy hands the
+  reduction only integers: the edges and an n x n table of diameter ranks,
+  each vertex pair's rank among the distinct edge lengths.  The reduction
+  owns the triangle key, one int64 of a triangle's diameter rank and then
+  its sorted vertices.  One scan per cycle edge finds its earliest cofacet,
+  and the edge pairs apparently when it is that cofacet's latest facet (as
+  in Ripser++, arXiv:2003.07989).  The other columns are reduced latest
+  edge first.  An edge whose earliest cofacet is still unclaimed forms an
+  emergent pair.  Neither kind builds its column until another column must
+  add it.  While a column is reduced, the columns added to it collect in a
+  small sorted buffer, which is merged into the column only once it
+  outgrows a fixed fraction of it; each new pivot is read off the two
+  fronts.  Each death comes back as a diameter rank.
 
 The Kruskal sweep and the column reduction are the two functions of
 ``_homology.c``.  The first diagram that needs them compiles that file with
 gcc (``-O2``, no machine-specific or fast-math flags) into
 ``~/.cache/topofeat/``, keyed by the source and the flags, and loads it with
 :mod:`ctypes`.  Without a working gcc, ``rips_diagram`` raises RuntimeError.
-Distances, the edge order, ranks and the apparent pairs stay in numpy, and
-the C code sees no float, so the diagrams are those of the integer
-algorithm.
+Distances, the edge order and the ranks stay in numpy, and the C code sees
+no float, so the diagrams are those of the integer algorithm.
 
 :mod:`topofeat.reference` holds the textbook boundary-matrix route and a
 brute-force Betti oracle; the test suite checks ``rips_diagram`` against
@@ -61,14 +61,18 @@ INF = math.inf
 
 
 class PersistenceDiagram:
-    """Multiset of (dim, birth, death) features, death possibly +inf."""
+    """Multiset of (dim, birth, death) features, death possibly +inf.
+
+    A feature needs a finite birth at most its death, so NaN is rejected too.
+    """
 
     def __init__(self, features: Iterable[tuple[int, float, float]] = ()):
         feats = []
         for dim, birth, death in features:
-            if death < birth:
-                raise ValueError(f"death {death} < birth {birth}")
-            feats.append((int(dim), float(birth), float(death)))
+            feat = (int(dim), float(birth), float(death))
+            if not (math.isfinite(feat[1]) and feat[1] <= feat[2]):
+                raise ValueError(f"feature {feat}: birth must be finite and at most death")
+            feats.append(feat)
         self.features: list[tuple[int, float, float]] = feats
 
     def __len__(self) -> int:
@@ -164,11 +168,11 @@ def _library() -> ctypes.CDLL:
     global _LIB
     if _LIB is None:
         lib = ctypes.CDLL(str(_compiled()))
-        i64, keys = ctypes.c_int64, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-        lib.reduce_h1.argtypes = [i64, keys, keys, i64, keys, keys, i64, keys, keys,
-                                  i64, keys, keys, i64, keys]
+        i64, ints = ctypes.c_int64, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+        ranks = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="C_CONTIGUOUS")
+        lib.reduce_h1.argtypes = [i64, ranks, i64, ints, ints, i64, ints, i64, ints]
         lib.reduce_h1.restype = ctypes.c_int
-        lib.kruskal_tree.argtypes = [i64, i64, keys, keys, keys]
+        lib.kruskal_tree.argtypes = [i64, i64, ints, ints, ints]
         lib.kruskal_tree.restype = i64
         _LIB = lib
     return _LIB
@@ -187,41 +191,7 @@ def _kruskal_tree(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     return merging[:count]
 
 
-_BLOCK = 256  # cycle edges per apparent-pair block; temporaries are O(block x n)
-_FOLD = 8     # pending addends fold into the working column beyond 1/_FOLD of its size
-
-
-def _apparent_pairs(rank: np.ndarray, lead: np.ndarray, ii: np.ndarray, jj: np.ndarray,
-                    cycle: np.ndarray, over: int, n3: int) -> tuple[np.ndarray, np.ndarray]:
-    """Key of each cycle edge's earliest cofacet (-1 if none) and whether the pair is apparent.
-
-    Blocks of cycle edges at a time: e's earliest cofacet t (smallest
-    diameter rank, then smallest third vertex, which is the lexicographically
-    least triangle) pairs with e when e is t's latest facet.  The search runs
-    on int32 diameter ranks and edge indices, which order triangles as their
-    int64 keys do; only the chosen cofacets are widened to keys.  ``rank``
-    holds each vertex pair's diameter rank, ``over`` marks a rank past the cap.
-    """
-    n, m = len(rank), len(ii)
-    edge_index = np.full((n, n), m, dtype=np.int32)
-    edge_index[ii, jj] = edge_index[jj, ii] = np.arange(m, dtype=np.int32)
-    first = np.full(len(cycle), -1, dtype=np.int64)
-    apparent = np.zeros(len(cycle), dtype=bool)
-    for s in range(0, len(cycle), _BLOCK):
-        e = cycle[s:s + _BLOCK]
-        a, b = ii[e], jj[e]
-        rows = np.arange(len(e))
-        tr = rank[a]  # a fresh copy, so the maxima can go in place
-        np.maximum(tr, rank[b], out=tr)
-        np.maximum(tr, rank[a, b][:, None], out=tr)
-        tr[rows, a] = tr[rows, b] = over
-        k = np.argmin(tr, axis=1)
-        tmin = tr[rows, k]
-        has = tmin < over
-        keys = tmin.astype(np.int64) * n3 + np.minimum(lead[a, k] + b, lead[a, b] + k)
-        first[s:s + _BLOCK] = np.where(has, keys, -1)
-        apparent[s:s + _BLOCK] = has & (np.maximum(edge_index[a, k], edge_index[b, k]) < e)
-    return first, apparent
+_FOLD = 8  # pending addends fold into the working column beyond 1/_FOLD of its size
 
 
 def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndarray,
@@ -230,9 +200,9 @@ def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndar
 
     ``ii``, ``jj``, ``vals`` list every edge up to the scale cap, in
     filtration order; ``cycle`` indexes those that close a cycle (every
-    other edge's column is cleared by its H0 pair).  A triangle is an int64
-    key whose leading digit is the rank of its diameter among the distinct
-    edge lengths, so a death is read back as the exact ``dmat`` float.
+    other edge's column is cleared by its H0 pair).  The compiled reduction
+    returns each death as the rank of a diameter among the distinct edge
+    lengths, so it is read back as the exact ``dmat`` float.
     """
     n = len(dmat)
     distinct = np.empty(len(vals), dtype=bool)  # vals is sorted: keep each first copy
@@ -240,38 +210,21 @@ def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndar
     np.not_equal(vals[1:], vals[:-1], out=distinct[1:])
     uniq = vals[distinct]
     over = len(uniq)  # rank of every distance above the cap
-    if (over + 1) * n ** 3 >= 2 ** 63 or len(vals) >= 2 ** 31:
-        raise ValueError("point cloud too large for int64 triangle keys and int32 edge indices")
-    # Key of triangle {a, b, k} (a < b) with diameter rank r: mixed radix
-    # (r, x, y, z) over its sorted vertices, so keys order triangles as the
-    # refined filtration does, by diameter and then lexicographically.  The
-    # leading digit is the largest of rank[a, b], rank[a, k] and rank[b, k].
-    # With lead[x, y] = (x * n + y) * n for x < y, the vertex digits are
-    # min(lead[a, k] + b, lead[a, b] + k), and for fixed (a, b) they grow with k.
-    n3 = n ** 3
+    if (over + 1) * n ** 3 >= 2 ** 63:
+        raise ValueError("point cloud too large for int64 triangle keys")
     # rank[x, y] = np.searchsorted(uniq, dmat[x, y]), read off the edge list: an
     # edge's rank counts the distinct lengths before it, the diagonal's 0.0 ranks
     # first, and every pair off the list lies past the cap
     rank = np.full((n, n), over, dtype=np.int32)
     rank[ii, jj] = rank[jj, ii] = np.cumsum(distinct, dtype=np.int32) - 1
     np.fill_diagonal(rank, 0)
-    diam = rank.astype(np.int64) * n3
-    top = over * n3  # keys at or above lie past the cap
-    verts = np.arange(n)
-    lead = (np.minimum.outer(verts, verts) * n + np.maximum.outer(verts, verts)) * n
-    first, apparent = _apparent_pairs(rank, lead, ii, jj, cycle, over, n3)
-    # The other columns, latest edge first; each one's final pivot, -1 if it vanishes
-    todo = ~apparent
-    edges, keys = _int64(cycle[todo][::-1]), _int64(first[todo][::-1])
-    pivots = np.empty(len(edges), dtype=np.int64)
-    failed = _library().reduce_h1(n, diam, lead, top, _int64(ii), _int64(jj),
-                                  int(apparent.sum()), first[apparent], cycle[apparent],
-                                  len(edges), edges, keys, _FOLD, pivots)
-    if failed:
+    death = np.empty(len(cycle), dtype=np.int64)
+    if _library().reduce_h1(n, rank, over, _int64(ii), _int64(jj), len(cycle), _int64(cycle),
+                            _FOLD, death):
         raise MemoryError("out of memory in the H1 column reduction")
-    births = vals[edges]
-    deaths = np.where(pivots < 0, INF, uniq[pivots // n3])  # no cofacet left: essential
-    alive = deaths > births
+    births = vals[cycle]
+    deaths = np.where(death < 0, INF, uniq[death])  # no cofacet left: essential
+    alive = deaths > births  # apparent pairs die at their own length
     return [(1, b, d) for b, d in zip(births[alive].tolist(), deaths[alive].tolist())]
 
 

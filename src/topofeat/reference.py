@@ -9,9 +9,9 @@
   can sit on the other side of an equivalence test.
 
 :func:`topofeat.homology.rips_diagram` is the pipeline's one homology route,
-with its Kruskal sweep and column reduction compiled from ``_homology.c``;
-nothing here runs in it, and nothing here is compiled, so the suite can hold
-its diagrams against both routes.
+with its Kruskal sweep, apparent-pair pass and column reduction compiled
+from ``_homology.c``; nothing here runs in it, and nothing here is compiled,
+so the suite can hold its diagrams against both routes.
 """
 
 from __future__ import annotations

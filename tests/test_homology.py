@@ -25,35 +25,28 @@ def circle_points(n, radius=1.0):
     return radius * np.c_[np.cos(th), np.sin(th)]
 
 
-def materialised_reduce_h1(n, diam, lead, top, ii, jj, n_apparent, apparent_key,
-                           apparent_edge, n_columns, edges, keys, fold, pivot):
-    """Oracle for the compiled ``reduce_h1``, with its arguments: the reduction loop
-    that builds every sum, with numpy's ``setxor1d`` as the mod-2 addition."""
+def materialised_reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, fold, death):
+    """Oracle for the compiled ``reduce_h1``, with its arguments: the textbook loop,
+    latest cycle edge first, that builds every column and adds with numpy's
+    ``setxor1d``, with no apparent or emergent shortcut.  The pairing is unique,
+    so every column's death must be the compiled one."""
     verts = np.arange(n)
 
     def coboundary(e):
         a, b = int(ii[e]), int(jj[e])
-        col = (np.maximum(np.maximum(diam[a], diam[b]), diam[a, b])
-               + np.minimum(lead[a] + b, lead[a, b] + verts))
-        col[a] = col[b] = top
-        col.sort()
-        return col[:col.searchsorted(top)]
+        diam = np.maximum(np.maximum(rank[a], rank[b]), rank[a, b]).astype(np.int64)
+        x, y, z = np.sort([np.full(n, a), np.full(n, b), verts], axis=0)
+        keep = (diam < over) & (verts != a) & (verts != b)
+        return np.sort((((diam * n + x) * n + y) * n + z)[keep])
 
-    pivots = dict(zip(apparent_key.tolist(), apparent_edge.tolist()))
-    for c, (e, key) in enumerate(zip(edges.tolist(), keys.tolist())):
-        if key in pivots:
-            col = coboundary(e)
-            while len(col) and int(col[0]) in pivots:
-                other = pivots[int(col[0])]
-                if isinstance(other, int):
-                    other = pivots[int(col[0])] = coboundary(other)
-                col = np.setxor1d(col, other, assume_unique=True)
-            key = int(col[0]) if len(col) else -1
-            if key >= 0:
-                pivots[key] = col
-        elif key >= 0:
-            pivots[key] = e
-        pivot[c] = key
+    pivots = {}
+    for c in reversed(range(n_cycle)):
+        col = coboundary(cycle[c])
+        while len(col) and int(col[0]) in pivots:
+            col = np.setxor1d(col, pivots[int(col[0])], assume_unique=True)
+        death[c] = col[0] // n ** 3 if len(col) else -1
+        if len(col):
+            pivots[int(col[0])] = col
     return 0
 
 
@@ -306,6 +299,24 @@ assert homology.rips_diagram(homology.np.eye(4)).bars(0).shape == (4, 2)
 """
 
 
+SANITIZED = """
+import sys
+from pathlib import Path
+import numpy as np
+from topofeat import homology
+homology._CFLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                    "-shared", "-fPIC")
+homology._CACHE = Path(sys.argv[1])
+clouds = np.load(sys.argv[2])
+texts = []
+for fold in (8, 1, 10**9):
+    homology._FOLD = fold
+    texts.append([homology.rips_diagram(clouds[name]).to_csv_text() for name in clouds.files])
+assert texts[0] == texts[1] == texts[2]
+sys.stdout.write("".join(texts[0]))
+"""
+
+
 class TestBuild:
     """The library is built once per source and flags, into the cache directory."""
 
@@ -345,6 +356,26 @@ class TestBuild:
         new = homology._compiled()
         assert new != old and homology._LIB._name == str(new)
         assert sorted((tmp_path / "cache").iterdir()) == sorted([old, new])
+
+    def test_runs_clean_under_address_and_undefined_sanitizers(self, tmp_path):
+        cc = shutil.which(homology._CC)
+        runtimes = [subprocess.run([cc, f"-print-file-name={name}"], capture_output=True,
+                                   text=True).stdout.strip() if cc else ""
+                    for name in ("libasan.so", "libubsan.so")]
+        if not os.path.isfile(runtimes[0]):
+            pytest.skip("gcc has no AddressSanitizer runtime")
+        rng = np.random.default_rng(74)
+        clouds = [joint_like_cloud(seed) for seed in range(3)] + [
+            rng.integers(-3, 4, size=(int(rng.integers(2, 40)), int(rng.integers(1, 4)))) / 2.0
+            for _ in range(100)]
+        np.savez(tmp_path / "clouds.npz", *clouds)
+        env = {**os.environ, "PYTHONPATH": str(Path(homology.__file__).parents[1]),
+               "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0"}
+        child = subprocess.run([sys.executable, "-c", SANITIZED, str(tmp_path / "cache"),
+                                str(tmp_path / "clouds.npz")], env=env, capture_output=True,
+                               text=True, timeout=600)
+        assert child.returncode == 0, child.stderr[-4000:]
+        assert child.stdout == "".join(rips_diagram(p).to_csv_text() for p in clouds)
 
     def test_source_compiles_without_warnings(self):
         cc = shutil.which(homology._CC)
@@ -401,38 +432,6 @@ class TestKruskalTree:
         assert diagram.features.count((0, 0.0, INF)) == 2
 
 
-def int64_apparent_pairs(dmat, ii, jj, vals, cycle, block=256):
-    """Oracle for ``homology._apparent_pairs``: the pass on int64 keys throughout.
-
-    Every cycle edge's earliest cofacet key (-1 if none) and whether it pairs
-    apparently, with ``np.unique`` for the distinct lengths.
-    """
-    n, m = len(dmat), len(vals)
-    uniq = np.unique(vals)
-    n3 = n ** 3
-    diam = np.searchsorted(uniq, dmat) * n3
-    top = len(uniq) * n3
-    verts = np.arange(n)
-    lead = (np.minimum.outer(verts, verts) * n + np.maximum.outer(verts, verts)) * n
-    edge_index = np.full((n, n), m, dtype=np.int64)
-    edge_index[ii, jj] = edge_index[jj, ii] = np.arange(m)
-    first = np.full(len(cycle), -1, dtype=np.int64)
-    apparent = np.zeros(len(cycle), dtype=bool)
-    for s in range(0, len(cycle), block):
-        e = cycle[s:s + block]
-        a, b = ii[e], jj[e]
-        rows = np.arange(len(e))
-        tr = np.maximum(np.maximum(diam[a], diam[b]), diam[a, b][:, None])
-        tr[rows, a] = tr[rows, b] = top
-        k = np.argmin(tr, axis=1)
-        tmin = tr[rows, k]
-        has = tmin < top
-        keys = tmin + np.minimum(lead[a, k] + b, lead[a, b] + k)
-        first[s:s + block] = np.where(has, keys, -1)
-        apparent[s:s + block] = has & (np.maximum(edge_index[a, k], edge_index[b, k]) < e)
-    return first, apparent
-
-
 def oracle_clouds():
     """Half-integer grids with duplicate points, then 140 x 12 joint-like clouds."""
     rng = np.random.default_rng(73)
@@ -444,26 +443,30 @@ def oracle_clouds():
 
 
 class TestEdgeOrderAndRanks:
-    """The stable length sort, the distinct lengths and the int32 apparent pass
-    equal the lexsort, ``np.unique`` and an int64 pass."""
+    """The stable length sort and the distinct lengths equal the lexsort and
+    ``np.unique``, the compiled reduction gets the int32 ``searchsorted`` ranks,
+    and its deaths equal the textbook loop's, apparent pairs included."""
 
     @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
     @pytest.mark.parametrize("pts", list(oracle_clouds()))
     def test_match_lexsort_unique_and_int64_pass(self, monkeypatch, pts, capped):
         seen = {}
-        h1, apparent_pairs = homology._h1_features, homology._apparent_pairs
+        h1, library = homology._h1_features, homology._library()
 
         def spy_h1(dmat, ii, jj, vals, cycle):
             seen["edges"] = dmat, ii, jj, vals, cycle
             return h1(dmat, ii, jj, vals, cycle)
 
-        def spy_pairs(rank, lead, ii, jj, cycle, over, n3):
-            seen["ranks"] = rank, over
-            seen["pairs"] = apparent_pairs(rank, lead, ii, jj, cycle, over, n3)
-            return seen["pairs"]
+        def spy_reduce(n, rank, over, ii, jj, n_cycle, cycle, fold, death):
+            failed = library.reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, fold, death)
+            expected = np.full(n_cycle, -2, dtype=np.int64)
+            materialised_reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, fold, expected)
+            seen["reduce"] = rank, over, death, expected
+            return failed
 
         monkeypatch.setattr(homology, "_h1_features", spy_h1)
-        monkeypatch.setattr(homology, "_apparent_pairs", spy_pairs)
+        monkeypatch.setattr(homology, "_library", lambda: SimpleNamespace(
+            reduce_h1=spy_reduce, kruskal_tree=library.kruskal_tree))
         scale = float(np.median(pdist(pts))) if capped else None
         if capped:
             cap_scale(monkeypatch, scale)
@@ -473,14 +476,10 @@ class TestEdgeOrderAndRanks:
         assert ii.tolist() == ref_ii.tolist() and jj.tolist() == ref_jj.tolist()
         assert vals.tobytes() == dmat[ref_ii, ref_jj].tobytes()
         uniq = np.unique(vals)
-        rank, over = seen["ranks"]
+        rank, over, death, expected = seen["reduce"]
         assert rank.dtype == np.int32 and over == len(uniq)
         assert rank.tolist() == np.searchsorted(uniq, dmat).tolist()
-        first, apparent = seen["pairs"]
-        ref_first, ref_apparent = int64_apparent_pairs(dmat, ii, jj, vals, cycle)
-        assert first.dtype == np.int64
-        assert first.tolist() == ref_first.tolist()
-        assert apparent.tolist() == ref_apparent.tolist()
+        assert death.tolist() == expected.tolist()
 
     def test_grids_hold_ties_and_duplicates(self):
         grids = [p.values[0] for p in oracle_clouds() if p.id.startswith("grid")]
@@ -562,3 +561,15 @@ class TestDiagramSerialization:
     def test_death_before_birth_rejected(self):
         with pytest.raises(ValueError):
             PersistenceDiagram([(1, 2.0, 1.0)])
+
+    @pytest.mark.parametrize("birth, death", [(math.nan, 1.0), (math.nan, INF), (1.0, math.nan),
+                                              (-INF, 1.0), (-INF, INF), (INF, INF)])
+    def test_non_finite_birth_or_nan_rejected(self, birth, death):
+        with pytest.raises(ValueError, match="birth must be finite and at most death"):
+            PersistenceDiagram([(1, birth, death)])
+
+    def test_nan_row_rejected_on_read(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("dim,birth,death\n0,0.0,inf\n1,nan,0.5\n")
+        with pytest.raises(ValueError, match=r"\(1, nan, 0\.5\)"):
+            PersistenceDiagram.from_csv(path)

@@ -65,6 +65,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             load_config(p)
 
+    @pytest.mark.parametrize("line, message", [
+        ("k = abc", "config line 2: k expects an int, got 'abc'"),
+        ("keep_fraction = 1,5", "config line 2: keep_fraction expects a float, got '1,5'"),
+        ("grid_search = maybe", "config line 2: grid_search expects a bool, got 'maybe'"),
+    ])
+    def test_bad_value_names_line_and_key(self, tmp_path, line, message):
+        p = tmp_path / "cfg.txt"
+        p.write_text(f"# comment\n{line}\n")
+        with pytest.raises(ValueError) as err:
+            load_config(p)
+        assert str(err.value) == message
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             validate_config(PipelineConfig(band_low=60.0, band_high=50.0))
@@ -366,6 +378,10 @@ class TestStageErrors:
                             "denoise"),
         "subject_diagram": ("subject_diagrams/a000.csv", ["features.csv"], "vectorize",
                             "vectorize"),
+        "subject_diagram_nan": ("subject_diagrams/a000.csv", ["features.csv"], "vectorize",
+                                "vectorize"),
+        "segment_diagram_nan": ("diagrams/a000_0000.csv", ["subject_diagrams/a000.csv"],
+                                "denoise", "denoise"),
         "subject_diagram_sweep": ("subject_diagrams/a000.csv", [], "sweep", "vectorize"),
         "features": ("features.csv", [], "classify", "classify"),
         "manifest": ("manifest.json", [], "denoise", "ingest"),
@@ -385,18 +401,24 @@ class TestStageErrors:
         for reuse in reused:
             (out / reuse).unlink()
         victim = out / name
+        lines = victim.read_text().splitlines()
         if victim.suffix == ".json":
             victim.write_text("{not json\n")
+            expected = "Expecting property name"
+        elif artifact.endswith("_nan"):  # the first row's birth becomes NaN
+            death = lines[1].rsplit(",", 1)[1]
+            lines[1] = f"1,nan,{death}"
+            victim.write_text("\n".join(lines) + "\n")
+            expected = f"(1, nan, {float(death)}): birth must be finite"
         else:  # the first row loses its last cell
-            lines = victim.read_text().splitlines()
             lines[1] = lines[1].rsplit(",", 1)[0]
             victim.write_text("\n".join(lines) + "\n")
+            expected = "ragged rows: line 2"
         with pytest.raises(StageError) as err:
             self.STAGES[stage](cfg)
         assert err.value.stage == named
         assert err.value.file == str(victim)
-        assert ("ragged rows: line 2" if victim.suffix == ".csv"
-                else "Expecting property name") in err.value.message
+        assert expected in err.value.message
 
 
 def first_cut(cfg, sid):
