@@ -6,6 +6,7 @@ rejected so typos fail loudly.  CLI flags override file values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -112,15 +113,21 @@ def load_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
     return replace(cfg, **updates)
 
 
-# Least value of each numeric field; 0 is "auto" for pi_sigma, the ramp knots and gamma.
-_MINIMA = {"m": 1, "tau": 1, "q": 1, "k": 1, "keep_n": 1, "iters": 1, "pi_rows": 1, "pi_cols": 1,
-           "folds": 2, "pi_sigma": 0, "weight_plateau": 0, "weight_junction": 0,
-           "weight_ramp_start": 0, "weight_ramp_end": 0, "gamma": 0, "jobs": 1}
+# Fields that must be above 0, and the least value of each other numeric field
+# with a bound; 0 is "auto" for pi_sigma, the ramp knots and gamma.
+_POSITIVE = ("rate", "C", "fnn_rtol", "fnn_atol")
+_MINIMA = {"m": 1, "tau": 1, "ami_bins": 2, "q": 1, "k": 1, "keep_n": 1, "iters": 1,
+           "pi_rows": 1, "pi_cols": 1, "folds": 2, "pi_sigma": 0, "weight_plateau": 0,
+           "weight_junction": 0, "weight_ramp_start": 0, "weight_ramp_end": 0, "gamma": 0,
+           "seed": 0, "jobs": 1}
 
 
 def validate_config(cfg: PipelineConfig) -> None:
     """Raise ``ValueError`` naming the first bad field; nothing is read or written."""
-    for name in ("rate", "C"):
+    for name, kind in _FIELD_TYPES.items():
+        if kind == "float" and not math.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite")
+    for name in _POSITIVE:
         if getattr(cfg, name) <= 0:
             raise ValueError(f"{name} must be positive")
     for name, least in _MINIMA.items():

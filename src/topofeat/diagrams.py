@@ -64,9 +64,12 @@ def parse_bandwidth(spec: str) -> "BandwidthSpec | str":
     """
     def number(text: str) -> float:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ValueError(f"bandwidth {spec!r}: {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValueError(f"bandwidth {spec!r}: {text!r} must be finite")
+        return value
 
     if spec == "cov10":
         return "cov10"

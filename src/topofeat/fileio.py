@@ -75,6 +75,8 @@ def read_table(source, ids: bool = False, ints=()) -> Table:
         raise ValueError("empty file")
     names = [h.strip() for h in lines[start].split(",")]
     first, width = start + 1, lines[start].count(",") + 1
+    if width <= ids:
+        raise ValueError("the header names no column after the id")
     numeric = [j - ids for j, name in enumerate(names) if name in ints]
     body = [ln for ln in lines[first:] if ln.strip()]
     # Each row but the first starts with a newline, which float() and int()
@@ -107,3 +109,4 @@ def read_table(source, ids: bool = False, ints=()) -> Table:
                 int(cells[ids + j])
         except ValueError as exc:
             raise ValueError(f"non-integer cell at line {lineno}: {exc}") from None
+    raise ValueError("the table does not parse, yet no line is at fault")

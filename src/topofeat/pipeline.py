@@ -1,11 +1,11 @@
 """Staged end-to-end pipeline with on-disk artifacts and resumability.
 
 Each stage reads its predecessor's files and writes its own; outputs that
-already exist are not recomputed, so deleting any stage directory and
-rerunning reproduces it byte-identically for a fixed seed.  Every artifact
-is written through ``write_atomic``, so a file that exists is complete.
-Stage failures surface as :class:`StageError` carrying the stage name and
-offending file.
+already exist are not recomputed (denoise redoes a recording that misses any),
+so deleting any stage directory and rerunning reproduces it byte-identically
+for a fixed seed.  Every artifact is written through ``write_atomic``, so a
+file that exists is complete.  Stage failures surface as :class:`StageError`
+carrying the stage name and offending file.
 
 Layout under ``out_dir``:
 
@@ -24,10 +24,11 @@ Recordings are the only signal on disk.  Ingest reads, hashes and parses each
 one and counts its windows, but cuts nothing.  Each denoise job takes one
 recording from the cut (``cut_recording``, with the settings manifest.json
 records) through its joint clouds and diagrams, in memory, to its merged and
-density-filtered subject diagram.  Missing outputs are rebuilt from the ones on
-disk: a diagram from ``joint/``, a subject diagram from ``diagrams/``.  Weight
-sweeps and descriptor comparisons re-vectorise the subject diagrams in memory
-(``vectorize_features`` + ``evaluate``) and write nothing.
+density-filtered subject diagram.  A job whose joint clouds and diagrams are
+all on disk reads the diagrams back; one that misses any cuts the recording
+again, so nothing reads ``joint/`` back.  Weight sweeps and descriptor
+comparisons re-vectorise the subject diagrams in memory (``vectorize_features``
++ ``evaluate``) and write nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import numpy as np
 
 from .classify import (EvalReport, LabeledDataset, kfold_cv, load_features_csv,
                        save_features_csv, tune_hyperparameters)
-from .cloud import PointCloud
 from .config import PipelineConfig, validate_config
 from .denoise import MassParams, remap_multichannel
 from .diagrams import BandwidthSpec, merge_diagrams, mkde_density, filter_by_density, parse_bandwidth
@@ -215,6 +215,10 @@ def stage_synth(cfg: PipelineConfig, n_subjects: int = 40, segments_per_subject:
                 n_channels: int = 6) -> Path:
     """Write a two-class synthetic cohort as recordings under ``<out>/input``, then ingest it."""
     validate_config(cfg)
+    for name, size in dict(n_subjects=n_subjects, segments_per_subject=segments_per_subject,
+                           n_channels=n_channels).items():
+        if size < 1:  # checked before the old cohort is removed
+            raise ValueError(f"{name} must be >= 1")
     src = _out(cfg) / "input"
     shutil.rmtree(src, ignore_errors=True)  # a recording left from an earlier cohort has no label
     src.mkdir(parents=True)
@@ -262,33 +266,27 @@ def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
 def _segment_job(args) -> list:
     """Bring one recording up to its subject diagram; returns its density rows.
 
-    A joint cloud is read back or denoised (cutting the recording at most once),
-    and a missing diagram computed from the points in memory, which equal the
-    written cloud's (``repr`` floats).  The diagrams merge in the
+    When every joint cloud and diagram of the recording is on disk, the
+    diagrams are read back.  Otherwise the recording is cut once and every
+    segment embedded, denoised, written and persisted as a fresh run does,
+    which rewrites the same bytes.  The diagrams merge in the
     ``sorted_features`` order their files hold, whether held in memory or read
-    back, so the densities do not depend on which were on disk."""
-    recording, sha256, sid, segments, target, cfg, embedding, emit = args
-    merge = emit or not target.exists()
-    segs, diagrams = None, []
-    for index, (joint_path, diagram_path) in enumerate(segments):
-        joint = None
-        if not joint_path.exists():
-            segs = segs or cut_recording(recording, cfg, sha256)
-            clouds = [delay_embed(x, embedding) for x in segs[index].data]
+    back, so the densities do not depend on which route ran."""
+    recording, sha256, sid, segments, target, cfg, embedding = args
+    if all(joint.exists() and diagram.exists() for joint, diagram in segments):
+        diagrams = [_staged("denoise", diagram, PersistenceDiagram.from_csv)
+                    for _, diagram in segments]
+    else:
+        diagrams = []
+        cut = cut_recording(recording, cfg, sha256)
+        for (joint_path, diagram_path), seg in zip(segments, cut, strict=True):
+            clouds = [delay_embed(x, embedding) for x in seg.data]
             params = MassParams(cfg.q, cfg.k, cfg.iters, cfg.seed).capped(len(clouds[0]))
             joint = remap_multichannel(clouds, cfg.keep_n, params)
             joint.to_csv(joint_path)
-        if diagram_path.exists():
-            if merge:
-                diagrams.append(_staged("denoise", diagram_path, PersistenceDiagram.from_csv))
-            continue
-        if joint is None:
-            joint = _staged("denoise", joint_path, PointCloud.from_csv)
-        diagram = rips_diagram(joint.points)
-        diagram.to_csv(diagram_path)
-        diagrams.append(PersistenceDiagram(diagram.sorted_features()))
-    if not merge:
-        return []
+            diagram = rips_diagram(joint.points)
+            diagram.to_csv(diagram_path)
+            diagrams.append(PersistenceDiagram(diagram.sorted_features()))
     points = merge_diagrams(diagrams)
     if len(points) == 0:
         PersistenceDiagram().to_csv(target)
@@ -296,13 +294,13 @@ def _segment_job(args) -> list:
     bw = parse_bandwidth(cfg.bandwidth)
     dens = mkde_density(points, BandwidthSpec.from_covariance(points) if bw == "cov10" else bw)
     filter_by_density(points, dens, cfg.keep_fraction).to_csv(target)
-    return [[sid, *row] for row in np.column_stack([points, dens]).tolist()] if emit else []
+    return [[sid, *row] for row in np.column_stack([points, dens]).tolist()]
 
 
 def _segment_jobs(cfg: PipelineConfig, manifest: dict, embedding: EmbeddingParams,
-                  emit: bool) -> list:
+                  every: bool) -> list:
     """One job per recording that lacks a joint cloud, a diagram or its subject
-    diagram, in subject order; with ``emit``, one per recording."""
+    diagram, in subject order; with ``every``, one per recording."""
     out = _out(cfg)
     for stage_dir in ("joint", "diagrams", "subject_diagrams"):
         (out / stage_dir).mkdir(exist_ok=True)
@@ -312,9 +310,9 @@ def _segment_jobs(cfg: PipelineConfig, manifest: dict, embedding: EmbeddingParam
         names = [_segment_name(sid, index) for index in range(rec["segments"])]
         segments = [(out / "joint" / name, out / "diagrams" / name) for name in names]
         target = out / "subject_diagrams" / f"{sid}.csv"
-        if emit or not (target.exists() and all(j.exists() and d.exists() for j, d in segments)):
+        if every or not (target.exists() and all(j.exists() and d.exists() for j, d in segments)):
             jobs.append((Path(manifest["input_dir"], f"{sid}.csv"), rec["sha256"], sid,
-                         segments, target, cut_cfg, embedding, emit))
+                         segments, target, cut_cfg, embedding))
     return jobs
 
 
@@ -327,9 +325,8 @@ def stage_denoise(cfg: PipelineConfig, emit_density=None) -> None:
     if not params_path.exists():
         raise StageError("denoise", "params.json missing; run the embed stage", params_path)
     embedding = _staged("denoise", params_path, _embedding)
-    emit = emit_density is not None
-    rows = _run_jobs(_segment_jobs(cfg, manifest, embedding, emit), cfg.jobs)
-    if emit:
+    rows = _run_jobs(_segment_jobs(cfg, manifest, embedding, emit_density is not None), cfg.jobs)
+    if emit_density is not None:
         write_table(emit_density, [("subject_id", "birth", "death", "density"),
                                    *(row for job_rows in rows for row in job_rows)])
 
@@ -344,7 +341,7 @@ def _run_jobs(jobs: list, n_workers: int) -> list:
     """Run ``_segment_job`` on every job and return the results in job order:
     in-process at ``n_workers <= 1``, else in one pool of at most one worker per
     job.  Errors name ``job[0]``, always the recording, unless the job raised a
-    :class:`StageError` naming a joint cloud or a diagram.
+    :class:`StageError` naming a diagram it read back.
     """
     if not jobs:
         return []

@@ -77,6 +77,29 @@ def test_bad_bandwidth_names_the_option(tmp_path, capsys, spec):
     assert "is not a number" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--C", "nan"], "C must be finite"),
+    (["classify", "--gamma", "nan"], "gamma must be finite"),
+    (["vectorize", "--sigma", "nan"], "pi_sigma must be finite"),
+    (["vectorize", "--junction", "inf"], "weight_junction must be finite"),
+    (["run", "--rate", "nan"], "rate must be finite"),
+    (["denoise", "--bandwidth", "identity:inf"], "bandwidth 'identity:inf': 'inf' must be finite"),
+], ids=["C", "gamma", "sigma", "junction", "rate", "bandwidth"])
+def test_non_finite_value_exits_1_naming_the_key(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_classify_names_a_features_file_without_feature_columns(tmp_path, capsys):
+    features = tmp_path / "f.csv"
+    features.write_text("label\n1\n0\n")
+    assert run_cli("classify", "--features", str(features), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == ("error: stage classify: the header names no column after "
+                                       f"the id [{features}]\n")
+
+
 class TestSurface:
     @pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
     def test_option_strings_are_pinned(self, command):

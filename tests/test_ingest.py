@@ -7,6 +7,7 @@ from test_cloud import EDGE_VALUES
 from topofeat import ingest
 from topofeat.classify import load_features_csv, save_features_csv
 from topofeat.cloud import PointCloud
+from topofeat.fileio import read_table
 from topofeat.homology import INF, PersistenceDiagram
 from topofeat.ingest import (RawRecording, bandpass_filter, load_recording, save_recording,
                              segment, select_channels)
@@ -346,6 +347,10 @@ class TestArtifactTables:
         read, content, _, _, _ = write_artifact(kind, path)
         back = read(path)
         assert back.shape == content.shape and back.tobytes() == content.tobytes()
+
+    def test_ids_without_a_number_column_fail(self):
+        with pytest.raises(ValueError, match="^the header names no column after the id$"):
+            read_table(b"label\n1\n0\n", ids=True, ints=("label",))
 
     @pytest.mark.parametrize("kind, damage", DAMAGES, ids=[f"{k}-{d}" for k, d in DAMAGES])
     def test_bad_line_named_as_cell_by_cell(self, tmp_path, kind, damage):

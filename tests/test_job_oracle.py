@@ -102,7 +102,7 @@ def test_segment_job_matches_slow_job(tmp_path_factory, case):
     save_recording(RawRecording([f"c{i}" for i in range(len(signal))], signal, RATE), path)
     windows = signal.shape[1] // cfg.window_samples()
     segments = [(work / f"joint_{i}.csv", work / f"diagram_{i}.csv") for i in range(windows)]
-    rows = _segment_job((path, None, "s0", segments, work / "subject.csv", cfg, embedding, True))
+    rows = _segment_job((path, None, "s0", segments, work / "subject.csv", cfg, embedding))
     text, expected_rows = slow_job(path, "s0", cfg, embedding)
     assert (work / "subject.csv").read_text() == text
     assert np.array([r[1:] for r in rows]).tobytes() == \

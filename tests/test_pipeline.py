@@ -1,9 +1,10 @@
 import hashlib
 import importlib.util
 import json
+import math
 import shutil
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -96,7 +97,8 @@ class TestConfig:
         ("C", 0.0), ("gamma", -1.0), ("pi_rows", 0), ("pi_cols", 0), ("pi_sigma", -1.0),
         ("weight_plateau", -1.0), ("weight_junction", -1.0), ("weight_ramp_start", -1.0),
         ("weight_ramp_end", -1.0), ("weight_ramp_end", 2.0), ("iters", 0), ("window_sec", 0.0),
-        ("filter_order", 3), ("jobs", 0),
+        ("filter_order", 3), ("jobs", 0), ("seed", -1), ("ami_bins", 1), ("fnn_rtol", 0.0),
+        ("fnn_rtol", -1.0), ("fnn_atol", 0.0), ("fnn_atol", -1.0),
     ])
     def test_bad_size_fails_before_any_stage(self, tmp_path, field, value):
         # ramp start 2 is valid on its own; it makes weight_ramp_end = 2 out of order
@@ -104,6 +106,26 @@ class TestConfig:
         for stage in (stage_synth, run_pipeline):
             with pytest.raises(ValueError, match=field):
                 stage(cfg)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", [f.name for f in fields(PipelineConfig)
+                                       if f.type == "float"])
+    def test_non_finite_value_fails_before_any_stage(self, tmp_path, field, value):
+        cfg = tiny_config(tmp_path / "out", **{field: value})
+        for stage in (stage_synth, run_pipeline):
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                stage(cfg)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec, entry", [("identity:nan", "nan"), ("identity:inf", "inf"),
+                                             ("manual:1,0,0,-inf", "-inf")])
+    def test_non_finite_bandwidth_fails_before_any_stage(self, tmp_path, spec, entry):
+        cfg = tiny_config(tmp_path / "out", bandwidth=spec)
+        for stage in (stage_synth, run_pipeline):
+            with pytest.raises(ValueError) as err:
+                stage(cfg)
+            assert str(err.value) == f"bandwidth {spec!r}: {entry!r} must be finite"
         assert not (tmp_path / "out").exists()
 
     def test_window_samples(self):
@@ -162,19 +184,33 @@ class TestStages:
         again = run_pipeline(replace(cfg, out_dir=str(tmp_path / "copy")))
         assert again.to_json() == report.to_json()
 
-    def test_persist_rebuilds_diagrams_without_cutting(self, tiny_run, tmp_path, monkeypatch):
-        cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_denoise_redoes_only_recordings_missing_an_output(self, tiny_run, tmp_path,
+                                                              monkeypatch, jobs):
+        cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"), jobs=jobs)
         shutil.copytree(tiny_run[0].out_dir, cfg.out_dir)
-        diagrams = Path(cfg.out_dir) / "diagrams"
-        before = {p.name: p.read_bytes() for p in diagrams.iterdir()}
-        shutil.rmtree(diagrams)
+        out = Path(cfg.out_dir)
+
+        def outputs(read):
+            return {p.relative_to(out): read(p) for stage_dir in ("joint", "diagrams",
+                                                                  "subject_diagrams")
+                    for p in (out / stage_dir).iterdir()}
+
+        fresh = outputs(Path.read_bytes)
+        before = outputs(lambda p: p.stat().st_mtime_ns)
+        (out / "diagrams" / "a000_0001.csv").unlink()
+        (out / "joint" / "b001_0000.csv").unlink()
 
         def refuse(*args):
-            raise AssertionError("rebuilding a diagram cut a recording")
+            raise AssertionError("a recording job read a joint cloud back")
 
-        monkeypatch.setattr("topofeat.pipeline.cut_recording", refuse)
+        monkeypatch.setattr(PointCloud, "from_csv", refuse)
         stage_denoise(cfg)
-        assert {p.name: p.read_bytes() for p in diagrams.iterdir()} == before
+        after = outputs(lambda p: p.stat().st_mtime_ns)
+        assert after.keys() == before.keys()
+        assert {p for p in after if after[p] != before[p]} == {
+            p for p in before if p.name.startswith(("a000", "b001"))}
+        assert outputs(Path.read_bytes) == fresh
 
     def test_denoise_rebuilds_subject_diagrams_from_diagrams_alone(self, tiny_run, tmp_path,
                                                                    monkeypatch):
@@ -205,6 +241,19 @@ class TestStages:
         resumed = (tmp_path / "resumed.csv").read_bytes()
         assert len(resumed.splitlines()) > 1
         assert (tmp_path / "fresh.csv").read_bytes() == resumed
+
+    @pytest.mark.parametrize("size, value", [("n_subjects", 0), ("n_subjects", -2),
+                                             ("segments_per_subject", 0), ("n_channels", 0)])
+    def test_synth_checks_sizes_before_it_removes_the_cohort(self, tiny_run, tmp_path, size,
+                                                             value):
+        out = tmp_path / "out"
+        shutil.copytree(tiny_run[0].out_dir, out)
+        kept = [out / "manifest.json", *sorted((out / "input").iterdir())]
+        before = {p: p.read_bytes() for p in kept}
+        with pytest.raises(ValueError, match=f"^{size} must be >= 1$"):
+            stage_synth(replace(tiny_run[0], out_dir=str(out)), **{**TINY, size: value})
+        assert sorted((out / "input").iterdir()) == kept[1:]
+        assert {p: p.read_bytes() for p in kept} == before
 
     @pytest.mark.parametrize("victim", ["features.csv", "vectorize_meta.json"])
     def test_vectorize_restores_a_deleted_output(self, tiny_run, tmp_path, victim):
@@ -357,23 +406,10 @@ class TestStageErrors:
         assert err.value.file == str(Path(cfg.out_dir) / "input" / "a000.csv")
         assert missing in err.value.message
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_bad_joint_cloud_names_file(self, tiny_run, tmp_path, jobs):
-        cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"), jobs=jobs)
-        shutil.copytree(tiny_run[0].out_dir, cfg.out_dir)
-        joint = Path(cfg.out_dir) / "joint" / "a000_0000.csv"
-        joint.write_text("x0,x1,t\n1.0,zz,3\n")
-        (Path(cfg.out_dir) / "diagrams" / "a000_0000.csv").unlink()
-        with pytest.raises(StageError, match="could not convert string to float") as err:
-            stage_denoise(cfg)
-        assert err.value.stage == "denoise"
-        assert err.value.file == str(joint)
-
     # artifact under out/, the reused outputs that would keep a stage from reading
     # it, the stage that reads it, and the stage an error names
     DAMAGED = {
         "recording": ("input/a000.csv", [], "ingest", "ingest"),
-        "joint_cloud": ("joint/a000_0000.csv", ["diagrams/a000_0000.csv"], "denoise", "denoise"),
         "segment_diagram": ("diagrams/a000_0000.csv", ["subject_diagrams/a000.csv"], "denoise",
                             "denoise"),
         "subject_diagram": ("subject_diagrams/a000.csv", ["features.csv"], "vectorize",
@@ -782,6 +818,10 @@ class TestSweep:
         saved = json.loads((out / "report.json").read_text())
         assert {k: row[k] for k in ("acc", "se", "sp")} == {k: saved[k] for k in ("acc", "se", "sp")}
         assert not list(out.glob("sweep_*"))
+
+    def test_non_finite_weight_names_the_key(self, tiny_run):
+        with pytest.raises(ValueError, match="^weight_plateau must be finite$"):
+            sweep_weights(tiny_run[0], [math.nan], [3.0])
 
     def test_zero_plateau_beats_weighted_noise(self, tmp_path):
         # flooding low-persistence points with plateau weight drags the
