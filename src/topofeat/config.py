@@ -139,6 +139,8 @@ def validate_config(cfg: PipelineConfig) -> None:
         raise ValueError(f"band_high must be below rate / 2 = {cfg.rate / 2} Hz")
     if cfg.filter_order not in (2, 4, 6, 8):
         raise ValueError(f"filter_order must be one of 2, 4, 6, 8, got {cfg.filter_order}")
+    if not math.isfinite(cfg.window_sec * cfg.rate):
+        raise ValueError("window_sec * rate must be finite")
     if cfg.window_samples() < 1:
         raise ValueError("window_sec * rate must be at least one sample")
     if 0 < cfg.weight_ramp_end <= cfg.weight_ramp_start:

@@ -120,7 +120,7 @@ def filter_by_density(points: np.ndarray, densities: np.ndarray,
     """Keep the ceil(keep_fraction * N) highest-density points as an H1 diagram.
 
     The dropped points are the lowest-density ones; ties at the threshold
-    keep the earlier-indexed point.  Survivors stay in input order.
+    keep the earlier-indexed point.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     dens = np.asarray(densities, dtype=float)
@@ -132,5 +132,4 @@ def filter_by_density(points: np.ndarray, densities: np.ndarray,
     keep = math.ceil(keep_fraction * n)
     # ascending density; equal densities surface later-indexed first so they drop first
     order = np.lexsort((-np.arange(n), dens))
-    kept = np.sort(order[n - keep:])
-    return PersistenceDiagram((1, float(b), float(d)) for b, d in pts[kept])
+    return PersistenceDiagram((1, float(b), float(d)) for b, d in pts[order[n - keep:]])

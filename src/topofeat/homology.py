@@ -64,6 +64,8 @@ class PersistenceDiagram:
     """Multiset of (dim, birth, death) features, death possibly +inf.
 
     A feature needs a finite birth at most its death, so NaN is rejected too.
+    ``features`` holds them sorted by (dim, birth, death), whatever order they
+    came in, so equal diagrams hold, write and plot equal lists.
     """
 
     def __init__(self, features: Iterable[tuple[int, float, float]] = ()):
@@ -73,7 +75,7 @@ class PersistenceDiagram:
             if not (math.isfinite(feat[1]) and feat[1] <= feat[2]):
                 raise ValueError(f"feature {feat}: birth must be finite and at most death")
             feats.append(feat)
-        self.features: list[tuple[int, float, float]] = feats
+        self.features: list[tuple[int, float, float]] = sorted(feats)
 
     def __len__(self) -> int:
         return len(self.features)
@@ -81,7 +83,7 @@ class PersistenceDiagram:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PersistenceDiagram):
             return NotImplemented
-        return sorted(self.features) == sorted(other.features)
+        return self.features == other.features
 
     def __repr__(self) -> str:
         counts = {d: sum(1 for f in self.features if f[0] == d) for d in (0, 1)}
@@ -96,16 +98,12 @@ class PersistenceDiagram:
         bars = self.bars(dim)
         return bars[np.isfinite(bars[:, 1])]
 
-    def sorted_features(self) -> list[tuple[int, float, float]]:
-        # stable on insertion order for equal (dim, birth, death)
-        return sorted(self.features, key=lambda f: (f[0], f[1], f[2]))
-
     def to_csv(self, path) -> None:
         write_atomic(path, self.to_csv_text())
 
     def to_csv_text(self) -> str:
-        """The ``dim,birth,death`` table of the sorted features, as ``to_csv`` writes it."""
-        return format_table([("dim", "birth", "death"), *self.sorted_features()])
+        """The ``dim,birth,death`` table of the features, as ``to_csv`` writes it."""
+        return format_table([("dim", "birth", "death"), *self.features])
 
     @classmethod
     def from_csv(cls, path) -> "PersistenceDiagram":

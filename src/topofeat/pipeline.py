@@ -1,11 +1,12 @@
 """Staged end-to-end pipeline with on-disk artifacts and resumability.
 
-Each stage reads its predecessor's files and writes its own; outputs that
-already exist are not recomputed (denoise redoes a recording that misses any),
-so deleting any stage directory and rerunning reproduces it byte-identically
-for a fixed seed.  Every artifact is written through ``write_atomic``, so a
-file that exists is complete.  Stage failures surface as :class:`StageError`
-carrying the stage name and offending file.
+Each stage reads its predecessor's files and writes its own.  Embed keeps an
+existing params.json and denoise redoes only a recording that misses an
+output; vectorize and classify always recompute.  So deleting any stage
+directory and rerunning reproduces it byte-identically for a fixed seed.
+Every artifact is written through ``write_atomic``, so a file that exists is
+complete.  Stage failures surface as :class:`StageError` carrying the stage
+name and offending file.
 
 Layout under ``out_dir``:
 
@@ -24,9 +25,8 @@ Recordings are the only signal on disk.  Ingest reads, hashes and parses each
 one and counts its windows, but cuts nothing.  Each denoise job takes one
 recording from the cut (``cut_recording``, with the settings manifest.json
 records) through its joint clouds and diagrams, in memory, to its merged and
-density-filtered subject diagram.  A job whose joint clouds and diagrams are
-all on disk reads the diagrams back; one that misses any cuts the recording
-again, so nothing reads ``joint/`` back.  Weight sweeps and descriptor
+density-filtered subject diagram, and writes each of them on the way, so
+nothing reads ``joint/`` or ``diagrams/`` back.  Weight sweeps and descriptor
 comparisons re-vectorise the subject diagrams in memory (``vectorize_features``
 + ``evaluate``) and write nothing.
 """
@@ -65,9 +65,6 @@ class StageError(RuntimeError):
         self.stage, self.message = stage, message
         self.file = str(file) if file is not None else None
         super().__init__(f"stage {stage}: {message}" + (f" [{self.file}]" if self.file else ""))
-
-    def __reduce__(self):  # rebuilt from its fields when a pool worker raises it
-        return StageError, (self.stage, self.message, self.file)
 
 
 def _out(cfg: PipelineConfig) -> Path:
@@ -264,29 +261,23 @@ def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
 # ------------------------------------------------------------------ denoise
 
 def _segment_job(args) -> list:
-    """Bring one recording up to its subject diagram; returns its density rows.
+    """Bring one recording from the cut to its subject diagram; returns its density rows.
 
-    When every joint cloud and diagram of the recording is on disk, the
-    diagrams are read back.  Otherwise the recording is cut once and every
-    segment embedded, denoised, written and persisted as a fresh run does,
-    which rewrites the same bytes.  The diagrams merge in the
-    ``sorted_features`` order their files hold, whether held in memory or read
-    back, so the densities do not depend on which route ran."""
+    The recording is cut once, and each segment embedded, denoised and
+    persisted, its joint cloud and diagram written on the way.  The diagrams'
+    H1 bars merge in segment order, each diagram's in its sorted order, and
+    the density-filtered merge is the subject diagram."""
     recording, sha256, sid, segments, target, cfg, embedding = args
-    if all(joint.exists() and diagram.exists() for joint, diagram in segments):
-        diagrams = [_staged("denoise", diagram, PersistenceDiagram.from_csv)
-                    for _, diagram in segments]
-    else:
-        diagrams = []
-        cut = cut_recording(recording, cfg, sha256)
-        for (joint_path, diagram_path), seg in zip(segments, cut, strict=True):
-            clouds = [delay_embed(x, embedding) for x in seg.data]
-            params = MassParams(cfg.q, cfg.k, cfg.iters, cfg.seed).capped(len(clouds[0]))
-            joint = remap_multichannel(clouds, cfg.keep_n, params)
-            joint.to_csv(joint_path)
-            diagram = rips_diagram(joint.points)
-            diagram.to_csv(diagram_path)
-            diagrams.append(PersistenceDiagram(diagram.sorted_features()))
+    diagrams = []
+    for (joint_path, diagram_path), seg in zip(segments, cut_recording(recording, cfg, sha256),
+                                               strict=True):
+        clouds = [delay_embed(x, embedding) for x in seg.data]
+        params = MassParams(cfg.q, cfg.k, cfg.iters, cfg.seed).capped(len(clouds[0]))
+        joint = remap_multichannel(clouds, cfg.keep_n, params)
+        joint.to_csv(joint_path)
+        diagram = rips_diagram(joint.points)
+        diagram.to_csv(diagram_path)
+        diagrams.append(diagram)
     points = merge_diagrams(diagrams)
     if len(points) == 0:
         PersistenceDiagram().to_csv(target)
@@ -317,8 +308,9 @@ def _segment_jobs(cfg: PipelineConfig, manifest: dict, embedding: EmbeddingParam
 
 
 def stage_denoise(cfg: PipelineConfig, emit_density=None) -> None:
-    """Denoise, persist and density-filter each recording, one job each, into its
-    subject diagram; write every merged point's density to ``emit_density`` if given."""
+    """Denoise, persist and density-filter each recording that misses an output, one
+    job each, into its subject diagram.  Given ``emit_density``, redo every
+    recording and write each merged point's density there."""
     validate_config(cfg)
     manifest = _manifest(cfg)
     params_path = _out(cfg) / "params.json"
@@ -340,8 +332,7 @@ stage_filter = stage_denoise
 def _run_jobs(jobs: list, n_workers: int) -> list:
     """Run ``_segment_job`` on every job and return the results in job order:
     in-process at ``n_workers <= 1``, else in one pool of at most one worker per
-    job.  Errors name ``job[0]``, always the recording, unless the job raised a
-    :class:`StageError` naming a diagram it read back.
+    job.  An error is a denoise :class:`StageError` naming ``job[0]``, the recording.
     """
     if not jobs:
         return []
@@ -353,8 +344,6 @@ def _run_jobs(jobs: list, n_workers: int) -> list:
         for job in jobs:
             try:
                 results.append(next(returns))
-            except StageError:
-                raise
             except Exception as exc:
                 raise StageError("denoise", str(exc), job[0]) from exc
     return results
@@ -451,12 +440,10 @@ def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str
 
 
 def stage_vectorize(cfg: PipelineConfig) -> Path:
-    """Write features.csv, one row per subject, and vectorize_meta.json, unless both exist."""
+    """Write features.csv, one row per subject, and vectorize_meta.json, always anew."""
     validate_config(cfg)
     out = _out(cfg)
     feats_path, meta_path = out / "features.csv", out / "vectorize_meta.json"
-    if feats_path.exists() and meta_path.exists():
-        return feats_path
     ids, features, labels, meta = vectorize_features(*load_subject_diagrams(cfg), cfg)
     write_atomic(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
     save_features_csv(feats_path, ids, features, labels)

@@ -53,7 +53,7 @@ def plot_diagram(diagram: PersistenceDiagram, path) -> None:
                  f'y2="{_SIZE - _MARGIN}" stroke="black"/>')
     parts.append(f'<line x1="{_MARGIN}" y1="{_SIZE - _MARGIN}" x2="{_MARGIN}" '
                  f'y2="{_MARGIN}" stroke="black"/>')
-    for dim, birth, death in diagram.sorted_features():
+    for dim, birth, death in diagram.features:
         y = hi if math.isinf(death) else death
         marker = "none" if math.isinf(death) else _COLORS.get(dim, "#333333")
         stroke = _COLORS.get(dim, "#333333")
@@ -66,7 +66,7 @@ def plot_diagram(diagram: PersistenceDiagram, path) -> None:
 def plot_barcode(diagram: PersistenceDiagram, path) -> None:
     """One horizontal bar per feature, grouped by dimension."""
     hi = _finite_max(diagram) * 1.05 or 1.0
-    feats = diagram.sorted_features()
+    feats = diagram.features
     height = max(2 * _MARGIN + 12 * max(len(feats), 1), 160)
     span = _SIZE - 2 * _MARGIN
 

@@ -84,7 +84,8 @@ def test_bad_bandwidth_names_the_option(tmp_path, capsys, spec):
     (["vectorize", "--junction", "inf"], "weight_junction must be finite"),
     (["run", "--rate", "nan"], "rate must be finite"),
     (["denoise", "--bandwidth", "identity:inf"], "bandwidth 'identity:inf': 'inf' must be finite"),
-], ids=["C", "gamma", "sigma", "junction", "rate", "bandwidth"])
+    (["run", "--rate", "1e200", "--window-sec", "1e200"], "window_sec * rate must be finite"),
+], ids=["C", "gamma", "sigma", "junction", "rate", "bandwidth", "window"])
 def test_non_finite_value_exits_1_naming_the_key(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out)) == 1

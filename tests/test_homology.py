@@ -285,6 +285,12 @@ class TestBufferedReduction:
         filt = rips_filtration(pts, max_scale=float(pdist(pts).max()) or 1.0)  # 0 if all coincide
         assert sorted(compute_persistence(filt).features) == sorted(rips_diagram(pts).features)
 
+    @given(n=st.integers(2, 25), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_features_are_sorted_on_drawn_grids(self, n, d, seed):
+        # ties in distance give equal births and deaths, duplicates zero-length edges
+        features = rips_diagram(np.random.default_rng(seed).integers(-3, 4, (n, d)) / 2.0).features
+        assert features == sorted(features)
+
 
 BUILD_AT_BARRIER = """
 import sys, time
@@ -557,6 +563,16 @@ class TestDiagramSerialization:
         d1 = PersistenceDiagram([(1, 0.5, 2.0), (0, 0.0, 1.0), (1, 0.25, 0.5)])
         d2 = PersistenceDiagram([(1, 0.25, 0.5), (1, 0.5, 2.0), (0, 0.0, 1.0)])
         assert d1.to_csv_text() == d2.to_csv_text()
+
+    @given(st.randoms(use_true_random=False))
+    def test_features_keep_one_order_whatever_the_input_order(self, random):
+        features = [(1, 0.5, 2.0), (0, 0.0, INF), (1, 0.25, 0.5), (0, 0.0, 1.0), (1, 0.25, 0.5),
+                    (1, 0.25, INF), (0, 0.0, 0.5), (1, 0.5, 1.0)]
+        shuffled = random.sample(features, len(features))
+        diagram = PersistenceDiagram(shuffled)
+        assert diagram.features == sorted(features)
+        assert diagram.to_csv_text() == PersistenceDiagram(features).to_csv_text()
+        assert diagram == PersistenceDiagram(features)
 
     def test_death_before_birth_rejected(self):
         with pytest.raises(ValueError):

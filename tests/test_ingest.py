@@ -313,9 +313,9 @@ def write_artifact(kind, path):
         diagram = PersistenceDiagram([(0, v, INF) for v in EDGE_VALUES]
                                      + [(1, min(a, b), max(a, b)) for a, b in vals.T])
         diagram.to_csv(path)
-        return (lambda p: np.array(PersistenceDiagram.from_csv(p).sorted_features())), \
-            np.array(diagram.sorted_features()), ["dim", "birth", "death"], \
-            diagram.sorted_features(), {"ints": ("dim",)}
+        return (lambda p: np.array(PersistenceDiagram.from_csv(p).features)), \
+            np.array(diagram.features), ["dim", "birth", "death"], diagram.features, \
+            {"ints": ("dim",)}
     ids, labels = ["s0", "s1"], [1, 0]
     save_features_csv(path, ids, vals, np.array(labels))
     header = ["subject_id", *(f"f{i}" for i in range(len(EDGE_VALUES))), "label"]

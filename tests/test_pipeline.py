@@ -128,6 +128,13 @@ class TestConfig:
             assert str(err.value) == f"bandwidth {spec!r}: {entry!r} must be finite"
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_window_fails_before_any_stage(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out", rate=1e200, window_sec=1e200)
+        for stage in (stage_synth, run_pipeline):
+            with pytest.raises(ValueError, match=r"^window_sec \* rate must be finite$"):
+                stage(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_window_samples(self):
         assert PipelineConfig(rate=128.0, window_sec=4.0).window_samples() == 512
 
@@ -212,25 +219,29 @@ class TestStages:
             p for p in before if p.name.startswith(("a000", "b001"))}
         assert outputs(Path.read_bytes) == fresh
 
-    def test_denoise_rebuilds_subject_diagrams_from_diagrams_alone(self, tiny_run, tmp_path,
-                                                                   monkeypatch):
+    def test_denoise_rebuilds_deleted_subject_diagrams_from_the_cut(self, tiny_run, tmp_path,
+                                                                    monkeypatch):
         cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"))
         shutil.copytree(tiny_run[0].out_dir, cfg.out_dir)
-        subject_diagrams = Path(cfg.out_dir) / "subject_diagrams"
-        before = {p.name: p.read_bytes() for p in subject_diagrams.iterdir()}
-        shutil.rmtree(subject_diagrams)
+        out = Path(cfg.out_dir)
+
+        def outputs():
+            return {p.relative_to(out): p.read_bytes() for stage_dir in ("joint", "diagrams",
+                                                                         "subject_diagrams")
+                    for p in (out / stage_dir).iterdir()}
+
+        fresh = outputs()
+        shutil.rmtree(out / "subject_diagrams")
 
         def refuse(*args):
-            raise AssertionError("rebuilding a subject diagram cut or read more than diagrams/")
+            raise AssertionError("rebuilding a subject diagram read a joint cloud back")
 
-        monkeypatch.setattr("topofeat.pipeline.cut_recording", refuse)
         monkeypatch.setattr(PointCloud, "from_csv", refuse)
         stage_denoise(cfg)
-        assert {p.name: p.read_bytes() for p in subject_diagrams.iterdir()} == before
+        assert outputs() == fresh
 
     def test_density_dump_from_scratch_equals_the_resumed_dump(self, tiny_run, tmp_path):
-        # a fresh job merges the diagrams it computed, a resumed one the diagrams it
-        # read back; both must pool the bars in the same order for equal densities
+        # both redo every recording from the cut, so both pool the same bars in the same order
         finished = replace(tiny_run[0], out_dir=str(tmp_path / "finished"))
         shutil.copytree(tiny_run[0].out_dir, finished.out_dir)
         stage_denoise(finished, emit_density=tmp_path / "resumed.csv")
@@ -254,6 +265,17 @@ class TestStages:
             stage_synth(replace(tiny_run[0], out_dir=str(out)), **{**TINY, size: value})
         assert sorted((out / "input").iterdir()) == kept[1:]
         assert {p: p.read_bytes() for p in kept} == before
+
+    def test_vectorize_recomputes_under_a_new_descriptor(self, tiny_run, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(tiny_run[0].out_dir, out)
+        outputs = [out / "features.csv", out / "vectorize_meta.json"]
+        before = {p: p.read_bytes() for p in outputs}
+        stage_vectorize(replace(tiny_run[0], out_dir=str(out), descriptor="landscape"))
+        assert load_features_csv(out / "features.csv").features.shape == (6, 500)
+        assert json.loads((out / "vectorize_meta.json").read_text())["descriptor"] == "landscape"
+        stage_vectorize(replace(tiny_run[0], out_dir=str(out)))
+        assert {p: p.read_bytes() for p in outputs} == before
 
     @pytest.mark.parametrize("victim", ["features.csv", "vectorize_meta.json"])
     def test_vectorize_restores_a_deleted_output(self, tiny_run, tmp_path, victim):
@@ -291,11 +313,12 @@ class TestStages:
         assert (fresh / "report.json").read_bytes() == (run / "report.json").read_bytes()
 
     def test_density_dump_without_points_is_its_header(self, tiny_run, tmp_path):
-        cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"))
+        # three points per joint cloud close no loop, so no diagram has an H1 bar
+        cfg = replace(tiny_run[0], out_dir=str(tmp_path / "out"), keep_n=3)
         shutil.copytree(tiny_run[0].out_dir, cfg.out_dir)
-        for diagram in (Path(cfg.out_dir) / "diagrams").iterdir():
-            diagram.write_text("dim,birth,death\n")
         stage_denoise(cfg, emit_density=tmp_path / "density.csv")
+        assert all(not PersistenceDiagram.from_csv(p).bars(1).size
+                   for p in (Path(cfg.out_dir) / "diagrams").iterdir())
         assert (tmp_path / "density.csv").read_text() == "subject_id,birth,death,density\n"
 
     def test_synth_again_replaces_the_cohort(self, tmp_path):
@@ -410,14 +433,10 @@ class TestStageErrors:
     # it, the stage that reads it, and the stage an error names
     DAMAGED = {
         "recording": ("input/a000.csv", [], "ingest", "ingest"),
-        "segment_diagram": ("diagrams/a000_0000.csv", ["subject_diagrams/a000.csv"], "denoise",
-                            "denoise"),
         "subject_diagram": ("subject_diagrams/a000.csv", ["features.csv"], "vectorize",
                             "vectorize"),
         "subject_diagram_nan": ("subject_diagrams/a000.csv", ["features.csv"], "vectorize",
                                 "vectorize"),
-        "segment_diagram_nan": ("diagrams/a000_0000.csv", ["subject_diagrams/a000.csv"],
-                                "denoise", "denoise"),
         "subject_diagram_sweep": ("subject_diagrams/a000.csv", [], "sweep", "vectorize"),
         "features": ("features.csv", [], "classify", "classify"),
         "manifest": ("manifest.json", [], "denoise", "ingest"),
@@ -455,6 +474,24 @@ class TestStageErrors:
         assert err.value.stage == named
         assert err.value.file == str(victim)
         assert expected in err.value.message
+
+    @pytest.mark.parametrize("damage", ["ragged", "nan"])
+    def test_damaged_segment_diagram_is_redone(self, tiny_run, tmp_path, damage):
+        # no stage reads a segment diagram; a recording missing its subject diagram
+        # is redone from the cut, which rewrites the damaged file
+        out = tmp_path / "out"
+        shutil.copytree(tiny_run[0].out_dir, out)
+        victim = out / "diagrams" / "a000_0000.csv"
+        fresh = victim.read_bytes()
+        lines = victim.read_text().splitlines()
+        death = lines[1].rsplit(",", 1)[1]
+        lines[1] = lines[1].rsplit(",", 1)[0] if damage == "ragged" else f"1,nan,{death}"
+        victim.write_text("\n".join(lines) + "\n")
+        (out / "subject_diagrams" / "a000.csv").unlink()
+        stage_denoise(replace(tiny_run[0], out_dir=str(out)))
+        assert victim.read_bytes() == fresh
+        assert (out / "subject_diagrams" / "a000.csv").read_bytes() == \
+            (Path(tiny_run[0].out_dir) / "subject_diagrams" / "a000.csv").read_bytes()
 
 
 def first_cut(cfg, sid):
