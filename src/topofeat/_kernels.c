@@ -1,0 +1,585 @@
+/* The compiled kernels of topofeat, loaded through ctypes by _kernels.py,
+ * which compiles this file on first use.
+ *
+ * Homology: the Kruskal sweep of H0 and the mod-2 reduction of the H1
+ * coboundary columns.  homology.py hands over integers only: the edge list
+ * in filtration order and, for every vertex pair, the rank of its length
+ * among the distinct edge lengths.  The float distances never reach these
+ * two functions, so the pairs and the diagram bytes are those of the
+ * integer algorithm, whatever the compiler does with floating point.
+ *
+ * The triangle key lives here and nowhere else.  Triangle {x, y, z},
+ * x < y < z, whose longest edge has diameter rank r, is the int64
+ * ((r * n + x) * n + y) * n + z, so keys order triangles as the refined
+ * filtration does: by diameter, then lexicographically.  A death leaves
+ * this file as a diameter rank, key / n^3.  A column is a sorted array of
+ * triangle keys; its pivot is its smallest key.  homology.py checks that
+ * every key fits in an int64.
+ *
+ * The k-PDTM: the neighbour statistics of dtm_profile and the whole
+ * kpdtm_fit of denoise.py, in floating point.  Every sum runs in the order
+ * numpy's would (see pairwise below), and the file is built with
+ * -ffp-contract=off, so no product is fused into an add and the results
+ * are numpy's bit for bit.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef int64_t i64;
+
+/* Ascending sort of distinct keys: quicksort on a median-of-three pivot,
+ * insertion sort below 16 keys.  A coboundary holds at most n - 2 keys, so
+ * even a quadratic worst case costs no more than the n x n tables do. */
+static void sort_keys(i64 *a, i64 n)
+{
+    while (n > 16) {
+        i64 mid = n / 2, t;
+        if (a[mid] < a[0]) { t = a[mid]; a[mid] = a[0]; a[0] = t; }
+        if (a[n - 1] < a[0]) { t = a[n - 1]; a[n - 1] = a[0]; a[0] = t; }
+        if (a[n - 1] < a[mid]) { t = a[n - 1]; a[n - 1] = a[mid]; a[mid] = t; }
+        i64 p = a[mid], i = -1, j = n;
+        for (;;) { /* Hoare: a[0..j] <= p <= a[j+1..n-1], 0 <= j < n - 1 */
+            do i++; while (a[i] < p);
+            do j--; while (a[j] > p);
+            if (i >= j) break;
+            t = a[i]; a[i] = a[j]; a[j] = t;
+        }
+        if (j + 1 < n - j - 1) { sort_keys(a, j + 1); a += j + 1; n -= j + 1; }
+        else { sort_keys(a + j + 1, n - j - 1); n = j + 1; }
+    }
+    for (i64 i = 1; i < n; i++) {
+        i64 v = a[i], j = i;
+        for (; j > 0 && a[j - 1] > v; j--) a[j] = a[j - 1];
+        a[j] = v;
+    }
+}
+
+/* First index of the sorted run a[0..n) whose key exceeds low. */
+static i64 above(const i64 *a, i64 n, i64 low)
+{
+    i64 lo = 0, hi = n;
+    while (lo < hi) {
+        i64 mid = lo + (hi - lo) / 2;
+        if (a[mid] <= low) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+}
+
+/* x + y over GF(2): the symmetric difference of two sorted runs, sorted,
+ * into out, which holds nx + ny keys.  Returns its length. */
+static i64 add_mod2(const i64 *x, i64 nx, const i64 *y, i64 ny, i64 *out)
+{
+    i64 i = 0, j = 0, k = 0;
+    while (i < nx && j < ny) {
+        if (x[i] < y[j]) out[k++] = x[i++];
+        else if (y[j] < x[i]) out[k++] = y[j++];
+        else { i++; j++; }
+    }
+    memcpy(out + k, x + i, (size_t)(nx - i) * sizeof *out);
+    k += nx - i;
+    memcpy(out + k, y + j, (size_t)(ny - j) * sizeof *out);
+    return k + ny - j;
+}
+
+/* Smallest key above low of the sum col + buf, or -1 if there is none.
+ * Their keys up to low cancel; above it the two fronts cancel in lockstep,
+ * so the pivot is the smaller key where they first differ. */
+static i64 next_pivot(const i64 *col, i64 nc, const i64 *buf, i64 nb, i64 low)
+{
+    i64 ic = above(col, nc, low), ib = above(buf, nb, low);
+    while (ic < nc && ib < nb && col[ic] == buf[ib]) { ic++; ib++; }
+    if (ic < nc && ib < nb) return col[ic] < buf[ib] ? col[ic] : buf[ib];
+    if (ic < nc) return col[ic];
+    return ib < nb ? buf[ib] : -1;
+}
+
+/* The vertex digits (x * n + y) * n + z of triangle {a, b, k}, a < b, with
+ * x < y < z its vertices; for fixed (a, b) they grow with k. */
+static i64 digits(i64 n, i64 a, i64 b, i64 k)
+{
+    if (k < a) return (k * n + a) * n + b;
+    if (k < b) return (a * n + k) * n + b;
+    return (a * n + b) * n + k;
+}
+
+/* The sorted coboundary of edge (a, b), a < b, up to the cap, into out.
+ * rank is the n x n table of diameter ranks; over marks a pair past the cap. */
+static i64 coboundary(i64 n, const int32_t *rank, i64 over, i64 a, i64 b, i64 *out)
+{
+    const int32_t *ra = rank + a * n, *rb = rank + b * n;
+    i64 n3 = n * n * n, rab = ra[b], len = 0;
+    for (i64 k = 0; k < n; k++) {
+        i64 d = ra[k] > rb[k] ? ra[k] : rb[k];
+        if (d < rab) d = rab;
+        if (k == a || k == b || d >= over) continue;
+        out[len++] = d * n3 + digits(n, a, b, k);
+    }
+    sort_keys(out, len);
+    return len;
+}
+
+/* Key of the earliest cofacet of edge (a, b), a < b: least diameter rank,
+ * then least third vertex, so the least key of its coboundary; -1 if every
+ * cofacet lies past the cap.  Sets *apparent when (a, b) is that cofacet's
+ * latest facet.  Edges enter the filtration by (rank, smaller vertex,
+ * larger vertex), which the facet order (rank * n + x) * n + y follows. */
+static i64 earliest_cofacet(i64 n, const int32_t *rank, i64 over, i64 a, i64 b, int *apparent)
+{
+    const int32_t *ra = rank + a * n, *rb = rank + b * n;
+    i64 rab = ra[b], best = over, k = -1;
+    for (i64 v = 0; v < n; v++) {
+        i64 d = ra[v] > rb[v] ? ra[v] : rb[v];
+        if (d < rab) d = rab;
+        if (d < best && v != a && v != b) { best = d; k = v; }
+    }
+    *apparent = 0;
+    if (k < 0) return -1;
+    i64 ab = (rab * n + a) * n + b;
+    i64 ak = k < a ? (ra[k] * n + k) * n + a : (ra[k] * n + a) * n + k;
+    i64 bk = k < b ? (rb[k] * n + k) * n + b : (rb[k] * n + b) * n + k;
+    *apparent = ak < ab && bk < ab;
+    return best * n * n * n + digits(n, a, b, k);
+}
+
+typedef struct { i64 *key; i64 len, cap; } run;
+
+/* Room for cap keys in r; its contents may be lost. */
+static int reserve(run *r, i64 cap)
+{
+    if (cap <= r->cap) return 0;
+    if (cap < 2 * r->cap) cap = 2 * r->cap;
+    free(r->key);
+    r->key = malloc((size_t)cap * sizeof *r->key);
+    r->cap = r->key ? cap : 0;
+    return r->key == NULL;
+}
+
+/* Pivot table: open addressing from a key to its column's slot. */
+typedef struct { i64 *key, *slot; int bits; } table;
+
+static i64 home(const table *t, i64 key)
+{
+    return (i64)(((uint64_t)key * 0x9E3779B97F4A7C15ull) >> (64 - t->bits));
+}
+
+static i64 find(const table *t, i64 key)
+{
+    i64 mask = ((i64)1 << t->bits) - 1;
+    for (i64 h = home(t, key); t->key[h] >= 0; h = (h + 1) & mask)
+        if (t->key[h] == key) return t->slot[h];
+    return -1;
+}
+
+static void insert(table *t, i64 key, i64 slot)
+{
+    i64 mask = ((i64)1 << t->bits) - 1, h = home(t, key);
+    while (t->key[h] >= 0) h = (h + 1) & mask;
+    t->key[h] = key;
+    t->slot[h] = slot;
+}
+
+/* Reduce the coboundary columns of the cycle edges, given in filtration
+ * order, and write each one's death to death: the diameter rank of its
+ * final pivot, or -1 once the column vanishes or if it has no cofacet.
+ *
+ * One scan per edge finds its earliest cofacet.  An edge that is the latest
+ * facet of that cofacet pairs with it apparently, and those pairs seed the
+ * pivot table, key -> slot.  The other columns are reduced latest edge
+ * first.  A column whose pivot is new enters as its edge (an emergent
+ * pair); a column that had to be reduced enters as its reduced keys.  An
+ * edge's coboundary is built the first time another column adds it.  While
+ * a column is reduced, the columns added to it collect in a sorted buffer,
+ * which folds into the column once len(buf) * fold > len(col).  Returns
+ * nonzero when memory runs out. */
+int reduce_h1(i64 n, const int32_t *rank, i64 over, const i64 *ii, const i64 *jj,
+              i64 n_cycle, const i64 *cycle, i64 fold, i64 *death)
+{
+    i64 n3 = n * n * n, used = 0, *first, *edge_of, *len;
+    i64 **keys;
+    table t = {NULL, NULL, 1};
+    run col = {NULL, 0, 0}, buf = {NULL, 0, 0}, tmp = {NULL, 0, 0}, swap;
+    int failed = 1, apparent;
+    if (n_cycle == 0) return 0;
+    while (((i64)1 << t.bits) < 2 * n_cycle) t.bits++;
+    t.key = malloc(((size_t)1 << t.bits) * sizeof *t.key);
+    t.slot = malloc(((size_t)1 << t.bits) * sizeof *t.slot);
+    first = malloc((size_t)n_cycle * sizeof *first);
+    edge_of = malloc((size_t)n_cycle * sizeof *edge_of);
+    len = malloc((size_t)n_cycle * sizeof *len);
+    keys = calloc((size_t)n_cycle, sizeof *keys);
+    if (!t.key || !t.slot || !first || !edge_of || !len || !keys || reserve(&buf, n))
+        goto done;
+    memset(t.key, -1, ((size_t)1 << t.bits) * sizeof *t.key);
+    for (i64 c = 0; c < n_cycle; c++) {
+        first[c] = earliest_cofacet(n, rank, over, ii[cycle[c]], jj[cycle[c]], &apparent);
+        death[c] = apparent ? first[c] / n3 : -1; /* >= 0 marks the apparent pairs */
+        if (apparent) {
+            edge_of[used] = cycle[c];
+            insert(&t, first[c], used++);
+        }
+    }
+    for (i64 c = n_cycle - 1; c >= 0; c--) {
+        i64 key = first[c], s;
+        if (death[c] >= 0) continue; /* paired apparently */
+        s = key >= 0 ? find(&t, key) : -1;
+        if (s >= 0) {
+            if (reserve(&col, n)) goto done; /* the runs swap roles as they grow */
+            col.len = coboundary(n, rank, over, ii[cycle[c]], jj[cycle[c]], col.key);
+            buf.len = 0;
+            while (s >= 0) {
+                if (!keys[s]) {
+                    if (!(keys[s] = malloc((size_t)n * sizeof **keys)))
+                        goto done;
+                    len[s] = coboundary(n, rank, over, ii[edge_of[s]], jj[edge_of[s]], keys[s]);
+                }
+                if (reserve(&tmp, buf.len + len[s])) goto done;
+                tmp.len = add_mod2(buf.key, buf.len, keys[s], len[s], tmp.key);
+                swap = buf; buf = tmp; tmp = swap;
+                if (buf.len * fold > col.len) { /* keys up to key cancel: drop them */
+                    i64 ic = above(col.key, col.len, key), ib = above(buf.key, buf.len, key);
+                    if (reserve(&tmp, col.len - ic + buf.len - ib)) goto done;
+                    tmp.len = add_mod2(col.key + ic, col.len - ic, buf.key + ib, buf.len - ib,
+                                       tmp.key);
+                    swap = col; col = tmp; tmp = swap;
+                    buf.len = 0;
+                }
+                key = next_pivot(col.key, col.len, buf.key, buf.len, key);
+                s = key >= 0 ? find(&t, key) : -1;
+            }
+            if (key >= 0) {
+                i64 ic = above(col.key, col.len, key - 1), ib = above(buf.key, buf.len, key - 1);
+                if (!(keys[used] = malloc((size_t)(col.len - ic + buf.len - ib) * sizeof **keys)))
+                    goto done;
+                len[used] = add_mod2(col.key + ic, col.len - ic, buf.key + ib, buf.len - ib,
+                                     keys[used]);
+                insert(&t, key, used++);
+            }
+        } else if (key >= 0) { /* emergent pair: the column is reduced as it stands */
+            edge_of[used] = cycle[c];
+            insert(&t, key, used++);
+        }
+        death[c] = key >= 0 ? key / n3 : -1;
+    }
+    failed = 0;
+done:
+    if (keys)
+        for (i64 s = 0; s < used; s++) free(keys[s]);
+    free(keys); free(len); free(edge_of); free(first); free(t.slot); free(t.key);
+    free(col.key); free(buf.key); free(tmp.key);
+    return failed;
+}
+
+/* Kruskal's sweep over the edges (ii[e], jj[e]) on vertices 0..n-1, in
+ * index order: writes the positions of the edges that merge two components
+ * to merging, ascending, and returns their number, or -1 when memory runs
+ * out.  Union-find with path halving. */
+i64 kruskal_tree(i64 n, i64 m, const i64 *ii, const i64 *jj, i64 *merging)
+{
+    i64 *parent = malloc((size_t)n * sizeof *parent), count = 0;
+    if (!parent) return -1;
+    for (i64 v = 0; v < n; v++) parent[v] = v;
+    for (i64 e = 0; e < m && count < n - 1; e++) {
+        i64 a = ii[e], b = jj[e];
+        while (parent[a] != a) a = parent[a] = parent[parent[a]];
+        while (parent[b] != b) b = parent[b] = parent[parent[b]];
+        if (a != b) {
+            parent[b] = a;
+            merging[count++] = e;
+        }
+    }
+    free(parent);
+    return count;
+}
+
+
+/* ---------------------------------------------------------------- k-PDTM */
+
+/* 0 + numpy's pairwise sum of a[0], a[stride], ..., a[(n - 1) * stride]:
+ * a sequential sum below 8 terms, 8 accumulators up to 128, and halves cut
+ * at a multiple of 8 above.  np.add.reduce starts from its identity 0 and
+ * adds this, which turns a -0.0 sum into 0.0. */
+static double pairwise_sum(const double *a, i64 n, i64 stride)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (i64 i = 0; i < n; i++) res += a[i * stride];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        i64 i;
+        for (int j = 0; j < 8; j++) r[j] = a[j * stride];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) r[j] += a[(i + j) * stride];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i * stride];
+        return res;
+    }
+    i64 half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half, stride) + pairwise_sum(a + half * stride, n - half, stride);
+}
+
+static double sum(const double *a, i64 n)
+{
+    return 0.0 + pairwise_sum(a, n, 1);
+}
+
+/* Squared distance as scipy's cdist computes it: 0 + the squared
+ * differences, in coordinate order. */
+static double sqdist(const double *x, const double *y, i64 d)
+{
+    double s = 0.0;
+    for (i64 c = 0; c < d; c++) {
+        double t = x[c] - y[c];
+        s += t * t;
+    }
+    return s;
+}
+
+/* A point's first coordinate and index; the sweep sorts them ascending. */
+typedef struct { double first; i64 index; } entry;
+
+/* The cloud with its points sorted by first coordinate, and the scratch of
+ * one neighbour query. */
+typedef struct {
+    i64 n, d, q;
+    const double *pts;
+    entry *sorted;
+    double *best_d;  /* the q nearest so far, by (distance, index) */
+    i64 *best_i;
+    double *work;    /* q neighbours' coordinates, then q squared deviations */
+} sweep;
+
+static int by_first(const void *a, const void *b)
+{
+    const entry *x = a, *y = b;
+    if (x->first != y->first) return x->first < y->first ? -1 : 1;
+    return (x->index > y->index) - (x->index < y->index);
+}
+
+static void sweep_free(sweep *s)
+{
+    free(s->sorted); free(s->best_d); free(s->best_i); free(s->work);
+}
+
+static int sweep_init(sweep *s, i64 n, i64 d, const double *pts, i64 q)
+{
+    s->n = n; s->d = d; s->q = q; s->pts = pts;
+    s->sorted = malloc((size_t)n * sizeof *s->sorted);
+    s->best_d = malloc((size_t)q * sizeof *s->best_d);
+    s->best_i = malloc((size_t)q * sizeof *s->best_i);
+    s->work = malloc((size_t)q * (size_t)(d + 1) * sizeof *s->work);
+    if (!s->sorted || !s->best_d || !s->best_i || !s->work) {
+        sweep_free(s);
+        return 1;
+    }
+    for (i64 i = 0; i < n; i++) s->sorted[i] = (entry){pts[i * d], i};
+    qsort(s->sorted, (size_t)n, sizeof *s->sorted, by_first);
+    return 0;
+}
+
+/* Offer point p at squared distance dist to the q nearest, of which there
+ * are *count so far, kept sorted by (distance, index). */
+static void offer(sweep *s, i64 *count, double dist, i64 p)
+{
+    i64 j = *count;
+    if (j == s->q) {
+        if (dist > s->best_d[j - 1] || (dist == s->best_d[j - 1] && p > s->best_i[j - 1]))
+            return;
+        j--;
+    } else {
+        ++*count;
+    }
+    for (; j > 0 && (s->best_d[j - 1] > dist || (s->best_d[j - 1] == dist && s->best_i[j - 1] > p));
+         j--) {
+        s->best_d[j] = s->best_d[j - 1];
+        s->best_i[j] = s->best_i[j - 1];
+    }
+    s->best_d[j] = dist;
+    s->best_i[j] = p;
+}
+
+/* The q nearest points of y by (squared distance, index), into best_i.
+ * The sweep walks outward from y's place in the first-coordinate order,
+ * nearer side first.  A point's squared distance is at least its
+ * first-coordinate gap squared, and the gap only grows along a side, so
+ * the walk ends once the nearer gap squared is strictly greater than the
+ * q-th distance: a point tied with the q-th can still enter by index. */
+static void nearest(sweep *s, const double *y)
+{
+    i64 lo = 0, hi = s->n, count = 0;
+    while (lo < hi) { /* first position whose coordinate is >= y[0] */
+        i64 mid = lo + (hi - lo) / 2;
+        if (s->sorted[mid].first < y[0]) lo = mid + 1; else hi = mid;
+    }
+    hi = lo--;
+    while (lo >= 0 || hi < s->n) {
+        double below = lo >= 0 ? y[0] - s->sorted[lo].first : INFINITY;
+        double above = hi < s->n ? s->sorted[hi].first - y[0] : INFINITY;
+        i64 p = s->sorted[below <= above ? lo-- : hi++].index;
+        double gap = below <= above ? below : above;
+        if (count == s->q && gap * gap > s->best_d[count - 1]) break;
+        offer(s, &count, sqdist(s->pts + p * s->d, y, s->d), p);
+    }
+}
+
+/* Mean and mean squared deviation of the q nearest points of y, with the
+ * arithmetic of numpy's neigh.sum(axis=1) / q on the (q, d) neighbours: a
+ * sequential sum over the neighbours, pairwise when d = 1, where that axis
+ * is contiguous; the deviations sum pairwise over the coordinates, then
+ * over the neighbours. */
+static void mass(sweep *s, const double *y, double *mean, double *spread)
+{
+    i64 d = s->d, q = s->q;
+    double *nb = s->work, *dev = s->work + q * d;
+    nearest(s, y);
+    for (i64 j = 0; j < q; j++)
+        memcpy(nb + j * d, s->pts + s->best_i[j] * d, (size_t)d * sizeof *nb);
+    if (d == 1) {
+        mean[0] = sum(nb, q) / (double)q;
+    } else {
+        for (i64 c = 0; c < d; c++) {
+            double m = 0.0;
+            for (i64 j = 0; j < q; j++) m += nb[j * d + c];
+            mean[c] = m / (double)q;
+        }
+    }
+    for (i64 j = 0; j < q; j++) {
+        double *row = nb + j * d;
+        for (i64 c = 0; c < d; c++) {
+            double t = row[c] - mean[c];
+            row[c] = t * t;
+        }
+        dev[j] = sum(row, d);
+    }
+    *spread = sum(dev, q) / (double)q;
+}
+
+/* For each of the nq queries, the mean and mean squared deviation of its q
+ * nearest cloud points, chosen by (squared distance, index).  Returns
+ * nonzero when memory runs out. */
+int mass_stats(i64 n, i64 d, const double *pts, i64 nq, const double *queries, i64 q,
+               double *means, double *spread)
+{
+    sweep s;
+    if (sweep_init(&s, n, d, pts, q)) return 1;
+    for (i64 j = 0; j < nq; j++) mass(&s, queries + j * d, means + j * d, spread + j);
+    sweep_free(&s);
+    return 0;
+}
+
+/* score[j * n + i] = sqdist(point i, mean j) + variance j, for i < n. */
+static void fill_column(i64 n, i64 d, const double *pts, const double *mean, double var,
+                        double *column)
+{
+    for (i64 i = 0; i < n; i++) column[i] = sqdist(pts + i * d, mean, d) + var;
+}
+
+/* The k-PDTM fit by alternating minimisation.  The k initial queries are
+ * the points init[0..k); each center is the (mean, variance) of its query's
+ * q nearest points.  Each iteration assigns every point to its first best
+ * center and records the summed score in history; it stops when the
+ * assignment repeats the last one or the one before it, or the summed
+ * score repeats, and otherwise moves each occupied center's query to its
+ * assignment centroid, refitting the centers whose query changed.
+ *
+ * score holds the k x n score matrix, center-major, so a refitted center's
+ * column is contiguous.  Each point keeps its (least score, first center
+ * reaching it) across iterations, and only the refitted columns are
+ * compared with it; a point whose own center's score grew is rescanned.
+ * best gets each point's least score under the returned centers.  Returns
+ * the number of iterations, or -1 when memory runs out. */
+i64 kpdtm_fit(i64 n, i64 d, const double *pts, i64 k, const i64 *init, i64 q, i64 max_iter,
+              double *means, double *variances, double *score, double *best, double *history)
+{
+    sweep s;
+    i64 *assign = malloc((size_t)n * sizeof *assign), *counts = malloc((size_t)k * sizeof *counts);
+    i64 *last = malloc((size_t)n * sizeof *last), *before = malloc((size_t)n * sizeof *before);
+    i64 *moved = malloc((size_t)k * sizeof *moved), *swap, iters = -1;
+    double *queries = malloc((size_t)(k * d) * sizeof *queries);
+    double *sums = malloc((size_t)(k * d) * sizeof *sums), last_obj = 0.0;
+    char *is_moved = malloc((size_t)k), *rescan = malloc((size_t)n);
+    if (!assign || !counts || !last || !before || !moved || !queries || !sums || !is_moved
+        || !rescan || sweep_init(&s, n, d, pts, q))
+        goto done;
+    for (i64 j = 0; j < k; j++) {
+        memcpy(queries + j * d, pts + init[j] * d, (size_t)d * sizeof *queries);
+        mass(&s, queries + j * d, means + j * d, variances + j);
+        fill_column(n, d, pts, means + j * d, variances[j], score + j * n);
+    }
+    memcpy(best, score, (size_t)n * sizeof *best);
+    memset(assign, 0, (size_t)n * sizeof *assign);
+    for (i64 j = 1; j < k; j++)
+        for (i64 i = 0; i < n; i++)
+            if (score[j * n + i] < best[i]) { best[i] = score[j * n + i]; assign[i] = j; }
+
+    for (iters = 0; iters < max_iter;) {
+        double obj = sum(best, n);
+        history[iters++] = obj;
+        if (iters > 1 && (!memcmp(assign, last, (size_t)n * sizeof *assign) || obj == last_obj))
+            break;
+        if (iters > 2 && !memcmp(assign, before, (size_t)n * sizeof *assign))
+            break; /* a 2-cycle */
+        swap = before; before = last; last = swap;
+        memcpy(last, assign, (size_t)n * sizeof *assign);
+        last_obj = obj;
+
+        /* centroids: per-center sums in point order, divided by the count */
+        memset(sums, 0, (size_t)(k * d) * sizeof *sums);
+        memset(counts, 0, (size_t)k * sizeof *counts);
+        for (i64 i = 0; i < n; i++) {
+            counts[assign[i]]++;
+            for (i64 c = 0; c < d; c++) sums[assign[i] * d + c] += pts[i * d + c];
+        }
+        i64 n_moved = 0;
+        for (i64 j = 0; j < k; j++) {
+            int shifted = 0;
+            is_moved[j] = 0;
+            if (!counts[j]) continue;
+            for (i64 c = 0; c < d; c++) {
+                double centroid = sums[j * d + c] / (double)counts[j];
+                shifted |= centroid != queries[j * d + c];
+                queries[j * d + c] = centroid;
+            }
+            if (!shifted) continue;
+            is_moved[j] = 1;
+            moved[n_moved++] = j;
+            mass(&s, queries + j * d, means + j * d, variances + j);
+            fill_column(n, d, pts, means + j * d, variances[j], score + j * n);
+        }
+
+        /* each point's (least score, first center) over the unchanged
+         * columns is its old one, unless its own center moved up */
+        for (i64 i = 0; i < n; i++) {
+            rescan[i] = 0;
+            if (!is_moved[assign[i]]) continue;
+            double own = score[assign[i] * n + i];
+            if (own > best[i]) rescan[i] = 1;
+            else best[i] = own;
+        }
+        for (i64 m = 0; m < n_moved; m++) {
+            i64 j = moved[m];
+            const double *column = score + j * n;
+            for (i64 i = 0; i < n; i++)
+                if (!rescan[i] && (column[i] < best[i] || (column[i] == best[i] && j < assign[i]))) {
+                    best[i] = column[i];
+                    assign[i] = j;
+                }
+        }
+        for (i64 i = 0; i < n; i++) {
+            if (!rescan[i]) continue;
+            best[i] = score[i];
+            assign[i] = 0;
+            for (i64 j = 1; j < k; j++)
+                if (score[j * n + i] < best[i]) { best[i] = score[j * n + i]; assign[i] = j; }
+        }
+    }
+    sweep_free(&s);
+done:
+    free(assign); free(counts); free(last); free(before); free(moved); free(queries); free(sums);
+    free(is_moved); free(rescan);
+    return iters;
+}

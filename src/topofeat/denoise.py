@@ -3,9 +3,16 @@
 ``dtm_profile`` averages over the q nearest sample points, which makes it robust to
 individual outliers.  ``kpdtm_fit`` approximates the same field with k
 centers carrying a (mean, variance) pair each, fitted by alternating
-minimisation of the summed score.  Pruning then removes the points with the
-*smallest* scores: dense clusters that bury topological structure go first,
-and the sparse structure-carrying points survive.
+minimisation of the summed score (the k-PDTM of Brécheteau & Levrard).
+Pruning then removes the points with the *smallest* scores: dense clusters
+that bury topological structure go first, and the sparse structure-carrying
+points survive.
+
+Both pick a query's q nearest points by one rule, (squared distance, point
+index).  The neighbour statistics and the whole fit run in ``_kernels.c``
+(see :mod:`topofeat._kernels`), whose arithmetic is numpy's, sum for sum.  No step depends on numpy's SIMD
+dispatch or the BLAS kernel, so the scores are the same bits on every
+machine.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from ._kernels import _library
 from .cloud import PointCloud, as_points
 
 
@@ -71,45 +79,13 @@ class CenterSet:
         return len(self.means)
 
 
-# queries per block in _nearest_mass_stats: 64 rows of a ~500-point cloud's
-# distances and neighbour indices stay near 250 KB, well under one n x k score
-_ROWS = 64
-
-
-def _nearest_mass_stats(queries: np.ndarray, cloud: np.ndarray, q: int, fast: bool = False):
-    """Per query: centroid of its q nearest cloud points and their mean squared spread.
-
-    Ties at the q-th neighbour break toward the lower point index; ``fast``
-    swaps the stable sort for argpartition (selection only, same result
-    away from exact distance ties).
-
-    The means and spreads are ``ndarray.mean``'s arithmetic without its
-    Python wrapper: the same ``np.add.reduce`` and the same division by q.
-    Queries are processed ``_ROWS`` at a time, each block's results written
-    into the preallocated outputs, so no temporary grows past one block of
-    query-by-point distances and indices.  Every step (each distance entry,
-    the selection along a row, the per-row gather and reductions) works on
-    one query row alone, so the block size cannot change a bit of the result.
-    """
-    nq, d = len(queries), cloud.shape[1]
-    means = np.empty((nq, d))
-    spread = np.empty(nq)
-    for lo in range(0, nq, _ROWS):
-        hi = min(lo + _ROWS, nq)
-        d2 = cdist(queries[lo:hi], cloud, metric="sqeuclidean")
-        if fast and q < d2.shape[1]:
-            idx = np.argpartition(d2, q - 1, axis=1)[:, :q]
-        else:
-            idx = np.argsort(d2, axis=1, kind="stable")[:, :q]
-        neigh = cloud[idx]                       # (rows, q, d), a fresh copy
-        m = np.add.reduce(neigh, axis=1)         # (rows, d)
-        m /= q
-        means[lo:hi] = m
-        neigh -= m[:, None, :]
-        np.square(neigh, out=neigh)
-        v = np.add.reduce(np.add.reduce(neigh, axis=2), axis=1)
-        v /= q
-        spread[lo:hi] = v
+def _mass_stats(queries: np.ndarray, pts: np.ndarray, q: int):
+    """Per query: the mean of its q nearest points of ``pts`` and their mean squared
+    deviation from it, computed in C."""
+    means = np.empty(queries.shape)
+    spread = np.empty(len(queries))
+    if _library().mass_stats(len(pts), pts.shape[1], pts, len(queries), queries, q, means, spread):
+        raise MemoryError("out of memory in the k-PDTM neighbour statistics")
     return means, spread
 
 
@@ -118,15 +94,21 @@ def dtm_profile(cloud, queries, q: int) -> np.ndarray:
 
     Equal to ||query - m||^2 + v with m the centroid of the q nearest cloud
     points and v their mean squared deviation from m.  With q = 1 this is
-    the squared nearest-neighbour distance.
+    the squared nearest-neighbour distance.  Neighbours are chosen by
+    (squared distance, point index), as in ``kpdtm_fit``.  Non-finite cloud
+    coordinates raise ValueError, as do queries of another dimension.
     """
-    pts = as_points(cloud)
+    pts = np.ascontiguousarray(as_points(cloud))
     if q < 1:
         raise ValueError("q must be >= 1")
     if q > len(pts):
         raise ValueError("q exceeds cloud size")
-    qs = as_points(queries)
-    m, v = _nearest_mass_stats(qs, pts, q)
+    if not np.isfinite(pts).all():
+        raise ValueError("point cloud coordinates must be finite")
+    qs = np.ascontiguousarray(as_points(queries))
+    if qs.shape[1] != pts.shape[1]:
+        raise ValueError(f"queries have {qs.shape[1]} coordinates, the cloud {pts.shape[1]}")
+    m, v = _mass_stats(qs, pts, q)
     return ((qs - m) ** 2).sum(axis=1) + v
 
 
@@ -149,71 +131,44 @@ def _initial_draw(n: int, k: int, seed: int) -> np.ndarray:
 def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterSet:
     """Alternating minimisation of the k-center score field.
 
-    Points are assigned to their best center, each center is refreshed from
-    the q nearest cloud points of its assignment centroid, and the loop
-    stops when assignments repeat or the iteration cap is hit.  The summed
-    objective never increases from one iteration to the next; pass a list
-    as ``history`` to record it.  Initial centers are k distinct cloud
-    points drawn with the seeded generator; the draw depends on (n, k, seed)
-    alone, so fits of clouds of one size share it (``_initial_draw``).
+    A query's q nearest cloud points are chosen by (squared distance, point
+    index) and summed in that order; a center is their mean and mean
+    squared deviation from it.  Points are assigned to their best center,
+    the first on a tie, and each occupied center is refreshed from the q
+    nearest points of its assignment centroid.  The loop stops when the
+    assignment repeats the last one or the one before it (a 2-cycle), when
+    the summed objective repeats, or at the iteration cap.  A fit that stops
+    on its own returns the centers its last objective was scored with.  The
+    summed objective never increases from one iteration to the next, up to
+    rounding; pass a list as ``history`` to record it.  Initial centers come from k distinct
+    cloud points drawn with the seeded generator; the draw depends on (n, k,
+    seed) alone, so fits of clouds of one size share it (``_initial_draw``).
     Non-finite coordinates raise ValueError.
 
-    The update is incremental.  Each center keeps the query its (mean,
-    variance) was computed from, and the n x k score matrix persists across
-    iterations.  Only the centers whose centroid differs from their stored
-    query are recomputed, and only their score columns are rebuilt.  Every
-    step works per query row or per (point, center) pair, and a centroid of
-    unchanged membership is bit-equal to the last one, so the result is the
-    same as recomputing every center each iteration.  The last score matrix
-    also gives every cloud point's score under the returned centers, which
-    ``_fit_scores`` hands to the pruning steps.
-
-    Memory: no temporary is larger than the n x k score matrix.  The
-    neighbour statistics run in row blocks (see ``_nearest_mass_stats``),
-    and the variances are added in place to each freshly computed distance
-    block, the same IEEE add as a separate sum.  So the moved centers'
-    distance block is the only other score-sized array.  Freed arrays of
-    that size go back to the kernel and fault in again on the next fit,
-    which costs more than the arithmetic.
+    The fit runs in C (``_kernels.c``), with numpy's arithmetic: the squared
+    distances of scipy's ``cdist``, numpy's pairwise sums, ``argmin``'s
+    first minimum and ``bincount``'s centroid sums.  Only the centers whose
+    centroid moved are refitted, and each point's best center carries over
+    unless a moved one beats it.  The score of every cloud point under the
+    returned centers is kept as ``_scores`` for the pruning steps.
     """
-    pts = as_points(cloud)
+    pts = np.ascontiguousarray(as_points(cloud))
     if not np.isfinite(pts).all():
         raise ValueError("point cloud coordinates must be finite")
-    n = len(pts)
+    n, d = pts.shape
     params.validate_for(n)
-    q, k = params.n_neighbors, params.n_centers
-    queries = pts[_initial_draw(n, k, params.seed)]
-    means, variances = _nearest_mass_stats(queries, pts, q, fast=True)
-    score = cdist(pts, means, metric="sqeuclidean")
-    score += variances
-
-    columns = np.ascontiguousarray(pts.T)  # bincount weights, one contiguous row per coordinate
-    prev_assign = None
-    prev_obj = None
-    for _ in range(params.max_iter):
-        assign = np.argmin(score, axis=1)
-        obj = float(score[np.arange(n), assign].sum())
-        if history is not None:
-            history.append(obj)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        if prev_obj is not None and obj == prev_obj:
-            break  # assignment 2-cycle at constant objective
-        prev_assign = assign
-        prev_obj = obj
-        counts = np.bincount(assign, minlength=k)
-        occupied = np.nonzero(counts > 0)[0]
-        sums = np.column_stack([np.bincount(assign, weights=col, minlength=k) for col in columns])
-        centroids = sums[occupied] / counts[occupied, None]
-        shifted = np.any(centroids != queries[occupied], axis=1)
-        moved = occupied[shifted]
-        queries[moved] = centroids[shifted]
-        means[moved], variances[moved] = _nearest_mass_stats(queries[moved], pts, q, fast=True)
-        block = cdist(pts, means[moved], metric="sqeuclidean")
-        block += variances[moved]
-        score[:, moved] = block
+    k = params.n_centers
+    means, variances = np.empty((k, d)), np.empty(k)
+    scores, objectives = np.empty(n), np.empty(params.max_iter)
+    iters = _library().kpdtm_fit(n, d, pts, k, _initial_draw(n, k, params.seed),
+                                 params.n_neighbors, params.max_iter, means, variances,
+                                 np.empty((k, n)), scores, objectives)
+    if iters < 0:
+        raise MemoryError("out of memory in the k-PDTM fit")
+    if history is not None:
+        history.extend(objectives[:iters].tolist())
     centers = CenterSet(means, variances)
-    centers._scores = score.min(axis=1)
+    centers._scores = scores
     return centers
 
 

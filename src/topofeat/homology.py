@@ -20,13 +20,12 @@ materialises the triangle list.
   outgrows a fixed fraction of it; each new pivot is read off the two
   fronts.  Each death comes back as a diameter rank.
 
-The Kruskal sweep and the column reduction are the two functions of
-``_homology.c``.  The first diagram that needs them compiles that file with
-gcc (``-O2``, no machine-specific or fast-math flags) into
-``~/.cache/topofeat/``, keyed by the source and the flags, and loads it with
-:mod:`ctypes`.  Without a working gcc, ``rips_diagram`` raises RuntimeError.
-Distances, the edge order and the ranks stay in numpy, and the C code sees
-no float, so the diagrams are those of the integer algorithm.
+The Kruskal sweep and the column reduction are two functions of
+``_kernels.c``, which :mod:`topofeat._kernels` compiles on the first diagram
+or fit that needs it; without a working gcc, ``rips_diagram`` raises
+RuntimeError.  Distances, the edge order and the ranks stay in numpy, and
+these functions see no float, so the diagrams are those of the integer
+algorithm.
 
 :mod:`topofeat.reference` holds the textbook boundary-matrix route and a
 brute-force Betti oracle; the test suite checks ``rips_diagram`` against
@@ -41,19 +40,14 @@ dropped from diagrams; unbounded classes carry death = +inf, written as
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import hashlib
 import math
-import os
-import shutil
-import subprocess
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
+from ._kernels import _library
 from .cloud import as_points
 from .fileio import format_table, read_table, write_atomic
 
@@ -123,57 +117,7 @@ def enclosing_radius(dmat: np.ndarray) -> float:
     return float(np.min(np.max(dmat, axis=1)))
 
 
-# The integer loops live in one C file, compiled on first use into a library
-# keyed by the source and the flags, so an edited source is never run stale.
-_SOURCE = Path(__file__).with_name("_homology.c")
-_CC = "gcc"
-_CFLAGS = ("-O2", "-shared", "-fPIC")
-_CACHE = Path.home() / ".cache" / "topofeat"
-_LIB = None  # the loaded library, once a diagram needs it
 _int64 = functools.partial(np.ascontiguousarray, dtype=np.int64)
-
-
-def _compiled() -> Path:
-    """The library built from ``_SOURCE``, compiling it into ``_CACHE`` if absent.
-
-    The compiler writes a file named for this process, which then replaces
-    the library in one step, so processes that build at once never see a
-    partial file.  A missing or failing compiler raises RuntimeError.
-    """
-    source = _SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-    lib = _CACHE / f"_homology-{key}.so"
-    if lib.exists():
-        return lib
-    cc = shutil.which(_CC)
-    if cc is None:
-        raise RuntimeError(f"C compiler {_CC!r} not found; it is needed to build {_SOURCE}")
-    _CACHE.mkdir(mode=0o700, parents=True, exist_ok=True)
-    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
-    try:
-        subprocess.run([cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE)], check=True,
-                       capture_output=True, text=True)
-    except (OSError, subprocess.CalledProcessError) as exc:
-        tmp.unlink(missing_ok=True)
-        detail = getattr(exc, "stderr", None) or str(exc)
-        raise RuntimeError(f"{cc} failed to build {_SOURCE}: {detail.strip()}") from exc
-    os.replace(tmp, lib)
-    return lib
-
-
-def _library() -> ctypes.CDLL:
-    """The compiled kernels, built and loaded on the first call of this process."""
-    global _LIB
-    if _LIB is None:
-        lib = ctypes.CDLL(str(_compiled()))
-        i64, ints = ctypes.c_int64, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-        ranks = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="C_CONTIGUOUS")
-        lib.reduce_h1.argtypes = [i64, ranks, i64, ints, ints, i64, ints, i64, ints]
-        lib.reduce_h1.restype = ctypes.c_int
-        lib.kruskal_tree.argtypes = [i64, i64, ints, ints, ints]
-        lib.kruskal_tree.restype = i64
-        _LIB = lib
-    return _LIB
 
 
 def _kruskal_tree(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:

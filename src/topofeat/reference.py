@@ -10,7 +10,7 @@
 
 :func:`topofeat.homology.rips_diagram` is the pipeline's one homology route,
 with its Kruskal sweep, apparent-pair pass and column reduction compiled
-from ``_homology.c``; nothing here runs in it, and nothing here is compiled,
+from ``_kernels.c``; nothing here runs in it, and nothing here is compiled,
 so the suite can hold its diagrams against both routes.
 """
 

@@ -1,14 +1,19 @@
+import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from topofeat import denoise
-from topofeat.cloud import PointCloud
-from topofeat.denoise import (CenterSet, MassParams, _fit_scores, _nearest_mass_stats,
-                              dtm_profile, kpdtm_eval, kpdtm_fit, kpdtm_objective,
-                              prune_cloud, remap_multichannel)
+from topofeat.cloud import PointCloud, as_points
+from topofeat.denoise import (CenterSet, MassParams, _fit_scores, dtm_profile, kpdtm_eval,
+                              kpdtm_fit, kpdtm_objective, prune_cloud, remap_multichannel)
 from topofeat.synth import SynthSpec, gen_cloud
 
 
@@ -23,6 +28,52 @@ def brute_dtm(cloud, query, q):
     return float(((np.asarray(query) - m) ** 2).sum() + v)
 
 
+# queries per block in _nearest_mass_stats: 64 rows of a ~500-point cloud's
+# distances and neighbour indices stay near 250 KB, well under one n x k score
+ROWS = 64
+
+
+def _nearest_mass_stats(queries, cloud, q, fast=False, rows=ROWS):
+    """numpy oracle for the compiled neighbour statistics: per query, the centroid of
+    its q nearest cloud points and their mean squared spread.
+
+    Neighbours are chosen by (squared distance, point index) with a stable sort.
+    ``fast`` swaps it for ``argpartition``, the rule of earlier versions, whose
+    selection and summation order depend on numpy's SIMD dispatch.  The means and
+    spreads are ``ndarray.mean``'s arithmetic without its Python wrapper.  Queries
+    are processed ``rows`` at a time; every step works on one query row alone, so
+    the block size cannot change a bit of the result.
+    """
+    nq, d = len(queries), cloud.shape[1]
+    means = np.empty((nq, d))
+    spread = np.empty(nq)
+    for lo in range(0, nq, rows):
+        hi = min(lo + rows, nq)
+        d2 = cdist(queries[lo:hi], cloud, metric="sqeuclidean")
+        if fast and q < d2.shape[1]:
+            idx = np.argpartition(d2, q - 1, axis=1)[:, :q]
+        else:
+            idx = np.argsort(d2, axis=1, kind="stable")[:, :q]
+        neigh = cloud[idx]                       # (rows, q, d), a fresh copy
+        m = np.add.reduce(neigh, axis=1)         # (rows, d)
+        m /= q
+        means[lo:hi] = m
+        neigh -= m[:, None, :]
+        np.square(neigh, out=neigh)
+        v = np.add.reduce(np.add.reduce(neigh, axis=2), axis=1)
+        v /= q
+        spread[lo:hi] = v
+    return means, spread
+
+
+def neighbour_stats(cloud, idx):
+    """Mean and mean squared spread of the cloud points ``idx[j]`` of each query j."""
+    neigh = cloud[idx]
+    means = neigh.mean(axis=1)
+    spread = ((neigh - means[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
+    return means, spread
+
+
 def one_shot_mass_stats(queries, cloud, q, fast=False):
     """Unblocked oracle for ``_nearest_mass_stats``: every query in one distance matrix."""
     d2 = cdist(queries, cloud, metric="sqeuclidean")
@@ -30,10 +81,52 @@ def one_shot_mass_stats(queries, cloud, q, fast=False):
         idx = np.argpartition(d2, q - 1, axis=1)[:, :q]
     else:
         idx = np.argsort(d2, axis=1, kind="stable")[:, :q]
-    neigh = cloud[idx]
-    means = neigh.mean(axis=1)
-    spread = ((neigh - means[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
-    return means, spread
+    return neighbour_stats(cloud, idx)
+
+
+def numpy_fit(cloud, params, history=None, rows=ROWS):
+    """numpy oracle for the compiled ``kpdtm_fit``, the same incremental loop.
+
+    Each center keeps the query its (mean, variance) was computed from, and the
+    n x k score matrix persists across iterations: only the centers whose
+    centroid differs from their stored query are recomputed, and only their
+    score columns are rebuilt.  A centroid of unchanged membership is bit-equal
+    to the last one, so this is ``full_recompute_fit`` with fewer steps.
+    """
+    pts = as_points(cloud)
+    n = len(pts)
+    q, k = params.n_neighbors, params.n_centers
+    queries = pts[denoise._initial_draw(n, k, params.seed)]
+    means, variances = _nearest_mass_stats(queries, pts, q, rows=rows)
+    score = cdist(pts, means, metric="sqeuclidean")
+    score += variances
+
+    columns = np.ascontiguousarray(pts.T)  # bincount weights, one contiguous row per coordinate
+    before = last = last_obj = None
+    for _ in range(params.max_iter):
+        assign = np.argmin(score, axis=1)
+        obj = float(score[np.arange(n), assign].sum())
+        if history is not None:
+            history.append(obj)
+        if last is not None and (np.array_equal(assign, last) or obj == last_obj):
+            break
+        if before is not None and np.array_equal(assign, before):
+            break  # a 2-cycle
+        before, last, last_obj = last, assign, obj
+        counts = np.bincount(assign, minlength=k)
+        occupied = np.nonzero(counts > 0)[0]
+        sums = np.column_stack([np.bincount(assign, weights=col, minlength=k) for col in columns])
+        centroids = sums[occupied] / counts[occupied, None]
+        shifted = np.any(centroids != queries[occupied], axis=1)
+        moved = occupied[shifted]
+        queries[moved] = centroids[shifted]
+        means[moved], variances[moved] = _nearest_mass_stats(queries[moved], pts, q, rows=rows)
+        block = cdist(pts, means[moved], metric="sqeuclidean")
+        block += variances[moved]
+        score[:, moved] = block
+    centers = CenterSet(means, variances)
+    centers._scores = score.min(axis=1)
+    return centers
 
 
 def full_recompute_fit(pts, params, history=None):
@@ -43,29 +136,27 @@ def full_recompute_fit(pts, params, history=None):
     q, k = params.n_neighbors, params.n_centers
     rng = np.random.default_rng(params.seed)
     init = rng.choice(n, size=k, replace=False)
-    means, variances = one_shot_mass_stats(pts[init], pts, q, fast=True)
+    means, variances = one_shot_mass_stats(pts[init], pts, q)
 
-    prev_assign = None
-    prev_obj = None
+    before = last = last_obj = None
     for _ in range(params.max_iter):
         score = cdist(pts, means, metric="sqeuclidean") + variances[None, :]
         assign = np.argmin(score, axis=1)
         obj = float(score[np.arange(n), assign].sum())
         if history is not None:
             history.append(obj)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
+        if last is not None and (np.array_equal(assign, last) or obj == last_obj):
             break
-        if prev_obj is not None and obj == prev_obj:
-            break  # assignment 2-cycle at constant objective
-        prev_assign = assign
-        prev_obj = obj
+        if before is not None and np.array_equal(assign, before):
+            break  # a 2-cycle
+        before, last, last_obj = last, assign, obj
         counts = np.bincount(assign, minlength=k)
         occupied = np.nonzero(counts > 0)[0]
         sums = np.column_stack([
             np.bincount(assign, weights=pts[:, dim], minlength=k) for dim in range(pts.shape[1])
         ])
         centroids = sums[occupied] / counts[occupied, None]
-        new_means, new_vars = one_shot_mass_stats(centroids, pts, q, fast=True)
+        new_means, new_vars = one_shot_mass_stats(centroids, pts, q)
         means = means.copy()
         variances = variances.copy()
         means[occupied] = new_means
@@ -82,6 +173,7 @@ def half_grid(rng, n, d):
 ORACLE_CASES = {
     "cohort_502x2": (lambda rng: rng.normal(size=(502, 2)), 10, 350, 50),
     "d1": (lambda rng: rng.normal(size=(120, 1)), 7, 40, 50),
+    "d1_pairwise_mean": (lambda rng: rng.normal(size=(200, 1)), 20, 60, 50),
     "d3": (lambda rng: rng.normal(size=(120, 3)), 7, 40, 50),
     "d6": (lambda rng: rng.normal(size=(120, 6)), 7, 40, 50),
     "half_grid_2d": (lambda rng: half_grid(rng, 90, 2), 5, 30, 50),
@@ -118,11 +210,36 @@ class TestDtm:
                 [val] = dtm_profile(pts, query[None, :], q)
                 assert val == pytest.approx(brute_dtm(pts, query, q), abs=1e-10)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_neighbours_match_brute_force_sort(self, n, d, seed, data):
+        # the q nearest by a full stable sort of the distances, then the index
+        rng = np.random.default_rng(seed)
+        cloud, queries = half_grid(rng, n, d), half_grid(rng, 15, d)
+        q = data.draw(st.integers(1, n))
+        idx = [sorted(range(n), key=lambda i: (float(((cloud[i] - y) ** 2).sum()), i))[:q]
+               for y in queries]
+        ref = neighbour_stats(cloud, np.array(idx))
+        got = denoise._mass_stats(queries, cloud, q)
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+        m, v = _nearest_mass_stats(queries, cloud, q)
+        profile = ((queries - m) ** 2).sum(axis=1) + v
+        assert dtm_profile(cloud, queries, q).tobytes() == profile.tobytes()
+
     def test_empty_and_oversized(self, rng):
         with pytest.raises(ValueError):
             dtm_profile(np.empty((0, 2)), [[0, 0]], 1)
         with pytest.raises(ValueError, match="q exceeds cloud size"):
             dtm_profile(rng.normal(size=(5, 2)), [[0, 0]], 6)
+
+    def test_bad_cloud_or_query_dimension_rejected(self, rng):
+        pts = rng.normal(size=(20, 2))
+        with pytest.raises(ValueError, match="queries have 3 coordinates, the cloud 2"):
+            dtm_profile(pts, rng.normal(size=(4, 3)), 2)
+        pts[5, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            dtm_profile(pts, pts[:1], 2)
 
     @pytest.mark.parametrize("q", [0, -2])
     def test_q_below_one_rejected(self, rng, q):
@@ -162,7 +279,6 @@ class TestKpdtmFit:
         params = MassParams(10, 2, 50, 3)
         centers = kpdtm_fit(pts, params)
         # brute-force the two-center objective over all candidate pairs
-        from topofeat.denoise import _nearest_mass_stats
         cand_m, cand_v = _nearest_mass_stats(pts, pts, 10)
         best, best_pair = np.inf, None
         for i in range(len(pts)):
@@ -220,6 +336,28 @@ class TestKpdtmFit:
             assert got.means.tobytes() == ref.means.tobytes()
             assert got.variances.tobytes() == ref.variances.tobytes()
             assert np.array(hist).tobytes() == np.array(ref_hist).tobytes()
+            assert fit_bytes(kpdtm_fit, pts, params) == fit_bytes(numpy_fit, pts, params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 60), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_matches_numpy_oracle_on_drawn_grids(self, n, d, seed, data):
+        # half-integer grids tie distances, scores and centroids, and duplicate points;
+        # negated, their zeros are -0.0, which numpy's sums turn into 0.0
+        pts = half_grid(np.random.default_rng(seed), n, d) * data.draw(st.sampled_from([1, -1]))
+        params = MassParams(data.draw(st.integers(1, n)), data.draw(st.integers(1, n)),
+                            data.draw(st.integers(1, 30)), data.draw(st.integers(0, 5)))
+        assert fit_bytes(kpdtm_fit, pts, params) == fit_bytes(numpy_fit, pts, params)
+
+    def test_two_cycle_stops_before_the_cap(self):
+        # the fourth k_equals_n cloud alternates between two assignments whose
+        # objectives differ in the last bit, so the objective never repeats
+        rng = np.random.default_rng(sum(map(ord, "k_equals_n")))
+        pts = [rng.normal(size=(40, 2)) for _ in range(4)][3]
+        hist = []
+        centers = kpdtm_fit(pts, MassParams(4, 40, 50, 3), history=hist)
+        assert len(hist) < 50 and hist[-1] == hist[-3] != hist[-2]
+        assert kpdtm_objective(centers, pts) == hist[-1]
 
     @pytest.mark.parametrize("case", ["cohort_502x2", "d3", "half_grid_2d", "k_equals_n"])
     def test_self_stopped_fit_scores_last_objective(self, case):
@@ -236,18 +374,23 @@ class TestKpdtmFit:
         assert stopped >= 3
 
 
-DEFAULT_ROWS = denoise._ROWS
+def fit_bytes(fit, pts, params):
+    """History, means, variances and point scores of one fit, as bytes."""
+    hist = []
+    centers = fit(pts, params, history=hist)
+    return (np.array(hist).tobytes(), centers.means.tobytes(), centers.variances.tobytes(),
+            centers._scores.tobytes())
 
 
 class TestBlockedStats:
-    """Row-blocked neighbour statistics and the in-place score updates change no bit."""
+    """The compiled neighbour statistics and fit equal the numpy oracles, whose row
+    blocks change no bit."""
 
     @pytest.mark.parametrize("rows", [None, 1, 3])
     @pytest.mark.parametrize("fast", [True, False])
     @pytest.mark.parametrize("kind", ["gaussian", "half_grid"])
-    def test_matches_one_shot_oracle(self, monkeypatch, rows, fast, kind):
-        if rows is not None:
-            monkeypatch.setattr(denoise, "_ROWS", rows)
+    def test_matches_one_shot_oracle(self, rows, fast, kind):
+        rows = rows or ROWS
         rng = np.random.default_rng(7)
         if kind == "gaussian":
             cloud = rng.normal(size=(502, 2))
@@ -255,36 +398,39 @@ class TestBlockedStats:
         else:
             cloud = half_grid(rng, 200, 2)  # tied distances and duplicate points
             pool = half_grid(rng, 400, 2)
-        counts = {0, 1, 350} | {r + dr for r in (DEFAULT_ROWS, denoise._ROWS) for dr in (-1, 0, 1)}
+        counts = {0, 1, 350} | {r + dr for r in (ROWS, rows) for dr in (-1, 0, 1)}
         for nq in sorted(counts):
             queries = pool[rng.choice(len(pool), size=nq, replace=False)]
-            got = _nearest_mass_stats(queries, cloud, 10, fast=fast)
+            got = _nearest_mass_stats(queries, cloud, 10, fast=fast, rows=rows)
             ref = one_shot_mass_stats(queries, cloud, 10, fast=fast)
             assert got[0].shape == ref[0].shape and got[1].shape == ref[1].shape
             assert got[0].tobytes() == ref[0].tobytes()
             assert got[1].tobytes() == ref[1].tobytes()
+            compiled = denoise._mass_stats(queries, cloud, 10)
+            if not fast:
+                assert compiled[0].tobytes() == ref[0].tobytes()
+                assert compiled[1].tobytes() == ref[1].tobytes()
+            elif kind == "gaussian":
+                # no ties: argpartition picks the same neighbours, summed in its own order
+                assert np.allclose(compiled[0], ref[0], rtol=1e-12, atol=1e-15)
+                assert np.allclose(compiled[1], ref[1], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("case", ["cohort_502x2", "half_grid_2d", "q_and_k_equal_n",
                                       "max_iter_1"])
-    def test_fit_equal_across_block_sizes(self, monkeypatch, case):
+    def test_fit_equal_across_block_sizes(self, case):
         build, q, k, max_iter = ORACLE_CASES[case]
         rng = np.random.default_rng(sum(map(ord, case)) + 2)
         for seed in range(2):
             pts = build(rng)
             params = MassParams(q, k, max_iter, seed)
-            fits = []
-            for rows in (1, 7, DEFAULT_ROWS):
-                monkeypatch.setattr(denoise, "_ROWS", rows)
-                hist = []
-                centers = kpdtm_fit(pts, params, history=hist)
-                fits.append((np.array(hist).tobytes(), centers.means.tobytes(),
-                             centers.variances.tobytes(), centers._scores.tobytes()))
-            assert fits[0] == fits[1] == fits[2]
+            fits = [fit_bytes(functools.partial(numpy_fit, rows=rows), pts, params)
+                    for rows in (1, 7, ROWS)]
+            assert fits[0] == fits[1] == fits[2] == fit_bytes(kpdtm_fit, pts, params)
 
     def test_profile_over_several_blocks_matches_brute(self, rng):
         pts = rng.normal(size=(150, 3))
         queries = rng.normal(size=(300, 3))
-        assert len(queries) > 4 * DEFAULT_ROWS
+        assert len(queries) > 4 * ROWS
         vals = dtm_profile(pts, queries, 6)
         for query, val in zip(queries, vals):
             assert val == pytest.approx(brute_dtm(pts, query, 6), abs=1e-10)
@@ -322,16 +468,9 @@ class TestInitialDraw:
         build, q, k, max_iter = ORACLE_CASES[case]
         pts = build(np.random.default_rng(sum(map(ord, case)) + 3))
         params = MassParams(q, k, max_iter, 0)
-
-        def fit_bytes():
-            hist = []
-            centers = kpdtm_fit(pts, params, history=hist)
-            return (np.array(hist).tobytes(), centers.means.tobytes(),
-                    centers.variances.tobytes(), centers._scores.tobytes())
-
         denoise._initial_draw.cache_clear()
-        cold = fit_bytes()
-        warm = fit_bytes()
+        cold = fit_bytes(kpdtm_fit, pts, params)
+        warm = fit_bytes(kpdtm_fit, pts, params)
         assert denoise._initial_draw.cache_info().hits == 1
         assert cold == warm
 
@@ -499,3 +638,36 @@ class TestFitScoresReuse:
         joint = remap_multichannel(clouds, 40, params)
         assert joint.points.tobytes() == np.hstack([c.points[kept] for c in clouds]).tobytes()
         assert np.array_equal(joint.time_index, ti[kept])
+
+
+REMAP_IN_CHILD = """
+import hashlib, sys
+import numpy as np
+from topofeat import denoise
+from topofeat.embedding import EmbeddingParams, delay_embed
+rng = np.random.default_rng(0)
+t = np.arange(512)
+clouds = [delay_embed(np.sin(2 * np.pi * t / rng.uniform(20, 80)) + 0.3 * rng.normal(size=512),
+                      EmbeddingParams(2, 10)) for _ in range(6)]
+params = denoise.MassParams(10, 350, 50, 0)
+digest = hashlib.sha256()
+for cloud in clouds:
+    digest.update(denoise._fit_scores(cloud, params).tobytes())
+joint = denoise.remap_multichannel(clouds, 140, params)
+digest.update(joint.points.tobytes() + joint.time_index.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_remap_does_not_depend_on_numpy_dispatch_or_blas():
+    """Six fixed 502 x 2 channel clouds give the same scores and joint cloud with
+    numpy's dispatched SIMD kernels on, with every one of them off, and with
+    OpenBLAS held to its oldest x86 kernel."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    on = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+    env = {**os.environ, "PYTHONPATH": str(Path(denoise.__file__).parents[1])}
+    digests = [subprocess.run([sys.executable, "-c", REMAP_IN_CHILD], env={**env, **extra},
+                              capture_output=True, text=True, check=True, timeout=300).stdout
+               for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": on},
+                             {"OPENBLAS_CORETYPE": "Prescott"})]
+    assert len(digests[0]) == 65 and digests[0] == digests[1] == digests[2]

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
-from topofeat import homology
+from topofeat import _kernels, homology
+from topofeat.denoise import MassParams, kpdtm_fit
 from topofeat.homology import INF, PersistenceDiagram, betti_at, enclosing_radius, rips_diagram
 from topofeat.reference import (FiltrationSimplex, brute_force_betti, compute_persistence,
                                 rips_filtration)
@@ -295,13 +296,14 @@ class TestBufferedReduction:
 BUILD_AT_BARRIER = """
 import sys, time
 from pathlib import Path
-from topofeat import homology
+from topofeat import _kernels, denoise, homology
 cache, barrier, name = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
-homology._CACHE = cache
+_kernels._CACHE = cache
 (barrier / name).touch()
 while len(list(barrier.iterdir())) < 2:
     time.sleep(0.005)
 assert homology.rips_diagram(homology.np.eye(4)).bars(0).shape == (4, 2)
+assert denoise.kpdtm_fit(homology.np.eye(4), denoise.MassParams(2, 2)).means.shape == (2, 4)
 """
 
 
@@ -309,10 +311,10 @@ SANITIZED = """
 import sys
 from pathlib import Path
 import numpy as np
-from topofeat import homology
-homology._CFLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
-                    "-shared", "-fPIC")
-homology._CACHE = Path(sys.argv[1])
+from topofeat import _kernels, denoise, homology
+_kernels._CFLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                    "-ffp-contract=off", "-shared", "-fPIC")
+_kernels._CACHE = Path(sys.argv[1])
 clouds = np.load(sys.argv[2])
 texts = []
 for fold in (8, 1, 10**9):
@@ -320,11 +322,17 @@ for fold in (8, 1, 10**9):
     texts.append([homology.rips_diagram(clouds[name]).to_csv_text() for name in clouds.files])
 assert texts[0] == texts[1] == texts[2]
 sys.stdout.write("".join(texts[0]))
+for name in clouds.files:
+    n, hist = len(clouds[name]), []
+    centers = denoise.kpdtm_fit(clouds[name], denoise.MassParams(min(5, n), max(1, n // 2), 20),
+                                history=hist)
+    sys.stdout.write(repr((hist, centers.means.tolist(), centers._scores.tolist())))
 """
 
 
 class TestBuild:
-    """The library is built once per source and flags, into the cache directory."""
+    """The library of both kernels is built once per source and flags, into the cache
+    directory."""
 
     def test_concurrent_builds_leave_one_library(self, tmp_path):
         cache, barrier = tmp_path / "cache", tmp_path / "barrier"
@@ -339,32 +347,33 @@ class TestBuild:
 
     def test_missing_compiler_is_named_and_nothing_runs(self, tmp_path, monkeypatch):
         missing = str(tmp_path / "no-such-gcc")
-        monkeypatch.setattr(homology, "_CC", missing)
-        monkeypatch.setattr(homology, "_CACHE", tmp_path / "cache")
-        monkeypatch.setattr(homology, "_LIB", None)
+        monkeypatch.setattr(_kernels, "_CC", missing)
+        monkeypatch.setattr(_kernels, "_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(_kernels, "_LIB", None)
         monkeypatch.setattr(subprocess, "run", lambda *a, **k: pytest.fail("a compiler ran"))
-        with pytest.raises(RuntimeError) as err:
-            rips_diagram(SQUARE)
-        assert missing in str(err.value) and str(homology._SOURCE) in str(err.value)
-        assert not (tmp_path / "cache").exists()
+        for call in (lambda: rips_diagram(SQUARE), lambda: kpdtm_fit(SQUARE, MassParams(2, 2))):
+            with pytest.raises(RuntimeError) as err:
+                call()
+            assert missing in str(err.value) and str(_kernels._SOURCE) in str(err.value)
+        assert _kernels._SOURCE.name == "_kernels.c" and not (tmp_path / "cache").exists()
 
     def test_edited_source_builds_a_new_library(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(homology, "_CACHE", tmp_path / "cache")
-        old = homology._compiled()
-        source = homology._SOURCE.read_bytes()
-        edited = tmp_path / "_homology.c"
+        monkeypatch.setattr(_kernels, "_CACHE", tmp_path / "cache")
+        old = _kernels._compiled()
+        source = _kernels._SOURCE.read_bytes()
+        edited = tmp_path / "_kernels.c"
         edited.write_bytes(source.replace(b"Kruskal", b"kruskal", 1))  # one byte, in a comment
-        monkeypatch.setattr(homology, "_SOURCE", edited)
+        monkeypatch.setattr(_kernels, "_SOURCE", edited)
         old.write_bytes(b"not a library")  # loading it would fail
-        monkeypatch.setattr(homology, "_LIB", None)
+        monkeypatch.setattr(_kernels, "_LIB", None)
         assert rips_diagram(SQUARE).to_csv_text() == compute_persistence(
             rips_filtration(SQUARE, max_scale=2.0)).to_csv_text()
-        new = homology._compiled()
-        assert new != old and homology._LIB._name == str(new)
+        new = _kernels._compiled()
+        assert new != old and _kernels._LIB._name == str(new)
         assert sorted((tmp_path / "cache").iterdir()) == sorted([old, new])
 
     def test_runs_clean_under_address_and_undefined_sanitizers(self, tmp_path):
-        cc = shutil.which(homology._CC)
+        cc = shutil.which(_kernels._CC)
         runtimes = [subprocess.run([cc, f"-print-file-name={name}"], capture_output=True,
                                    text=True).stdout.strip() if cc else ""
                     for name in ("libasan.so", "libubsan.so")]
@@ -381,13 +390,18 @@ class TestBuild:
                                 str(tmp_path / "clouds.npz")], env=env, capture_output=True,
                                text=True, timeout=600)
         assert child.returncode == 0, child.stderr[-4000:]
-        assert child.stdout == "".join(rips_diagram(p).to_csv_text() for p in clouds)
+        fits = []
+        for p in clouds:
+            n, hist = len(p), []
+            centers = kpdtm_fit(p, MassParams(min(5, n), max(1, n // 2), 20), history=hist)
+            fits.append(repr((hist, centers.means.tolist(), centers._scores.tolist())))
+        assert child.stdout == "".join(rips_diagram(p).to_csv_text() for p in clouds) + "".join(fits)
 
     def test_source_compiles_without_warnings(self):
-        cc = shutil.which(homology._CC)
-        assert cc, f"no {homology._CC} on PATH"
+        cc = shutil.which(_kernels._CC)
+        assert cc, f"no {_kernels._CC} on PATH"
         result = subprocess.run([cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                                 str(homology._SOURCE)], capture_output=True, text=True)
+                                 str(_kernels._SOURCE)], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
 

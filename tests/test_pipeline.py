@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from topofeat import homology, pipeline
+from topofeat import _kernels, pipeline
 from topofeat.classify import load_features_csv
 from topofeat.cli import main
 from topofeat.cloud import PointCloud
@@ -187,6 +187,18 @@ class TestStages:
             raise AssertionError("a full resume cut a recording")
 
         monkeypatch.setattr("topofeat.pipeline.cut_recording", refuse)
+        shutil.copytree(cfg.out_dir, tmp_path / "copy")
+        again = run_pipeline(replace(cfg, out_dir=str(tmp_path / "copy")))
+        assert again.to_json() == report.to_json()
+
+    def test_full_resume_loads_no_library(self, tiny_run, tmp_path, monkeypatch):
+        cfg, report = tiny_run
+
+        def refuse():
+            raise AssertionError("a full resume built or loaded the compiled kernels")
+
+        monkeypatch.setattr(_kernels, "_compiled", refuse)
+        monkeypatch.setattr(_kernels, "_LIB", None)
         shutil.copytree(cfg.out_dir, tmp_path / "copy")
         again = run_pipeline(replace(cfg, out_dir=str(tmp_path / "copy")))
         assert again.to_json() == report.to_json()
@@ -420,9 +432,9 @@ class TestStageErrors:
         stage_synth(cfg, **TINY)
         stage_embed(cfg)
         missing = str(tmp_path / "no-such-gcc")
-        monkeypatch.setattr(homology, "_CC", missing)
-        monkeypatch.setattr(homology, "_CACHE", tmp_path / "cache")
-        monkeypatch.setattr(homology, "_LIB", None)
+        monkeypatch.setattr(_kernels, "_CC", missing)
+        monkeypatch.setattr(_kernels, "_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(_kernels, "_LIB", None)
         with pytest.raises(StageError, match="no-such-gcc") as err:
             stage_denoise(cfg)
         assert err.value.stage == "denoise"
