@@ -20,8 +20,13 @@
  * kpdtm_fit of denoise.py, in floating point.  Every sum runs in the order
  * numpy's would (see pairwise below), and the file is built with
  * -ffp-contract=off, so no product is fused into an add and the results
- * are numpy's bit for bit.
+ * are numpy's bit for bit.  Both searches of the fit, a query's q nearest
+ * points and a point's best center, walk a uniform grid over the first two
+ * coordinates and skip only the cells that a bound proves cannot win, so
+ * the grid changes the cost and never a bit.  The fit keeps no k x n score
+ * matrix: its memory is O(k + n).
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -132,7 +137,11 @@ static i64 earliest_cofacet(i64 n, const int32_t *rank, i64 over, i64 a, i64 b, 
     for (i64 v = 0; v < n; v++) {
         i64 d = ra[v] > rb[v] ? ra[v] : rb[v];
         if (d < rab) d = rab;
-        if (d < best && v != a && v != b) { best = d; k = v; }
+        if (d < best && v != a && v != b) {
+            best = d;
+            k = v;
+            if (d == rab) break; /* no cofacet is earlier, and a later vertex loses the tie */
+        }
     }
     *apparent = 0;
     if (k < 0) return -1;
@@ -339,59 +348,214 @@ static double sqdist(const double *x, const double *y, i64 d)
     return s;
 }
 
-/* A point's first coordinate and index; the sweep sorts them ascending. */
-typedef struct { double first; i64 index; } entry;
+/* Whether score s of center j comes before score b of center bj in the order
+ * of numpy's argmin: NaN first, then ascending, then the lower index. */
+static int precedes(double s, i64 j, double b, i64 bj)
+{
+    if (isnan(s) || isnan(b)) return isnan(s) && (!isnan(b) || j < bj);
+    return s < b || (s == b && j < bj);
+}
 
-/* The cloud with its points sorted by first coordinate, and the scratch of
- * one neighbour query. */
+/* The lesser of a and b, NaN if either is. */
+static double lesser(double a, double b)
+{
+    return isnan(b) || b < a ? b : a;
+}
+
+/* Items, cloud points or centers, bucketed on a uniform grid over their
+ * first min(d, 2) coordinates, about two to a cell.  The searches skip a
+ * cell only on a bound that holds in floating point (see walk), so the grid
+ * decides which items are looked at, never which one wins. */
 typedef struct {
-    i64 n, d, q;
-    const double *pts;
-    entry *sorted;
-    double *best_d;  /* the q nearest so far, by (distance, index) */
-    i64 *best_i;
-    double *work;    /* q neighbours' coordinates, then q squared deviations */
-} sweep;
+    i64 d, nc[2];        /* item dimension; cells along each axis */
+    double lo[2], h;     /* the interior edges of axis x are lo[x] + c * h */
+    double *edge[2];     /* the nc[x] + 1 edges of axis x: -inf, the interior ones, +inf */
+    i64 *start;          /* cell y * nc[0] + x: grid positions start[cell] to start[cell + 1] */
+    i64 *index;          /* the item at each grid position, ascending within a cell */
+    double *coord;       /* the items' coordinates in grid order */
+    double *least, least_all; /* centers: each cell's least variance and the least of
+                               * all, NaN if any is NaN, as is a NaN mean's; points: NULL and 0 */
+} grid;
 
-static int by_first(const void *a, const void *b)
+static void grid_free(grid *g)
 {
-    const entry *x = a, *y = b;
-    if (x->first != y->first) return x->first < y->first ? -1 : 1;
-    return (x->index > y->index) - (x->index < y->index);
+    free(g->edge[0]); free(g->edge[1]); free(g->start); free(g->index); free(g->coord);
+    free(g->least);
 }
 
-static void sweep_free(sweep *s)
+/* The cell c of axis x with edge[c] <= y[x] < edge[c + 1], found from an
+ * estimate by comparisons with the stored edges: the last cell for +inf and
+ * the first for NaN.  An axis of one cell reads no coordinate. */
+static i64 locate(const grid *g, int x, const double *y)
 {
-    free(s->sorted); free(s->best_d); free(s->best_i); free(s->work);
+    const double *e = g->edge[x];
+    i64 nc = g->nc[x], c = 0;
+    if (nc == 1) return 0;
+    double t = (y[x] - g->lo[x]) / g->h;
+    if (t >= 1) c = t < nc ? (i64)t : nc - 1;
+    while (c > 0 && y[x] < e[c]) c--;
+    while (c < nc - 1 && y[x] >= e[c + 1]) c++;
+    return c;
 }
 
-static int sweep_init(sweep *s, i64 n, i64 d, const double *pts, i64 q)
+/* Buckets the m items xs (m x d, m >= 1); var is each item's variance when
+ * the items are centers, NULL for points.  The cell side is
+ * h = max(sqrt(w0 * w1 / cells), max(w0, w1) / cells) for spans w0, w1 and
+ * m / 2 cells, so no axis has more than cells + 1 cells.  An axis whose span
+ * is zero, subnormal, infinite or NaN gets one cell, as does every axis when
+ * h is not a finite normal number, so no cell index is cast from an infinite
+ * or NaN quotient.  A counting sort keeps each cell's items in index order.
+ * Returns nonzero when memory runs out; g is to be freed either way. */
+static int grid_build(grid *g, i64 m, i64 d, const double *xs, const double *var)
 {
-    s->n = n; s->d = d; s->q = q; s->pts = pts;
-    s->sorted = malloc((size_t)n * sizeof *s->sorted);
-    s->best_d = malloc((size_t)q * sizeof *s->best_d);
-    s->best_i = malloc((size_t)q * sizeof *s->best_i);
-    s->work = malloc((size_t)q * (size_t)(d + 1) * sizeof *s->work);
-    if (!s->sorted || !s->best_d || !s->best_i || !s->work) {
-        sweep_free(s);
+    i64 axes = d < 2 ? d : 2, cells = m / 2 > 1 ? m / 2 : 1, n_cells, *cell;
+    double w[2] = {0.0, 0.0};
+    memset(g, 0, sizeof *g);
+    g->d = d;
+    g->nc[0] = g->nc[1] = 1;
+    for (int x = 0; x < axes; x++) {
+        double lo = xs[x], hi = xs[x];
+        for (i64 i = 1; i < m; i++) {
+            if (xs[i * d + x] < lo) lo = xs[i * d + x];
+            if (xs[i * d + x] > hi) hi = xs[i * d + x];
+        }
+        g->lo[x] = lo;
+        w[x] = hi - lo;
+        if (!(w[x] >= DBL_MIN && w[x] <= DBL_MAX)) w[x] = 0.0;
+    }
+    g->h = fmax(sqrt(w[0] * w[1] / (double)cells), fmax(w[0], w[1]) / (double)cells);
+    if (g->h >= DBL_MIN && g->h <= DBL_MAX)
+        for (int x = 0; x < axes; x++) {
+            double t = w[x] / g->h;
+            g->nc[x] = t < (double)cells ? (i64)t + 1 : cells + 1;
+        }
+    for (int x = 0; x < 2; x++) {
+        if (!(g->edge[x] = malloc((size_t)(g->nc[x] + 1) * sizeof **g->edge))) return 1;
+        g->edge[x][0] = -INFINITY;
+        for (i64 c = 1; c < g->nc[x]; c++) g->edge[x][c] = g->lo[x] + (double)c * g->h;
+        g->edge[x][g->nc[x]] = INFINITY;
+    }
+    n_cells = g->nc[0] * g->nc[1];
+    g->start = calloc((size_t)n_cells + 2, sizeof *g->start);
+    g->index = malloc((size_t)m * sizeof *g->index);
+    g->coord = malloc((size_t)(m * d) * sizeof *g->coord);
+    cell = malloc((size_t)m * sizeof *cell);
+    if (var) g->least = malloc((size_t)n_cells * sizeof *g->least);
+    if (!g->start || !g->index || !g->coord || !cell || (var && !g->least)) {
+        free(cell);
         return 1;
     }
-    for (i64 i = 0; i < n; i++) s->sorted[i] = (entry){pts[i * d], i};
-    qsort(s->sorted, (size_t)n, sizeof *s->sorted, by_first);
+    /* cell c's count goes to start[c + 2], and the prefix sums make start[c + 1]
+     * its first position; placing the items moves that to its end */
+    for (i64 i = 0; i < m; i++) {
+        cell[i] = locate(g, 1, xs + i * d) * g->nc[0] + locate(g, 0, xs + i * d);
+        g->start[cell[i] + 2]++;
+    }
+    for (i64 c = 2; c <= n_cells; c++) g->start[c] += g->start[c - 1];
+    for (i64 i = 0; i < m; i++) {
+        i64 p = g->start[cell[i] + 1]++;
+        g->index[p] = i;
+        memcpy(g->coord + p * d, xs + i * d, (size_t)d * sizeof *g->coord);
+    }
+    free(cell);
+    if (var) {
+        g->least_all = INFINITY;
+        for (i64 c = 0; c < n_cells; c++) {
+            g->least[c] = INFINITY;
+            for (i64 p = g->start[c]; p < g->start[c + 1]; p++)
+                g->least[c] = lesser(g->least[c], var[g->index[p]]);
+            g->least_all = lesser(g->least_all, g->least[c]);
+        }
+    }
     return 0;
 }
 
-/* Offer point p at squared distance dist to the q nearest, of which there
- * are *count so far, kept sorted by (distance, index). */
-static void offer(sweep *s, i64 *count, double dist, i64 p)
+/* y's gap along axis x to cell c of that axis, y lying in cell c0: from y
+ * to the nearer edge of c, or 0 for c0 itself, which reads no coordinate. */
+static double gap(const grid *g, int x, const double *y, i64 c0, i64 c)
 {
-    i64 j = *count;
+    if (c < c0) return y[x] - g->edge[x][c + 1];
+    return c > c0 ? g->edge[x][c] - y[x] : 0.0;
+}
+
+/* Calls scan(ctx, first, end) on the grid positions of each cell of g that
+ * can hold an item within *limit of y, walking rings of cells outward from
+ * y's cell.  An item of another cell lies beyond that cell's edge from y,
+ * so its coordinate differences are at least the gaps in magnitude, also
+ * after rounding, which is monotone.  Squares and sums of nonnegative terms
+ * round monotonically too, so the computed sqdist(x, y), plus the item's
+ * variance, is at least gx^2 + gy^2 + least[cell].  A cell is skipped, and
+ * the walk ends at a ring, only when that bound is strictly greater than
+ * *limit, which scan may lower: an item tied with the limit can still win
+ * by its index.  A NaN bound skips nothing. */
+static void walk(const grid *g, const double *y, const double *limit,
+                 void (*scan)(void *, i64, i64), void *ctx)
+{
+    i64 nx = g->nc[0], ny = g->nc[1], cx = locate(g, 0, y), cy = locate(g, 1, y);
+    i64 reach = cx > nx - 1 - cx ? cx : nx - 1 - cx;
+    if (reach < cy) reach = cy;
+    if (reach < ny - 1 - cy) reach = ny - 1 - cy;
+    for (i64 r = 0; r <= reach; r++) {
+        if (r > 0) { /* the least gap to the ring's sides bounds every cell from here on */
+            double low = INFINITY;
+            if (cx - r >= 0) low = lesser(low, gap(g, 0, y, cx, cx - r));
+            if (cx + r < nx) low = lesser(low, gap(g, 0, y, cx, cx + r));
+            if (cy - r >= 0) low = lesser(low, gap(g, 1, y, cy, cy - r));
+            if (cy + r < ny) low = lesser(low, gap(g, 1, y, cy, cy + r));
+            if (low * low + g->least_all > *limit) return;
+        }
+        for (i64 j = cy - r > 0 ? cy - r : 0; j <= cy + r && j < ny; j++) {
+            double gy = gap(g, 1, y, cy, j);
+            i64 step = j == cy - r || j == cy + r ? 1 : 2 * r; /* a whole row, or its two ends */
+            for (i64 i = cx - r; i <= cx + r; i += step) {
+                if (i < 0 || i >= nx) continue;
+                double gx = gap(g, 0, y, cx, i);
+                i64 c = j * nx + i;
+                if (gx * gx + gy * gy + (g->least ? g->least[c] : 0.0) > *limit) continue;
+                scan(ctx, g->start[c], g->start[c + 1]);
+            }
+        }
+    }
+}
+
+/* The cloud on its grid, and the scratch of one neighbour query. */
+typedef struct {
+    grid g;
+    i64 q, count;        /* neighbours wanted, and found so far */
+    double *best_d, limit; /* the nearest so far by (distance, index), and the q-th
+                            * distance once there are q, else +inf */
+    i64 *best_i;
+    const double *pts, *y;
+    double *work;        /* q neighbours' coordinates, then q squared deviations */
+} search;
+
+static void search_free(search *s)
+{
+    grid_free(&s->g); free(s->best_d); free(s->best_i); free(s->work);
+}
+
+/* Returns nonzero when memory runs out; s is to be freed either way. */
+static int search_init(search *s, i64 n, i64 d, const double *pts, i64 q)
+{
+    int failed = grid_build(&s->g, n, d, pts, NULL);
+    s->q = q;
+    s->pts = pts;
+    s->best_d = malloc((size_t)q * sizeof *s->best_d);
+    s->best_i = malloc((size_t)q * sizeof *s->best_i);
+    s->work = malloc((size_t)q * (size_t)(d + 1) * sizeof *s->work);
+    return failed || !s->best_d || !s->best_i || !s->work;
+}
+
+/* Offer point p at squared distance dist to the q nearest. */
+static void offer(search *s, double dist, i64 p)
+{
+    i64 j = s->count;
     if (j == s->q) {
         if (dist > s->best_d[j - 1] || (dist == s->best_d[j - 1] && p > s->best_i[j - 1]))
             return;
         j--;
     } else {
-        ++*count;
+        s->count++;
     }
     for (; j > 0 && (s->best_d[j - 1] > dist || (s->best_d[j - 1] == dist && s->best_i[j - 1] > p));
          j--) {
@@ -400,30 +564,23 @@ static void offer(sweep *s, i64 *count, double dist, i64 p)
     }
     s->best_d[j] = dist;
     s->best_i[j] = p;
+    if (s->count == s->q) s->limit = s->best_d[s->q - 1];
 }
 
-/* The q nearest points of y by (squared distance, index), into best_i.
- * The sweep walks outward from y's place in the first-coordinate order,
- * nearer side first.  A point's squared distance is at least its
- * first-coordinate gap squared, and the gap only grows along a side, so
- * the walk ends once the nearer gap squared is strictly greater than the
- * q-th distance: a point tied with the q-th can still enter by index. */
-static void nearest(sweep *s, const double *y)
+static void scan_points(void *ctx, i64 first, i64 end)
 {
-    i64 lo = 0, hi = s->n, count = 0;
-    while (lo < hi) { /* first position whose coordinate is >= y[0] */
-        i64 mid = lo + (hi - lo) / 2;
-        if (s->sorted[mid].first < y[0]) lo = mid + 1; else hi = mid;
-    }
-    hi = lo--;
-    while (lo >= 0 || hi < s->n) {
-        double below = lo >= 0 ? y[0] - s->sorted[lo].first : INFINITY;
-        double above = hi < s->n ? s->sorted[hi].first - y[0] : INFINITY;
-        i64 p = s->sorted[below <= above ? lo-- : hi++].index;
-        double gap = below <= above ? below : above;
-        if (count == s->q && gap * gap > s->best_d[count - 1]) break;
-        offer(s, &count, sqdist(s->pts + p * s->d, y, s->d), p);
-    }
+    search *s = ctx;
+    for (i64 p = first; p < end; p++)
+        offer(s, sqdist(s->g.coord + p * s->g.d, s->y, s->g.d), s->g.index[p]);
+}
+
+/* The q nearest points of y by (squared distance, index), into best_i. */
+static void nearest(search *s, const double *y)
+{
+    s->y = y;
+    s->count = 0;
+    s->limit = INFINITY;
+    walk(&s->g, y, &s->limit, scan_points, s);
 }
 
 /* Mean and mean squared deviation of the q nearest points of y, with the
@@ -431,9 +588,9 @@ static void nearest(sweep *s, const double *y)
  * sequential sum over the neighbours, pairwise when d = 1, where that axis
  * is contiguous; the deviations sum pairwise over the coordinates, then
  * over the neighbours. */
-static void mass(sweep *s, const double *y, double *mean, double *spread)
+static void mass(search *s, const double *y, double *mean, double *spread)
 {
-    i64 d = s->d, q = s->q;
+    i64 d = s->g.d, q = s->q;
     double *nb = s->work, *dev = s->work + q * d;
     nearest(s, y);
     for (i64 j = 0; j < q; j++)
@@ -464,18 +621,63 @@ static void mass(sweep *s, const double *y, double *mean, double *spread)
 int mass_stats(i64 n, i64 d, const double *pts, i64 nq, const double *queries, i64 q,
                double *means, double *spread)
 {
-    sweep s;
-    if (sweep_init(&s, n, d, pts, q)) return 1;
-    for (i64 j = 0; j < nq; j++) mass(&s, queries + j * d, means + j * d, spread + j);
-    sweep_free(&s);
-    return 0;
+    search s;
+    int failed = search_init(&s, n, d, pts, q);
+    for (i64 j = 0; !failed && j < nq; j++) mass(&s, queries + j * d, means + j * d, spread + j);
+    search_free(&s);
+    return failed;
 }
 
-/* score[j * n + i] = sqdist(point i, mean j) + variance j, for i < n. */
-static void fill_column(i64 n, i64 d, const double *pts, const double *mean, double var,
+/* One point's search for its (least score, first center) on a grid of the
+ * centers, whose variances are var: score = sqdist(x, mean) + var. */
+typedef struct {
+    const grid *g;
+    const double *var, *x;
+    double best;
+    i64 j;
+} pick;
+
+static void scan_centers(void *ctx, i64 first, i64 end)
+{
+    pick *c = ctx;
+    for (i64 p = first; p < end; p++) {
+        i64 j = c->g->index[p];
+        double s = sqdist(c->x, c->g->coord + p * c->g->d, c->g->d) + c->var[j];
+        if (precedes(s, j, c->best, c->j)) { c->best = s; c->j = j; }
+    }
+}
+
+/* Each point i with rescan[i], or every point when rescan is NULL, gets its
+ * (least score, first center) over the k centers into (best[i], assign[i]):
+ * numpy's argmin over all of them.  Returns nonzero when memory runs out. */
+static int assign_points(i64 n, i64 d, const double *pts, i64 k, const double *means,
+                         const double *variances, const char *rescan, i64 *assign, double *best)
+{
+    grid g;
+    int failed = grid_build(&g, k, d, means, variances);
+    for (i64 i = 0; !failed && i < n; i++) {
+        if (rescan && !rescan[i]) continue;
+        pick c = {&g, variances, pts + i * d, INFINITY, k};
+        walk(&g, c.x, &c.best, scan_centers, &c);
+        best[i] = c.best;
+        assign[i] = c.j;
+    }
+    grid_free(&g);
+    return failed;
+}
+
+/* column[i] = sqdist(point i, mean) + var, from cols, the points
+ * coordinate-major: sqdist's sums in its order, a coordinate at a time. */
+static void fill_column(i64 n, i64 d, const double *cols, const double *mean, double var,
                         double *column)
 {
-    for (i64 i = 0; i < n; i++) column[i] = sqdist(pts + i * d, mean, d) + var;
+    for (i64 i = 0; i < n; i++) column[i] = 0.0;
+    for (i64 c = 0; c < d; c++)
+        for (i64 i = 0; i < n; i++) {
+            double t = cols[c * n + i] - mean[c];
+            column[i] += t * t;
+        }
+    for (i64 i = 0; i < n; i++) column[i] += var;
 }
 
 /* The k-PDTM fit by alternating minimisation.  The k initial queries are
@@ -486,35 +688,37 @@ static void fill_column(i64 n, i64 d, const double *pts, const double *mean, dou
  * score repeats, and otherwise moves each occupied center's query to its
  * assignment centroid, refitting the centers whose query changed.
  *
- * score holds the k x n score matrix, center-major, so a refitted center's
- * column is contiguous.  Each point keeps its (least score, first center
- * reaching it) across iterations, and only the refitted columns are
- * compared with it; a point whose own center's score grew is rescanned.
- * best gets each point's least score under the returned centers.  Returns
- * the number of iterations, or -1 when memory runs out. */
+ * No k x n score matrix is kept.  Each point keeps its (least score, first
+ * center reaching it) across iterations.  A refitted center's scores are
+ * computed into one column and compared with those, and a point whose own
+ * center's score grew is searched again on a grid of the centers, as every
+ * point is at the start.  best gets each point's least score under the
+ * returned centers.  Returns the number of iterations, or -1 when memory
+ * runs out. */
 i64 kpdtm_fit(i64 n, i64 d, const double *pts, i64 k, const i64 *init, i64 q, i64 max_iter,
-              double *means, double *variances, double *score, double *best, double *history)
+              double *means, double *variances, double *best, double *history)
 {
-    sweep s;
+    search s;
     i64 *assign = malloc((size_t)n * sizeof *assign), *counts = malloc((size_t)k * sizeof *counts);
     i64 *last = malloc((size_t)n * sizeof *last), *before = malloc((size_t)n * sizeof *before);
     i64 *moved = malloc((size_t)k * sizeof *moved), *swap, iters = -1;
     double *queries = malloc((size_t)(k * d) * sizeof *queries);
     double *sums = malloc((size_t)(k * d) * sizeof *sums), last_obj = 0.0;
+    double *cols = malloc((size_t)(n * d) * sizeof *cols);
+    double *column = malloc((size_t)n * sizeof *column);
     char *is_moved = malloc((size_t)k), *rescan = malloc((size_t)n);
-    if (!assign || !counts || !last || !before || !moved || !queries || !sums || !is_moved
-        || !rescan || sweep_init(&s, n, d, pts, q))
+    int failed = search_init(&s, n, d, pts, q);
+    if (failed || !assign || !counts || !last || !before || !moved || !queries || !sums || !cols
+        || !column || !is_moved || !rescan)
         goto done;
+    for (i64 i = 0; i < n; i++)
+        for (i64 c = 0; c < d; c++) cols[c * n + i] = pts[i * d + c];
     for (i64 j = 0; j < k; j++) {
         memcpy(queries + j * d, pts + init[j] * d, (size_t)d * sizeof *queries);
         mass(&s, queries + j * d, means + j * d, variances + j);
-        fill_column(n, d, pts, means + j * d, variances[j], score + j * n);
     }
-    memcpy(best, score, (size_t)n * sizeof *best);
-    memset(assign, 0, (size_t)n * sizeof *assign);
-    for (i64 j = 1; j < k; j++)
-        for (i64 i = 0; i < n; i++)
-            if (score[j * n + i] < best[i]) { best[i] = score[j * n + i]; assign[i] = j; }
+    if (assign_points(n, d, pts, k, means, variances, NULL, assign, best))
+        goto done;
 
     for (iters = 0; iters < max_iter;) {
         double obj = sum(best, n);
@@ -534,7 +738,7 @@ i64 kpdtm_fit(i64 n, i64 d, const double *pts, i64 k, const i64 *init, i64 q, i6
             counts[assign[i]]++;
             for (i64 c = 0; c < d; c++) sums[assign[i] * d + c] += pts[i * d + c];
         }
-        i64 n_moved = 0;
+        i64 n_moved = 0, n_rescan = 0;
         for (i64 j = 0; j < k; j++) {
             int shifted = 0;
             is_moved[j] = 0;
@@ -548,38 +752,39 @@ i64 kpdtm_fit(i64 n, i64 d, const double *pts, i64 k, const i64 *init, i64 q, i6
             is_moved[j] = 1;
             moved[n_moved++] = j;
             mass(&s, queries + j * d, means + j * d, variances + j);
-            fill_column(n, d, pts, means + j * d, variances[j], score + j * n);
         }
 
         /* each point's (least score, first center) over the unchanged
-         * columns is its old one, unless its own center moved up */
+         * centers is its old one, unless its own center moved up */
         for (i64 i = 0; i < n; i++) {
+            i64 j = assign[i];
             rescan[i] = 0;
-            if (!is_moved[assign[i]]) continue;
-            double own = score[assign[i] * n + i];
-            if (own > best[i]) rescan[i] = 1;
-            else best[i] = own;
+            if (!is_moved[j]) continue;
+            double own = sqdist(pts + i * d, means + j * d, d) + variances[j];
+            if (precedes(best[i], j, own, j)) {
+                rescan[i] = 1;
+                n_rescan++;
+            } else {
+                best[i] = own;
+            }
         }
         for (i64 m = 0; m < n_moved; m++) {
             i64 j = moved[m];
-            const double *column = score + j * n;
+            fill_column(n, d, cols, means + j * d, variances[j], column);
             for (i64 i = 0; i < n; i++)
-                if (!rescan[i] && (column[i] < best[i] || (column[i] == best[i] && j < assign[i]))) {
+                if (!rescan[i] && precedes(column[i], j, best[i], assign[i])) {
                     best[i] = column[i];
                     assign[i] = j;
                 }
         }
-        for (i64 i = 0; i < n; i++) {
-            if (!rescan[i]) continue;
-            best[i] = score[i];
-            assign[i] = 0;
-            for (i64 j = 1; j < k; j++)
-                if (score[j * n + i] < best[i]) { best[i] = score[j * n + i]; assign[i] = j; }
+        if (n_rescan && assign_points(n, d, pts, k, means, variances, rescan, assign, best)) {
+            iters = -1;
+            break;
         }
     }
-    sweep_free(&s);
 done:
+    search_free(&s);
     free(assign); free(counts); free(last); free(before); free(moved); free(queries); free(sums);
-    free(is_moved); free(rescan);
+    free(cols); free(column); free(is_moved); free(rescan);
     return iters;
 }

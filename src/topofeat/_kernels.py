@@ -73,7 +73,7 @@ def _library() -> ctypes.CDLL:
         lib.mass_stats.argtypes = [i64, i64, floats, i64, floats, i64, floats, floats]
         lib.mass_stats.restype = ctypes.c_int
         lib.kpdtm_fit.argtypes = [i64, i64, floats, i64, ints, i64, i64,
-                                  floats, floats, floats, floats, floats]
+                                  floats, floats, floats, floats]
         lib.kpdtm_fit.restype = i64
         _LIB = lib
     return _LIB

@@ -10,9 +10,10 @@ points survive.
 
 Both pick a query's q nearest points by one rule, (squared distance, point
 index).  The neighbour statistics and the whole fit run in ``_kernels.c``
-(see :mod:`topofeat._kernels`), whose arithmetic is numpy's, sum for sum.  No step depends on numpy's SIMD
-dispatch or the BLAS kernel, so the scores are the same bits on every
-machine.
+(see :mod:`topofeat._kernels`), whose arithmetic is numpy's, sum for sum.
+Its searches walk a grid of cells and skip only the cells a bound rules out,
+so the grid changes no bit.  No step depends on numpy's SIMD dispatch or the
+BLAS kernel, so the scores are the same bits on every machine.
 """
 
 from __future__ import annotations
@@ -112,11 +113,6 @@ def dtm_profile(cloud, queries, q: int) -> np.ndarray:
     return ((qs - m) ** 2).sum(axis=1) + v
 
 
-def kpdtm_objective(centers: CenterSet, cloud) -> float:
-    """Summed min-over-centers score of every cloud point."""
-    return float(np.sum(kpdtm_eval(centers, as_points(cloud))))
-
-
 @functools.lru_cache(maxsize=16)
 def _initial_draw(n: int, k: int, seed: int) -> np.ndarray:
     """Indices of the k distinct initial centers among n points, drawn once per (n, k, seed).
@@ -149,8 +145,10 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
     distances of scipy's ``cdist``, numpy's pairwise sums, ``argmin``'s
     first minimum and ``bincount``'s centroid sums.  Only the centers whose
     centroid moved are refitted, and each point's best center carries over
-    unless a moved one beats it.  The score of every cloud point under the
-    returned centers is kept as ``_scores`` for the pruning steps.
+    unless a moved one beats it.  Neighbours and best centers are searched on
+    a grid of cells, and no k x n score matrix is kept, so the fit's memory
+    is O(k + n).  The score of every cloud point under the returned centers
+    is kept as ``_scores`` for the pruning steps.
     """
     pts = np.ascontiguousarray(as_points(cloud))
     if not np.isfinite(pts).all():
@@ -162,7 +160,7 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
     scores, objectives = np.empty(n), np.empty(params.max_iter)
     iters = _library().kpdtm_fit(n, d, pts, k, _initial_draw(n, k, params.seed),
                                  params.n_neighbors, params.max_iter, means, variances,
-                                 np.empty((k, n)), scores, objectives)
+                                 scores, objectives)
     if iters < 0:
         raise MemoryError("out of memory in the k-PDTM fit")
     if history is not None:
@@ -176,8 +174,8 @@ def _fit_scores(cloud, params: MassParams) -> np.ndarray:
     """Score of every point of ``cloud`` under the k-PDTM fitted to it.
 
     Equal, bit for bit, to ``kpdtm_eval(kpdtm_fit(cloud, params), cloud)``:
-    the fit's score matrix holds every (point, center) value that evaluation
-    would recompute.
+    the fit keeps each point's least score over the centers it returns,
+    computed as that evaluation computes it.
     """
     return kpdtm_fit(cloud, params)._scores
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from scipy.spatial.distance import cdist
 from topofeat import denoise
 from topofeat.cloud import PointCloud, as_points
 from topofeat.denoise import (CenterSet, MassParams, _fit_scores, dtm_profile, kpdtm_eval,
-                              kpdtm_fit, kpdtm_objective, prune_cloud, remap_multichannel)
+                              kpdtm_fit, prune_cloud, remap_multichannel)
 from topofeat.synth import SynthSpec, gen_cloud
 
 
@@ -162,6 +163,12 @@ def full_recompute_fit(pts, params, history=None):
         means[occupied] = new_means
         variances[occupied] = new_vars
     return CenterSet(means, variances)
+
+
+def kpdtm_objective(centers, cloud):
+    """Summed min-over-centers score of every cloud point: the objective a fit's history
+    must end on."""
+    return float(np.sum(kpdtm_eval(centers, as_points(cloud))))
 
 
 def half_grid(rng, n, d):
@@ -435,7 +442,7 @@ class TestBlockedStats:
         for query, val in zip(queries, vals):
             assert val == pytest.approx(brute_dtm(pts, query, 6), abs=1e-10)
 
-    def test_fit_peak_memory_within_two_score_matrices(self):
+    def test_fit_allocates_no_score_matrix(self):
         n, k = 502, 350
         pts = np.random.default_rng(3).normal(size=(n, 2))
         params = MassParams(10, k, 50, 0)
@@ -446,8 +453,101 @@ class TestBlockedStats:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the score matrix plus at most one block of it
-        assert peak < 2 * n * k * 8
+        # the centers, the scores and the history: an eighth of one k x n score matrix
+        assert peak < n * k
+
+
+def nan_blind(raw: bytes) -> bytes:
+    """float64 bytes with every NaN made numpy's: C and numpy can give a NaN opposite
+    signs."""
+    x = np.frombuffer(raw)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+def oracle_profile(cloud, queries, q):
+    """``dtm_profile`` from the stable-sort oracle's neighbour statistics."""
+    m, v = _nearest_mass_stats(queries, cloud, q)
+    return ((queries - m) ** 2).sum(axis=1) + v
+
+
+# Clouds whose spans the grid of _kernels.c guards: one point repeated, a line along
+# each axis, one axis with duplicates, and spans that overflow to +inf.  In the last,
+# the pairwise neighbour sums of +-1e308 give some centers NaN means and scores, which
+# numpy's argmin puts first, beside centers with finite means on a grid of many cells.
+EDGE_CLOUDS = {
+    "all_equal": np.tile([0.5, -1.0], (20, 1)),
+    "horizontal_line": np.c_[np.arange(20) / 2.0, np.full(20, 3.0)],
+    "vertical_line": np.c_[np.full(20, -2.0), np.arange(20) / 4.0],
+    "d1": (np.arange(30) % 7 / 2.0)[:, None],
+    "overflowing_span_1d": np.array([[-1e308], [1e308], [0.0], [1.0], [2.0]]),
+    "overflowing_span_2d": np.array([[-1e308, -1e308], [1e308, 1e308], [0.0, 0.0],
+                                     [1.0, 1.0], [2.0, 2.0]]),
+    "nan_means_1d": np.array([1e308, 1e308, 2.5, 4.0, 1e308, -1e308, -1e308, -1e308, 1.5, 1e308,
+                              1.0, 0.5, 0.0, 3.5, 2.0, 3.0])[:, None],
+}
+
+
+class TestGrid:
+    """The grid searches of the compiled neighbour query and center assignment equal
+    the stable-sort oracles where the grid is degenerate or the query lies off it."""
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CLOUDS))
+    def test_matches_oracles_on_degenerate_and_overflowing_clouds(self, case):
+        cloud = EDGE_CLOUDS[case]
+        n = len(cloud)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q in sorted({1, 2, n // 2, n - 1, n}):
+                assert nan_blind(dtm_profile(cloud, cloud, q).tobytes()) == \
+                    nan_blind(oracle_profile(cloud, cloud, q).tobytes())
+                for k in sorted({1, n // 3, n}):
+                    params = MassParams(q, k, 20, q + k)
+                    got = fit_bytes(kpdtm_fit, cloud, params)
+                    ref = fit_bytes(numpy_fit, cloud, params)
+                    assert list(map(nan_blind, got)) == list(map(nan_blind, ref))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_queries_off_the_cloud_and_on_cell_edges(self, d):
+        cloud = half_grid(np.random.default_rng(29 + d), 60, d)
+        # the interior cell edges lo + c * h, as _kernels.c places them for 30 cells
+        lo, w, cells = cloud.min(axis=0), np.ptp(cloud, axis=0), len(cloud) // 2
+        h = max(np.sqrt(np.prod(w) / cells) if d == 2 else 0.0, w.max() / cells)
+        edges = [lo[x] + np.arange(1, int(w[x] / h) + 1) * h for x in range(d)]
+        far = [-1e200, -1e6, -10.0, 10.0, 1e6, 1e200]
+        queries = np.array([*itertools.product(*edges), *itertools.product(far, repeat=d),
+                            *itertools.product(far + [0.0], [0.0] * (d - 1))])
+        assert len(queries) > 10 * d
+        with np.errstate(over="ignore"):
+            for q in (1, 4, 60):
+                assert dtm_profile(cloud, queries, q).tobytes() == \
+                    oracle_profile(cloud, queries, q).tobytes()
+
+    def test_points_beside_cell_edges(self):
+        # 1-D clouds of 2m points: the ends, and the floats either side of each interior
+        # edge lo + c * h, h = (hi - lo) / m; each query mirrors one of them across its
+        # edge.  A point placed by the estimate (x - lo) / h alone can land on the wrong
+        # side of an edge, and the gap to its cell then overshoots its distance.
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            cells = int(rng.integers(3, 12))
+            lo, hi = np.sort(rng.uniform(-3, 3, size=2))
+            edges = lo + np.arange(1, cells) * ((hi - lo) / cells)
+            beside = [np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+            cloud = np.concatenate([[lo, hi], *beside])[rng.permutation(2 * cells)][:, None]
+            queries = np.concatenate([2 * edges - b for b in beside])[:, None]
+            for q in (1, 2, 3):
+                assert dtm_profile(cloud, queries, q).tobytes() == \
+                    oracle_profile(cloud, queries, q).tobytes()
+
+    def test_non_finite_queries_give_nan_or_inf(self):
+        cloud = half_grid(np.random.default_rng(31), 40, 2)
+        nan, inf = np.nan, np.inf
+        queries = [[nan, 0], [0, nan], [nan, inf], [inf, 0], [-inf, 0], [0, inf], [0, -inf],
+                   [inf, -inf]]
+        for q in (1, 5, 40):
+            assert np.array_equal(dtm_profile(cloud, queries, q), [nan] * 3 + [inf] * 5,
+                                  equal_nan=True)
+            assert np.array_equal(dtm_profile(cloud[:, :1], [[nan], [inf], [-inf]], q),
+                                  [nan, inf, inf], equal_nan=True)
 
 
 class TestInitialDraw:

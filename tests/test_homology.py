@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
+from test_denoise import EDGE_CLOUDS
 from topofeat import _kernels, homology
-from topofeat.denoise import MassParams, kpdtm_fit
+from topofeat.denoise import MassParams, dtm_profile, kpdtm_fit
 from topofeat.homology import INF, PersistenceDiagram, betti_at, enclosing_radius, rips_diagram
 from topofeat.reference import (FiltrationSimplex, brute_force_betti, compute_persistence,
                                 rips_filtration)
@@ -183,15 +184,20 @@ class TestRipsDiagram:
         cap_scale(monkeypatch, 0.9)
         assert sorted(compute_persistence(filt).features) == sorted(rips_diagram(pts).features)
 
-    @pytest.mark.parametrize("kind", ["integer_grid", "joint_dimension"])
+    @pytest.mark.parametrize("kind", ["integer_grid", "lattice", "joint_dimension"])
     def test_matches_reference_route_with_ties_and_12d(self, kind):
-        # integer grids tie distances and duplicate points; 12-D is the
-        # dimension of the pipeline's joint clouds
+        # integer grids tie distances and duplicate points; on a full lattice,
+        # shuffled, many third vertices of an edge tie at the edge's own length,
+        # where the apparent-pair scan stops; 12-D is the dimension of the
+        # pipeline's joint clouds
         rng = np.random.default_rng(2404)
         for _ in range(20 if kind == "integer_grid" else 4):
             if kind == "integer_grid":
                 n = int(rng.integers(5, 26))
                 pts = rng.integers(0, 3, (n, int(rng.integers(2, 4)))).astype(float)
+            elif kind == "lattice":
+                shape = tuple(rng.integers(2, 5, size=int(rng.integers(2, 4))))
+                pts = np.argwhere(np.ones(shape)).astype(float)[rng.permutation(np.prod(shape))]
             else:
                 pts = rng.normal(size=(int(rng.integers(8, 21)), 12))
             filt = rips_filtration(pts, max_scale=float(pdist(pts).max()))
@@ -312,8 +318,8 @@ import sys
 from pathlib import Path
 import numpy as np
 from topofeat import _kernels, denoise, homology
-_kernels._CFLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
-                    "-ffp-contract=off", "-shared", "-fPIC")
+_kernels._CFLAGS = ("-O1", "-g", "-fsanitize=address,undefined,float-cast-overflow",
+                    "-fno-sanitize-recover=all", "-ffp-contract=off", "-shared", "-fPIC")
 _kernels._CACHE = Path(sys.argv[1])
 clouds = np.load(sys.argv[2])
 texts = []
@@ -323,10 +329,12 @@ for fold in (8, 1, 10**9):
 assert texts[0] == texts[1] == texts[2]
 sys.stdout.write("".join(texts[0]))
 for name in clouds.files:
-    n, hist = len(clouds[name]), []
-    centers = denoise.kpdtm_fit(clouds[name], denoise.MassParams(min(5, n), max(1, n // 2), 20),
+    p, hist = clouds[name], []
+    centers = denoise.kpdtm_fit(p, denoise.MassParams(min(5, len(p)), max(1, len(p) // 2), 20),
                                 history=hist)
-    sys.stdout.write(repr((hist, centers.means.tolist(), centers._scores.tolist())))
+    off = np.vstack([p + 1e3, p * -1e6, np.full((3, p.shape[1]), [[np.inf], [-np.inf], [np.nan]])])
+    profile = denoise.dtm_profile(p, off, min(3, len(p))).tolist()
+    sys.stdout.write(repr((hist, centers.means.tolist(), centers._scores.tolist(), profile)))
 """
 
 
@@ -382,7 +390,7 @@ class TestBuild:
         rng = np.random.default_rng(74)
         clouds = [joint_like_cloud(seed) for seed in range(3)] + [
             rng.integers(-3, 4, size=(int(rng.integers(2, 40)), int(rng.integers(1, 4)))) / 2.0
-            for _ in range(100)]
+            for _ in range(100)] + list(EDGE_CLOUDS.values())
         np.savez(tmp_path / "clouds.npz", *clouds)
         env = {**os.environ, "PYTHONPATH": str(Path(homology.__file__).parents[1]),
                "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0"}
@@ -391,10 +399,15 @@ class TestBuild:
                                text=True, timeout=600)
         assert child.returncode == 0, child.stderr[-4000:]
         fits = []
-        for p in clouds:
-            n, hist = len(p), []
-            centers = kpdtm_fit(p, MassParams(min(5, n), max(1, n // 2), 20), history=hist)
-            fits.append(repr((hist, centers.means.tolist(), centers._scores.tolist())))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in clouds:
+                hist = []
+                centers = kpdtm_fit(p, MassParams(min(5, len(p)), max(1, len(p) // 2), 20),
+                                    history=hist)
+                off = np.vstack([p + 1e3, p * -1e6,
+                                 np.full((3, p.shape[1]), [[np.inf], [-np.inf], [np.nan]])])
+                profile = dtm_profile(p, off, min(3, len(p))).tolist()
+                fits.append(repr((hist, centers.means.tolist(), centers._scores.tolist(), profile)))
         assert child.stdout == "".join(rips_diagram(p).to_csv_text() for p in clouds) + "".join(fits)
 
     def test_source_compiles_without_warnings(self):

@@ -57,7 +57,6 @@ def test_only_fileio_opens_or_writes_files(path):
 
 # Definitions with no caller in src/, scripts/ or perfbench/ that stay on purpose.
 UNCALLED = {
-    "denoise.kpdtm_objective": "test oracle: the k-PDTM objective a fit's history must match",
     "reference.rips_filtration": "test oracle: the textbook filtration behind rips_diagram",
     "reference.compute_persistence": "test oracle: boundary-matrix reduction for rips_diagram",
     "reference.brute_force_betti": "test oracle: Betti numbers by brute-force rank",
