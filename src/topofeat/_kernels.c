@@ -12,9 +12,11 @@
  * x < y < z, whose longest edge has diameter rank r, is the int64
  * ((r * n + x) * n + y) * n + z, so keys order triangles as the refined
  * filtration does: by diameter, then lexicographically.  A death leaves
- * this file as a diameter rank, key / n^3.  A column is a sorted array of
- * triangle keys; its pivot is its smallest key.  homology.py checks that
- * every key fits in an int64.
+ * this file as a diameter rank, key / n^3.  A column is a set of triangle
+ * keys, its pivot the smallest.  The column being reduced is a radix heap
+ * in which only the keys held an odd number of times count, and a reduced
+ * column is kept as the cycle edges whose coboundaries sum to it.
+ * homology.py checks that every key fits in an int64.
  *
  * The k-PDTM: the neighbour statistics of dtm_profile and the whole
  * kpdtm_fit of denoise.py, in floating point.  Every sum runs in the order
@@ -34,9 +36,8 @@
 
 typedef int64_t i64;
 
-/* Ascending sort of distinct keys: quicksort on a median-of-three pivot,
- * insertion sort below 16 keys.  A coboundary holds at most n - 2 keys, so
- * even a quadratic worst case costs no more than the n x n tables do. */
+/* Ascending sort: quicksort on a median-of-three pivot, insertion sort
+ * below 16 keys. */
 static void sort_keys(i64 *a, i64 n)
 {
     while (n > 16) {
@@ -61,43 +62,92 @@ static void sort_keys(i64 *a, i64 n)
     }
 }
 
-/* First index of the sorted run a[0..n) whose key exceeds low. */
-static i64 above(const i64 *a, i64 n, i64 low)
+/* The ids a[0..m) summed over GF(2), sorted, into their own front: equal ids
+ * cancel in pairs.  Returns how many remain. */
+static i64 cancel_pairs(i64 *a, i64 m)
 {
-    i64 lo = 0, hi = n;
-    while (lo < hi) {
-        i64 mid = lo + (hi - lo) / 2;
-        if (a[mid] <= low) lo = mid + 1; else hi = mid;
+    i64 k = 0;
+    sort_keys(a, m);
+    for (i64 i = 0; i < m; i++) {
+        if (k > 0 && a[k - 1] == a[i]) k--;
+        else a[k++] = a[i];
     }
-    return lo;
+    return k;
 }
 
-/* x + y over GF(2): the symmetric difference of two sorted runs, sorted,
- * into out, which holds nx + ny keys.  Returns its length. */
-static i64 add_mod2(const i64 *x, i64 nx, const i64 *y, i64 ny, i64 *out)
+typedef struct { i64 *key; i64 len, cap; } run;
+
+/* Room for more keys after the len held in r, which it keeps. */
+static int grow(run *r, i64 more)
 {
-    i64 i = 0, j = 0, k = 0;
-    while (i < nx && j < ny) {
-        if (x[i] < y[j]) out[k++] = x[i++];
-        else if (y[j] < x[i]) out[k++] = y[j++];
-        else { i++; j++; }
-    }
-    memcpy(out + k, x + i, (size_t)(nx - i) * sizeof *out);
-    k += nx - i;
-    memcpy(out + k, y + j, (size_t)(ny - j) * sizeof *out);
-    return k + ny - j;
+    i64 cap = r->cap ? r->cap : 64, *key;
+    if (r->len + more <= r->cap) return 0;
+    while (cap < r->len + more) cap *= 2;
+    if (!(key = realloc(r->key, (size_t)cap * sizeof *key))) return 1;
+    r->key = key;
+    r->cap = cap;
+    return 0;
 }
 
-/* Smallest key above low of the sum col + buf, or -1 if there is none.
- * Their keys up to low cancel; above it the two fronts cancel in lockstep,
- * so the pivot is the smaller key where they first differ. */
-static i64 next_pivot(const i64 *col, i64 nc, const i64 *buf, i64 nb, i64 low)
+/* The working column: a radix heap of triangle keys, a multiset over GF(2).
+ * Every key it holds is at least last, the latest pivot, and a key sits in
+ * bucket i when i is the bit length of key ^ last; keys are nonnegative
+ * int64, so i < 64, and bucket 0 holds the copies of last.  Bit i of full is
+ * set while bucket i may hold keys. */
+typedef struct { run bucket[64]; uint64_t full; i64 last; } heap;
+
+static void heap_clear(heap *h, i64 last)
 {
-    i64 ic = above(col, nc, low), ib = above(buf, nb, low);
-    while (ic < nc && ib < nb && col[ic] == buf[ib]) { ic++; ib++; }
-    if (ic < nc && ib < nb) return col[ic] < buf[ib] ? col[ic] : buf[ib];
-    if (ic < nc) return col[ic];
-    return ib < nb ? buf[ib] : -1;
+    for (int i = 0; i < 64; i++) h->bucket[i].len = 0;
+    h->full = 0;
+    h->last = last;
+}
+
+/* Adds key, at least last, to its bucket and returns the bucket's number,
+ * or -1 when memory runs out.  The callers keep a heap's last and full in
+ * locals: a key stored through a pointer could alias the fields, so these
+ * would be read back from memory after every key. */
+static inline int push(run *bucket, i64 last, i64 key)
+{
+    int i = key == last ? 0 : 64 - __builtin_clzll((uint64_t)(key ^ last));
+    run *b = &bucket[i];
+    if (b->len == b->cap && grow(b, 1)) return -1;
+    b->key[b->len++] = key;
+    return i;
+}
+
+/* The smallest key held an odd number of times, into *pivot, or -1 once
+ * the column vanishes; the keys below it are dropped, having cancelled.
+ * The pivot stays in the heap, as h->last.  A bucket i > 0 is emptied into
+ * lower buckets around its least key, which becomes last: each of its keys
+ * agrees with that one on every bit from i - 1 up. */
+static int next_pivot(heap *h, i64 *pivot)
+{
+    uint64_t full = h->full;
+    i64 last = h->last;
+    for (;;) {
+        run *b = &h->bucket[0];
+        i64 len;
+        if (b->len % 2) break;
+        b->len = 0;
+        full &= ~(uint64_t)1;
+        if (!full) { last = -1; break; }
+        b = &h->bucket[__builtin_ctzll(full)];
+        full &= full - 1;
+        len = b->len;
+        last = b->key[0];
+        for (i64 j = 1; j < len; j++)
+            if (b->key[j] < last) last = b->key[j];
+        for (i64 j = 0; j < len; j++) {
+            int i = push(h->bucket, last, b->key[j]);
+            if (i < 0) return 1;
+            full |= (uint64_t)1 << i;
+        }
+        b->len = 0;
+    }
+    h->full = full;
+    *pivot = h->last = last;
+    return 0;
 }
 
 /* The vertex digits (x * n + y) * n + z of triangle {a, b, k}, a < b, with
@@ -109,20 +159,26 @@ static i64 digits(i64 n, i64 a, i64 b, i64 k)
     return (a * n + b) * n + k;
 }
 
-/* The sorted coboundary of edge (a, b), a < b, up to the cap, into out.
- * rank is the n x n table of diameter ranks; over marks a pair past the cap. */
-static i64 coboundary(i64 n, const int32_t *rank, i64 over, i64 a, i64 b, i64 *out)
+/* Pushes the coboundary of edge (a, b), a < b, up to the cap, onto h, in
+ * vertex order, less its keys below low.  rank is the n x n table of
+ * diameter ranks; over marks a pair past the cap. */
+static int push_coboundary(heap *h, i64 n, const int32_t *rank, i64 over, i64 a, i64 b, i64 low)
 {
     const int32_t *ra = rank + a * n, *rb = rank + b * n;
-    i64 n3 = n * n * n, rab = ra[b], len = 0;
+    i64 n3 = n * n * n, rab = ra[b], last = h->last;
+    uint64_t full = h->full;
     for (i64 k = 0; k < n; k++) {
-        i64 d = ra[k] > rb[k] ? ra[k] : rb[k];
+        i64 d = ra[k] > rb[k] ? ra[k] : rb[k], key;
+        int i;
         if (d < rab) d = rab;
         if (k == a || k == b || d >= over) continue;
-        out[len++] = d * n3 + digits(n, a, b, k);
+        key = d * n3 + digits(n, a, b, k);
+        if (key < low) continue;
+        if ((i = push(h->bucket, last, key)) < 0) return 1;
+        full |= (uint64_t)1 << i;
     }
-    sort_keys(out, len);
-    return len;
+    h->full = full;
+    return 0;
 }
 
 /* Key of the earliest cofacet of edge (a, b), a < b: least diameter rank,
@@ -150,19 +206,6 @@ static i64 earliest_cofacet(i64 n, const int32_t *rank, i64 over, i64 a, i64 b, 
     i64 bk = k < b ? (rb[k] * n + k) * n + b : (rb[k] * n + b) * n + k;
     *apparent = ak < ab && bk < ab;
     return best * n * n * n + digits(n, a, b, k);
-}
-
-typedef struct { i64 *key; i64 len, cap; } run;
-
-/* Room for cap keys in r; its contents may be lost. */
-static int reserve(run *r, i64 cap)
-{
-    if (cap <= r->cap) return 0;
-    if (cap < 2 * r->cap) cap = 2 * r->cap;
-    free(r->key);
-    r->key = malloc((size_t)cap * sizeof *r->key);
-    r->cap = r->key ? cap : 0;
-    return r->key == NULL;
 }
 
 /* Pivot table: open addressing from a key to its column's slot. */
@@ -196,87 +239,79 @@ static void insert(table *t, i64 key, i64 slot)
  * One scan per edge finds its earliest cofacet.  An edge that is the latest
  * facet of that cofacet pairs with it apparently, and those pairs seed the
  * pivot table, key -> slot.  The other columns are reduced latest edge
- * first.  A column whose pivot is new enters as its edge (an emergent
- * pair); a column that had to be reduced enters as its reduced keys.  An
- * edge's coboundary is built the first time another column adds it.  While
- * a column is reduced, the columns added to it collect in a sorted buffer,
- * which folds into the column once len(buf) * fold > len(col).  Returns
- * nonzero when memory runs out. */
+ * first.  A column whose pivot is new enters as it stands (an emergent
+ * pair).  A column that must be reduced is pushed onto the radix heap, and
+ * so is each stored column added to it, until its pivot is new or it
+ * vanishes.  A stored column is kept as the cycle edges whose coboundaries
+ * sum to it, an ascending run in one pool: its own edge and those of the
+ * columns added to it, equal ones cancelled in pairs.  Adding it pushes
+ * those coboundaries afresh, less their keys below the pivot, which cancel
+ * in pairs since the stored column has no key below its own pivot.
+ * Returns nonzero when memory runs out. */
 int reduce_h1(i64 n, const int32_t *rank, i64 over, const i64 *ii, const i64 *jj,
-              i64 n_cycle, const i64 *cycle, i64 fold, i64 *death)
+              i64 n_cycle, const i64 *cycle, i64 *death)
 {
-    i64 n3 = n * n * n, used = 0, *first, *edge_of, *len;
-    i64 **keys;
+    i64 n3 = n * n * n, used = 0, *first, *start, *size;
     table t = {NULL, NULL, 1};
-    run col = {NULL, 0, 0}, buf = {NULL, 0, 0}, tmp = {NULL, 0, 0}, swap;
+    run pool = {NULL, 0, 0}; /* the edge sets, as positions in cycle */
+    heap h;
     int failed = 1, apparent;
     if (n_cycle == 0) return 0;
+    memset(&h, 0, sizeof h);
     while (((i64)1 << t.bits) < 2 * n_cycle) t.bits++;
     t.key = malloc(((size_t)1 << t.bits) * sizeof *t.key);
     t.slot = malloc(((size_t)1 << t.bits) * sizeof *t.slot);
     first = malloc((size_t)n_cycle * sizeof *first);
-    edge_of = malloc((size_t)n_cycle * sizeof *edge_of);
-    len = malloc((size_t)n_cycle * sizeof *len);
-    keys = calloc((size_t)n_cycle, sizeof *keys);
-    if (!t.key || !t.slot || !first || !edge_of || !len || !keys || reserve(&buf, n))
+    start = malloc((size_t)n_cycle * sizeof *start);
+    size = malloc((size_t)n_cycle * sizeof *size);
+    if (!t.key || !t.slot || !first || !start || !size || grow(&pool, n_cycle))
         goto done;
     memset(t.key, -1, ((size_t)1 << t.bits) * sizeof *t.key);
     for (i64 c = 0; c < n_cycle; c++) {
         first[c] = earliest_cofacet(n, rank, over, ii[cycle[c]], jj[cycle[c]], &apparent);
         death[c] = apparent ? first[c] / n3 : -1; /* >= 0 marks the apparent pairs */
         if (apparent) {
-            edge_of[used] = cycle[c];
+            start[used] = pool.len;
+            size[used] = 1;
+            pool.key[pool.len++] = c;
             insert(&t, first[c], used++);
         }
     }
     for (i64 c = n_cycle - 1; c >= 0; c--) {
-        i64 key = first[c], s;
+        i64 key = first[c], from = pool.len, s;
         if (death[c] >= 0) continue; /* paired apparently */
+        if (grow(&pool, 1)) goto done;
+        pool.key[pool.len++] = c;
         s = key >= 0 ? find(&t, key) : -1;
         if (s >= 0) {
-            if (reserve(&col, n)) goto done; /* the runs swap roles as they grow */
-            col.len = coboundary(n, rank, over, ii[cycle[c]], jj[cycle[c]], col.key);
-            buf.len = 0;
+            heap_clear(&h, key);
+            if (push_coboundary(&h, n, rank, over, ii[cycle[c]], jj[cycle[c]], key))
+                goto done;
             while (s >= 0) {
-                if (!keys[s]) {
-                    if (!(keys[s] = malloc((size_t)n * sizeof **keys)))
+                if (grow(&pool, size[s])) goto done;
+                for (i64 *e = pool.key + start[s], *end = e + size[s]; e < end; e++) {
+                    if (push_coboundary(&h, n, rank, over, ii[cycle[*e]], jj[cycle[*e]], key))
                         goto done;
-                    len[s] = coboundary(n, rank, over, ii[edge_of[s]], jj[edge_of[s]], keys[s]);
+                    pool.key[pool.len++] = *e;
                 }
-                if (reserve(&tmp, buf.len + len[s])) goto done;
-                tmp.len = add_mod2(buf.key, buf.len, keys[s], len[s], tmp.key);
-                swap = buf; buf = tmp; tmp = swap;
-                if (buf.len * fold > col.len) { /* keys up to key cancel: drop them */
-                    i64 ic = above(col.key, col.len, key), ib = above(buf.key, buf.len, key);
-                    if (reserve(&tmp, col.len - ic + buf.len - ib)) goto done;
-                    tmp.len = add_mod2(col.key + ic, col.len - ic, buf.key + ib, buf.len - ib,
-                                       tmp.key);
-                    swap = col; col = tmp; tmp = swap;
-                    buf.len = 0;
-                }
-                key = next_pivot(col.key, col.len, buf.key, buf.len, key);
+                if (next_pivot(&h, &key)) goto done;
                 s = key >= 0 ? find(&t, key) : -1;
             }
-            if (key >= 0) {
-                i64 ic = above(col.key, col.len, key - 1), ib = above(buf.key, buf.len, key - 1);
-                if (!(keys[used] = malloc((size_t)(col.len - ic + buf.len - ib) * sizeof **keys)))
-                    goto done;
-                len[used] = add_mod2(col.key + ic, col.len - ic, buf.key + ib, buf.len - ib,
-                                     keys[used]);
-                insert(&t, key, used++);
-            }
-        } else if (key >= 0) { /* emergent pair: the column is reduced as it stands */
-            edge_of[used] = cycle[c];
+            pool.len = from + cancel_pairs(pool.key + from, pool.len - from);
+        }
+        if (key >= 0) {
+            start[used] = from;
+            size[used] = pool.len - from;
             insert(&t, key, used++);
+        } else {
+            pool.len = from;
         }
         death[c] = key >= 0 ? key / n3 : -1;
     }
     failed = 0;
 done:
-    if (keys)
-        for (i64 s = 0; s < used; s++) free(keys[s]);
-    free(keys); free(len); free(edge_of); free(first); free(t.slot); free(t.key);
-    free(col.key); free(buf.key); free(tmp.key);
+    for (int i = 0; i < 64; i++) free(h.bucket[i].key);
+    free(pool.key); free(size); free(start); free(first); free(t.slot); free(t.key);
     return failed;
 }
 

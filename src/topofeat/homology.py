@@ -15,10 +15,11 @@ materialises the triangle list.
   in Ripser++, arXiv:2003.07989).  The other columns are reduced latest
   edge first.  An edge whose earliest cofacet is still unclaimed forms an
   emergent pair.  Neither kind builds its column until another column must
-  add it.  While a column is reduced, the columns added to it collect in a
-  small sorted buffer, which is merged into the column only once it
-  outgrows a fixed fraction of it; each new pivot is read off the two
-  fronts.  Each death comes back as a diameter rank.
+  add it.  A column being reduced is a radix heap of keys, onto which the
+  coboundaries it adds are pushed unsorted; each pivot is the least key
+  the heap holds an odd number of times.  A reduced column is stored, as
+  in Ripser, as the set of cycle edges whose coboundaries sum to it.  Each
+  death comes back as a diameter rank.
 
 The Kruskal sweep and the column reduction are two functions of
 ``_kernels.c``, which :mod:`topofeat._kernels` compiles on the first diagram
@@ -133,9 +134,6 @@ def _kruskal_tree(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     return merging[:count]
 
 
-_FOLD = 8  # pending addends fold into the working column beyond 1/_FOLD of its size
-
-
 def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndarray,
                  cycle: np.ndarray) -> list[tuple[int, float, float]]:
     """H1 bars by coboundary reduction over the cycle-edge columns.
@@ -162,7 +160,7 @@ def _h1_features(dmat: np.ndarray, ii: np.ndarray, jj: np.ndarray, vals: np.ndar
     np.fill_diagonal(rank, 0)
     death = np.empty(len(cycle), dtype=np.int64)
     if _library().reduce_h1(n, rank, over, _int64(ii), _int64(jj), len(cycle), _int64(cycle),
-                            _FOLD, death):
+                            death):
         raise MemoryError("out of memory in the H1 column reduction")
     births = vals[cycle]
     deaths = np.where(death < 0, INF, uniq[death])  # no cofacet left: essential
@@ -175,7 +173,8 @@ def rips_diagram(points: np.ndarray) -> PersistenceDiagram:
 
     The filtration stops at the enclosing radius, which provably leaves the
     diagram of the full filtration unchanged once zero-persistence pairs are
-    dropped.  Non-finite coordinates raise ValueError.
+    dropped.  Non-finite coordinates raise ValueError, as do finite ones
+    whose distances overflow to +inf.
     """
     pts = as_points(points)
     if pts.ndim != 2 or len(pts) == 0:
@@ -185,7 +184,10 @@ def rips_diagram(points: np.ndarray) -> PersistenceDiagram:
     n = len(pts)
     if n == 1:
         return PersistenceDiagram([(0, 0.0, INF)])
-    dmat = squareform(pdist(pts))
+    dist = pdist(pts)
+    if not np.isfinite(dist).all():
+        raise ValueError("point cloud distances must be finite")
+    dmat = squareform(dist)
     eff = enclosing_radius(dmat)
 
     ii, jj = np.nonzero(np.triu(dmat <= eff, k=1))  # row-major: (i, j) ascending

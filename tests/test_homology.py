@@ -27,7 +27,7 @@ def circle_points(n, radius=1.0):
     return radius * np.c_[np.cos(th), np.sin(th)]
 
 
-def materialised_reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, fold, death):
+def materialised_reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, death):
     """Oracle for the compiled ``reduce_h1``, with its arguments: the textbook loop,
     latest cycle edge first, that builds every column and adds with numpy's
     ``setxor1d``, with no apparent or emergent shortcut.  The pairing is unique,
@@ -50,6 +50,10 @@ def materialised_reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, fold, death):
         if len(col):
             pivots[int(col[0])] = col
     return 0
+
+
+# 300 points of {0, 1, 2}^4: few distinct lengths, so long runs of tied keys
+GRID300 = np.random.default_rng(300).integers(0, 3, (300, 4)).astype(float)
 
 
 def union_find_kruskal(n, ii, jj):
@@ -220,6 +224,12 @@ class TestRipsDiagram:
         with pytest.raises(ValueError, match="finite"):
             rips_diagram(pts)
 
+    @pytest.mark.parametrize("case", ["overflowing_span_1d", "overflowing_span_2d"])
+    def test_overflowing_distances_rejected(self, case):
+        # finite coordinates, but the distance between the far points is +inf
+        with pytest.raises(ValueError, match="finite"):
+            rips_diagram(EDGE_CLOUDS[case])
+
     def test_single_point(self):
         assert rips_diagram(np.zeros((1, 3))).features == [(0, 0.0, INF)]
 
@@ -266,13 +276,19 @@ ORACLE_LIBRARY = SimpleNamespace(reduce_h1=materialised_reduce_h1, kruskal_tree=
 
 
 class TestBufferedReduction:
-    """The compiled reduction, with its buffered working column, gives the diagrams
-    of the materialised loop."""
+    """The compiled reduction, with its radix-heap working column and its reduced
+    columns stored as edge sets, gives the diagrams of the materialised loop."""
 
-    # hundreds of additions per joint-like cloud, mostly into a pending buffer;
-    # half-integer grids tie distances and duplicate points
+    # hundreds of additions per joint-like cloud; half-integer grids tie distances
+    # and duplicate points; the 300 x 4 grid on {0, 1, 2} has few distinct lengths
+    # and thousands of additions, as does the shuffled 5^3 lattice on a smaller
+    # scale; in the 20-point Gaussian cloud a reduced column, stored as its edge
+    # set, is added to a column reduced after it
     CLOUDS = ([joint_like_cloud(s) for s in (0, 1)] + [np.random.default_rng(7).normal(size=(140, 12))]
-              + [np.random.default_rng(s).integers(0, 5, (60, 3)) / 2.0 for s in (9, 10, 11)])
+              + [np.random.default_rng(s).integers(0, 5, (60, 3)) / 2.0 for s in (9, 10, 11)]
+              + [GRID300, np.argwhere(np.ones((5, 5, 5))).astype(float)[
+                  np.random.default_rng(5).permutation(125)],
+                 np.random.default_rng(209).normal(size=(20, 2))])
 
     @pytest.fixture(scope="class")
     def expected(self):
@@ -280,10 +296,7 @@ class TestBufferedReduction:
             mp.setattr(homology, "_library", lambda: ORACLE_LIBRARY)
             return [rips_diagram(p).to_csv_text() for p in self.CLOUDS]
 
-    @pytest.mark.parametrize("fold", [8, 1, 10**9])
-    def test_matches_materialised_oracle(self, monkeypatch, expected, fold):
-        # fold 1 keeps a buffer as large as the column, 10**9 folds every addend at once
-        monkeypatch.setattr(homology, "_FOLD", fold)
+    def test_matches_materialised_oracle(self, expected):
         assert [rips_diagram(p).to_csv_text() for p in self.CLOUDS] == expected
 
     @given(n=st.integers(2, 25), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -313,6 +326,14 @@ assert denoise.kpdtm_fit(homology.np.eye(4), denoise.MassParams(2, 2)).means.sha
 """
 
 
+def diagram_text(points):
+    """The diagram's CSV text, or the message of the ValueError that refuses the cloud."""
+    try:
+        return rips_diagram(points).to_csv_text()
+    except ValueError as exc:
+        return f"{exc}\n"
+
+
 SANITIZED = """
 import sys
 from pathlib import Path
@@ -322,12 +343,11 @@ _kernels._CFLAGS = ("-O1", "-g", "-fsanitize=address,undefined,float-cast-overfl
                     "-fno-sanitize-recover=all", "-ffp-contract=off", "-shared", "-fPIC")
 _kernels._CACHE = Path(sys.argv[1])
 clouds = np.load(sys.argv[2])
-texts = []
-for fold in (8, 1, 10**9):
-    homology._FOLD = fold
-    texts.append([homology.rips_diagram(clouds[name]).to_csv_text() for name in clouds.files])
-assert texts[0] == texts[1] == texts[2]
-sys.stdout.write("".join(texts[0]))
+for name in clouds.files:
+    try:
+        sys.stdout.write(homology.rips_diagram(clouds[name]).to_csv_text())
+    except ValueError as exc:  # as diagram_text writes it
+        sys.stdout.write(f"{exc}\\n")
 for name in clouds.files:
     p, hist = clouds[name], []
     centers = denoise.kpdtm_fit(p, denoise.MassParams(min(5, len(p)), max(1, len(p) // 2), 20),
@@ -390,7 +410,7 @@ class TestBuild:
         rng = np.random.default_rng(74)
         clouds = [joint_like_cloud(seed) for seed in range(3)] + [
             rng.integers(-3, 4, size=(int(rng.integers(2, 40)), int(rng.integers(1, 4)))) / 2.0
-            for _ in range(100)] + list(EDGE_CLOUDS.values())
+            for _ in range(100)] + list(EDGE_CLOUDS.values()) + [GRID300]
         np.savez(tmp_path / "clouds.npz", *clouds)
         env = {**os.environ, "PYTHONPATH": str(Path(homology.__file__).parents[1]),
                "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0"}
@@ -408,7 +428,7 @@ class TestBuild:
                                  np.full((3, p.shape[1]), [[np.inf], [-np.inf], [np.nan]])])
                 profile = dtm_profile(p, off, min(3, len(p))).tolist()
                 fits.append(repr((hist, centers.means.tolist(), centers._scores.tolist(), profile)))
-        assert child.stdout == "".join(rips_diagram(p).to_csv_text() for p in clouds) + "".join(fits)
+        assert child.stdout == "".join(map(diagram_text, clouds)) + "".join(fits)
 
     def test_source_compiles_without_warnings(self):
         cc = shutil.which(_kernels._CC)
@@ -490,10 +510,10 @@ class TestEdgeOrderAndRanks:
             seen["edges"] = dmat, ii, jj, vals, cycle
             return h1(dmat, ii, jj, vals, cycle)
 
-        def spy_reduce(n, rank, over, ii, jj, n_cycle, cycle, fold, death):
-            failed = library.reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, fold, death)
+        def spy_reduce(n, rank, over, ii, jj, n_cycle, cycle, death):
+            failed = library.reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, death)
             expected = np.full(n_cycle, -2, dtype=np.int64)
-            materialised_reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, fold, expected)
+            materialised_reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, expected)
             seen["reduce"] = rank, over, death, expected
             return failed
 
