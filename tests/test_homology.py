@@ -290,14 +290,19 @@ class TestBufferedReduction:
                   np.random.default_rng(5).permutation(125)],
                  np.random.default_rng(209).normal(size=(20, 2))])
 
+    # the reduction sees only the ranks of the distances, so each cloud is also
+    # matched at 8 times its size (an exact scaling) and at 10**9 times
+    SCALES = [8, 1, 10**9]
+
     @pytest.fixture(scope="class")
     def expected(self):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homology, "_library", lambda: ORACLE_LIBRARY)
-            return [rips_diagram(p).to_csv_text() for p in self.CLOUDS]
+            return {s: [rips_diagram(s * p).to_csv_text() for p in self.CLOUDS] for s in self.SCALES}
 
-    def test_matches_materialised_oracle(self, expected):
-        assert [rips_diagram(p).to_csv_text() for p in self.CLOUDS] == expected
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_matches_materialised_oracle(self, expected, scale):
+        assert [rips_diagram(scale * p).to_csv_text() for p in self.CLOUDS] == expected[scale]
 
     @given(n=st.integers(2, 25), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_matches_reference_route_on_drawn_grids(self, n, d, seed):
