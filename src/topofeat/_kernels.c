@@ -25,8 +25,9 @@
  * are numpy's bit for bit.  Both searches of the fit, a query's q nearest
  * points and a point's best center, walk a uniform grid over the first two
  * coordinates and skip only the cells that a bound proves cannot win, so
- * the grid changes the cost and never a bit.  The fit keeps no k x n score
- * matrix: its memory is O(k + n).
+ * the grid changes the cost and never a bit.  Each assignment of the fit is
+ * that search, for every point, so the fit rests on the grid's bound alone.
+ * The fit keeps no k x n score matrix: its memory is O(k + n).
  */
 #include <float.h>
 #include <math.h>
@@ -36,30 +37,11 @@
 
 typedef int64_t i64;
 
-/* Ascending sort: quicksort on a median-of-three pivot, insertion sort
- * below 16 keys. */
-static void sort_keys(i64 *a, i64 n)
+/* qsort's comparison of two int64 keys, for ascending order. */
+static int ascending(const void *a, const void *b)
 {
-    while (n > 16) {
-        i64 mid = n / 2, t;
-        if (a[mid] < a[0]) { t = a[mid]; a[mid] = a[0]; a[0] = t; }
-        if (a[n - 1] < a[0]) { t = a[n - 1]; a[n - 1] = a[0]; a[0] = t; }
-        if (a[n - 1] < a[mid]) { t = a[n - 1]; a[n - 1] = a[mid]; a[mid] = t; }
-        i64 p = a[mid], i = -1, j = n;
-        for (;;) { /* Hoare: a[0..j] <= p <= a[j+1..n-1], 0 <= j < n - 1 */
-            do i++; while (a[i] < p);
-            do j--; while (a[j] > p);
-            if (i >= j) break;
-            t = a[i]; a[i] = a[j]; a[j] = t;
-        }
-        if (j + 1 < n - j - 1) { sort_keys(a, j + 1); a += j + 1; n -= j + 1; }
-        else { sort_keys(a + j + 1, n - j - 1); n = j + 1; }
-    }
-    for (i64 i = 1; i < n; i++) {
-        i64 v = a[i], j = i;
-        for (; j > 0 && a[j - 1] > v; j--) a[j] = a[j - 1];
-        a[j] = v;
-    }
+    i64 x = *(const i64 *)a, y = *(const i64 *)b;
+    return (x > y) - (x < y);
 }
 
 /* The ids a[0..m) summed over GF(2), sorted, into their own front: equal ids
@@ -67,7 +49,7 @@ static void sort_keys(i64 *a, i64 n)
 static i64 cancel_pairs(i64 *a, i64 m)
 {
     i64 k = 0;
-    sort_keys(a, m);
+    qsort(a, (size_t)m, sizeof *a, ascending);
     for (i64 i = 0; i < m; i++) {
         if (k > 0 && a[k - 1] == a[i]) k--;
         else a[k++] = a[i];
@@ -682,16 +664,15 @@ static void scan_centers(void *ctx, i64 first, i64 end)
     }
 }
 
-/* Each point i with rescan[i], or every point when rescan is NULL, gets its
- * (least score, first center) over the k centers into (best[i], assign[i]):
- * numpy's argmin over all of them.  Returns nonzero when memory runs out. */
+/* Each point i gets its (least score, first center) over the k centers into
+ * (best[i], assign[i]): numpy's argmin over all of them, found on a grid of
+ * the centers.  Returns nonzero when memory runs out. */
 static int assign_points(i64 n, i64 d, const double *pts, i64 k, const double *means,
-                         const double *variances, const char *rescan, i64 *assign, double *best)
+                         const double *variances, i64 *assign, double *best)
 {
     grid g;
     int failed = grid_build(&g, k, d, means, variances);
     for (i64 i = 0; !failed && i < n; i++) {
-        if (rescan && !rescan[i]) continue;
         pick c = {&g, variances, pts + i * d, INFINITY, k};
         walk(&g, c.x, &c.best, scan_centers, &c);
         best[i] = c.best;
@@ -699,20 +680,6 @@ static int assign_points(i64 n, i64 d, const double *pts, i64 k, const double *m
     }
     grid_free(&g);
     return failed;
-}
-
-/* column[i] = sqdist(point i, mean) + var, from cols, the points
- * coordinate-major: sqdist's sums in its order, a coordinate at a time. */
-static void fill_column(i64 n, i64 d, const double *cols, const double *mean, double var,
-                        double *column)
-{
-    for (i64 i = 0; i < n; i++) column[i] = 0.0;
-    for (i64 c = 0; c < d; c++)
-        for (i64 i = 0; i < n; i++) {
-            double t = cols[c * n + i] - mean[c];
-            column[i] += t * t;
-        }
-    for (i64 i = 0; i < n; i++) column[i] += var;
 }
 
 /* The k-PDTM fit by alternating minimisation.  The k initial queries are
@@ -723,11 +690,9 @@ static void fill_column(i64 n, i64 d, const double *cols, const double *mean, do
  * score repeats, and otherwise moves each occupied center's query to its
  * assignment centroid, refitting the centers whose query changed.
  *
- * No k x n score matrix is kept.  Each point keeps its (least score, first
- * center reaching it) across iterations.  A refitted center's scores are
- * computed into one column and compared with those, and a point whose own
- * center's score grew is searched again on a grid of the centers, as every
- * point is at the start.  best gets each point's least score under the
+ * No k x n score matrix is kept.  Whenever a center moved, every point is
+ * searched again on a grid of the centers, as at the start; otherwise the
+ * assignment stands.  best gets each point's least score under the
  * returned centers.  Returns the number of iterations, or -1 when memory
  * runs out. */
 i64 kpdtm_fit(i64 n, i64 d, const double *pts, i64 k, const i64 *init, i64 q, i64 max_iter,
@@ -736,23 +701,17 @@ i64 kpdtm_fit(i64 n, i64 d, const double *pts, i64 k, const i64 *init, i64 q, i6
     search s;
     i64 *assign = malloc((size_t)n * sizeof *assign), *counts = malloc((size_t)k * sizeof *counts);
     i64 *last = malloc((size_t)n * sizeof *last), *before = malloc((size_t)n * sizeof *before);
-    i64 *moved = malloc((size_t)k * sizeof *moved), *swap, iters = -1;
+    i64 *swap, iters = -1;
     double *queries = malloc((size_t)(k * d) * sizeof *queries);
     double *sums = malloc((size_t)(k * d) * sizeof *sums), last_obj = 0.0;
-    double *cols = malloc((size_t)(n * d) * sizeof *cols);
-    double *column = malloc((size_t)n * sizeof *column);
-    char *is_moved = malloc((size_t)k), *rescan = malloc((size_t)n);
     int failed = search_init(&s, n, d, pts, q);
-    if (failed || !assign || !counts || !last || !before || !moved || !queries || !sums || !cols
-        || !column || !is_moved || !rescan)
+    if (failed || !assign || !counts || !last || !before || !queries || !sums)
         goto done;
-    for (i64 i = 0; i < n; i++)
-        for (i64 c = 0; c < d; c++) cols[c * n + i] = pts[i * d + c];
     for (i64 j = 0; j < k; j++) {
         memcpy(queries + j * d, pts + init[j] * d, (size_t)d * sizeof *queries);
         mass(&s, queries + j * d, means + j * d, variances + j);
     }
-    if (assign_points(n, d, pts, k, means, variances, NULL, assign, best))
+    if (assign_points(n, d, pts, k, means, variances, assign, best))
         goto done;
 
     for (iters = 0; iters < max_iter;) {
@@ -773,10 +732,9 @@ i64 kpdtm_fit(i64 n, i64 d, const double *pts, i64 k, const i64 *init, i64 q, i6
             counts[assign[i]]++;
             for (i64 c = 0; c < d; c++) sums[assign[i] * d + c] += pts[i * d + c];
         }
-        i64 n_moved = 0, n_rescan = 0;
+        int moved = 0;
         for (i64 j = 0; j < k; j++) {
             int shifted = 0;
-            is_moved[j] = 0;
             if (!counts[j]) continue;
             for (i64 c = 0; c < d; c++) {
                 double centroid = sums[j * d + c] / (double)counts[j];
@@ -784,42 +742,16 @@ i64 kpdtm_fit(i64 n, i64 d, const double *pts, i64 k, const i64 *init, i64 q, i6
                 queries[j * d + c] = centroid;
             }
             if (!shifted) continue;
-            is_moved[j] = 1;
-            moved[n_moved++] = j;
+            moved = 1;
             mass(&s, queries + j * d, means + j * d, variances + j);
         }
-
-        /* each point's (least score, first center) over the unchanged
-         * centers is its old one, unless its own center moved up */
-        for (i64 i = 0; i < n; i++) {
-            i64 j = assign[i];
-            rescan[i] = 0;
-            if (!is_moved[j]) continue;
-            double own = sqdist(pts + i * d, means + j * d, d) + variances[j];
-            if (precedes(best[i], j, own, j)) {
-                rescan[i] = 1;
-                n_rescan++;
-            } else {
-                best[i] = own;
-            }
-        }
-        for (i64 m = 0; m < n_moved; m++) {
-            i64 j = moved[m];
-            fill_column(n, d, cols, means + j * d, variances[j], column);
-            for (i64 i = 0; i < n; i++)
-                if (!rescan[i] && precedes(column[i], j, best[i], assign[i])) {
-                    best[i] = column[i];
-                    assign[i] = j;
-                }
-        }
-        if (n_rescan && assign_points(n, d, pts, k, means, variances, rescan, assign, best)) {
+        if (moved && assign_points(n, d, pts, k, means, variances, assign, best)) {
             iters = -1;
             break;
         }
     }
 done:
     search_free(&s);
-    free(assign); free(counts); free(last); free(before); free(moved); free(queries); free(sums);
-    free(cols); free(column); free(is_moved); free(rescan);
+    free(assign); free(counts); free(last); free(before); free(queries); free(sums);
     return iters;
 }

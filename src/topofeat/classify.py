@@ -253,8 +253,12 @@ def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
 
 
 def predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
-    """0/1 labels from the decision function; zero lands on the positive class."""
-    scores = model.decision_function(np.asarray(features, dtype=float).reshape(-1, model.mean.shape[0]))
+    """0/1 labels from the decision function; zero lands on the positive class.
+
+    A 1-D array is one sample; a matrix holds one sample per row.
+    """
+    x = np.asarray(features, dtype=float)
+    scores = model.decision_function(x.reshape(1, -1) if x.ndim == 1 else x)
     return (scores >= 0).astype(int)
 
 

@@ -144,10 +144,10 @@ def kpdtm_fit(cloud, params: MassParams, history: list | None = None) -> CenterS
     The fit runs in C (``_kernels.c``), with numpy's arithmetic: the squared
     distances of scipy's ``cdist``, numpy's pairwise sums, ``argmin``'s
     first minimum and ``bincount``'s centroid sums.  Only the centers whose
-    centroid moved are refitted, and each point's best center carries over
-    unless a moved one beats it.  Neighbours and best centers are searched on
-    a grid of cells, and no k x n score matrix is kept, so the fit's memory
-    is O(k + n).  The score of every cloud point under the returned centers
+    centroid moved are refitted; when any did, every point's best center is
+    searched again.  Neighbours and best centers are searched on a grid of
+    cells, and no k x n score matrix is kept, so the fit's memory is
+    O(k + n).  The score of every cloud point under the returned centers
     is kept as ``_scores`` for the pruning steps.
     """
     pts = np.ascontiguousarray(as_points(cloud))
@@ -181,15 +181,22 @@ def _fit_scores(cloud, params: MassParams) -> np.ndarray:
 
 
 def kpdtm_eval(centers: CenterSet, query) -> np.ndarray | float:
-    """min over centers of ||query - mean_i||^2 + variance_i."""
+    """min over centers of ||query - mean_i||^2 + variance_i.
+
+    A 1-D query is one point and gives a float; an (m, d) block gives m
+    values.  A query of another dimension than the centers raises ValueError.
+    """
     if len(centers) == 0:
         raise ValueError("empty center set")
     qv = np.asarray(query, dtype=float)
-    single = qv.ndim == 1
-    qs = qv.reshape(-1, centers.means.shape[1])
-    vals = cdist(qs, centers.means, metric="sqeuclidean") + centers.variances[None, :]
+    d = centers.means.shape[1]
+    if qv.ndim not in (1, 2):
+        raise ValueError("a query must be one point or an (m, d) array")
+    if qv.shape[-1] != d:
+        raise ValueError(f"queries have {qv.shape[-1]} coordinates, the cloud {d}")
+    vals = cdist(qv.reshape(-1, d), centers.means, metric="sqeuclidean") + centers.variances[None, :]
     out = vals.min(axis=1)
-    return float(out[0]) if single else out
+    return float(out[0]) if qv.ndim == 1 else out
 
 
 def _keep_largest(scores: np.ndarray, keep_n: int) -> np.ndarray:

@@ -259,6 +259,16 @@ class TestPredict:
         with pytest.raises(ValueError, match="dimension"):
             model.decision_function(rng.normal(size=(3, 5)))
 
+    @pytest.mark.parametrize("shape", [(2, 6), (2, 5), (2, 8), (5,), (3,)],
+                             ids=["2x6", "2x5", "2x8", "5", "3"])
+    def test_predict_refuses_other_dimensions(self, rng, shape):
+        data = two_clusters(rng)
+        model = train_svm(LabeledDataset(np.hstack([data.features, data.features ** 2]),
+                                         data.labels), kernel="linear")
+        assert predict(model, np.ones(4)).shape == (1,)  # a 1-D array is one sample
+        with pytest.raises(ValueError, match="does not match training dimension 4"):
+            predict(model, rng.normal(size=shape))
+
 
 class TestStratifiedFolds:
     def test_each_fold_has_both_classes(self, rng):

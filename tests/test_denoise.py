@@ -86,7 +86,7 @@ def one_shot_mass_stats(queries, cloud, q, fast=False):
 
 
 def numpy_fit(cloud, params, history=None, rows=ROWS):
-    """numpy oracle for the compiled ``kpdtm_fit``, the same incremental loop.
+    """numpy oracle for the compiled ``kpdtm_fit``: its loop on an n x k score matrix.
 
     Each center keeps the query its (mean, variance) was computed from, and the
     n x k score matrix persists across iterations: only the centers whose
@@ -600,6 +600,15 @@ class TestKpdtmEval:
         exact = dtm_profile(pts, pts, 10)
         corr = np.corrcoef(approx, exact)[0, 1]
         assert corr >= 0.9
+
+    @pytest.mark.parametrize("query", [[1.0, 1.0, 5.0, 5.0], np.ones((3, 4)), [1.0]],
+                             ids=["point", "block", "short"])
+    def test_query_of_another_dimension_rejected(self, query):
+        centers = CenterSet(np.array([[1.0, 1.0], [5.0, 5.0]]), np.array([0.0, 2.0]))
+        with pytest.raises(ValueError, match="queries have [14] coordinates, the cloud 2"):
+            kpdtm_eval(centers, np.asarray(query))
+        assert kpdtm_eval(centers, [5.0, 5.0]) == 2.0
+        assert kpdtm_eval(centers, np.ones((3, 2))).shape == (3,)
 
 
 class TestPruneCloud:
