@@ -1,22 +1,22 @@
 /* The compiled kernels of topofeat, loaded through ctypes by _kernels.py,
  * which compiles this file on first use.
  *
- * Homology: the Kruskal sweep of H0 and the mod-2 reduction of the H1
- * coboundary columns.  homology.py hands over integers only: the edge list
- * in filtration order and, for every vertex pair, the rank of its length
- * among the distinct edge lengths.  The float distances never reach these
- * two functions, so the pairs and the diagram bytes are those of the
- * integer algorithm, whatever the compiler does with floating point.
+ * Homology: rips_pairs is handed the distance matrix and the scale cap.  It
+ * orders the edges, ranks their lengths, sweeps H0 and reduces the H1
+ * coboundary columns mod 2.  A length is only compared and copied: a
+ * nonnegative double orders as its bit pattern, and each birth and death
+ * leaves as a copy of a distance, so the diagram bytes are those of the
+ * integer algorithm whatever the compiler does with floating point.
  *
  * The triangle key lives here and nowhere else.  Triangle {x, y, z},
  * x < y < z, whose longest edge has diameter rank r, is the int64
  * ((r * n + x) * n + y) * n + z, so keys order triangles as the refined
- * filtration does: by diameter, then lexicographically.  A death leaves
- * this file as a diameter rank, key / n^3.  A column is a set of triangle
- * keys, its pivot the smallest.  The column being reduced is a radix heap
- * in which only the keys held an odd number of times count, and a reduced
- * column is kept as the cycle edges whose coboundaries sum to it.
- * homology.py checks that every key fits in an int64.
+ * filtration does: by diameter, then lexicographically.  A death is found
+ * as a diameter rank, key / n^3.  A column is a set of triangle keys, its
+ * pivot the smallest.  The column being reduced is a radix heap in which
+ * only the keys held an odd number of times count, and a reduced column is
+ * kept as the cycle edges whose coboundaries sum to it.  rips_pairs checks
+ * that every key fits in an int64 before it builds any.
  *
  * The k-PDTM: the neighbour statistics of dtm_profile and the whole
  * kpdtm_fit of denoise.py, in floating point.  Every sum runs in the order
@@ -141,6 +141,9 @@ static i64 digits(i64 n, i64 a, i64 b, i64 k)
     return (a * n + b) * n + k;
 }
 
+/* Edge (a, b), a < b, and key, the bit pattern of its length. */
+typedef struct { uint64_t key; int32_t a, b; } edge;
+
 /* Pushes the coboundary of edge (a, b), a < b, up to the cap, onto h, in
  * vertex order, less its keys below low.  rank is the n x n table of
  * diameter ranks; over marks a pair past the cap. */
@@ -230,8 +233,8 @@ static void insert(table *t, i64 key, i64 slot)
  * those coboundaries afresh, less their keys below the pivot, which cancel
  * in pairs since the stored column has no key below its own pivot.
  * Returns nonzero when memory runs out. */
-int reduce_h1(i64 n, const int32_t *rank, i64 over, const i64 *ii, const i64 *jj,
-              i64 n_cycle, const i64 *cycle, i64 *death)
+static int reduce_h1(i64 n, const int32_t *rank, i64 over, i64 n_cycle, const edge *cycle,
+                     i64 *death)
 {
     i64 n3 = n * n * n, used = 0, *first, *start, *size;
     table t = {NULL, NULL, 1};
@@ -250,7 +253,7 @@ int reduce_h1(i64 n, const int32_t *rank, i64 over, const i64 *ii, const i64 *jj
         goto done;
     memset(t.key, -1, ((size_t)1 << t.bits) * sizeof *t.key);
     for (i64 c = 0; c < n_cycle; c++) {
-        first[c] = earliest_cofacet(n, rank, over, ii[cycle[c]], jj[cycle[c]], &apparent);
+        first[c] = earliest_cofacet(n, rank, over, cycle[c].a, cycle[c].b, &apparent);
         death[c] = apparent ? first[c] / n3 : -1; /* >= 0 marks the apparent pairs */
         if (apparent) {
             start[used] = pool.len;
@@ -267,12 +270,11 @@ int reduce_h1(i64 n, const int32_t *rank, i64 over, const i64 *ii, const i64 *jj
         s = key >= 0 ? find(&t, key) : -1;
         if (s >= 0) {
             heap_clear(&h, key);
-            if (push_coboundary(&h, n, rank, over, ii[cycle[c]], jj[cycle[c]], key))
-                goto done;
+            if (push_coboundary(&h, n, rank, over, cycle[c].a, cycle[c].b, key)) goto done;
             while (s >= 0) {
                 if (grow(&pool, size[s])) goto done;
                 for (i64 *e = pool.key + start[s], *end = e + size[s]; e < end; e++) {
-                    if (push_coboundary(&h, n, rank, over, ii[cycle[*e]], jj[cycle[*e]], key))
+                    if (push_coboundary(&h, n, rank, over, cycle[*e].a, cycle[*e].b, key))
                         goto done;
                     pool.key[pool.len++] = *e;
                 }
@@ -297,28 +299,91 @@ done:
     return failed;
 }
 
-/* Kruskal's sweep over the edges (ii[e], jj[e]) on vertices 0..n-1, in
- * index order: writes the positions of the edges that merge two components
- * to merging, ascending, and returns their number, or -1 when memory runs
- * out.  Union-find with path halving. */
-i64 kruskal_tree(i64 n, i64 m, const i64 *ii, const i64 *jj, i64 *merging)
+/* Sorts the m > 0 edges of e by key, stably, through tmp: one pass a byte,
+ * least significant first, less the bytes that every key shares.  Returns
+ * the array that holds the sorted edges, e or tmp. */
+static edge *radix_sort(edge *e, edge *tmp, i64 m)
 {
-    i64 *parent = malloc((size_t)n * sizeof *parent), count = 0;
-    if (!parent) return -1;
-    for (i64 v = 0; v < n; v++) parent[v] = v;
-    for (i64 e = 0; e < m && count < n - 1; e++) {
-        i64 a = ii[e], b = jj[e];
-        while (parent[a] != a) a = parent[a] = parent[parent[a]];
-        while (parent[b] != b) b = parent[b] = parent[parent[b]];
-        if (a != b) {
-            parent[b] = a;
-            merging[count++] = e;
-        }
+    i64 at[8][256] = {{0}};
+    for (i64 k = 0; k < m; k++)
+        for (int d = 0; d < 8; d++) at[d][(e[k].key >> 8 * d) & 255]++;
+    for (int d = 0; d < 8; d++) {
+        edge *t = e;
+        if (at[d][(e[0].key >> 8 * d) & 255] == m) continue;
+        for (i64 v = 0, sum = 0, size; v < 256; v++, sum += size) size = at[d][v], at[d][v] = sum;
+        for (i64 k = 0; k < m; k++) tmp[at[d][(e[k].key >> 8 * d) & 255]++] = e[k];
+        e = tmp, tmp = t;
     }
-    free(parent);
-    return count;
+    return e;
 }
 
+/* The pairs of the Rips filtration of the n x n finite distances dmat, n >= 2,
+ * up to cap.  The edges (a, b), a < b, are listed row by row and sorted
+ * stably by length (no distance is -0.0, so each orders as its bits): they
+ * enter by (length, a, b).  A union-find sweep writes the length of each edge
+ * that merges two components to h0; the others close cycles.  Each H1 pair
+ * with death > birth goes to birth and death (+inf if essential); count[0]
+ * and count[1] are how many.  Returns 0, 1 when memory runs out, or 2 when a
+ * triangle key would not fit an int64. */
+int rips_pairs(i64 n, const double *dmat, double cap, double *h0, double *birth, double *death,
+               i64 *count)
+{
+    size_t most = (size_t)(n * (n - 1) / 2);
+    edge *e = malloc(most * sizeof *e), *tmp = malloc(most * sizeof *tmp), *sorted;
+    double *uniq = malloc(most * sizeof *uniq);
+    i64 *dies = malloc(most * sizeof *dies), *parent = malloc((size_t)n * sizeof *parent);
+    i64 m = 0, over = 0, merged = 0, n_cycle = 0, found = 0;
+    int32_t *rank = malloc((size_t)(n * n) * sizeof *rank);
+    int failed = 1;
+    if (!e || !tmp || !uniq || !dies || !parent || !rank) goto done;
+    for (i64 a = 0; a < n; a++)
+        for (i64 b = a + 1; b < n; b++)
+            if (dmat[a * n + b] <= cap) {
+                memcpy(&e[m].key, &dmat[a * n + b], sizeof e[m].key);
+                e[m].a = (int32_t)a, e[m++].b = (int32_t)b;
+            }
+    sorted = m ? radix_sort(e, tmp, m) : e;
+    for (i64 k = 0; k < m; k++) over += k == 0 || sorted[k].key != sorted[k - 1].key;
+    if ((unsigned __int128)(over + 1) * n * n * n >= (unsigned __int128)1 << 63) {
+        failed = 2;
+        goto done;
+    }
+    /* rank[x][y]: the rank of dmat[x][y] among the distinct lengths, over past
+     * the cap, 0 on the diagonal; over < 2^31, as over <= n^2 / 2 and the keys fit */
+    for (i64 p = 0; p < n * n; p++) rank[p] = (int32_t)over;
+    for (i64 v = 0; v < n; v++) rank[v * n + v] = 0, parent[v] = v;
+    for (i64 k = 0, r = -1; k < m; k++) {
+        i64 a = sorted[k].a, b = sorted[k].b;
+        if (k == 0 || sorted[k].key != sorted[k - 1].key) uniq[++r] = dmat[a * n + b];
+        rank[a * n + b] = rank[b * n + a] = (int32_t)r;
+    }
+    for (i64 k = 0; k < m; k++) {
+        i64 x = sorted[k].a, y = sorted[k].b, a = x, b = y;
+        if (merged < n - 1) {
+            while (parent[a] != a) a = parent[a] = parent[parent[a]];
+            while (parent[b] != b) b = parent[b] = parent[parent[b]];
+            if (a != b) {
+                parent[b] = a;
+                h0[merged++] = dmat[x * n + y];
+                continue;
+            }
+        }
+        sorted[n_cycle++] = sorted[k]; /* the cycle edges, in order, in place */
+    }
+    if (reduce_h1(n, rank, over, n_cycle, sorted, dies)) goto done;
+    for (i64 c = 0; c < n_cycle; c++) {
+        double b = dmat[sorted[c].a * n + sorted[c].b], d = dies[c] < 0 ? INFINITY : uniq[dies[c]];
+        if (d > b) { /* an apparent pair dies at its own length */
+            birth[found] = b;
+            death[found++] = d;
+        }
+    }
+    count[0] = merged, count[1] = found;
+    failed = 0;
+done:
+    free(rank); free(parent); free(dies); free(uniq); free(tmp); free(e);
+    return failed;
+}
 
 /* ---------------------------------------------------------------- k-PDTM */
 

@@ -66,10 +66,9 @@ def _library() -> ctypes.CDLL:
             return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
 
         ints, floats = array(np.int64), array(np.float64)
-        lib.reduce_h1.argtypes = [i64, array(np.int32, 2), i64, ints, ints, i64, ints, ints]
-        lib.reduce_h1.restype = ctypes.c_int
-        lib.kruskal_tree.argtypes = [i64, i64, ints, ints, ints]
-        lib.kruskal_tree.restype = i64
+        lib.rips_pairs.argtypes = [i64, array(np.float64, 2), ctypes.c_double, floats, floats,
+                                   floats, ints]
+        lib.rips_pairs.restype = ctypes.c_int
         lib.mass_stats.argtypes = [i64, i64, floats, i64, floats, i64, floats, floats]
         lib.mass_stats.restype = ctypes.c_int
         lib.kpdtm_fit.argtypes = [i64, i64, floats, i64, ints, i64, i64,

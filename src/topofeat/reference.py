@@ -8,10 +8,10 @@
   numbers come straight from GF(2) ranks of dense boundary matrices, so it
   can sit on the other side of an equivalence test.
 
-:func:`topofeat.homology.rips_diagram` is the pipeline's one homology route,
-with its Kruskal sweep, apparent-pair pass and column reduction compiled
-from ``_kernels.c``; nothing here runs in it, and nothing here is compiled,
-so the suite can hold its diagrams against both routes.
+:func:`topofeat.homology.rips_diagram` is the pipeline's one homology route:
+one compiled call of ``_kernels.c`` orders its edges, ranks them, sweeps H0
+and reduces H1.  Nothing here runs in it, and nothing here is compiled, so
+the suite can hold its diagrams against both routes.
 """
 
 from __future__ import annotations

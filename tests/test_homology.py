@@ -4,7 +4,6 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,8 +55,20 @@ def materialised_reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, death):
 GRID300 = np.random.default_rng(300).integers(0, 3, (300, 4)).astype(float)
 
 
+def binade_clouds():
+    """Clouds whose lengths span hundreds of binades, so that the bit patterns the
+    edge sort reads differ in every byte, the exponent's included: a 1-D ladder
+    of halvings, a Gaussian with per-point scales 2^-500 to 2^500, and
+    concentric octagons of radii 2^(-40 k), which hold H1 bars at five scales."""
+    rng = np.random.default_rng(500)
+    gaussian = rng.normal(size=(50, 3)) * 2.0 ** rng.integers(-500, 500, (50, 1))
+    octagons = np.vstack([2.0 ** (-40 * k) * np.c_[np.cos(t), np.sin(t)] for k in range(5)
+                          for t in [np.arange(8) * np.pi / 4 + rng.uniform(0, 2 * np.pi)]])
+    return [3.7 * 2.0 ** -np.arange(60.0)[:, None], gaussian, octagons]
+
+
 def union_find_kruskal(n, ii, jj):
-    """Oracle for ``homology._kruskal_tree``: positions of the merging edges."""
+    """Oracle for the Kruskal sweep: positions of the merging edges."""
     parent = list(range(n))
 
     def find(x):
@@ -96,6 +107,26 @@ def filtration_edges(pts, scale):
     ii, jj = np.nonzero(np.triu(dmat <= scale, k=1))
     order = np.lexsort((jj, ii, dmat[ii, jj]))
     return ii[order], jj[order]
+
+
+def materialised_rips_diagram(pts, cap=None):
+    """Oracle for ``rips_diagram``, built from the pieces above: the lexsort order of
+    the edges up to ``cap`` or the enclosing radius, whichever is less, their
+    ``np.unique`` ranks, ``union_find_kruskal`` and ``materialised_reduce_h1``, less
+    the pairs that die at their birth."""
+    n, dmat = len(pts), squareform(pdist(pts))
+    ii, jj = filtration_edges(pts, min(np.inf if cap is None else cap, enclosing_radius(dmat)))
+    vals = dmat[ii, jj]
+    uniq = np.unique(vals)
+    merging = union_find_kruskal(n, ii, jj)
+    cycle = np.setdiff1d(np.arange(len(vals)), merging)
+    death = np.empty(len(cycle), dtype=np.int64)
+    materialised_reduce_h1(n, np.searchsorted(uniq, dmat), len(uniq), ii, jj, len(cycle), cycle,
+                           death)
+    deaths = np.where(death < 0, INF, uniq[death])
+    return PersistenceDiagram(
+        [(0, 0.0, vals[e]) for e in merging if vals[e] > 0.0] + [(0, 0.0, INF)] * (n - len(merging))
+        + [(1, b, d) for b, d in zip(vals[cycle], deaths) if d > b])
 
 
 class TestRipsFiltration:
@@ -233,6 +264,24 @@ class TestRipsDiagram:
     def test_single_point(self):
         assert rips_diagram(np.zeros((1, 3))).features == [(0, 0.0, INF)]
 
+    @pytest.mark.parametrize("kind", ["joint_like", "half_integer_grid", "geometric"])
+    def test_lengths_are_copied_pdist_floats(self, kind):
+        # every finite positive birth and death is bit for bit a pairwise distance
+        rng = np.random.default_rng(311)
+        if kind == "joint_like":
+            clouds = [joint_like_cloud(s) for s in (3, 4)]
+        elif kind == "half_integer_grid":
+            clouds = [rng.integers(-3, 4, (int(rng.integers(5, 60)), int(rng.integers(1, 4)))) / 2.0
+                      for _ in range(10)]
+        else:
+            lattice = np.argwhere(np.ones((4, 4, 3))).astype(float)[rng.permutation(48)]
+            clouds = [circle_points(30), lattice, *binade_clouds()]
+        for pts in clouds:
+            lengths = np.array([v for _, b, d in rips_diagram(pts).features for v in (b, d)
+                                if 0.0 < v < INF])
+            assert len(lengths) > 0
+            assert set(lengths.view(np.uint64).tolist()) <= set(pdist(pts).view(np.uint64).tolist())
+
     def test_circle_single_loop(self):
         diagram = rips_diagram(circle_points(20))
         h1 = diagram.bars(1)
@@ -265,40 +314,30 @@ class TestRipsDiagram:
         assert abs(b1 - b0) <= 2 * delta and abs(d1 - d0) <= 2 * delta
 
 
-def union_find_tree(n, m, ii, jj, merging):
-    """``union_find_kruskal`` with the compiled ``kruskal_tree``'s arguments."""
-    found = union_find_kruskal(n, ii[:m], jj[:m])
-    merging[:len(found)] = found
-    return len(found)
-
-
-ORACLE_LIBRARY = SimpleNamespace(reduce_h1=materialised_reduce_h1, kruskal_tree=union_find_tree)
-
-
 class TestBufferedReduction:
     """The compiled reduction, with its radix-heap working column and its reduced
-    columns stored as edge sets, gives the diagrams of the materialised loop."""
+    columns stored as edge sets, gives the diagrams of the materialised oracle."""
 
     # hundreds of additions per joint-like cloud; half-integer grids tie distances
     # and duplicate points; the 300 x 4 grid on {0, 1, 2} has few distinct lengths
     # and thousands of additions, as does the shuffled 5^3 lattice on a smaller
     # scale; in the 20-point Gaussian cloud a reduced column, stored as its edge
-    # set, is added to a column reduced after it
+    # set, is added to a column reduced after it; the binade clouds' lengths differ
+    # in their high bytes
     CLOUDS = ([joint_like_cloud(s) for s in (0, 1)] + [np.random.default_rng(7).normal(size=(140, 12))]
               + [np.random.default_rng(s).integers(0, 5, (60, 3)) / 2.0 for s in (9, 10, 11)]
               + [GRID300, np.argwhere(np.ones((5, 5, 5))).astype(float)[
                   np.random.default_rng(5).permutation(125)],
-                 np.random.default_rng(209).normal(size=(20, 2))])
+                 np.random.default_rng(209).normal(size=(20, 2))] + binade_clouds())
 
-    # the reduction sees only the ranks of the distances, so each cloud is also
-    # matched at 8 times its size (an exact scaling) and at 10**9 times
+    # the diagram depends only on the order of the distances, so each cloud is
+    # also matched at 8 times its size (an exact scaling) and at 10**9 times
     SCALES = [8, 1, 10**9]
 
     @pytest.fixture(scope="class")
     def expected(self):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(homology, "_library", lambda: ORACLE_LIBRARY)
-            return {s: [rips_diagram(s * p).to_csv_text() for p in self.CLOUDS] for s in self.SCALES}
+        return {s: [materialised_rips_diagram(s * p).to_csv_text() for p in self.CLOUDS]
+                for s in self.SCALES}
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_matches_materialised_oracle(self, expected, scale):
@@ -395,7 +434,7 @@ class TestBuild:
         old = _kernels._compiled()
         source = _kernels._SOURCE.read_bytes()
         edited = tmp_path / "_kernels.c"
-        edited.write_bytes(source.replace(b"Kruskal", b"kruskal", 1))  # one byte, in a comment
+        edited.write_bytes(source + b"/* edited */\n")  # a comment line, appended
         monkeypatch.setattr(_kernels, "_SOURCE", edited)
         old.write_bytes(b"not a library")  # loading it would fail
         monkeypatch.setattr(_kernels, "_LIB", None)
@@ -415,7 +454,7 @@ class TestBuild:
         rng = np.random.default_rng(74)
         clouds = [joint_like_cloud(seed) for seed in range(3)] + [
             rng.integers(-3, 4, size=(int(rng.integers(2, 40)), int(rng.integers(1, 4)))) / 2.0
-            for _ in range(100)] + list(EDGE_CLOUDS.values()) + [GRID300]
+            for _ in range(100)] + list(EDGE_CLOUDS.values()) + [GRID300] + binade_clouds()
         np.savez(tmp_path / "clouds.npz", *clouds)
         env = {**os.environ, "PYTHONPATH": str(Path(homology.__file__).parents[1]),
                "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0"}
@@ -452,28 +491,18 @@ class TestKruskalTree:
         for trial in range(40):
             n = int(rng.integers(2, 40))
             pts = rng.integers(0, 3, (n, int(rng.integers(1, 4)))).astype(float)
-            ii, jj = filtration_edges(pts, 1.0 + trial % 3)  # some caps disconnect
-            if trial % 2:  # any insertion order, not only by length
-                perm = rng.permutation(len(ii))
-                ii, jj = ii[perm], jj[perm]
-            assert homology._kruskal_tree(n, ii, jj).tolist() == union_find_kruskal(n, ii, jj)
+            scale = 1.0 + trial % 3  # some caps disconnect
+            with pytest.MonkeyPatch.context() as mp:
+                cap_scale(mp, scale)
+                assert rips_diagram(pts).to_csv_text() == \
+                    materialised_rips_diagram(pts, scale).to_csv_text()
 
-    def test_cycle_edges_in_rips_diagram(self, monkeypatch):
-        seen = []
-        h1 = homology._h1_features
-
-        def spy(dmat, ii, jj, vals, cycle):
-            seen.append((len(dmat), ii, jj, cycle))
-            return h1(dmat, ii, jj, vals, cycle)
-
-        monkeypatch.setattr(homology, "_h1_features", spy)
+    def test_cycle_edges_in_rips_diagram(self):
+        # the edges off the tree are the columns that H1 reduces
         rng = np.random.default_rng(72)
         for _ in range(10):
             pts = rng.integers(0, 3, (int(rng.integers(5, 30)), 2)).astype(float)
-            rips_diagram(pts)
-            n, ii, jj, cycle = seen.pop()
-            merging = set(union_find_kruskal(n, ii, jj))
-            assert cycle.tolist() == [e for e in range(len(ii)) if e not in merging]
+            assert rips_diagram(pts).to_csv_text() == materialised_rips_diagram(pts).to_csv_text()
 
     def test_scale_below_smallest_gap_gives_n_essential_bars(self, rng, monkeypatch):
         pts = rng.normal(size=(12, 3))
@@ -504,43 +533,17 @@ def oracle_clouds():
 
 
 class TestEdgeOrderAndRanks:
-    """The stable length sort and the distinct lengths equal the lexsort and
-    ``np.unique``, the compiled reduction gets the int32 ``searchsorted`` ranks,
-    and its deaths equal the textbook loop's, apparent pairs included."""
+    """The compiled edge order, ranks, sweep and reduction give the diagram of the
+    lexsort, ``np.unique``, union-find and textbook-loop oracle, apparent pairs
+    included."""
 
     @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
     @pytest.mark.parametrize("pts", list(oracle_clouds()))
     def test_match_lexsort_unique_and_int64_pass(self, monkeypatch, pts, capped):
-        seen = {}
-        h1, library = homology._h1_features, homology._library()
-
-        def spy_h1(dmat, ii, jj, vals, cycle):
-            seen["edges"] = dmat, ii, jj, vals, cycle
-            return h1(dmat, ii, jj, vals, cycle)
-
-        def spy_reduce(n, rank, over, ii, jj, n_cycle, cycle, death):
-            failed = library.reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, death)
-            expected = np.full(n_cycle, -2, dtype=np.int64)
-            materialised_reduce_h1(n, rank, over, ii, jj, n_cycle, cycle, expected)
-            seen["reduce"] = rank, over, death, expected
-            return failed
-
-        monkeypatch.setattr(homology, "_h1_features", spy_h1)
-        monkeypatch.setattr(homology, "_library", lambda: SimpleNamespace(
-            reduce_h1=spy_reduce, kruskal_tree=library.kruskal_tree))
         scale = float(np.median(pdist(pts))) if capped else None
         if capped:
             cap_scale(monkeypatch, scale)
-        rips_diagram(pts)
-        dmat, ii, jj, vals, cycle = seen["edges"]
-        ref_ii, ref_jj = filtration_edges(pts, min(scale or np.inf, enclosing_radius(dmat)))
-        assert ii.tolist() == ref_ii.tolist() and jj.tolist() == ref_jj.tolist()
-        assert vals.tobytes() == dmat[ref_ii, ref_jj].tobytes()
-        uniq = np.unique(vals)
-        rank, over, death, expected = seen["reduce"]
-        assert rank.dtype == np.int32 and over == len(uniq)
-        assert rank.tolist() == np.searchsorted(uniq, dmat).tolist()
-        assert death.tolist() == expected.tolist()
+        assert rips_diagram(pts).to_csv_text() == materialised_rips_diagram(pts, scale).to_csv_text()
 
     def test_grids_hold_ties_and_duplicates(self):
         grids = [p.values[0] for p in oracle_clouds() if p.id.startswith("grid")]
@@ -566,6 +569,11 @@ class TestBettiAt:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             betti_at(PersistenceDiagram(), -1.0, 0)
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_nan_eps_rejected(self, dim):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            betti_at(rips_diagram(SQUARE), math.nan, dim)
 
 
 class TestOracleEquivalence:
