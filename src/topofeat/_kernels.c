@@ -28,6 +28,18 @@
  * the grid changes the cost and never a bit.  Each assignment of the fit is
  * that search, for every point, so the fit rests on the grid's bound alone.
  * The fit keeps no k x n score matrix: its memory is O(k + n).
+ *
+ * The SVM: svm_smo runs the simplified SMO loop of classify.train_svm on the
+ * Gram matrix numpy builds.  Each error term sums its products in the order
+ * of the strided ddot of OpenBLAS's SkylakeX (AVX-512) kernel, the order
+ * numpy's ay.dot(k[:, i]) takes there: blocks of four rounded products,
+ * t1 += m1 + m3 and t2 += m2 + m4, then the tail as
+ * t1 = fma(k[r][i], ay[r], t1), then t1 + t2.  libm's fma rounds once on
+ * every machine, and -ffp-contract=off fuses nothing else, so the fit
+ * depends on no BLAS kernel.  The partner draw is numpy's
+ * Generator.integers(n - 1) from the PCG64 state Python hands over: the
+ * 128-bit step, the XSL-RR output, its upper half buffered for the next
+ * 32-bit draw, and Lemire's bounded draw.
  */
 #include <float.h>
 #include <math.h>
@@ -819,4 +831,131 @@ done:
     search_free(&s);
     free(assign); free(counts); free(last); free(before); free(queries); free(sums);
     return iters;
+}
+
+/* ------------------------------------------------------------------- SVM */
+
+/* ay . k[:, i] of the n x n matrix k, summed as the strided ddot of
+ * OpenBLAS's SkylakeX kernel sums it: blocks of four rounded products into
+ * two accumulators, t1 += m1 + m3 and t2 += m2 + m4, then each remaining
+ * product fused into t1 with one rounding, then t1 + t2. */
+static double smo_dot(const double *ay, const double *k, i64 n, i64 i)
+{
+    const double *col = k + i;
+    double t1 = 0.0, t2 = 0.0;
+    i64 r = 0;
+    for (; r < n - n % 4; r += 4) {
+        double m1 = col[r * n] * ay[r], m2 = col[(r + 1) * n] * ay[r + 1];
+        double m3 = col[(r + 2) * n] * ay[r + 2], m4 = col[(r + 3) * n] * ay[r + 3];
+        t1 += m1 + m3;
+        t2 += m2 + m4;
+    }
+    for (; r < n; r++) t1 = fma(col[r * n], ay[r], t1);
+    return t1 + t2;
+}
+
+/* numpy's PCG64: the 128-bit LCG with XSL-RR output, and the upper half of
+ * an output kept for the next 32-bit draw. */
+typedef struct { unsigned __int128 state, inc; uint64_t has32, half; } pcg64;
+
+static uint32_t next32(pcg64 *g)
+{
+    const unsigned __int128 mult =
+        (unsigned __int128)0x2360ED051FC65DA4ull << 64 | 0x4385DF649FCCF645ull;
+    uint64_t x, out;
+    unsigned rot;
+    if (g->has32) {
+        g->has32 = 0;
+        return (uint32_t)g->half;
+    }
+    g->state = g->state * mult + g->inc;
+    x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    rot = (unsigned)(g->state >> 122);
+    out = x >> rot | x << (-rot & 63);
+    g->has32 = 1;
+    g->half = out >> 32;
+    return (uint32_t)out;
+}
+
+/* Generator.integers(bound) for 1 <= bound <= 2^32: Lemire's bounded draw
+ * on 32-bit outputs, and no draw at all when bound is 1. */
+static i64 draw_below(pcg64 *g, i64 bound)
+{
+    uint32_t top = (uint32_t)(bound - 1), range = top + 1;
+    uint64_t m;
+    if (top == 0) return 0;
+    m = (uint64_t)next32(g) * range;
+    if ((uint32_t)m < range) {
+        uint32_t threshold = (UINT32_MAX - top) % range;
+        while ((uint32_t)m < threshold) m = (uint64_t)next32(g) * range;
+    }
+    return (i64)(m >> 32);
+}
+
+/* Simplified SMO (Platt, MSR-TR-98-14) on the n x n Gram matrix k and the
+ * labels y, each +1 or -1, with box C, as classify.train_svm documents it.
+ * A sweep visits each i in turn; one that violates the KKT conditions by
+ * more than tol draws its partner j from rng, the PCG64 words (state high,
+ * state low, inc high, inc low, has_uint32, uinteger) of numpy's
+ * bit_generator.state.  E_i = ay . k[:, i] + b - y_i, with ay the alphas
+ * times y, is cached until the next pair update.  max and min keep their
+ * first argument unless the second is strictly beyond it, as Python's do.
+ * Stops after max_passes sweeps without an update or max_iter sweeps.
+ * Writes the alphas and *bias; returns 0, or 1 when memory runs out. */
+int svm_smo(i64 n, const double *k, const double *y, double C, double tol, i64 max_passes,
+            i64 max_iter, const uint64_t *rng, double *alphas, double *bias)
+{
+    double *ay = malloc((size_t)n * sizeof *ay), *err = malloc((size_t)n * sizeof *err), b = 0.0;
+    i64 *stamp = malloc((size_t)n * sizeof *stamp), epoch = 0, passes = 0, it = 0;
+    pcg64 g = {(unsigned __int128)rng[0] << 64 | rng[1], (unsigned __int128)rng[2] << 64 | rng[3],
+               rng[4], rng[5]};
+    int failed = 1;
+    if (!ay || !err || !stamp) goto done;
+    for (i64 i = 0; i < n; i++) /* ay as numpy forms alphas * y: -0.0 where y is -1 */
+        alphas[i] = 0.0, ay[i] = 0.0 * y[i], stamp[i] = -1;
+    while (passes < max_passes && it < max_iter) {
+        i64 changed = 0;
+        for (i64 i = 0; i < n; i++) {
+            double yi = y[i], ai_old = alphas[i], yj, aj_old, ei, ej, lo, hi, eta, ai, aj, b1, b2;
+            const double *ki, *kj;
+            i64 j;
+            if (stamp[i] != epoch) err[i] = smo_dot(ay, k, n, i) + b - yi, stamp[i] = epoch;
+            ei = err[i];
+            if (!((yi * ei < -tol && ai_old < C) || (yi * ei > tol && ai_old > 0))) continue;
+            j = draw_below(&g, n - 1);
+            if (j >= i) j++;
+            yj = y[j], aj_old = alphas[j];
+            if (stamp[j] != epoch) err[j] = smo_dot(ay, k, n, j) + b - yj, stamp[j] = epoch;
+            ej = err[j];
+            if (yi == yj) lo = ai_old + aj_old - C, hi = ai_old + aj_old;
+            else lo = aj_old - ai_old, hi = C + aj_old - ai_old;
+            lo = lo > 0.0 ? lo : 0.0;
+            hi = hi < C ? hi : C;
+            if (hi - lo < 1e-12) continue;
+            ki = k + i * n, kj = k + j * n;
+            eta = 2 * ki[j] - ki[i] - kj[j];
+            if (eta >= 0) continue;
+            aj = aj_old - yj * (ei - ej) / eta;
+            aj = aj > lo ? aj : lo;
+            aj = aj < hi ? aj : hi;
+            if (fabs(aj - aj_old) < 1e-7) continue;
+            ai = ai_old + yi * yj * (aj_old - aj);
+            alphas[i] = ai, alphas[j] = aj;
+            ay[i] = ai * yi, ay[j] = aj * yj;
+            epoch++;
+            b1 = b - ei - yi * (ai - ai_old) * ki[i] - yj * (aj - aj_old) * ki[j];
+            b2 = b - ej - yi * (ai - ai_old) * ki[j] - yj * (aj - aj_old) * kj[j];
+            if (0 < ai && ai < C) b = b1;
+            else if (0 < aj && aj < C) b = b2;
+            else b = 0.5 * (b1 + b2);
+            changed++;
+        }
+        it++;
+        passes = changed == 0 ? passes + 1 : 0;
+    }
+    *bias = b;
+    failed = 0;
+done:
+    free(ay); free(err); free(stamp);
+    return failed;
 }

@@ -1,12 +1,16 @@
 """The compiled kernels of ``_kernels.c``, built on first use and loaded with ctypes.
 
-The first diagram or fit a process computes compiles that file with gcc
-(``-O2 -ffp-contract=off``, no machine-specific or fast-math flags) into
-``~/.cache/topofeat/``, keyed by the source and the flags, so an edited
-source is never run stale.  ``-ffp-contract=off`` keeps every product out of
-a fused multiply-add, which some targets' defaults would use, so the k-PDTM
-arithmetic is the same on every machine.  Without a working gcc, the first
-call raises RuntimeError naming the compiler and the source.
+The library holds the Rips pairs of homology, the k-PDTM neighbour
+statistics and fit of denoise, and the SMO loop of classify's SVM.  The
+first diagram or fit a process computes, a full resume's classify included,
+compiles that file with gcc (``-O2 -ffp-contract=off``, no machine-specific
+or fast-math flags) into ``~/.cache/topofeat/``, keyed by the source and the
+flags, so an edited source is never run stale.  ``-ffp-contract=off`` keeps
+every product out of a fused multiply-add, which some targets' defaults
+would use, so the k-PDTM and SMO arithmetic is the same on every machine;
+the SMO's one fused step is an explicit call of libm's ``fma``.  Without a
+working gcc, the first call raises RuntimeError naming the compiler and the
+source.
 """
 
 from __future__ import annotations
@@ -74,5 +78,8 @@ def _library() -> ctypes.CDLL:
         lib.kpdtm_fit.argtypes = [i64, i64, floats, i64, ints, i64, i64,
                                   floats, floats, floats, floats]
         lib.kpdtm_fit.restype = i64
+        lib.svm_smo.argtypes = [i64, array(np.float64, 2), floats, ctypes.c_double,
+                                ctypes.c_double, i64, i64, array(np.uint64), floats, floats]
+        lib.svm_smo.restype = ctypes.c_int
         _LIB = lib
     return _LIB

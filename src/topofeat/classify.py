@@ -6,13 +6,15 @@ reproducible.  Features are standardised per column with training-fold
 statistics only; the positive class is the patient class, so sensitivity
 counts patients caught and specificity controls kept.
 
-The fit's bits are fixed by one rule: each error term is
-``E_i = (alphas * y) . k[:, i] + b - y_i``, the dot taken by BLAS over the
-strided kernel column ``k[:, i]`` and the sum left to right.  The loop keeps
-``alphas * y`` as an array and caches every ``E_i`` it computes until the
-next pair update, which clears the whole cache; an incremental update of the
-errors, one matrix-vector product for all of them, or a contiguous copy of
-the column would round differently.
+numpy builds the Gram matrix; the SMO loop runs in ``svm_smo`` of
+``_kernels.c`` (see :mod:`topofeat._kernels`), one call per fit.  The fit's
+bits are fixed by one rule: each error term
+``E_i = (alphas * y) . k[:, i] + b - y_i`` sums its products in one fixed
+order, the one numpy's ``ay.dot(k[:, i])`` takes through the strided
+``ddot`` of OpenBLAS's SkylakeX (AVX-512) kernel, so the fits are those of a
+numpy loop on such a CPU.  They do not depend on the machine's BLAS; the
+Gram matrix (``np.exp``, and BLAS for the linear kernel) and
+``decision_function`` still do.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import _library
 from .fileio import read_table, write_atomic, write_table
 
 
@@ -153,6 +156,16 @@ class SvmModel:
         return k @ (self.alphas * self.sv_y) + self.bias
 
 
+def _pcg64_words(seed) -> np.ndarray:
+    """The state of ``np.random.default_rng(seed)`` as ``svm_smo`` reads it: the
+    128-bit PCG64 state and increment, high word first, then the buffered half."""
+    state = np.random.default_rng(seed).bit_generator.state
+    lcg, inc = state["state"]["state"], state["state"]["inc"]
+    mask = (1 << 64) - 1
+    return np.array([lcg >> 64, lcg & mask, inc >> 64, inc & mask, state["has_uint32"],
+                     state["uinteger"]], dtype=np.uint64)
+
+
 def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
               gamma: float | None = None, tol: float = 1e-3,
               max_passes: int = 8, max_iter: int = 2000, seed: int = 0) -> SvmModel:
@@ -162,12 +175,16 @@ def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
     from ``seed``; optimisation stops after ``max_passes`` sweeps without a
     change.  Columns are standardised with statistics of this training data.
 
-    Exactness: ``E_i`` is ``ay.dot(k[:, i]) + b - y_i`` with ``ay = alphas * y``,
-    always over the same strided column, and a cached ``E_i`` is reused only
-    until the next pair update, which clears the cache.  The scalar steps run
-    on Python floats, which round as numpy's float64 scalars do, so the fit is
-    the same operation for operation as the textbook loop that recomputes
-    ``(alphas * y) @ k[:, i]`` at every use.
+    Exactness: the loop is ``svm_smo`` in C.  ``E_i`` is
+    ``ay . k[:, i] + b - y_i`` with ``ay = alphas * y``: ``t1 += m1 + m3`` and
+    ``t2 += m2 + m4`` over blocks of four rounded products, then each
+    remaining product fused into ``t1`` by ``fma``, then ``t1 + t2``.  A
+    cached ``E_i`` is reused until the next pair update.  The scalar steps
+    round as Python floats do, ``max`` and ``min`` included, and the partner
+    is ``np.random.default_rng(seed).integers(n - 1)``, so the fit equals,
+    bit for bit, the textbook loop that recomputes ``(alphas * y) @ k[:, i]``
+    at every use under OpenBLAS's SkylakeX kernel.  Its Haswell and Zen
+    kernels leave the tail unfused, and Prescott's sums in another order.
     """
     if C <= 0:
         raise ValueError("C must be positive")
@@ -191,65 +208,13 @@ def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
     y = np.where(y01 == 1, 1.0, -1.0)
 
     k = _kernel_matrix(z, z, kernel, gamma)
-    cols = [k[:, i] for i in range(n)]
-    kl, yl = k.tolist(), y.tolist()
-
-    rng = np.random.default_rng(seed)
-    alphas = np.zeros(n)
-    ay = alphas * y
-    a = alphas.tolist()
-    err = [None] * n
-    b = 0.0
-    passes = 0
-    it = 0
-    while passes < max_passes and it < max_iter:
-        changed = 0
-        for i in range(n):
-            yi, ai_old = yl[i], a[i]
-            ei = err[i]
-            if ei is None:
-                ei = err[i] = float(ay.dot(cols[i])) + b - yi
-            if (yi * ei < -tol and ai_old < C) or (yi * ei > tol and ai_old > 0):
-                j = int(rng.integers(n - 1))
-                if j >= i:
-                    j += 1
-                yj, aj_old = yl[j], a[j]
-                ej = err[j]
-                if ej is None:
-                    ej = err[j] = float(ay.dot(cols[j])) + b - yj
-                if yi == yj:
-                    lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
-                else:
-                    lo, hi = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
-                if hi - lo < 1e-12:
-                    continue
-                ki, kj = kl[i], kl[j]
-                eta = 2 * ki[j] - ki[i] - kj[j]
-                if eta >= 0:
-                    continue
-                aj = aj_old - yj * (ei - ej) / eta
-                aj = min(hi, max(lo, aj))
-                if abs(aj - aj_old) < 1e-7:
-                    continue
-                ai = ai_old + yi * yj * (aj_old - aj)
-                a[i], a[j] = ai, aj
-                ay[i], ay[j] = ai * yi, aj * yj
-                err = [None] * n
-                b1 = b - ei - yi * (ai - ai_old) * ki[i] - yj * (aj - aj_old) * ki[j]
-                b2 = b - ej - yi * (ai - ai_old) * ki[j] - yj * (aj - aj_old) * kj[j]
-                if 0 < ai < C:
-                    b = b1
-                elif 0 < aj < C:
-                    b = b2
-                else:
-                    b = 0.5 * (b1 + b2)
-                changed += 1
-        it += 1
-        passes = passes + 1 if changed == 0 else 0
-
-    alphas = np.array(a, dtype=float)
+    alphas, bias = np.empty(n), np.empty(1)
+    if _library().svm_smo(n, k, y, C, tol, max_passes, max_iter, _pcg64_words(seed),
+                          alphas, bias):
+        raise MemoryError("out of memory in the SVM fit")
     support = alphas > 1e-10
-    return SvmModel(z[support], y[support], alphas[support], b, kernel, gamma, mean, std)
+    return SvmModel(z[support], y[support], alphas[support], float(bias[0]), kernel, gamma,
+                    mean, std)
 
 
 def predict(model: SvmModel, features: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,114 @@ def oracle_train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
     return SvmModel(z[support], y[support], alphas[support], b, kernel, gamma, mean, std)
 
 
+def fma(a: float, b: float, c: float) -> float:
+    """``a * b + c`` rounded once, as C's ``fma`` (Python 3.11 has no ``math.fma``).
+
+    The exact value is ``Fraction(a) * Fraction(b) + Fraction(c)``, here over
+    a power-of-two denominator left unreduced, and int division rounds it
+    correctly, as ``float(Fraction)`` does.
+    """
+    (na, da), (nb, db), (nc, dc) = (v.as_integer_ratio() for v in (a, b, c))
+    return (na * nb * dc + nc * da * db) / (da * db * dc)
+
+
+def fixed_order_dot(ay: list, col: list) -> float:
+    """``ay . col`` in the documented order: blocks of four rounded products
+    into two sums, ``t1 += m1 + m3`` and ``t2 += m2 + m4``, then the tail
+    fused into ``t1``, then ``t1 + t2``."""
+    t1 = t2 = 0.0
+    top = len(ay) - len(ay) % 4
+    for r in range(0, top, 4):
+        t1 += col[r] * ay[r] + col[r + 2] * ay[r + 2]
+        t2 += col[r + 1] * ay[r + 1] + col[r + 3] * ay[r + 3]
+    for r in range(top, len(ay)):
+        t1 = fma(col[r], ay[r], t1)
+    return t1 + t2
+
+
+def fixed_order_train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
+                          gamma: float | None = None, tol: float = 1e-3, max_passes: int = 8,
+                          max_iter: int = 2000, seed: int = 0) -> SvmModel:
+    """Simplified SMO on Python floats whose error terms ``fixed_order_dot``
+    sums over the Gram matrix's columns, so its bits depend on no BLAS kernel.
+    An error term is kept until the next pair update, which ``TestSmoOracle``
+    shows changes no bit.  ``train_svm`` must return the same fit bit for bit.
+    """
+    x = data.features
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    z = (x - mean) / std
+    n, d = z.shape
+    if gamma is None:
+        gamma = 1.0 / d
+    y = np.where(data.labels == 1, 1.0, -1.0).tolist()
+    k = _kernel_matrix(z, z, kernel, gamma)
+    rows, cols = k.tolist(), k.T.tolist()
+
+    rng = np.random.default_rng(seed)
+    alphas = [0.0] * n
+    ay = [0.0 * yr for yr in y]
+    err = {}
+    b = 0.0
+    passes = 0
+    it = 0
+    while passes < max_passes and it < max_iter:
+        changed = 0
+        for i in range(n):
+            if i not in err:
+                err[i] = fixed_order_dot(ay, cols[i]) + b - y[i]
+            ei = err[i]
+            if (y[i] * ei < -tol and alphas[i] < C) or (y[i] * ei > tol and alphas[i] > 0):
+                j = int(rng.integers(n - 1))
+                if j >= i:
+                    j += 1
+                if j not in err:
+                    err[j] = fixed_order_dot(ay, cols[j]) + b - y[j]
+                ej = err[j]
+                ai_old, aj_old = alphas[i], alphas[j]
+                if y[i] == y[j]:
+                    lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
+                else:
+                    lo, hi = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
+                if hi - lo < 1e-12:
+                    continue
+                ki, kj = rows[i], rows[j]
+                eta = 2 * ki[j] - ki[i] - kj[j]
+                if eta >= 0:
+                    continue
+                aj = min(hi, max(lo, aj_old - y[j] * (ei - ej) / eta))
+                if abs(aj - aj_old) < 1e-7:
+                    continue
+                ai = ai_old + y[i] * y[j] * (aj_old - aj)
+                alphas[i], alphas[j] = ai, aj
+                ay[i], ay[j] = ai * y[i], aj * y[j]
+                err.clear()
+                b1 = b - ei - y[i] * (ai - ai_old) * ki[i] - y[j] * (aj - aj_old) * ki[j]
+                b2 = b - ej - y[i] * (ai - ai_old) * ki[j] - y[j] * (aj - aj_old) * kj[j]
+                if 0 < ai < C:
+                    b = b1
+                elif 0 < aj < C:
+                    b = b2
+                else:
+                    b = 0.5 * (b1 + b2)
+                changed += 1
+        it += 1
+        passes = passes + 1 if changed == 0 else 0
+
+    a = np.array(alphas)
+    support = a > 1e-10
+    return SvmModel(z[support], np.array(y)[support], a[support], b, kernel, gamma, mean, std)
+
+
+def drawn_data(n: int, seed: int) -> LabeledDataset:
+    """n rows with both classes, overlapping more or less, at a drawn scale."""
+    rng = np.random.default_rng([n, seed])
+    labels = rng.permutation(np.arange(n) % 2)
+    x = rng.normal(size=(n, int(rng.integers(1, 8)))) * 10.0 ** rng.uniform(-6, 6)
+    return LabeledDataset(x + labels[:, None] * rng.uniform(0, 3) * x.std(), labels)
+
+
 def duplicate_rows():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(9, 6))
@@ -164,6 +273,34 @@ class TestSmoOracle:
         report = kfold_cv(data, k=5, seed=3, kernel=kernel)
         monkeypatch.setattr("topofeat.classify.train_svm", oracle_train_svm)
         assert kfold_cv(data, k=5, seed=3, kernel=kernel).to_json() == report.to_json()
+
+
+class TestFixedOrderOracle:
+    """The fit equals a Python SMO whose error terms sum in the documented
+    order, so its bits do not depend on the machine's BLAS."""
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_matches_fixed_order_oracle(self, n):
+        # every n mod 4, and n = 2, which draws no partner; at most 25 sweeps a
+        # fit keep the Python oracle quick, and TestSmoOracle holds the
+        # default stopping rules
+        for seed in range(10):
+            data = drawn_data(n, seed)
+            for kernel, C, gamma in itertools.product(("rbf", "linear"), (0.1, 1.0, 10.0),
+                                                      (None, 0.3)):
+                kwargs = dict(kernel=kernel, C=C, gamma=gamma, seed=seed, max_iter=25)
+                if kernel == "rbf" or gamma is None:  # a linear fit ignores gamma
+                    oracle = fixed_order_train_svm(data, **kwargs)
+                assert_same_fit(train_svm(data, **kwargs), oracle)
+
+    def test_fma_rounds_once(self):
+        tiny = 2.0 ** -30
+        assert (1.0 + tiny) * (1.0 - tiny) - 1.0 == 0.0  # two roundings lose the product's tail
+        assert fma(1.0 + tiny, 1.0 - tiny, -1.0) == -(tiny * tiny)
+        rng = np.random.default_rng(5)
+        for a, b, c in rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-12, 12, size=(2000, 3)):
+            a, b, c = float(a), float(b), float(c)
+            assert fma(a, b, c) == float(Fraction(a) * Fraction(b) + Fraction(c))
 
 
 class TestMetrics:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import topofeat
 from topofeat.cli import _base_config, build_parser, main
 from topofeat.cloud import PointCloud
 from topofeat.config import PipelineConfig
@@ -272,8 +274,9 @@ class TestErrors:
         assert code == 1
 
     def test_subprocess_entry_point(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(topofeat.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-m", "topofeat.cli", "ingest",
                                  "--input", str(tmp_path / "none"), "--out", str(tmp_path / "o")],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=env)
         assert result.returncode == 1
         assert "stage ingest" in result.stderr

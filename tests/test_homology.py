@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
+from test_classify import ORACLE_DATA
 from test_denoise import EDGE_CLOUDS
 from topofeat import _kernels, homology
+from topofeat.classify import LabeledDataset, train_svm
 from topofeat.denoise import MassParams, dtm_profile, kpdtm_fit
 from topofeat.homology import INF, PersistenceDiagram, betti_at, enclosing_radius, rips_diagram
 from topofeat.reference import (FiltrationSimplex, brute_force_betti, compute_persistence,
@@ -382,7 +384,7 @@ SANITIZED = """
 import sys
 from pathlib import Path
 import numpy as np
-from topofeat import _kernels, denoise, homology
+from topofeat import _kernels, classify, denoise, homology
 _kernels._CFLAGS = ("-O1", "-g", "-fsanitize=address,undefined,float-cast-overflow",
                     "-fno-sanitize-recover=all", "-ffp-contract=off", "-shared", "-fPIC")
 _kernels._CACHE = Path(sys.argv[1])
@@ -399,6 +401,13 @@ for name in clouds.files:
     off = np.vstack([p + 1e3, p * -1e6, np.full((3, p.shape[1]), [[np.inf], [-np.inf], [np.nan]])])
     profile = denoise.dtm_profile(p, off, min(3, len(p))).tolist()
     sys.stdout.write(repr((hist, centers.means.tolist(), centers._scores.tolist(), profile)))
+svm_sets = np.load(sys.argv[3])
+for i in range(0, len(svm_sets.files), 2):
+    data = classify.LabeledDataset(svm_sets[f"arr_{i}"], svm_sets[f"arr_{i + 1}"])
+    for kernel in ("rbf", "linear"):
+        for C in (0.1, 1.0):  # 0.1 reaches the box bound
+            m = classify.train_svm(data, kernel=kernel, C=C)
+            sys.stdout.write(repr((m.alphas.tolist(), m.bias, m.sv_x.tolist(), m.sv_y.tolist())))
 """
 
 
@@ -423,7 +432,8 @@ class TestBuild:
         monkeypatch.setattr(_kernels, "_CACHE", tmp_path / "cache")
         monkeypatch.setattr(_kernels, "_LIB", None)
         monkeypatch.setattr(subprocess, "run", lambda *a, **k: pytest.fail("a compiler ran"))
-        for call in (lambda: rips_diagram(SQUARE), lambda: kpdtm_fit(SQUARE, MassParams(2, 2))):
+        for call in (lambda: rips_diagram(SQUARE), lambda: kpdtm_fit(SQUARE, MassParams(2, 2)),
+                     lambda: train_svm(LabeledDataset(SQUARE, [0, 1, 1, 0]))):
             with pytest.raises(RuntimeError) as err:
                 call()
             assert missing in str(err.value) and str(_kernels._SOURCE) in str(err.value)
@@ -456,11 +466,15 @@ class TestBuild:
             rng.integers(-3, 4, size=(int(rng.integers(2, 40)), int(rng.integers(1, 4)))) / 2.0
             for _ in range(100)] + list(EDGE_CLOUDS.values()) + [GRID300] + binade_clouds()
         np.savez(tmp_path / "clouds.npz", *clouds)
+        # the ORACLE_DATA sets, and two rows, which draw no partner
+        svm_sets = [make() for make in ORACLE_DATA.values()] + [
+            LabeledDataset(np.array([[0.0, 1.0], [2.0, -1.0]]), np.array([0, 1]))]
+        np.savez(tmp_path / "svm.npz", *[a for d in svm_sets for a in (d.features, d.labels)])
         env = {**os.environ, "PYTHONPATH": str(Path(homology.__file__).parents[1]),
                "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0"}
         child = subprocess.run([sys.executable, "-c", SANITIZED, str(tmp_path / "cache"),
-                                str(tmp_path / "clouds.npz")], env=env, capture_output=True,
-                               text=True, timeout=600)
+                                str(tmp_path / "clouds.npz"), str(tmp_path / "svm.npz")],
+                               env=env, capture_output=True, text=True, timeout=600)
         assert child.returncode == 0, child.stderr[-4000:]
         fits = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -472,6 +486,12 @@ class TestBuild:
                                  np.full((3, p.shape[1]), [[np.inf], [-np.inf], [np.nan]])])
                 profile = dtm_profile(p, off, min(3, len(p))).tolist()
                 fits.append(repr((hist, centers.means.tolist(), centers._scores.tolist(), profile)))
+        for data in svm_sets:
+            for kernel in ("rbf", "linear"):
+                for C in (0.1, 1.0):
+                    m = train_svm(data, kernel=kernel, C=C)
+                    fits.append(repr((m.alphas.tolist(), m.bias, m.sv_x.tolist(),
+                                      m.sv_y.tolist())))
         assert child.stdout == "".join(map(diagram_text, clouds)) + "".join(fits)
 
     def test_source_compiles_without_warnings(self):

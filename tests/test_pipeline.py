@@ -191,17 +191,18 @@ class TestStages:
         again = run_pipeline(replace(cfg, out_dir=str(tmp_path / "copy")))
         assert again.to_json() == report.to_json()
 
-    def test_full_resume_loads_no_library(self, tiny_run, tmp_path, monkeypatch):
+    def test_full_resume_computes_no_diagram_or_fit(self, tiny_run, tmp_path, monkeypatch):
+        # classify refits its SVMs in the library; no diagram or k-PDTM is computed again
         cfg, report = tiny_run
-
-        def refuse():
-            raise AssertionError("a full resume built or loaded the compiled kernels")
-
-        monkeypatch.setattr(_kernels, "_compiled", refuse)
-        monkeypatch.setattr(_kernels, "_LIB", None)
+        lib, calls = _kernels._library(), []
+        for name in ("rips_pairs", "mass_stats", "kpdtm_fit"):
+            kernel = getattr(lib, name)
+            monkeypatch.setattr(lib, name, lambda *args, name=name, kernel=kernel:
+                                calls.append(name) or kernel(*args))
         shutil.copytree(cfg.out_dir, tmp_path / "copy")
         again = run_pipeline(replace(cfg, out_dir=str(tmp_path / "copy")))
         assert again.to_json() == report.to_json()
+        assert calls == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_denoise_redoes_only_recordings_missing_an_output(self, tiny_run, tmp_path,
