@@ -166,12 +166,15 @@ def _pcg64_words(seed) -> np.ndarray:
                      state["uinteger"]], dtype=np.uint64)
 
 
+SMO_TOL = 1e-3  # the KKT violation that triggers a pair update
+
+
 def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
-              gamma: float | None = None, tol: float = 1e-3,
-              max_passes: int = 8, max_iter: int = 2000, seed: int = 0) -> SvmModel:
+              gamma: float | None = None, max_passes: int = 8, max_iter: int = 2000,
+              seed: int = 0) -> SvmModel:
     """Fit a binary soft-margin SVM by simplified SMO.
 
-    KKT violations beyond ``tol`` trigger pair updates with a partner drawn
+    KKT violations beyond ``SMO_TOL`` trigger pair updates with a partner drawn
     from ``seed``; optimisation stops after ``max_passes`` sweeps without a
     change.  Columns are standardised with statistics of this training data.
 
@@ -209,7 +212,7 @@ def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
 
     k = _kernel_matrix(z, z, kernel, gamma)
     alphas, bias = np.empty(n), np.empty(1)
-    if _library().svm_smo(n, k, y, C, tol, max_passes, max_iter, _pcg64_words(seed),
+    if _library().svm_smo(n, k, y, C, SMO_TOL, max_passes, max_iter, _pcg64_words(seed),
                           alphas, bias):
         raise MemoryError("out of memory in the SVM fit")
     support = alphas > 1e-10
@@ -273,8 +276,11 @@ def kfold_cv(data: LabeledDataset, k: int = 10, seed: int = 0, kernel: str = "rb
     return EvalReport.from_counts(tp, fn, fp, tn, per_fold)
 
 
-def tune_hyperparameters(data: LabeledDataset, seed: int = 0, kernel: str = "rbf",
-                         inner_folds: int = 3) -> tuple[float, float]:
+INNER_FOLDS = 3  # the folds of the grid search's inner cross-validation
+
+
+def tune_hyperparameters(data: LabeledDataset, seed: int = 0,
+                         kernel: str = "rbf") -> tuple[float, float]:
     """Small grid search (C, gamma) by inner stratified CV; returns the best pair."""
     d = data.features.shape[1]
     c_grid = [0.1, 1.0, 10.0]
@@ -282,7 +288,7 @@ def tune_hyperparameters(data: LabeledDataset, seed: int = 0, kernel: str = "rbf
     best = (-1.0, 1.0, 1.0 / d)
     for c in c_grid:
         for g in g_grid:
-            rep = kfold_cv(data, k=inner_folds, seed=seed, kernel=kernel, C=c, gamma=g)
+            rep = kfold_cv(data, k=INNER_FOLDS, seed=seed, kernel=kernel, C=c, gamma=g)
             if rep.acc > best[0]:
                 best = (rep.acc, c, g)
     return best[1], best[2]

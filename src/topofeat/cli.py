@@ -14,8 +14,8 @@ from dataclasses import replace
 
 from .config import DESCRIPTORS, KERNELS, PipelineConfig, load_config
 from .fileio import write_atomic
-from .pipeline import (StageError, run_pipeline, stage_classify, stage_denoise, stage_embed,
-                       stage_ingest, stage_synth, stage_vectorize, sweep_weights)
+from .pipeline import (run_pipeline, stage_classify, stage_denoise, stage_embed, stage_ingest,
+                       stage_synth, stage_vectorize, sweep_weights)
 from .plots import plot
 
 
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
                 print(f"plateau={row['plateau']} junction={row['junction']}: "
                       f"acc={row['acc']:.4f} se={row['se']:.4f} sp={row['sp']:.4f}")
         return 0
-    except (StageError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:  # StageError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

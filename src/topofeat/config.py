@@ -21,9 +21,11 @@ KERNELS = ("linear", "rbf")
 class PipelineConfig:
     """Every setting a stage reads; each field is the target of a CLI flag.
 
-    Fixed choices of the method (AMI lag range, FNN dimension cap, landscape
-    layers, curve bins, knot fallback quantile) are constants next to the code
-    that reads them.  ``validate_config`` checks every field before any stage.
+    Fixed choices of the method (FNN dimension cap and threshold, the ``cov10``
+    scale and ridge, image padding, SMO tolerance, inner grid-search folds,
+    landscape layers, curve bins, knot fallback quantile) are constants next
+    to the code that reads them.  ``validate_config`` checks every field
+    before any stage.
     """
 
     # ingest

@@ -16,6 +16,9 @@ import numpy as np
 
 from .homology import PersistenceDiagram
 
+COV_SCALE = 10.0  # the 10 of the ``cov10`` bandwidth
+COV_RIDGE = 1e-9  # keeps the covariance positive-definite when the points are collinear
+
 
 @dataclass(frozen=True)
 class BandwidthSpec:
@@ -45,15 +48,14 @@ class BandwidthSpec:
         return cls(((scale, 0.0), (0.0, scale)))
 
     @classmethod
-    def from_covariance(cls, points: np.ndarray, scale: float = 10.0,
-                        ridge: float = 1e-9) -> "BandwidthSpec":
-        """scale x (sample covariance of the points), ridge-regularised."""
+    def from_covariance(cls, points: np.ndarray) -> "BandwidthSpec":
+        """COV_SCALE x (sample covariance of the points + COV_RIDGE x identity)."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if len(pts) < 2:
             cov = np.eye(2)
         else:
             cov = np.cov(pts.T)
-        return cls.from_array(scale * (cov + ridge * np.eye(2)))
+        return cls.from_array(COV_SCALE * (cov + COV_RIDGE * np.eye(2)))
 
 
 def parse_bandwidth(spec: str) -> "BandwidthSpec | str":

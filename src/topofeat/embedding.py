@@ -144,16 +144,23 @@ def delay_embed(series, params: EmbeddingParams) -> PointCloud:
     return PointCloud(pts, time_index=np.arange(j0, j0 + n_pts))
 
 
+FNN_DIM_CAP = 6        # the largest embedding dimension the estimate tries
+FNN_THRESHOLD = 0.05   # the false-neighbour fraction a dimension must fall below
+
+
 def estimate_embedding_params(channels, max_lag: int = 40, bins: int = 16,
-                              m_max: int = 6, rtol: float = 10.0, atol: float = 2.0,
-                              fnn_threshold: float = 0.05) -> EmbeddingParams:
-    """Shared (dim, delay) for a set of channels: max of per-channel estimates."""
+                              rtol: float = 10.0, atol: float = 2.0) -> EmbeddingParams:
+    """Shared (dim, delay) for a set of channels: max of per-channel estimates.
+
+    A channel's dimension is the first whose false-neighbour fraction is below
+    ``FNN_THRESHOLD``, or ``FNN_DIM_CAP`` if none up to it is.
+    """
     delays, dims = [], []
     for ch in channels:
         mi = average_mutual_information(ch, max_lag=max_lag, bins=bins)
         tau = first_minimum_lag(mi)
         delays.append(tau)
-        fnn = false_nearest_neighbors(ch, tau=tau, m_max=m_max, rtol=rtol, atol=atol)
-        below = np.nonzero(fnn < fnn_threshold)[0]
-        dims.append(int(below[0]) + 1 if len(below) else m_max)
+        fnn = false_nearest_neighbors(ch, tau=tau, m_max=FNN_DIM_CAP, rtol=rtol, atol=atol)
+        below = np.nonzero(fnn < FNN_THRESHOLD)[0]
+        dims.append(int(below[0]) + 1 if len(below) else FNN_DIM_CAP)
     return EmbeddingParams(dim=max(dims), delay=max(delays))

@@ -20,8 +20,8 @@ working gcc, ``rips_diagram`` raises RuntimeError.
 Each birth and death comes back as a copy of a ``pdist`` float, so the
 diagrams are those of the integer algorithm.
 
-:mod:`topofeat.reference` holds the textbook boundary-matrix route and a
-brute-force Betti oracle, and the test suite holds ``rips_diagram`` to both.
+The tests hold ``rips_diagram`` to a textbook boundary-matrix route and a
+brute-force Betti oracle, both in ``tests/oracles.py``.
 
 Conventions: Euclidean metric, vertices enter at scale 0, an edge at its
 length, a triangle at its longest edge.  Simplices are ordered by

@@ -68,12 +68,15 @@ def weight_fn(y, params: WeightParams) -> np.ndarray | float:
     return float(out) if np.isscalar(y) else out
 
 
-def default_extent(points: np.ndarray, sigma: float, pad_sigmas: float = 3.0):
-    """Bounding box of the transformed points padded by pad_sigmas * sigma."""
+EXTENT_PAD_SIGMAS = 3.0  # the image extent reaches this many sigmas past the points
+
+
+def default_extent(points: np.ndarray, sigma: float):
+    """Bounding box of the transformed points padded by EXTENT_PAD_SIGMAS * sigma."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         return ((0.0, 1.0), (0.0, 1.0))
-    pad = pad_sigmas * sigma
+    pad = EXTENT_PAD_SIGMAS * sigma
     return (
         (float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad)),
         (float(pts[:, 1].min() - pad), float(pts[:, 1].max() + pad)),

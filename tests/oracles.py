@@ -1,4 +1,7 @@
-"""Reference homology routes that the fast path is tested against.
+"""Oracles the compiled kernels are tested against, and the data tables the test
+modules share.  No package code imports this module.
+
+Homology:
 
 * ``rips_filtration`` lists the Rips filtration explicitly, and
   ``compute_persistence`` runs the textbook boundary-matrix reduction over
@@ -12,6 +15,13 @@
 one compiled call of ``_kernels.c`` orders its edges, ranks them, sweeps H0
 and reduces H1.  Nothing here runs in it, and nothing here is compiled, so
 the suite can hold its diagrams against both routes.
+
+k-PDTM, one numpy oracle per compiled kernel:
+
+* ``_nearest_mass_stats`` for ``mass_stats``: per query, the centroid of its
+  q nearest cloud points and their mean squared spread.
+* ``full_recompute_fit`` for ``kpdtm_fit``: every occupied center refreshed
+  and every point rescored at each iteration.
 """
 
 from __future__ import annotations
@@ -20,10 +30,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from .cloud import as_points
-from .homology import INF, PersistenceDiagram
+from topofeat.classify import LabeledDataset
+from topofeat.cloud import as_points
+from topofeat.denoise import CenterSet, kpdtm_eval
+from topofeat.homology import INF, PersistenceDiagram
+
 
 @dataclass(frozen=True)
 class FiltrationSimplex:
@@ -198,3 +211,136 @@ def brute_force_betti(filtration, eps: float, dim: int) -> int:
         return len(verts) - rank_d1
     rank_d2 = gf2_rank(d2) if tris else 0
     return (len(edges) - rank_d1) - rank_d2
+
+
+def _nearest_mass_stats(queries, cloud, q):
+    """numpy oracle for the compiled neighbour statistics: per query, the centroid of
+    its q nearest cloud points and their mean squared spread.
+
+    Neighbours are chosen by (squared distance, point index) with a stable sort.
+    The means and spreads are ``ndarray.mean``'s arithmetic without its Python
+    wrapper.
+    """
+    d2 = cdist(queries, cloud, metric="sqeuclidean")
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :q]
+    neigh = cloud[idx]                       # (queries, q, d), a fresh copy
+    means = np.add.reduce(neigh, axis=1)     # (queries, d)
+    means /= q
+    neigh -= means[:, None, :]
+    np.square(neigh, out=neigh)
+    spread = np.add.reduce(np.add.reduce(neigh, axis=2), axis=1)
+    spread /= q
+    return means, spread
+
+
+def full_recompute_fit(pts, params, history=None):
+    """k-PDTM oracle that rescores and refreshes every occupied center each iteration.
+
+    Like ``kpdtm_fit``, it leaves the score of every point under the final centers
+    in ``_scores``.
+    """
+    pts = np.asarray(pts, dtype=float)
+    n = len(pts)
+    q, k = params.n_neighbors, params.n_centers
+    rng = np.random.default_rng(params.seed)
+    init = rng.choice(n, size=k, replace=False)
+    means, variances = _nearest_mass_stats(pts[init], pts, q)
+
+    before = last = last_obj = None
+    for _ in range(params.max_iter):
+        score = cdist(pts, means, metric="sqeuclidean") + variances[None, :]
+        assign = np.argmin(score, axis=1)
+        obj = float(score[np.arange(n), assign].sum())
+        if history is not None:
+            history.append(obj)
+        if last is not None and (np.array_equal(assign, last) or obj == last_obj):
+            break
+        if before is not None and np.array_equal(assign, before):
+            break  # a 2-cycle
+        before, last, last_obj = last, assign, obj
+        counts = np.bincount(assign, minlength=k)
+        occupied = np.nonzero(counts > 0)[0]
+        sums = np.column_stack([
+            np.bincount(assign, weights=pts[:, dim], minlength=k) for dim in range(pts.shape[1])
+        ])
+        centroids = sums[occupied] / counts[occupied, None]
+        new_means, new_vars = _nearest_mass_stats(centroids, pts, q)
+        means = means.copy()
+        variances = variances.copy()
+        means[occupied] = new_means
+        variances[occupied] = new_vars
+    centers = CenterSet(means, variances)
+    centers._scores = (cdist(pts, means, "sqeuclidean") + variances).min(axis=1)
+    return centers
+
+
+def kpdtm_objective(centers, cloud):
+    """Summed min-over-centers score of every cloud point: the objective a fit's history
+    must end on."""
+    return float(np.sum(kpdtm_eval(centers, as_points(cloud))))
+
+
+# Clouds whose spans the grid of _kernels.c guards: one point repeated, a line along
+# each axis, one axis with duplicates, and spans that overflow to +inf.  In the last,
+# the pairwise neighbour sums of +-1e308 give some centers NaN means and scores, which
+# numpy's argmin puts first, beside centers with finite means on a grid of many cells.
+EDGE_CLOUDS = {
+    "all_equal": np.tile([0.5, -1.0], (20, 1)),
+    "horizontal_line": np.c_[np.arange(20) / 2.0, np.full(20, 3.0)],
+    "vertical_line": np.c_[np.full(20, -2.0), np.arange(20) / 4.0],
+    "d1": (np.arange(30) % 7 / 2.0)[:, None],
+    "overflowing_span_1d": np.array([[-1e308], [1e308], [0.0], [1.0], [2.0]]),
+    "overflowing_span_2d": np.array([[-1e308, -1e308], [1e308, 1e308], [0.0, 0.0],
+                                     [1.0, 1.0], [2.0, 2.0]]),
+    "nan_means_1d": np.array([1e308, 1e308, 2.5, 4.0, 1e308, -1e308, -1e308, -1e308, 1.5, 1e308,
+                              1.0, 0.5, 0.0, 3.5, 2.0, 3.0])[:, None],
+}
+
+
+# Floats whose text is easy to get wrong: both zeros, the smallest subnormal, a
+# negated smallest normal, the largest finite float and inexact decimals
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
+               1e16, -1e-7, 123456789.123456789]
+
+
+def two_clusters(rng, n=40, spread=0.3):
+    xa = rng.normal(size=(n, 2)) * spread + [5.0, 5.0]
+    xb = rng.normal(size=(n, 2)) * spread - [5.0, 5.0]
+    return LabeledDataset(np.vstack([xa, xb]), np.array([1] * n + [0] * n))
+
+
+def duplicate_rows():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(9, 6))
+    return LabeledDataset(np.vstack([x, x]), np.array([0, 1, 1, 0, 1, 0, 0, 1, 1] * 2))
+
+
+def constant_column():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(18, 5))
+    x[:, 2] = 0.75
+    y = np.array([0, 1] * 9)
+    x[y == 1, 0] += 1.0
+    return LabeledDataset(x, y)
+
+
+def separable():
+    rng = np.random.default_rng(13)
+    return two_clusters(rng, n=10, spread=1.5)
+
+
+def heavy_overlap():
+    rng = np.random.default_rng(14)
+    return LabeledDataset(rng.normal(size=(24, 6)), np.array([0, 1] * 12))
+
+
+def wide():
+    # 18 rows and many columns, like a training fold of persistence images
+    rng = np.random.default_rng(16)
+    return LabeledDataset(rng.normal(size=(18, 40)), np.array([0, 1] * 9))
+
+
+# SVM training sets with the shapes that stress a fit: repeated rows, a constant
+# column, wide margins, no margin and more columns than rows
+ORACLE_DATA = {"duplicate_rows": duplicate_rows, "constant_column": constant_column,
+               "separable": separable, "heavy_overlap": heavy_overlap, "wide": wide}

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import brute_force_betti, rips_filtration
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
@@ -23,7 +24,6 @@ from topofeat.diagrams import BandwidthSpec, filter_by_density, mkde_density
 from topofeat.homology import betti_at, rips_diagram
 from topofeat.pipeline import (evaluate, load_subject_diagrams, run_pipeline, stage_synth,
                                vectorize_features)
-from topofeat.reference import brute_force_betti, rips_filtration
 from topofeat.synth import SynthSpec, gen_cloud
 from topofeat.vectorize import WeightParams, persistence_image, weight_fn
 
@@ -165,7 +165,7 @@ def test_criterion_07_mkde_correctness():
     rng = np.random.default_rng(707)
     cluster = rng.normal(0, 0.5, size=(100, 2)) + [5.0, 8.0]
     pts = np.vstack([cluster, [[50.0, 60.0]]])
-    dens = mkde_density(pts, BandwidthSpec.from_covariance(pts, 10.0))
+    dens = mkde_density(pts, BandwidthSpec.from_covariance(pts))
     kept = filter_by_density(pts, dens, 0.99)
     outlier_dropped = (len(kept) == 100
                        and int(np.argmin(dens)) == 100

@@ -4,17 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import ORACLE_DATA, separable, two_clusters
 
 from topofeat.classify import (EvalReport, FoldReport, LabeledDataset, SvmModel,
                                UndefinedMetricError, _kernel_matrix, kfold_cv,
                                load_features_csv, metrics, predict, save_features_csv,
                                stratified_folds, train_svm, tune_hyperparameters)
-
-
-def two_clusters(rng, n=40, spread=0.3):
-    xa = rng.normal(size=(n, 2)) * spread + [5.0, 5.0]
-    xb = rng.normal(size=(n, 2)) * spread - [5.0, 5.0]
-    return LabeledDataset(np.vstack([xa, xb]), np.array([1] * n + [0] * n))
 
 
 def xor_data(rng, reps=10):
@@ -196,41 +191,6 @@ def drawn_data(n: int, seed: int) -> LabeledDataset:
     labels = rng.permutation(np.arange(n) % 2)
     x = rng.normal(size=(n, int(rng.integers(1, 8)))) * 10.0 ** rng.uniform(-6, 6)
     return LabeledDataset(x + labels[:, None] * rng.uniform(0, 3) * x.std(), labels)
-
-
-def duplicate_rows():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(9, 6))
-    return LabeledDataset(np.vstack([x, x]), np.array([0, 1, 1, 0, 1, 0, 0, 1, 1] * 2))
-
-
-def constant_column():
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(18, 5))
-    x[:, 2] = 0.75
-    y = np.array([0, 1] * 9)
-    x[y == 1, 0] += 1.0
-    return LabeledDataset(x, y)
-
-
-def separable():
-    rng = np.random.default_rng(13)
-    return two_clusters(rng, n=10, spread=1.5)
-
-
-def heavy_overlap():
-    rng = np.random.default_rng(14)
-    return LabeledDataset(rng.normal(size=(24, 6)), np.array([0, 1] * 12))
-
-
-def wide():
-    # 18 rows and many columns, like a training fold of persistence images
-    rng = np.random.default_rng(16)
-    return LabeledDataset(rng.normal(size=(18, 40)), np.array([0, 1] * 9))
-
-
-ORACLE_DATA = {"duplicate_rows": duplicate_rows, "constant_column": constant_column,
-               "separable": separable, "heavy_overlap": heavy_overlap, "wide": wide}
 
 
 def assert_same_fit(model, oracle):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import topofeat
+from topofeat import _kernels
 from topofeat.cli import _base_config, build_parser, main
 from topofeat.cloud import PointCloud
 from topofeat.config import PipelineConfig
@@ -272,6 +273,17 @@ class TestErrors:
     def test_bad_flag_value(self, workdir, capsys):
         code = run_cli("denoise", "--out", str(workdir), "--keep-fraction", "1.5")
         assert code == 1
+
+    def test_sweep_without_compiler_names_it(self, workdir, tmp_path, capsys, monkeypatch):
+        # sweep fits its SVMs outside any stage, so the build error reaches main itself
+        monkeypatch.setattr(_kernels, "_CC", str(tmp_path / "no-such-gcc"))
+        monkeypatch.setattr(_kernels, "_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(_kernels, "_LIB", None)
+        code = run_cli("sweep", "--out", str(workdir), "--plateau-values", "0",
+                       "--junction-values", "3", "--seed", "3", "--folds", "2")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "C compiler" in err and "no-such-gcc" in err
 
     def test_subprocess_entry_point(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(topofeat.__file__).parents[1])}

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
+from oracles import EDGE_VALUES
 
 from topofeat.cloud import PointCloud
-
-EDGE_VALUES = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
-               1e16, -1e-7, 123456789.123456789]
 
 
 def per_value_text(cloud):

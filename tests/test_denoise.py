@@ -1,4 +1,3 @@
-import functools
 import itertools
 import os
 import subprocess
@@ -9,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial.distance import cdist
+from oracles import EDGE_CLOUDS, _nearest_mass_stats, full_recompute_fit, kpdtm_objective
 
 from topofeat import denoise
-from topofeat.cloud import PointCloud, as_points
+from topofeat.cloud import PointCloud
 from topofeat.denoise import (CenterSet, MassParams, _fit_scores, dtm_profile, kpdtm_eval,
                               kpdtm_fit, prune_cloud, remap_multichannel)
 from topofeat.synth import SynthSpec, gen_cloud
@@ -29,146 +28,12 @@ def brute_dtm(cloud, query, q):
     return float(((np.asarray(query) - m) ** 2).sum() + v)
 
 
-# queries per block in _nearest_mass_stats: 64 rows of a ~500-point cloud's
-# distances and neighbour indices stay near 250 KB, well under one n x k score
-ROWS = 64
-
-
-def _nearest_mass_stats(queries, cloud, q, fast=False, rows=ROWS):
-    """numpy oracle for the compiled neighbour statistics: per query, the centroid of
-    its q nearest cloud points and their mean squared spread.
-
-    Neighbours are chosen by (squared distance, point index) with a stable sort.
-    ``fast`` swaps it for ``argpartition``, the rule of earlier versions, whose
-    selection and summation order depend on numpy's SIMD dispatch.  The means and
-    spreads are ``ndarray.mean``'s arithmetic without its Python wrapper.  Queries
-    are processed ``rows`` at a time; every step works on one query row alone, so
-    the block size cannot change a bit of the result.
-    """
-    nq, d = len(queries), cloud.shape[1]
-    means = np.empty((nq, d))
-    spread = np.empty(nq)
-    for lo in range(0, nq, rows):
-        hi = min(lo + rows, nq)
-        d2 = cdist(queries[lo:hi], cloud, metric="sqeuclidean")
-        if fast and q < d2.shape[1]:
-            idx = np.argpartition(d2, q - 1, axis=1)[:, :q]
-        else:
-            idx = np.argsort(d2, axis=1, kind="stable")[:, :q]
-        neigh = cloud[idx]                       # (rows, q, d), a fresh copy
-        m = np.add.reduce(neigh, axis=1)         # (rows, d)
-        m /= q
-        means[lo:hi] = m
-        neigh -= m[:, None, :]
-        np.square(neigh, out=neigh)
-        v = np.add.reduce(np.add.reduce(neigh, axis=2), axis=1)
-        v /= q
-        spread[lo:hi] = v
-    return means, spread
-
-
 def neighbour_stats(cloud, idx):
     """Mean and mean squared spread of the cloud points ``idx[j]`` of each query j."""
     neigh = cloud[idx]
     means = neigh.mean(axis=1)
     spread = ((neigh - means[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
     return means, spread
-
-
-def one_shot_mass_stats(queries, cloud, q, fast=False):
-    """Unblocked oracle for ``_nearest_mass_stats``: every query in one distance matrix."""
-    d2 = cdist(queries, cloud, metric="sqeuclidean")
-    if fast and q < d2.shape[1]:
-        idx = np.argpartition(d2, q - 1, axis=1)[:, :q]
-    else:
-        idx = np.argsort(d2, axis=1, kind="stable")[:, :q]
-    return neighbour_stats(cloud, idx)
-
-
-def numpy_fit(cloud, params, history=None, rows=ROWS):
-    """numpy oracle for the compiled ``kpdtm_fit``: its loop on an n x k score matrix.
-
-    Each center keeps the query its (mean, variance) was computed from, and the
-    n x k score matrix persists across iterations: only the centers whose
-    centroid differs from their stored query are recomputed, and only their
-    score columns are rebuilt.  A centroid of unchanged membership is bit-equal
-    to the last one, so this is ``full_recompute_fit`` with fewer steps.
-    """
-    pts = as_points(cloud)
-    n = len(pts)
-    q, k = params.n_neighbors, params.n_centers
-    queries = pts[denoise._initial_draw(n, k, params.seed)]
-    means, variances = _nearest_mass_stats(queries, pts, q, rows=rows)
-    score = cdist(pts, means, metric="sqeuclidean")
-    score += variances
-
-    columns = np.ascontiguousarray(pts.T)  # bincount weights, one contiguous row per coordinate
-    before = last = last_obj = None
-    for _ in range(params.max_iter):
-        assign = np.argmin(score, axis=1)
-        obj = float(score[np.arange(n), assign].sum())
-        if history is not None:
-            history.append(obj)
-        if last is not None and (np.array_equal(assign, last) or obj == last_obj):
-            break
-        if before is not None and np.array_equal(assign, before):
-            break  # a 2-cycle
-        before, last, last_obj = last, assign, obj
-        counts = np.bincount(assign, minlength=k)
-        occupied = np.nonzero(counts > 0)[0]
-        sums = np.column_stack([np.bincount(assign, weights=col, minlength=k) for col in columns])
-        centroids = sums[occupied] / counts[occupied, None]
-        shifted = np.any(centroids != queries[occupied], axis=1)
-        moved = occupied[shifted]
-        queries[moved] = centroids[shifted]
-        means[moved], variances[moved] = _nearest_mass_stats(queries[moved], pts, q, rows=rows)
-        block = cdist(pts, means[moved], metric="sqeuclidean")
-        block += variances[moved]
-        score[:, moved] = block
-    centers = CenterSet(means, variances)
-    centers._scores = score.min(axis=1)
-    return centers
-
-
-def full_recompute_fit(pts, params, history=None):
-    """k-PDTM oracle that rescores and refreshes every occupied center each iteration."""
-    pts = np.asarray(pts, dtype=float)
-    n = len(pts)
-    q, k = params.n_neighbors, params.n_centers
-    rng = np.random.default_rng(params.seed)
-    init = rng.choice(n, size=k, replace=False)
-    means, variances = one_shot_mass_stats(pts[init], pts, q)
-
-    before = last = last_obj = None
-    for _ in range(params.max_iter):
-        score = cdist(pts, means, metric="sqeuclidean") + variances[None, :]
-        assign = np.argmin(score, axis=1)
-        obj = float(score[np.arange(n), assign].sum())
-        if history is not None:
-            history.append(obj)
-        if last is not None and (np.array_equal(assign, last) or obj == last_obj):
-            break
-        if before is not None and np.array_equal(assign, before):
-            break  # a 2-cycle
-        before, last, last_obj = last, assign, obj
-        counts = np.bincount(assign, minlength=k)
-        occupied = np.nonzero(counts > 0)[0]
-        sums = np.column_stack([
-            np.bincount(assign, weights=pts[:, dim], minlength=k) for dim in range(pts.shape[1])
-        ])
-        centroids = sums[occupied] / counts[occupied, None]
-        new_means, new_vars = one_shot_mass_stats(centroids, pts, q)
-        means = means.copy()
-        variances = variances.copy()
-        means[occupied] = new_means
-        variances[occupied] = new_vars
-    return CenterSet(means, variances)
-
-
-def kpdtm_objective(centers, cloud):
-    """Summed min-over-centers score of every cloud point: the objective a fit's history
-    must end on."""
-    return float(np.sum(kpdtm_eval(centers, as_points(cloud))))
 
 
 def half_grid(rng, n, d):
@@ -343,7 +208,7 @@ class TestKpdtmFit:
             assert got.means.tobytes() == ref.means.tobytes()
             assert got.variances.tobytes() == ref.variances.tobytes()
             assert np.array(hist).tobytes() == np.array(ref_hist).tobytes()
-            assert fit_bytes(kpdtm_fit, pts, params) == fit_bytes(numpy_fit, pts, params)
+            assert fit_bytes(kpdtm_fit, pts, params) == fit_bytes(full_recompute_fit, pts, params)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 60), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
@@ -354,7 +219,7 @@ class TestKpdtmFit:
         pts = half_grid(np.random.default_rng(seed), n, d) * data.draw(st.sampled_from([1, -1]))
         params = MassParams(data.draw(st.integers(1, n)), data.draw(st.integers(1, n)),
                             data.draw(st.integers(1, 30)), data.draw(st.integers(0, 5)))
-        assert fit_bytes(kpdtm_fit, pts, params) == fit_bytes(numpy_fit, pts, params)
+        assert fit_bytes(kpdtm_fit, pts, params) == fit_bytes(full_recompute_fit, pts, params)
 
     def test_two_cycle_stops_before_the_cap(self):
         # the fourth k_equals_n cloud alternates between two assignments whose
@@ -390,14 +255,11 @@ def fit_bytes(fit, pts, params):
 
 
 class TestBlockedStats:
-    """The compiled neighbour statistics and fit equal the numpy oracles, whose row
-    blocks change no bit."""
+    """The compiled neighbour statistics equal the numpy oracle, and the fit keeps no
+    score matrix."""
 
-    @pytest.mark.parametrize("rows", [None, 1, 3])
-    @pytest.mark.parametrize("fast", [True, False])
     @pytest.mark.parametrize("kind", ["gaussian", "half_grid"])
-    def test_matches_one_shot_oracle(self, rows, fast, kind):
-        rows = rows or ROWS
+    def test_matches_one_shot_oracle(self, kind):
         rng = np.random.default_rng(7)
         if kind == "gaussian":
             cloud = rng.normal(size=(502, 2))
@@ -405,39 +267,17 @@ class TestBlockedStats:
         else:
             cloud = half_grid(rng, 200, 2)  # tied distances and duplicate points
             pool = half_grid(rng, 400, 2)
-        counts = {0, 1, 350} | {r + dr for r in (ROWS, rows) for dr in (-1, 0, 1)}
-        for nq in sorted(counts):
+        for nq in (0, 1, 2, 3, 4, 63, 64, 65, 350):
             queries = pool[rng.choice(len(pool), size=nq, replace=False)]
-            got = _nearest_mass_stats(queries, cloud, 10, fast=fast, rows=rows)
-            ref = one_shot_mass_stats(queries, cloud, 10, fast=fast)
+            got = denoise._mass_stats(queries, cloud, 10)
+            ref = _nearest_mass_stats(queries, cloud, 10)
             assert got[0].shape == ref[0].shape and got[1].shape == ref[1].shape
             assert got[0].tobytes() == ref[0].tobytes()
             assert got[1].tobytes() == ref[1].tobytes()
-            compiled = denoise._mass_stats(queries, cloud, 10)
-            if not fast:
-                assert compiled[0].tobytes() == ref[0].tobytes()
-                assert compiled[1].tobytes() == ref[1].tobytes()
-            elif kind == "gaussian":
-                # no ties: argpartition picks the same neighbours, summed in its own order
-                assert np.allclose(compiled[0], ref[0], rtol=1e-12, atol=1e-15)
-                assert np.allclose(compiled[1], ref[1], rtol=1e-12, atol=1e-15)
-
-    @pytest.mark.parametrize("case", ["cohort_502x2", "half_grid_2d", "q_and_k_equal_n",
-                                      "max_iter_1"])
-    def test_fit_equal_across_block_sizes(self, case):
-        build, q, k, max_iter = ORACLE_CASES[case]
-        rng = np.random.default_rng(sum(map(ord, case)) + 2)
-        for seed in range(2):
-            pts = build(rng)
-            params = MassParams(q, k, max_iter, seed)
-            fits = [fit_bytes(functools.partial(numpy_fit, rows=rows), pts, params)
-                    for rows in (1, 7, ROWS)]
-            assert fits[0] == fits[1] == fits[2] == fit_bytes(kpdtm_fit, pts, params)
 
     def test_profile_over_several_blocks_matches_brute(self, rng):
         pts = rng.normal(size=(150, 3))
         queries = rng.normal(size=(300, 3))
-        assert len(queries) > 4 * ROWS
         vals = dtm_profile(pts, queries, 6)
         for query, val in zip(queries, vals):
             assert val == pytest.approx(brute_dtm(pts, query, 6), abs=1e-10)
@@ -470,23 +310,6 @@ def oracle_profile(cloud, queries, q):
     return ((queries - m) ** 2).sum(axis=1) + v
 
 
-# Clouds whose spans the grid of _kernels.c guards: one point repeated, a line along
-# each axis, one axis with duplicates, and spans that overflow to +inf.  In the last,
-# the pairwise neighbour sums of +-1e308 give some centers NaN means and scores, which
-# numpy's argmin puts first, beside centers with finite means on a grid of many cells.
-EDGE_CLOUDS = {
-    "all_equal": np.tile([0.5, -1.0], (20, 1)),
-    "horizontal_line": np.c_[np.arange(20) / 2.0, np.full(20, 3.0)],
-    "vertical_line": np.c_[np.full(20, -2.0), np.arange(20) / 4.0],
-    "d1": (np.arange(30) % 7 / 2.0)[:, None],
-    "overflowing_span_1d": np.array([[-1e308], [1e308], [0.0], [1.0], [2.0]]),
-    "overflowing_span_2d": np.array([[-1e308, -1e308], [1e308, 1e308], [0.0, 0.0],
-                                     [1.0, 1.0], [2.0, 2.0]]),
-    "nan_means_1d": np.array([1e308, 1e308, 2.5, 4.0, 1e308, -1e308, -1e308, -1e308, 1.5, 1e308,
-                              1.0, 0.5, 0.0, 3.5, 2.0, 3.0])[:, None],
-}
-
-
 class TestGrid:
     """The grid searches of the compiled neighbour query and center assignment equal
     the stable-sort oracles where the grid is degenerate or the query lies off it."""
@@ -502,7 +325,7 @@ class TestGrid:
                 for k in sorted({1, n // 3, n}):
                     params = MassParams(q, k, 20, q + k)
                     got = fit_bytes(kpdtm_fit, cloud, params)
-                    ref = fit_bytes(numpy_fit, cloud, params)
+                    ref = fit_bytes(full_recompute_fit, cloud, params)
                     assert list(map(nan_blind, got)) == list(map(nan_blind, ref))
 
     @pytest.mark.parametrize("d", [1, 2])

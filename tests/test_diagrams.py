@@ -51,7 +51,7 @@ class TestBandwidth:
 
     def test_from_covariance_is_spd(self, rng):
         pts = rng.normal(size=(100, 2)) @ np.array([[2.0, 0.3], [0.3, 0.5]])
-        bw = BandwidthSpec.from_covariance(pts, 10.0)
+        bw = BandwidthSpec.from_covariance(pts)
         h = bw.as_array()
         assert np.allclose(h, h.T)
         assert np.linalg.eigvalsh(h).min() > 0
@@ -121,7 +121,7 @@ class TestFilterByDensity:
     def test_far_outlier_dropped(self, rng):
         clust = rng.normal(0, 0.5, size=(100, 2)) + [5.0, 8.0]
         pts = np.vstack([clust, [[50.0, 60.0]]])
-        dens = mkde_density(pts, BandwidthSpec.from_covariance(pts, 10.0))
+        dens = mkde_density(pts, BandwidthSpec.from_covariance(pts))
         assert int(np.argmin(dens)) == 100
         out = filter_by_density(pts, dens, 0.99)
         assert len(out) == 100

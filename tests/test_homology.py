@@ -8,17 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import (EDGE_CLOUDS, ORACLE_DATA, FiltrationSimplex, brute_force_betti,
+                     compute_persistence, rips_filtration)
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
-from test_classify import ORACLE_DATA
-from test_denoise import EDGE_CLOUDS
 from topofeat import _kernels, homology
 from topofeat.classify import LabeledDataset, train_svm
 from topofeat.denoise import MassParams, dtm_profile, kpdtm_fit
 from topofeat.homology import INF, PersistenceDiagram, betti_at, enclosing_radius, rips_diagram
-from topofeat.reference import (FiltrationSimplex, brute_force_betti, compute_persistence,
-                                rips_filtration)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 

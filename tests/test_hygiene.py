@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module (``__init__.py`` re-exports are
-exempt), only ``topofeat.fileio`` opens or writes files, and every function, class and
-method of the package has a caller outside the tests."""
+exempt), no module imports a test module, only ``topofeat.fileio`` opens or writes
+files, and every function, class and method of the package has a caller outside the
+tests."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,32 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_test_modules(source: str) -> list[str]:
+    """Imported modules and names that start with ``test_``, in import order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [node.module or "", *(a.name for a in node.names)]
+    return [name for name in found if name.rsplit(".", 1)[-1].startswith("test_")]
+
+
+def test_scan_flags_only_test_modules():
+    source = ("import test_a\nimport os.test_b as b\nfrom tests.test_c import x\n"
+              "from .test_d import y\nfrom tests import test_e\nfrom oracles import EDGE_VALUES\n"
+              "import testing\n")
+    assert imported_test_modules(source) == ["test_a", "os.test_b", "tests.test_c", "test_d",
+                                             "test_e"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_imports_a_test_module(path):
+    """Shared oracles and tables live in ``tests/oracles.py``, which imports the same
+    way under either of pytest's import modes."""
+    assert imported_test_modules(path.read_text()) == []
+
+
 def file_calls(source: str) -> list[str]:
     """The calls of ``open`` and of ``write_text``, ``write_bytes`` or ``open`` methods."""
     names = [node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
@@ -57,9 +84,6 @@ def test_only_fileio_opens_or_writes_files(path):
 
 # Definitions with no caller in src/, scripts/ or perfbench/ that stay on purpose.
 UNCALLED = {
-    "reference.rips_filtration": "test oracle: the textbook filtration behind rips_diagram",
-    "reference.compute_persistence": "test oracle: boundary-matrix reduction for rips_diagram",
-    "reference.brute_force_betti": "test oracle: Betti numbers by brute-force rank",
     "EvalReport.from_json": "reads report.json back; the acceptance round trip uses it",
 }
 

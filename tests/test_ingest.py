@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import EDGE_VALUES
 from scipy.signal import butter, freqz
 
-from test_cloud import EDGE_VALUES
 from topofeat import ingest
 from topofeat.classify import load_features_csv, save_features_csv
 from topofeat.cloud import PointCloud

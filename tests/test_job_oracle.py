@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 from hypothesis import given, strategies as st
+from oracles import compute_persistence, full_recompute_fit, rips_filtration
 from scipy.spatial.distance import cdist, pdist
 
-from test_denoise import full_recompute_fit
 from topofeat.config import PipelineConfig
 from topofeat.denoise import MassParams
 from topofeat.diagrams import BandwidthSpec
@@ -15,7 +15,6 @@ from topofeat.embedding import EmbeddingParams, delay_embed
 from topofeat.homology import PersistenceDiagram
 from topofeat.ingest import RawRecording, bandpass_filter, load_recording, save_recording
 from topofeat.pipeline import _segment_job
-from topofeat.reference import compute_persistence, rips_filtration
 
 RATE = 16.0
 
