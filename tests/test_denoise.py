@@ -258,8 +258,13 @@ class TestBlockedStats:
     """The compiled neighbour statistics equal the numpy oracle, and the fit keeps no
     score matrix."""
 
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @pytest.mark.parametrize("reverse", [True, False])
     @pytest.mark.parametrize("kind", ["gaussian", "half_grid"])
-    def test_matches_one_shot_oracle(self, kind):
+    def test_matches_one_shot_oracle(self, rows, reverse, kind):
+        """A query's statistics do not depend on the queries handed to the same call
+        before it: the compiled kernel gets the queries ``rows`` at a time (all at
+        once for None), in reverse order or not, and still equals the oracle."""
         rng = np.random.default_rng(7)
         if kind == "gaussian":
             cloud = rng.normal(size=(502, 2))
@@ -269,7 +274,11 @@ class TestBlockedStats:
             pool = half_grid(rng, 400, 2)
         for nq in (0, 1, 2, 3, 4, 63, 64, 65, 350):
             queries = pool[rng.choice(len(pool), size=nq, replace=False)]
-            got = denoise._mass_stats(queries, cloud, 10)
+            order = np.arange(nq)[::-1] if reverse else np.arange(nq)
+            step = rows or max(nq, 1)
+            blocks = [denoise._mass_stats(np.ascontiguousarray(queries[order[lo:lo + step]]),
+                                          cloud, 10) for lo in range(0, max(nq, 1), step)]
+            got = [np.concatenate(part)[order] for part in zip(*blocks)]  # order is its own inverse
             ref = _nearest_mass_stats(queries, cloud, 10)
             assert got[0].shape == ref[0].shape and got[1].shape == ref[1].shape
             assert got[0].tobytes() == ref[0].tobytes()
