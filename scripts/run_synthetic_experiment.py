@@ -23,12 +23,6 @@ from topofeat.pipeline import (evaluate, load_subject_diagrams, run_pipeline, st
                                vectorize_features)
 
 
-def descriptor_report(cfg: PipelineConfig, diagrams, labels, descriptor: str):
-    sub = replace(cfg, descriptor=descriptor)
-    ids, features, y, _ = vectorize_features(diagrams, labels, sub)
-    return evaluate(LabeledDataset(features, y, ids), sub)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out_synthetic")
@@ -52,7 +46,8 @@ def main(argv=None) -> int:
     summary = {"pi": {"acc": report.acc, "se": report.se, "sp": report.sp}}
     diagrams, labels = load_subject_diagrams(cfg)
     for descriptor in ("landscape", "betti", "entropy"):
-        rep = descriptor_report(cfg, diagrams, labels, descriptor)
+        sub = replace(cfg, descriptor=descriptor)
+        rep = evaluate(vectorize_features(diagrams, labels, sub)[0], sub)
         summary[descriptor] = {"acc": rep.acc, "se": rep.se, "sp": rep.sp}
         print(f"[{time.time() - t0:6.0f}s] {descriptor}: "
               f"acc={rep.acc:.4f} se={rep.se:.4f} sp={rep.sp:.4f}")

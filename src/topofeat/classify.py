@@ -61,10 +61,6 @@ class FoldReport:
     fp: int
     tn: int
 
-    @property
-    def n(self) -> int:
-        return self.tp + self.fn + self.fp + self.tn
-
 
 @dataclass
 class EvalReport:
@@ -97,13 +93,6 @@ class EvalReport:
 
     def save(self, path) -> None:
         write_atomic(path, self.to_json())
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        d = json.loads(text)
-        return cls(acc=d["acc"], se=d["se"], sp=d["sp"], tp=d["tp"], fn=d["fn"],
-                   fp=d["fp"], tn=d["tn"],
-                   per_fold=[FoldReport(**f) for f in d["per_fold"]])
 
 
 def metrics(tp: int, fn: int, fp: int, tn: int) -> tuple[float, float, float]:
@@ -302,8 +291,8 @@ def load_features_csv(path) -> LabeledDataset:
                           subject_ids=table.ids)
 
 
-def save_features_csv(path, ids: list[str], features: np.ndarray, labels: np.ndarray) -> None:
-    features = np.asarray(features, dtype=float)
-    header = ["subject_id"] + [f"f{i}" for i in range(features.shape[1])] + ["label"]
-    write_table(path, [header, *([sid, *row, int(lab)]
-                                 for sid, row, lab in zip(ids, features.tolist(), labels))])
+def save_features_csv(path, data: LabeledDataset) -> None:
+    """Write ``data``, which names its rows by ``subject_ids``, as ``load_features_csv`` reads it."""
+    header = ["subject_id"] + [f"f{i}" for i in range(data.features.shape[1])] + ["label"]
+    write_table(path, [header, *([sid, *row, int(lab)] for sid, row, lab
+                                 in zip(data.subject_ids, data.features.tolist(), data.labels))])

@@ -9,6 +9,7 @@ attenuation doubles in dB and phase structure survives embedding.
 from __future__ import annotations
 
 import functools
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,24 +58,29 @@ class Segment:
         if self.data.ndim != 2:
             raise ValueError("segment data must be (n_channels, window)")
 
-    @property
-    def window(self) -> int:
-        return self.data.shape[1]
+
+def read_recording(path, rate: float, channels: list[str] | None = None,
+                   sha256: str | None = None) -> tuple[RawRecording, str]:
+    """The recording at ``path``, named after the file's stem, and the sha256 of its bytes.
+
+    The file is read once, so the bytes hashed are the bytes parsed.  Given
+    ``sha256``, bytes that hash otherwise are refused before they are parsed.
+    Channels keep the file's column order unless ``channels`` names the ones
+    to keep, in the order to keep them.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
+    if sha256 is not None and digest != sha256:
+        raise ValueError("recording changed since ingest (sha256 differs from manifest.json)")
+    table = read_table(raw)
+    rec = RawRecording(table.header, table.array().T, rate, source_id=path.stem)
+    return (select_channels(rec, channels) if channels else rec), digest
 
 
 def load_recording(path, rate: float = 128.0) -> RawRecording:
-    """Parse a header+columns CSV into a recording named after the file's stem.
-
-    Channels keep the file's column order; ``select_channels`` restricts and
-    reorders them.
-    """
-    return _recording_from_bytes(Path(path).read_bytes(), rate, Path(path))
-
-
-def _recording_from_bytes(raw: bytes, rate: float, path: Path) -> RawRecording:
-    """The recording read from ``path`` as ``raw``."""
-    table = read_table(raw)
-    return RawRecording(table.header, table.array().T, rate, source_id=path.stem)
+    """The recording at ``path`` with every channel, in the file's column order."""
+    return read_recording(path, rate)[0]
 
 
 @functools.lru_cache(maxsize=16)

@@ -21,20 +21,22 @@ Layout under ``out_dir``:
     features.csv                   one row per subject, final column = label
     report.json                    evaluation report
 
-Recordings are the only signal on disk.  Ingest reads, hashes and parses each
-one and counts its windows, but cuts nothing.  Each denoise job takes one
-recording from the cut (``cut_recording``, with the settings manifest.json
-records) through its joint clouds and diagrams, in memory, to its merged and
-density-filtered subject diagram, and writes each of them on the way, so
-nothing reads ``joint/`` or ``diagrams/`` back.  Weight sweeps and descriptor
-comparisons re-vectorise the subject diagrams in memory (``vectorize_features``
-+ ``evaluate``) and write nothing.
+Recordings are the only signal on disk, and ``read_recording`` is their one
+reader: it reads a file once, hashes the bytes, parses them and keeps the
+``--channels``.  Ingest reads each recording so and counts its windows, but
+cuts nothing; the cut (``cut_recording``) reads it so against the sha256 that
+manifest.json records, then band-passes and segments.  Each denoise job takes
+one recording from the cut through its joint clouds and diagrams, in memory,
+to its merged and density-filtered subject diagram, and writes each of them on
+the way, so nothing reads ``joint/`` or ``diagrams/`` back.  A feature table
+is one :class:`LabeledDataset` from ``vectorize_features`` to features.csv and
+to every evaluation; weight sweeps and descriptor comparisons re-vectorise the
+subject diagrams in memory and write nothing.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -51,8 +53,8 @@ from .diagrams import BandwidthSpec, merge_diagrams, mkde_density, filter_by_den
 from .embedding import EmbeddingParams, delay_embed, estimate_embedding_params
 from .fileio import write_atomic, write_table
 from .homology import PersistenceDiagram, rips_diagram
-from .ingest import (RawRecording, Segment, _recording_from_bytes, bandpass_filter,
-                     save_recording, segment, select_channels)
+from .ingest import (RawRecording, Segment, bandpass_filter, read_recording, save_recording,
+                     segment)
 from .synth import SynthSpec, gen_two_class_signals
 from .vectorize import (WeightParams, betti_curve, birth_persistence_transform, default_extent,
                         entropy_summary, peak_split_knot, persistence_image, persistence_landscape)
@@ -138,19 +140,15 @@ CUT_FIELDS = ("rate", "band_low", "band_high", "filter_order", "apply_bandpass",
 
 
 def cut_recording(path: Path, cfg: PipelineConfig, sha256: str | None = None) -> list[Segment]:
-    """Load, band-pass, select channels and segment one recording; given
-    ``sha256``, refuse a file edited since ingest instead of cutting it anew.
+    """Read one recording with its ``--channels`` (``read_recording``), band-pass
+    and segment it; given ``sha256``, refuse a file edited since ingest.
 
-    The file is read once: the bytes checked are the bytes cut.
+    The band-pass filters each channel on its own, so selecting the channels
+    first leaves every bit as filtering them all would.
     """
-    raw = path.read_bytes()
-    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
-        raise ValueError("recording changed since ingest (sha256 differs from manifest.json)")
-    rec = _recording_from_bytes(raw, cfg.rate, path)
+    rec, _ = read_recording(path, cfg.rate, cfg.channel_list(), sha256)
     if cfg.apply_bandpass:
         rec = bandpass_filter(rec, cfg.band_low, cfg.band_high, cfg.filter_order)
-    if cfg.channel_list():
-        rec = select_channels(rec, cfg.channel_list())
     return segment(rec, cfg.window_samples())
 
 
@@ -161,11 +159,11 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
 
     input_dir holds one ``<subject_id>.csv`` per recording plus a
     ``labels.csv`` (subject_id,label) that labels exactly those subjects.
-    Each recording is read once, hashed and parsed, and must hold the
-    ``--channels`` and at least one window; ingest counts the windows
-    ``segment`` would cut, but cuts nothing.  Nothing is written until all
-    have passed; the manifest then records, per recording, its label,
-    segment count and sha256.
+    Each recording is read once, hashed and parsed (``read_recording``), and
+    must hold the ``--channels`` and at least one window; ingest counts the
+    windows ``segment`` would cut, but cuts nothing.  Nothing is written
+    until all have passed; the manifest then records, per recording, its
+    label, segment count and sha256.
     """
     validate_config(cfg)
     src = Path(cfg.input_dir)
@@ -185,16 +183,14 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
         raise StageError("ingest", "no recordings in the input directory", src)
     cohort = {}
     for rec_path in recordings:
-        raw = _staged("ingest", rec_path, Path.read_bytes)
-        rec = _staged("ingest", rec_path, lambda p: _recording_from_bytes(raw, cfg.rate, p))
-        if cfg.channel_list():
-            _staged("ingest", rec_path, lambda _: select_channels(rec, cfg.channel_list()))
+        rec, sha256 = _staged("ingest", rec_path,
+                              lambda p: read_recording(p, cfg.rate, cfg.channel_list()))
         segments = rec.n_samples // cfg.window_samples()
         if not segments:
             raise StageError("ingest", f"recording {rec_path.stem!r} is shorter than one window "
                                        f"of {cfg.window_samples()} samples", rec_path)
         cohort[rec_path.stem] = {"label": labels[rec_path.stem], "segments": segments,
-                                 "sha256": hashlib.sha256(raw).hexdigest()}
+                                 "sha256": sha256}
     manifest = {"input_dir": str(src.resolve()), "recordings": cohort,
                 "settings": {name: getattr(cfg, name) for name in CUT_FIELDS}}
     out = _out(cfg)
@@ -395,11 +391,13 @@ def resolve_weights(cfg: PipelineConfig, pooled_persistence: np.ndarray,
 
 
 def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str, int],
-                       cfg: PipelineConfig):
-    """One feature row per subject; returns ``(ids, features, labels, meta)``.
+                       cfg: PipelineConfig) -> tuple[LabeledDataset, dict]:
+    """The feature table, one labelled row per subject in ``diagrams`` order, and ``meta``.
 
-    ``meta`` holds what every row shares: the descriptor, the image grid,
-    sigma and extent, and the weight knots from ``resolve_weights``.
+    The table's ``subject_ids`` name the rows.  ``meta`` holds what every row
+    shares: the descriptor, the image grid, sigma and extent, and the weight
+    knots from ``resolve_weights``.  A table that ``LabeledDataset`` refuses,
+    such as one with a non-finite row, is a vectorize :class:`StageError`.
     """
     all_bars = [d.finite_bars(1) for d in diagrams.values()]
     pooled = np.vstack([np.empty((0, 2)), *all_bars])
@@ -436,7 +434,12 @@ def vectorize_features(diagrams: dict[str, PersistenceDiagram], labels: dict[str
         except Exception as exc:
             raise StageError("vectorize", str(exc), f"{sid}.csv") from exc
     ids = list(diagrams)
-    return ids, np.array(rows), np.array([labels[sid] for sid in ids]), meta
+    try:
+        data = LabeledDataset(rows, [labels[sid] for sid in ids], ids)
+    except ValueError as exc:
+        bad = next((sid for sid, row in zip(ids, rows) if not np.isfinite(row).all()), None)
+        raise StageError("vectorize", str(exc), bad and f"{bad}.csv") from exc
+    return data, meta
 
 
 def stage_vectorize(cfg: PipelineConfig) -> Path:
@@ -444,9 +447,9 @@ def stage_vectorize(cfg: PipelineConfig) -> Path:
     validate_config(cfg)
     out = _out(cfg)
     feats_path, meta_path = out / "features.csv", out / "vectorize_meta.json"
-    ids, features, labels, meta = vectorize_features(*load_subject_diagrams(cfg), cfg)
+    data, meta = vectorize_features(*load_subject_diagrams(cfg), cfg)
     write_atomic(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    save_features_csv(feats_path, ids, features, labels)
+    save_features_csv(feats_path, data)
     return feats_path
 
 
@@ -501,8 +504,7 @@ def sweep_weights(cfg: PipelineConfig, plateau_values, junction_values) -> list[
         for c in junction_values:
             sub = replace(cfg, weight_plateau=a, weight_junction=c)
             validate_config(sub)
-            ids, features, y, _ = vectorize_features(diagrams, labels, sub)
-            report = evaluate(LabeledDataset(features, y, ids), sub)
+            report = evaluate(vectorize_features(diagrams, labels, sub)[0], sub)
             results.append({"plateau": a, "junction": c,
                             "acc": report.acc, "se": report.se, "sp": report.sp})
     return results

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -404,16 +405,16 @@ class TestKfoldCv:
 class TestEvalReport:
     def test_paper_row_roundtrip(self):
         row = EvalReport(acc=0.8560, se=0.8361, sp=0.8833)
-        parsed = EvalReport.from_json(row.to_json())
-        assert (parsed.acc, parsed.se, parsed.sp) == (0.8560, 0.8361, 0.8833)
-        assert parsed.tp is None
+        parsed = json.loads(row.to_json())
+        assert (parsed["acc"], parsed["se"], parsed["sp"]) == (0.8560, 0.8361, 0.8833)
+        assert parsed["tp"] is None
 
     def test_counts_roundtrip(self, tmp_path):
         report = EvalReport.from_counts(5, 1, 2, 8, [FoldReport(5, 1, 2, 8)])
         report.save(tmp_path / "r.json")
-        loaded = EvalReport.from_json((tmp_path / "r.json").read_text())
-        assert loaded.acc == report.acc
-        assert loaded.per_fold[0].tp == 5
+        loaded = json.loads((tmp_path / "r.json").read_text())
+        assert loaded["acc"] == report.acc
+        assert loaded["per_fold"][0]["tp"] == 5
 
     def test_from_counts_consistency(self):
         report = EvalReport.from_counts(50, 20, 10, 40)
@@ -427,7 +428,7 @@ class TestFeaturesCsv:
         feats = rng.normal(size=(6, 4))
         labels = np.array([0, 1, 0, 1, 1, 0])
         ids = [f"s{i}" for i in range(6)]
-        save_features_csv(tmp_path / "f.csv", ids, feats, labels)
+        save_features_csv(tmp_path / "f.csv", LabeledDataset(feats, labels, subject_ids=ids))
         data = load_features_csv(tmp_path / "f.csv")
         assert np.allclose(data.features, feats)
         assert np.array_equal(data.labels, labels)
@@ -438,7 +439,7 @@ class TestFeaturesCsv:
         feats[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
         labels = np.array([1, 0, 0, 1, 1])
         ids = [f"s{i}" for i in range(5)]
-        save_features_csv(tmp_path / "f.csv", ids, feats, labels)
+        save_features_csv(tmp_path / "f.csv", LabeledDataset(feats, labels, subject_ids=ids))
         expected = [",".join(["subject_id", *(f"f{i}" for i in range(7)), "label"])]
         expected += [",".join([sid] + [repr(float(v)) for v in row] + [str(int(lab))])
                      for sid, row, lab in zip(ids, feats, labels)]

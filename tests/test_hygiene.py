@@ -82,12 +82,6 @@ def test_only_fileio_opens_or_writes_files(path):
     assert file_calls(path.read_text()) == []
 
 
-# Definitions with no caller in src/, scripts/ or perfbench/ that stay on purpose.
-UNCALLED = {
-    "EvalReport.from_json": "reads report.json back; the acceptance round trip uses it",
-}
-
-
 def definitions(source: str) -> list[str]:
     """Top-level functions and classes, and ``Class.method`` for each method but dunders."""
     names = []
@@ -101,42 +95,49 @@ def definitions(source: str) -> list[str]:
     return names
 
 
-def references(source: str) -> set[str]:
-    """Every name, attribute and string constant; a benchmark looks hooks up by string."""
-    refs = set()
+def references(source: str) -> tuple[set[str], set[str]]:
+    """The bare names, and the attributes and string constants (a benchmark looks
+    hooks up by string)."""
+    names, attrs = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            refs.add(node.value)
-    return refs
+            attrs.add(node.value)
+    return names, attrs
 
 
-def uncalled(source: str, refs: set[str], exported: set[str]) -> list[str]:
-    """Definitions of ``source`` that ``refs`` never names and the package does not export."""
-    return [name for name in definitions(source)
-            if name.rsplit(".", 1)[-1] not in refs and name not in exported]
+def uncalled(source: str, refs: tuple[set[str], set[str]], exported: set[str]) -> list[str]:
+    """Definitions of ``source`` that ``refs`` never names and the package does not export.
+
+    A method counts as named only by an attribute or a string: a bare name,
+    such as a variable of the same name, cannot call it."""
+    names, attrs = refs
+    return [name for name in definitions(source) if name not in exported
+            and name.rsplit(".", 1)[-1] not in (attrs if "." in name else names | attrs)]
 
 
 def test_scan_flags_only_uncalled_definitions():
     source = ("def used(): pass\ndef unused(): pass\ndef hooked(): pass\ndef public(): pass\n"
               "class Box:\n    def __init__(self): pass\n    def get(self): pass\n"
-              "    def put(self): pass\n")
-    refs = references("used()\nbox.get()\nsetattr(m, 'hooked', w)\n")
-    assert uncalled(source, refs, {"public"}) == ["unused", "Box", "Box.put"]
+              "    def put(self): pass\n    def window(self): pass\n")
+    refs = references("used()\nbox.get()\nsetattr(m, 'hooked', w)\nwindow = 512\n")
+    assert uncalled(source, refs, {"public"}) == ["unused", "Box", "Box.put", "Box.window"]
 
 
 def test_every_definition_has_a_caller():
-    refs = set()
+    names, attrs = set(), set()
     for path in [*ROOT.glob("src/topofeat/*.py"), *ROOT.glob("scripts/*.py"),
                  *ROOT.glob("perfbench/*.py")]:
-        refs |= references(path.read_text())
+        file_names, file_attrs = references(path.read_text())
+        names |= file_names
+        attrs |= file_attrs
     init = ast.parse((ROOT / "src" / "topofeat" / "__init__.py").read_text())
     exported = {a.asname or a.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
                 for a in node.names}
     found = [name if "." in name else f"{path.stem}.{name}"
              for path in sorted(ROOT.glob("src/topofeat/*.py"))
-             for name in uncalled(path.read_text(), refs, exported)]
-    assert sorted(found) == sorted(UNCALLED)
+             for name in uncalled(path.read_text(), (names, attrs), exported)]
+    assert found == []

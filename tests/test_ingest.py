@@ -5,7 +5,7 @@ from oracles import EDGE_VALUES
 from scipy.signal import butter, freqz
 
 from topofeat import ingest
-from topofeat.classify import load_features_csv, save_features_csv
+from topofeat.classify import LabeledDataset, load_features_csv, save_features_csv
 from topofeat.cloud import PointCloud
 from topofeat.fileio import read_table
 from topofeat.homology import INF, PersistenceDiagram
@@ -258,7 +258,7 @@ class TestSegment:
         rec = RawRecording(["a"], rng.normal(size=(1, 1100)), 128.0)
         segs = segment(rec, 512)
         assert len(segs) == 2
-        assert all(s.window == 512 for s in segs)
+        assert all(s.data.shape[1] == 512 for s in segs)
 
     def test_too_short(self, rng):
         rec = RawRecording(["a"], rng.normal(size=(1, 511)), 128.0)
@@ -317,7 +317,7 @@ def write_artifact(kind, path):
             np.array(diagram.features), ["dim", "birth", "death"], diagram.features, \
             {"ints": ("dim",)}
     ids, labels = ["s0", "s1"], [1, 0]
-    save_features_csv(path, ids, vals, np.array(labels))
+    save_features_csv(path, LabeledDataset(vals, labels, subject_ids=ids))
     header = ["subject_id", *(f"f{i}" for i in range(len(EDGE_VALUES))), "label"]
     return (lambda p: load_features_csv(p).features), vals, header, \
         [[sid, *row, lab] for sid, row, lab in zip(ids, vals, labels)], \

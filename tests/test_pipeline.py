@@ -7,6 +7,7 @@ from concurrent.futures import Future
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from topofeat import _kernels, pipeline
@@ -17,7 +18,8 @@ from topofeat.config import PipelineConfig, load_config, validate_config
 from topofeat.embedding import estimate_embedding_params
 from topofeat.fileio import write_atomic
 from topofeat.homology import PersistenceDiagram, rips_diagram
-from topofeat.ingest import bandpass_filter, load_recording, segment
+from topofeat.ingest import (RawRecording, bandpass_filter, load_recording, save_recording,
+                             segment, select_channels)
 from topofeat.plots import write_png_gray
 from topofeat.pipeline import (StageError, cut_recording, load_subject_diagrams, run_pipeline,
                                stage_classify, stage_denoise, stage_embed, stage_ingest,
@@ -374,6 +376,22 @@ class TestStageErrors:
             vectorize_features(*load_subject_diagrams(cfg), replace(cfg, weight_ramp_end=1e-9))
         assert err.value.stage == "vectorize"
 
+    def test_non_finite_feature_row_names_vectorize_and_writes_nothing(self, tiny_run, tmp_path,
+                                                                       monkeypatch):
+        out = tmp_path / "out"
+        shutil.copytree(tiny_run[0].out_dir, out)
+        cfg = replace(tiny_run[0], out_dir=str(out))
+        for name in ("features.csv", "vectorize_meta.json"):
+            (out / name).unlink()
+        monkeypatch.setattr(pipeline, "persistence_image",
+                            lambda bp, grid, *args: np.full(grid, np.nan))
+        with pytest.raises(StageError, match="features contain non-finite values") as err:
+            stage_vectorize(cfg)
+        assert err.value.stage == "vectorize"
+        assert err.value.file == "a000.csv"
+        assert not (out / "features.csv").exists()
+        assert not (out / "vectorize_meta.json").exists()
+
     def test_keep_n_too_large_names_denoise(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", keep_n=1000)
         stage_synth(cfg, **TINY)
@@ -408,15 +426,20 @@ class TestStageErrors:
         assert err.value.file == str(Path(cfg.out_dir) / "params.json")
 
     @pytest.mark.parametrize("damage, message", [("missing", "No such file"),
-                                                 ("edited", "changed since ingest")],
-                             ids=["missing", "edited"])
+                                                 ("edited", "changed since ingest"),
+                                                 ("dropped_channel", "changed since ingest")],
+                             ids=["missing", "edited", "dropped_channel"])
     def test_damaged_recording_names_file(self, tmp_path, damage, message):
-        cfg = tiny_config(tmp_path / "out")
+        # the sha is checked before the bytes are parsed, so a dropped channel goes unread
+        cfg = tiny_config(tmp_path / "out", channels="ch1,ch0")
         stage_synth(cfg, **TINY)
         stage_embed(cfg)
         victim = Path(cfg.out_dir) / "input" / "a000.csv"
         if damage == "missing":
             victim.unlink()
+        elif damage == "dropped_channel":
+            victim.write_text("".join(ln.split(",")[0] + "\n"
+                                      for ln in victim.read_text().splitlines()))
         else:
             header, first, rest = victim.read_text().split("\n", 2)
             zeros = ",".join("0.0" for _ in first.split(","))
@@ -603,6 +626,18 @@ class TestReadOnce:
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
         assert segment_bytes(cut_recording(path, cfg)) == expected
         assert load_recording(path, cfg.rate).data.shape == (2, 100)
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_cut_selects_channels_then_filters_with_the_same_bits(self, tmp_path, rng, order):
+        path = tmp_path / "s0.csv"
+        names = ["c0", "c1", "c2", "c3"]
+        save_recording(RawRecording(names, rng.normal(size=(4, 300)), 64.0), path)
+        cfg = tiny_config(tmp_path / "out", rate=64.0, window_sec=1.0, band_low=0.5,
+                          band_high=20.0, filter_order=order, channels="c3,c0,c2")
+        every = bandpass_filter(load_recording(path, cfg.rate), cfg.band_low, cfg.band_high,
+                                order)
+        expected = segment(select_channels(every, ["c3", "c0", "c2"]), cfg.window_samples())
+        assert segment_bytes(cut_recording(path, cfg)) == segment_bytes(expected)
 
 
 class TestIngestStage:
