@@ -9,7 +9,7 @@ from .diagrams import BandwidthSpec, filter_by_density, merge_diagrams, mkde_den
 from .embedding import (EmbeddingParams, average_mutual_information, delay_embed,
                         false_nearest_neighbors, first_minimum_lag)
 from .homology import PersistenceDiagram, betti_at, rips_diagram
-from .ingest import RawRecording, Segment, bandpass_filter, load_recording, segment, select_channels
+from .ingest import RawRecording, bandpass_filter, load_recording, segment, select_channels
 from .pipeline import StageError, run_pipeline, sweep_weights
 from .synth import SynthSpec, gen_cloud, gen_two_class_signals
 from .vectorize import (WeightParams, betti_curve, birth_persistence_transform, entropy_summary,

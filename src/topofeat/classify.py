@@ -9,11 +9,10 @@ counts patients caught and specificity controls kept.
 numpy builds the Gram matrix; the SMO loop runs in ``svm_smo`` of
 ``_kernels.c`` (see :mod:`topofeat._kernels`), one call per fit.  The fit's
 bits are fixed by one rule: each error term
-``E_i = (alphas * y) . k[:, i] + b - y_i`` sums its products in one fixed
-order, the one numpy's ``ay.dot(k[:, i])`` takes through the strided
-``ddot`` of OpenBLAS's SkylakeX (AVX-512) kernel, so the fits are those of a
-numpy loop on such a CPU.  They do not depend on the machine's BLAS; the
-Gram matrix (``np.exp``, and BLAS for the linear kernel) and
+``E_i = (alphas * y) . k[:, i] + b - y_i`` sums its products in one
+documented order (``train_svm``), which a Python oracle that depends on no
+machine pins in the tests.  So the fit does not depend on the machine's
+BLAS; the Gram matrix (``np.exp``, and BLAS for the linear kernel) and
 ``decision_function`` still do.
 """
 
@@ -168,15 +167,15 @@ def train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
     change.  Columns are standardised with statistics of this training data.
 
     Exactness: the loop is ``svm_smo`` in C.  ``E_i`` is
-    ``ay . k[:, i] + b - y_i`` with ``ay = alphas * y``: ``t1 += m1 + m3`` and
-    ``t2 += m2 + m4`` over blocks of four rounded products, then each
-    remaining product fused into ``t1`` by ``fma``, then ``t1 + t2``.  A
-    cached ``E_i`` is reused until the next pair update.  The scalar steps
-    round as Python floats do, ``max`` and ``min`` included, and the partner
-    is ``np.random.default_rng(seed).integers(n - 1)``, so the fit equals,
-    bit for bit, the textbook loop that recomputes ``(alphas * y) @ k[:, i]``
-    at every use under OpenBLAS's SkylakeX kernel.  Its Haswell and Zen
-    kernels leave the tail unfused, and Prescott's sums in another order.
+    ``ay . k[:, i] + b - y_i`` with ``ay = alphas * y``, summed in this
+    documented order: ``t1 += m1 + m3`` and ``t2 += m2 + m4`` over blocks of
+    four rounded products, then each remaining product fused into ``t1`` by
+    ``fma``, then ``t1 + t2``.  A cached ``E_i`` is reused until the next
+    pair update.  The scalar steps round as Python floats do, ``max`` and
+    ``min`` included, and the partner is
+    ``np.random.default_rng(seed).integers(n - 1)``.  So the fit equals, bit
+    for bit, the textbook loop that recomputes every ``E_i`` at each use in
+    that order with an exact ``fma``, on any CPU: the oracle of the tests.
     """
     if C <= 0:
         raise ValueError("C must be positive")

@@ -1,7 +1,9 @@
 """Loading, band-pass filtering, channel selection and segmentation of recordings.
 
-Input format is the :mod:`topofeat.fileio` table: one column per channel under
-a header row of channel names; the sampling rate comes from configuration.
+A recording and each window cut from it are one type, ``RawRecording``:
+channel names, a (channels, samples) array and the sampling rate.  Input
+format is the :mod:`topofeat.fileio` table: one column per channel under a
+header row of channel names; the sampling rate comes from configuration.
 Filtering is zero-phase (forward-backward Butterworth), so the stated
 attenuation doubles in dB and phase structure survives embedding.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ class RawRecording:
     channels: list[str]
     data: np.ndarray
     rate: float
-    source_id: str = "recording"
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -44,24 +45,9 @@ class RawRecording:
         return self.data.shape[1]
 
 
-@dataclass
-class Segment:
-    """One fixed-length window cut from a recording (channels x window samples)."""
-
-    data: np.ndarray
-    source_id: str
-    index: int
-    channels: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 2:
-            raise ValueError("segment data must be (n_channels, window)")
-
-
 def read_recording(path, rate: float, channels: list[str] | None = None,
                    sha256: str | None = None) -> tuple[RawRecording, str]:
-    """The recording at ``path``, named after the file's stem, and the sha256 of its bytes.
+    """The recording at ``path`` and the sha256 of its bytes.
 
     The file is read once, so the bytes hashed are the bytes parsed.  Given
     ``sha256``, bytes that hash otherwise are refused before they are parsed.
@@ -74,7 +60,7 @@ def read_recording(path, rate: float, channels: list[str] | None = None,
     if sha256 is not None and digest != sha256:
         raise ValueError("recording changed since ingest (sha256 differs from manifest.json)")
     table = read_table(raw)
-    rec = RawRecording(table.header, table.array().T, rate, source_id=path.stem)
+    rec = RawRecording(table.header, table.array().T, rate)
     return (select_channels(rec, channels) if channels else rec), digest
 
 
@@ -108,7 +94,7 @@ def bandpass_filter(rec: RawRecording, low_hz: float, high_hz: float, order: int
         raise ValueError(f"cutoffs must satisfy 0 < low < high < {nyq} Hz")
     b, a = _bandpass_coefficients(order, low_hz / nyq, high_hz / nyq)
     out = filtfilt(b, a, rec.data, axis=1, padtype="even", padlen=3 * order)
-    return RawRecording(list(rec.channels), out, rec.rate, source_id=rec.source_id)
+    return RawRecording(list(rec.channels), out, rec.rate)
 
 
 def select_channels(rec: RawRecording, names: list[str]) -> RawRecording:
@@ -118,15 +104,16 @@ def select_channels(rec: RawRecording, names: list[str]) -> RawRecording:
     if missing:
         raise ValueError(f"unknown channel name(s): {missing}")
     idx = [pos[n] for n in names]
-    return RawRecording(list(names), rec.data[idx], rec.rate, source_id=rec.source_id)
+    return RawRecording(list(names), rec.data[idx], rec.rate)
 
 
-def segment(rec: RawRecording, window_samples: int) -> list[Segment]:
-    """Cut floor(N / window) non-overlapping windows; the remainder is dropped."""
+def segment(rec: RawRecording, window_samples: int) -> list[RawRecording]:
+    """Cut floor(N / window) non-overlapping windows, in order, each a recording
+    with ``rec``'s channels and rate; the remainder is dropped."""
     if window_samples < 1:
         raise ValueError("window must be at least one sample")
     w = window_samples
-    return [Segment(rec.data[:, k * w:(k + 1) * w].copy(), rec.source_id, k, list(rec.channels))
+    return [RawRecording(list(rec.channels), rec.data[:, k * w:(k + 1) * w].copy(), rec.rate)
             for k in range(rec.n_samples // w)]
 
 

@@ -53,8 +53,7 @@ from .diagrams import BandwidthSpec, merge_diagrams, mkde_density, filter_by_den
 from .embedding import EmbeddingParams, delay_embed, estimate_embedding_params
 from .fileio import write_atomic, write_table
 from .homology import PersistenceDiagram, rips_diagram
-from .ingest import (RawRecording, Segment, bandpass_filter, read_recording, save_recording,
-                     segment)
+from .ingest import RawRecording, bandpass_filter, read_recording, save_recording, segment
 from .synth import SynthSpec, gen_two_class_signals
 from .vectorize import (WeightParams, betti_curve, birth_persistence_transform, default_extent,
                         entropy_summary, peak_split_knot, persistence_image, persistence_landscape)
@@ -139,7 +138,8 @@ CUT_FIELDS = ("rate", "band_low", "band_high", "filter_order", "apply_bandpass",
               "window_sec")
 
 
-def cut_recording(path: Path, cfg: PipelineConfig, sha256: str | None = None) -> list[Segment]:
+def cut_recording(path: Path, cfg: PipelineConfig,
+                  sha256: str | None = None) -> list[RawRecording]:
     """Read one recording with its ``--channels`` (``read_recording``), band-pass
     and segment it; given ``sha256``, refuse a file edited since ingest.
 

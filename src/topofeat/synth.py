@@ -4,17 +4,18 @@ Everything here is deterministic in the seed, so tests and experiment runs
 can pin exact inputs.  The two-class generator produces a "periodic" class
 whose delay embedding carries one strong loop, and an "aperiodic" class of
 smoothed noise with no loop, power-matched so amplitude alone cannot
-separate them.
+separate them.  Signals are ``ingest.RawRecording``s, a whole recording and
+each window cut from it alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cloud import PointCloud
-from .ingest import RawRecording, Segment, segment as cut_segments
+from .ingest import RawRecording, segment as cut_segments
 
 KINDS = ("circle", "blob", "circle_plus_blob", "sine", "logistic", "noise")
 
@@ -103,15 +104,15 @@ def gen_cloud(spec: SynthSpec) -> tuple[PointCloud, np.ndarray]:
 
 @dataclass
 class SubjectRecord:
-    """One synthetic subject: identifier, class label and its segments."""
+    """One synthetic subject: identifier, class label and its windows."""
 
     subject_id: str
     label: int
-    segments: list[Segment]
+    segments: list[RawRecording]
 
 
 def gen_signal_recording(spec: SynthSpec, n_channels: int, n_samples: int,
-                         rate: float = 128.0, source_id: str = "synth") -> RawRecording:
+                         rate: float = 128.0) -> RawRecording:
     """Multichannel recording of the spec's signal kind, independent per channel.
 
     One amplitude is drawn per recording (the attractor size varies across
@@ -121,7 +122,7 @@ def gen_signal_recording(spec: SynthSpec, n_channels: int, n_samples: int,
     amp = float(rng.uniform(*spec.amp_range))
     rows = [_series(spec, rng, n_samples, amp=amp) for _ in range(n_channels)]
     channels = [f"ch{i}" for i in range(n_channels)]
-    return RawRecording(channels, np.vstack(rows), rate, source_id=source_id)
+    return RawRecording(channels, np.vstack(rows), rate)
 
 
 def gen_two_class_signals(spec_a: SynthSpec, spec_b: SynthSpec, n_subjects: int,
@@ -129,8 +130,10 @@ def gen_two_class_signals(spec_a: SynthSpec, spec_b: SynthSpec, n_subjects: int,
                           window: int = 512, rate: float = 128.0) -> list[SubjectRecord]:
     """Labelled subjects: class A (label 1) from spec_a, class B (label 0) from spec_b.
 
-    Per subject the generator seed is shifted deterministically, per channel
-    the phase/noise stream is independent.  Class B signals are rescaled to
+    Each subject's spec is its class's spec with the seed shifted
+    deterministically (``dataclasses.replace``, so every other field carries
+    over); per channel the phase/noise stream is independent.  A subject's
+    windows are the ``RawRecording``s that ``ingest.segment`` cuts.  Class B signals are rescaled to
     class A's marginal spread so the classes differ in structure, not power.
     """
     subjects = []
@@ -139,16 +142,14 @@ def gen_two_class_signals(spec_a: SynthSpec, spec_b: SynthSpec, n_subjects: int,
                    + spec_a.amp_range[1] ** 2) / 3.0
     for cls, spec in ((1, spec_a), (0, spec_b)):
         for s in range(n_subjects):
-            sub_spec = SynthSpec(spec.kind, spec.n, spec.noise_level,
-                                 seed=spec.seed + 7919 * s + cls, n2=spec.n2,
-                                 amp_range=spec.amp_range)
             sid = f"{'a' if cls == 1 else 'b'}{s:03d}"
-            rec = gen_signal_recording(sub_spec, n_channels, n_samples, rate, source_id=sid)
+            rec = gen_signal_recording(replace(spec, seed=spec.seed + 7919 * s + cls),
+                                       n_channels, n_samples, rate)
             if cls == 0:
                 # match class A's average marginal power so amplitude is no cue
                 target = np.sqrt(0.5 * mean_amp_sq + spec_a.noise_level ** 2)
                 sd = rec.data.std(axis=1, keepdims=True)
                 sd[sd == 0] = 1.0
-                rec = RawRecording(rec.channels, rec.data / sd * target, rate, source_id=sid)
+                rec = RawRecording(rec.channels, rec.data / sd * target, rate)
             subjects.append(SubjectRecord(sid, cls, cut_segments(rec, window)))
     return subjects

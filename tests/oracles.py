@@ -22,17 +22,33 @@ k-PDTM, one numpy oracle per compiled kernel:
   q nearest cloud points and their mean squared spread.
 * ``full_recompute_fit`` for ``kpdtm_fit``: every occupied center refreshed
   and every point rescored at each iteration.
+
+SVM:
+
+* ``textbook_train_svm`` for ``train_svm``: the textbook simplified SMO loop on
+  Python floats, which recomputes each error term at every use and sums it
+  in the documented order (``fixed_order_dot``, with the exact ``fma``), so
+  its bits depend on no BLAS kernel and no CPU.
+
+``child_stdout`` runs a script in a fresh Python under other environment
+settings, for the tests that hold an output fixed across numpy's dispatch
+and OpenBLAS's kernels.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from topofeat.classify import LabeledDataset
+import topofeat
+from topofeat.classify import SMO_TOL, LabeledDataset, SvmModel, _kernel_matrix
 from topofeat.cloud import as_points
 from topofeat.denoise import CenterSet, kpdtm_eval
 from topofeat.homology import INF, PersistenceDiagram
@@ -280,6 +296,116 @@ def kpdtm_objective(centers, cloud):
     return float(np.sum(kpdtm_eval(centers, as_points(cloud))))
 
 
+def fma(a: float, b: float, c: float) -> float:
+    """``a * b + c`` rounded once, as C's ``fma`` (Python 3.11 has no ``math.fma``).
+
+    The exact value is ``Fraction(a) * Fraction(b) + Fraction(c)``, here over
+    a power-of-two denominator left unreduced, and int division rounds it
+    correctly, as ``float(Fraction)`` does.
+    """
+    (na, da), (nb, db), (nc, dc) = (v.as_integer_ratio() for v in (a, b, c))
+    return (na * nb * dc + nc * da * db) / (da * db * dc)
+
+
+def fixed_order_dot(ay: list, col: list) -> float:
+    """``ay . col`` in the documented order: blocks of four rounded products
+    into two sums, ``t1 += m1 + m3`` and ``t2 += m2 + m4``, then the tail
+    fused into ``t1``, then ``t1 + t2``."""
+    t1 = t2 = 0.0
+    top = len(ay) - len(ay) % 4
+    for r in range(0, top, 4):
+        t1 += col[r] * ay[r] + col[r + 2] * ay[r + 2]
+        t2 += col[r + 1] * ay[r + 1] + col[r + 3] * ay[r + 3]
+    for r in range(top, len(ay)):
+        t1 = fma(col[r], ay[r], t1)
+    return t1 + t2
+
+
+def textbook_train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
+                       gamma: float | None = None, max_passes: int = 8, max_iter: int = 2000,
+                       seed: int = 0) -> SvmModel:
+    """Textbook simplified SMO on Python floats, the oracle of ``train_svm``.
+
+    Each error term ``E_i = (alphas * y) . k[:, i] + b - y_i`` is recomputed
+    every time it is used, with ``fixed_order_dot`` over the Gram matrix's
+    column, so no BLAS kernel sets its bits.  ``train_svm`` keeps an error
+    term until the next pair update and must return the same fit bit for bit.
+    """
+    x = data.features
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    z = (x - mean) / std
+    n, d = z.shape
+    if gamma is None:
+        gamma = 1.0 / d
+    y = np.where(data.labels == 1, 1.0, -1.0).tolist()
+    k = _kernel_matrix(z, z, kernel, gamma)
+    rows, cols = k.tolist(), k.T.tolist()
+
+    rng = np.random.default_rng(seed)
+    alphas = [0.0] * n
+    ay = [0.0 * yr for yr in y]  # alphas * y, with numpy's -0.0 where y is -1
+    b = 0.0
+    passes = 0
+    it = 0
+    while passes < max_passes and it < max_iter:
+        changed = 0
+        for i in range(n):
+            ei = fixed_order_dot(ay, cols[i]) + b - y[i]
+            if (y[i] * ei < -SMO_TOL and alphas[i] < C) or (y[i] * ei > SMO_TOL and alphas[i] > 0):
+                j = int(rng.integers(n - 1))
+                if j >= i:
+                    j += 1
+                ej = fixed_order_dot(ay, cols[j]) + b - y[j]
+                ai_old, aj_old = alphas[i], alphas[j]
+                if y[i] == y[j]:
+                    lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
+                else:
+                    lo, hi = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
+                if hi - lo < 1e-12:
+                    continue
+                ki, kj = rows[i], rows[j]
+                eta = 2 * ki[j] - ki[i] - kj[j]
+                if eta >= 0:
+                    continue
+                aj = min(hi, max(lo, aj_old - y[j] * (ei - ej) / eta))
+                if abs(aj - aj_old) < 1e-7:
+                    continue
+                ai = ai_old + y[i] * y[j] * (aj_old - aj)
+                alphas[i], alphas[j] = ai, aj
+                ay[i], ay[j] = ai * y[i], aj * y[j]
+                b1 = b - ei - y[i] * (ai - ai_old) * ki[i] - y[j] * (aj - aj_old) * ki[j]
+                b2 = b - ej - y[i] * (ai - ai_old) * ki[j] - y[j] * (aj - aj_old) * kj[j]
+                if 0 < ai < C:
+                    b = b1
+                elif 0 < aj < C:
+                    b = b2
+                else:
+                    b = 0.5 * (b1 + b2)
+                changed += 1
+        it += 1
+        passes = passes + 1 if changed == 0 else 0
+
+    a = np.array(alphas)
+    support = a > 1e-10
+    return SvmModel(z[support], np.array(y)[support], a[support], b, kernel, gamma, mean, std)
+
+
+# The settings the children vary; ``child_stdout`` drops the suite's own, so
+# ``env={}`` means the machine's defaults under any of them.
+MACHINE_SETTINGS = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+
+
+def child_stdout(script: str, env: dict[str, str]) -> str:
+    """What ``script`` prints when a fresh Python runs it with ``env`` added to
+    the environment; it imports this checkout's package and this module."""
+    path = os.pathsep.join([str(Path(topofeat.__file__).parents[1]), str(Path(__file__).parent)])
+    base = {k: v for k, v in os.environ.items() if k not in MACHINE_SETTINGS}
+    return subprocess.run([sys.executable, "-c", script], env={**base, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, check=True, timeout=300).stdout
+
+
 # Clouds whose spans the grid of _kernels.c guards: one point repeated, a line along
 # each axis, one axis with duplicates, and spans that overflow to +inf.  In the last,
 # the pairwise neighbour sums of +-1e308 give some centers NaN means and scores, which
@@ -338,6 +464,14 @@ def wide():
     # 18 rows and many columns, like a training fold of persistence images
     rng = np.random.default_rng(16)
     return LabeledDataset(rng.normal(size=(18, 40)), np.array([0, 1] * 9))
+
+
+def drawn_data(n: int, seed: int) -> LabeledDataset:
+    """n rows with both classes, overlapping more or less, at a drawn scale."""
+    rng = np.random.default_rng([n, seed])
+    labels = rng.permutation(np.arange(n) % 2)
+    x = rng.normal(size=(n, int(rng.integers(1, 8)))) * 10.0 ** rng.uniform(-6, 6)
+    return LabeledDataset(x + labels[:, None] * rng.uniform(0, 3) * x.std(), labels)
 
 
 # SVM training sets with the shapes that stress a fit: repeated rows, a constant

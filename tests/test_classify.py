@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import ORACLE_DATA, separable, two_clusters
+from oracles import (ORACLE_DATA, child_stdout, drawn_data, fma, separable, textbook_train_svm,
+                     two_clusters)
 
-from topofeat.classify import (EvalReport, FoldReport, LabeledDataset, SvmModel,
-                               UndefinedMetricError, _kernel_matrix, kfold_cv,
-                               load_features_csv, metrics, predict, save_features_csv,
+from topofeat.classify import (EvalReport, FoldReport, LabeledDataset, UndefinedMetricError,
+                               kfold_cv, load_features_csv, metrics, predict, save_features_csv,
                                stratified_folds, train_svm, tune_hyperparameters)
 
 
@@ -20,180 +20,6 @@ def xor_data(rng, reps=10):
     return LabeledDataset(x, y)
 
 
-def oracle_train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
-                     gamma: float | None = None, tol: float = 1e-3,
-                     max_passes: int = 8, max_iter: int = 2000, seed: int = 0) -> SvmModel:
-    """Simplified SMO as first written: every error term recomputes
-    ``(alphas * y) @ k[:, i]`` and the scalars stay numpy float64.
-    ``train_svm`` must return the same fit bit for bit.
-    """
-    x = data.features
-    y01 = data.labels
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    z = (x - mean) / std
-    n, d = z.shape
-    if gamma is None:
-        gamma = 1.0 / d
-    y = np.where(y01 == 1, 1.0, -1.0)
-
-    k = _kernel_matrix(z, z, kernel, gamma)
-
-    rng = np.random.default_rng(seed)
-    alphas = np.zeros(n)
-    b = 0.0
-    passes = 0
-    it = 0
-    while passes < max_passes and it < max_iter:
-        changed = 0
-        for i in range(n):
-            ei = (alphas * y) @ k[:, i] + b - y[i]
-            if (y[i] * ei < -tol and alphas[i] < C) or (y[i] * ei > tol and alphas[i] > 0):
-                j = int(rng.integers(n - 1))
-                if j >= i:
-                    j += 1
-                ej = (alphas * y) @ k[:, j] + b - y[j]
-                ai_old, aj_old = alphas[i], alphas[j]
-                if y[i] == y[j]:
-                    lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
-                else:
-                    lo, hi = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
-                if hi - lo < 1e-12:
-                    continue
-                eta = 2 * k[i, j] - k[i, i] - k[j, j]
-                if eta >= 0:
-                    continue
-                aj = aj_old - y[j] * (ei - ej) / eta
-                aj = min(hi, max(lo, aj))
-                if abs(aj - aj_old) < 1e-7:
-                    continue
-                ai = ai_old + y[i] * y[j] * (aj_old - aj)
-                alphas[i], alphas[j] = ai, aj
-                b1 = b - ei - y[i] * (ai - ai_old) * k[i, i] - y[j] * (aj - aj_old) * k[i, j]
-                b2 = b - ej - y[i] * (ai - ai_old) * k[i, j] - y[j] * (aj - aj_old) * k[j, j]
-                if 0 < ai < C:
-                    b = b1
-                elif 0 < aj < C:
-                    b = b2
-                else:
-                    b = 0.5 * (b1 + b2)
-                changed += 1
-        it += 1
-        passes = passes + 1 if changed == 0 else 0
-
-    support = alphas > 1e-10
-    return SvmModel(z[support], y[support], alphas[support], b, kernel, gamma, mean, std)
-
-
-def fma(a: float, b: float, c: float) -> float:
-    """``a * b + c`` rounded once, as C's ``fma`` (Python 3.11 has no ``math.fma``).
-
-    The exact value is ``Fraction(a) * Fraction(b) + Fraction(c)``, here over
-    a power-of-two denominator left unreduced, and int division rounds it
-    correctly, as ``float(Fraction)`` does.
-    """
-    (na, da), (nb, db), (nc, dc) = (v.as_integer_ratio() for v in (a, b, c))
-    return (na * nb * dc + nc * da * db) / (da * db * dc)
-
-
-def fixed_order_dot(ay: list, col: list) -> float:
-    """``ay . col`` in the documented order: blocks of four rounded products
-    into two sums, ``t1 += m1 + m3`` and ``t2 += m2 + m4``, then the tail
-    fused into ``t1``, then ``t1 + t2``."""
-    t1 = t2 = 0.0
-    top = len(ay) - len(ay) % 4
-    for r in range(0, top, 4):
-        t1 += col[r] * ay[r] + col[r + 2] * ay[r + 2]
-        t2 += col[r + 1] * ay[r + 1] + col[r + 3] * ay[r + 3]
-    for r in range(top, len(ay)):
-        t1 = fma(col[r], ay[r], t1)
-    return t1 + t2
-
-
-def fixed_order_train_svm(data: LabeledDataset, kernel: str = "rbf", C: float = 1.0,
-                          gamma: float | None = None, tol: float = 1e-3, max_passes: int = 8,
-                          max_iter: int = 2000, seed: int = 0) -> SvmModel:
-    """Simplified SMO on Python floats whose error terms ``fixed_order_dot``
-    sums over the Gram matrix's columns, so its bits depend on no BLAS kernel.
-    An error term is kept until the next pair update, which ``TestSmoOracle``
-    shows changes no bit.  ``train_svm`` must return the same fit bit for bit.
-    """
-    x = data.features
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    z = (x - mean) / std
-    n, d = z.shape
-    if gamma is None:
-        gamma = 1.0 / d
-    y = np.where(data.labels == 1, 1.0, -1.0).tolist()
-    k = _kernel_matrix(z, z, kernel, gamma)
-    rows, cols = k.tolist(), k.T.tolist()
-
-    rng = np.random.default_rng(seed)
-    alphas = [0.0] * n
-    ay = [0.0 * yr for yr in y]
-    err = {}
-    b = 0.0
-    passes = 0
-    it = 0
-    while passes < max_passes and it < max_iter:
-        changed = 0
-        for i in range(n):
-            if i not in err:
-                err[i] = fixed_order_dot(ay, cols[i]) + b - y[i]
-            ei = err[i]
-            if (y[i] * ei < -tol and alphas[i] < C) or (y[i] * ei > tol and alphas[i] > 0):
-                j = int(rng.integers(n - 1))
-                if j >= i:
-                    j += 1
-                if j not in err:
-                    err[j] = fixed_order_dot(ay, cols[j]) + b - y[j]
-                ej = err[j]
-                ai_old, aj_old = alphas[i], alphas[j]
-                if y[i] == y[j]:
-                    lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
-                else:
-                    lo, hi = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
-                if hi - lo < 1e-12:
-                    continue
-                ki, kj = rows[i], rows[j]
-                eta = 2 * ki[j] - ki[i] - kj[j]
-                if eta >= 0:
-                    continue
-                aj = min(hi, max(lo, aj_old - y[j] * (ei - ej) / eta))
-                if abs(aj - aj_old) < 1e-7:
-                    continue
-                ai = ai_old + y[i] * y[j] * (aj_old - aj)
-                alphas[i], alphas[j] = ai, aj
-                ay[i], ay[j] = ai * y[i], aj * y[j]
-                err.clear()
-                b1 = b - ei - y[i] * (ai - ai_old) * ki[i] - y[j] * (aj - aj_old) * ki[j]
-                b2 = b - ej - y[i] * (ai - ai_old) * ki[j] - y[j] * (aj - aj_old) * kj[j]
-                if 0 < ai < C:
-                    b = b1
-                elif 0 < aj < C:
-                    b = b2
-                else:
-                    b = 0.5 * (b1 + b2)
-                changed += 1
-        it += 1
-        passes = passes + 1 if changed == 0 else 0
-
-    a = np.array(alphas)
-    support = a > 1e-10
-    return SvmModel(z[support], np.array(y)[support], a[support], b, kernel, gamma, mean, std)
-
-
-def drawn_data(n: int, seed: int) -> LabeledDataset:
-    """n rows with both classes, overlapping more or less, at a drawn scale."""
-    rng = np.random.default_rng([n, seed])
-    labels = rng.permutation(np.arange(n) % 2)
-    x = rng.normal(size=(n, int(rng.integers(1, 8)))) * 10.0 ** rng.uniform(-6, 6)
-    return LabeledDataset(x + labels[:, None] * rng.uniform(0, 3) * x.std(), labels)
-
-
 def assert_same_fit(model, oracle):
     assert np.array_equal(model.alphas, oracle.alphas)
     assert model.bias == oracle.bias
@@ -202,7 +28,8 @@ def assert_same_fit(model, oracle):
 
 
 class TestSmoOracle:
-    """``train_svm`` caches error terms; the fit must not change by a bit."""
+    """``train_svm`` caches error terms and the oracle recomputes each at every
+    use; the fit must not change by a bit."""
 
     @pytest.mark.parametrize("kernel", ["rbf", "linear"])
     @pytest.mark.parametrize("name", ORACLE_DATA)
@@ -210,8 +37,8 @@ class TestSmoOracle:
         data = ORACLE_DATA[name]()
         for C, gamma, seed in itertools.product((0.1, 1.0, 10.0), (None, 0.3), (0, 3)):
             model = train_svm(data, kernel=kernel, C=C, gamma=gamma, seed=seed)
-            assert_same_fit(model, oracle_train_svm(data, kernel=kernel, C=C, gamma=gamma,
-                                                    seed=seed))
+            assert_same_fit(model, textbook_train_svm(data, kernel=kernel, C=C, gamma=gamma,
+                                                      seed=seed))
 
     @pytest.mark.parametrize("kernel", ["rbf", "linear"])
     def test_cases_reach_the_box_bound(self, kernel):
@@ -226,19 +53,20 @@ class TestSmoOracle:
         data = ORACLE_DATA[name]()
         for kernel, C in itertools.product(("rbf", "linear"), (0.1, 10.0)):
             kwargs = dict(kernel=kernel, C=C, max_passes=max_passes, max_iter=max_iter, seed=3)
-            assert_same_fit(train_svm(data, **kwargs), oracle_train_svm(data, **kwargs))
+            assert_same_fit(train_svm(data, **kwargs), textbook_train_svm(data, **kwargs))
 
     @pytest.mark.parametrize("kernel", ["rbf", "linear"])
     def test_kfold_report_matches_oracle(self, kernel, monkeypatch):
         data = two_clusters(np.random.default_rng(15), n=20, spread=4.0)
         report = kfold_cv(data, k=5, seed=3, kernel=kernel)
-        monkeypatch.setattr("topofeat.classify.train_svm", oracle_train_svm)
+        monkeypatch.setattr("topofeat.classify.train_svm", textbook_train_svm)
         assert kfold_cv(data, k=5, seed=3, kernel=kernel).to_json() == report.to_json()
 
 
 class TestFixedOrderOracle:
-    """The fit equals a Python SMO whose error terms sum in the documented
-    order, so its bits do not depend on the machine's BLAS."""
+    """On drawn data of every size mod 4, the fit equals the oracle, whose error
+    terms sum in the documented order, so its bits do not depend on the
+    machine's BLAS."""
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_matches_fixed_order_oracle(self, n):
@@ -251,7 +79,7 @@ class TestFixedOrderOracle:
                                                       (None, 0.3)):
                 kwargs = dict(kernel=kernel, C=C, gamma=gamma, seed=seed, max_iter=25)
                 if kernel == "rbf" or gamma is None:  # a linear fit ignores gamma
-                    oracle = fixed_order_train_svm(data, **kwargs)
+                    oracle = textbook_train_svm(data, **kwargs)
                 assert_same_fit(train_svm(data, **kwargs), oracle)
 
     def test_fma_rounds_once(self):
@@ -262,6 +90,31 @@ class TestFixedOrderOracle:
         for a, b, c in rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-12, 12, size=(2000, 3)):
             a, b, c = float(a), float(b), float(c)
             assert fma(a, b, c) == float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+RBF_FITS_IN_CHILD = """
+import hashlib, itertools
+import numpy as np
+from oracles import drawn_data
+from topofeat.classify import train_svm
+digest = hashlib.sha256()
+for n, seed, C, gamma in itertools.product((2, 7, 18, 33, 40), range(3), (0.1, 1.0, 10.0),
+                                           (None, 0.3)):
+    model = train_svm(drawn_data(n, seed), kernel="rbf", C=C, gamma=gamma, seed=seed)
+    for part in (model.alphas, model.bias, model.sv_x, model.sv_y):
+        digest.update(np.asarray(part).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_rbf_fits_do_not_depend_on_blas():
+    """The rbf fits on drawn data, their alphas, bias and support vectors, are the
+    same under the default OpenBLAS kernel and its Haswell and Prescott ones.
+    Linear fits build their Gram matrix through BLAS, so they are left out."""
+    digests = [child_stdout(RBF_FITS_IN_CHILD, env)
+               for env in ({}, {"OPENBLAS_CORETYPE": "Haswell"},
+                           {"OPENBLAS_CORETYPE": "Prescott"})]
+    assert len(digests[0]) == 65 and digests[0] == digests[1] == digests[2]
 
 
 class TestMetrics:

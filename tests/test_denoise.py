@@ -1,14 +1,11 @@
 import itertools
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import EDGE_CLOUDS, _nearest_mass_stats, full_recompute_fit, kpdtm_objective
+from oracles import (EDGE_CLOUDS, _nearest_mass_stats, child_stdout, full_recompute_fit,
+                     kpdtm_objective)
 
 from topofeat import denoise
 from topofeat.cloud import PointCloud
@@ -606,9 +603,7 @@ def test_remap_does_not_depend_on_numpy_dispatch_or_blas():
     OpenBLAS held to its oldest x86 kernel."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     on = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
-    env = {**os.environ, "PYTHONPATH": str(Path(denoise.__file__).parents[1])}
-    digests = [subprocess.run([sys.executable, "-c", REMAP_IN_CHILD], env={**env, **extra},
-                              capture_output=True, text=True, check=True, timeout=300).stdout
-               for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": on},
-                             {"OPENBLAS_CORETYPE": "Prescott"})]
+    digests = [child_stdout(REMAP_IN_CHILD, env)
+               for env in ({}, {"NPY_DISABLE_CPU_FEATURES": on},
+                           {"OPENBLAS_CORETYPE": "Prescott"})]
     assert len(digests[0]) == 65 and digests[0] == digests[1] == digests[2]

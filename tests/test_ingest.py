@@ -47,7 +47,7 @@ def cell_by_cell_load(path, rate=128.0):
     """Oracle for ``load_recording``: ``cell_by_cell_table`` of the file."""
     header, _, rows = cell_by_cell_table(path)
     data = np.asarray(rows, dtype=float).T.reshape(len(header), -1)
-    return RawRecording(header, data, rate, source_id=path.stem)
+    return RawRecording(header, data, rate)
 
 
 def per_value_lines(header, rows):
@@ -95,7 +95,7 @@ class TestLoadRecording:
         p = tmp_path / "rec.csv"
         p.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in zip(cells, cells[::-1])))
         got, ref = load_recording(p, rate=32.0), cell_by_cell_load(p, rate=32.0)
-        assert got.channels == ref.channels and got.source_id == ref.source_id == "rec"
+        assert got.channels == ref.channels
         assert got.data.shape == ref.data.shape == (2, len(cells))
         assert got.data.tobytes() == ref.data.tobytes()
         assert got.data.strides == ref.data.strides
@@ -276,20 +276,23 @@ class TestSegment:
         assert len(segs) == n // w
 
     def test_segment_metadata(self, rng):
-        rec = RawRecording(["a"], rng.normal(size=(1, 100)), 128.0, source_id="s7")
+        # each window is a recording with the source's channels and rate, in order
+        rec = RawRecording(["a"], rng.normal(size=(1, 100)), 128.0)
         segs = segment(rec, 30)
-        assert [s.index for s in segs] == [0, 1, 2]
-        assert all(s.source_id == "s7" for s in segs)
+        assert all(type(s) is RawRecording and s.channels == ["a"] and s.rate == 128.0
+                   for s in segs)
+        assert [s.data.tobytes() for s in segs] == [rec.data[:, k:k + 30].tobytes()
+                                                    for k in (0, 30, 60)]
 
 
 class TestRecordingIO:
     def test_roundtrip(self, tmp_path, rng):
         data = rng.normal(size=(2, 64)) * 10.0 ** rng.integers(-300, 300, size=(2, 64))
         data[0, :3] = [-0.0, 0.1, 5e-324]
-        rec = RawRecording(["a", "b"], data, 32.0, source_id="subj")
+        rec = RawRecording(["a", "b"], data, 32.0)
         save_recording(rec, tmp_path / "subj.csv")
         loaded = load_recording(tmp_path / "subj.csv", rate=32.0)
-        assert loaded.channels == ["a", "b"] and loaded.source_id == "subj"
+        assert loaded.channels == ["a", "b"]
         assert loaded.data.tobytes() == data.tobytes()
         lines = (tmp_path / "subj.csv").read_text().splitlines()
         assert lines == per_value_lines(["a", "b"], data.T)

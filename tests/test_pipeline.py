@@ -594,7 +594,7 @@ def zeroed_first_row(path):
 
 
 def segment_bytes(segments):
-    return [(s.source_id, s.index, s.channels, s.data.tobytes()) for s in segments]
+    return [(s.channels, s.rate, s.data.tobytes()) for s in segments]
 
 
 class TestReadOnce:
