@@ -85,9 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--tau", type=int)
     p.add_argument("--auto-params", dest="auto_params", type=_on_off, metavar="{on,off}")
-    p.add_argument("--bins", dest="ami_bins", type=int)
-    p.add_argument("--rtol", dest="fnn_rtol", type=float)
-    p.add_argument("--atol", dest="fnn_atol", type=float)
 
     p = sub.add_parser("denoise", help="denoise, persist and density-filter each recording")
     _add_common(p)
@@ -95,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--keep", dest="keep_n", type=int)
     p.add_argument("--iters", type=int)
-    p.add_argument("--bandwidth", help="cov10 | identity:<s> | manual:<4 entries>")
     p.add_argument("--keep-fraction", dest="keep_fraction", type=float)
     p.add_argument("--emit-density", help="optional CSV dump of point densities")
 

@@ -1,7 +1,8 @@
 """Pipeline configuration: one flat record of every stage's tunables.
 
 Configs load from a simple ``key = value`` text file; unknown keys are
-rejected so typos fail loudly.  CLI flags override file values.
+rejected so typos fail loudly, and so is the key of a setting that has
+become a fixed constant of the method.  CLI flags override file values.
 """
 
 from __future__ import annotations
@@ -9,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-
-from .diagrams import parse_bandwidth
 
 
 DESCRIPTORS = ("pi", "landscape", "betti", "entropy")
@@ -21,11 +20,11 @@ KERNELS = ("linear", "rbf")
 class PipelineConfig:
     """Every setting a stage reads; each field is the target of a CLI flag.
 
-    Fixed choices of the method (FNN dimension cap and threshold, the ``cov10``
-    scale and ridge, image padding, SMO tolerance, inner grid-search folds,
-    landscape layers, curve bins, knot fallback quantile) are constants next
-    to the code that reads them.  ``validate_config`` checks every field
-    before any stage.
+    Fixed choices of the method (the AMI bins, the FNN tolerances, dimension
+    cap and threshold, the ``cov10`` bandwidth rule with its scale and ridge,
+    image padding, SMO tolerance, inner grid-search folds, landscape layers,
+    curve bins, knot fallback quantile) are constants next to the code that
+    reads them.  ``validate_config`` checks every field before any stage.
     """
 
     # ingest
@@ -42,16 +41,12 @@ class PipelineConfig:
     m: int = 2
     tau: int = 10
     auto_params: bool = False
-    ami_bins: int = 16
-    fnn_rtol: float = 10.0
-    fnn_atol: float = 2.0
     # denoising
     q: int = 10
     k: int = 350
     keep_n: int = 140
     iters: int = 50
     # diagram filtering
-    bandwidth: str = "cov10"      # cov10 | identity:<s> | manual:<4 entries>
     keep_fraction: float = 0.99
     # vectorization
     descriptor: str = "pi"        # pi | landscape | betti | entropy
@@ -117,8 +112,8 @@ def load_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
 
 # Fields that must be above 0, and the least value of each other numeric field
 # with a bound; 0 is "auto" for pi_sigma, the ramp knots and gamma.
-_POSITIVE = ("rate", "C", "fnn_rtol", "fnn_atol")
-_MINIMA = {"m": 1, "tau": 1, "ami_bins": 2, "q": 1, "k": 1, "keep_n": 1, "iters": 1,
+_POSITIVE = ("rate", "C")
+_MINIMA = {"m": 1, "tau": 1, "q": 1, "k": 1, "keep_n": 1, "iters": 1,
            "pi_rows": 1, "pi_cols": 1, "folds": 2, "pi_sigma": 0, "weight_plateau": 0,
            "weight_junction": 0, "weight_ramp_start": 0, "weight_ramp_end": 0, "gamma": 0,
            "seed": 0, "jobs": 1}
@@ -149,7 +144,6 @@ def validate_config(cfg: PipelineConfig) -> None:
         raise ValueError("weight_ramp_end must exceed weight_ramp_start")
     if not 0 < cfg.keep_fraction <= 1:
         raise ValueError("keep_fraction must lie in (0, 1]")
-    parse_bandwidth(cfg.bandwidth)
     if cfg.descriptor not in DESCRIPTORS:
         raise ValueError(f"unknown descriptor {cfg.descriptor!r}")
     if cfg.kernel not in KERNELS:

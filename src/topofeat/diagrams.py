@@ -4,7 +4,9 @@ A subject's segments each contribute a persistence diagram; the finite
 H1 features are pooled (with multiplicity) into one planar point set, a
 Gaussian-kernel density is evaluated at every point, and the lowest-density
 fraction is discarded as outliers before the survivors become the
-subject-level diagram.
+subject-level diagram.  The kernel's bandwidth follows one rule, ``cov10``:
+``BandwidthSpec.from_covariance`` of the pooled points, ``COV_SCALE`` times
+their sample covariance plus a ``COV_RIDGE`` ridge.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class BandwidthSpec:
         return cls(((float(h[0, 0]), float(h[0, 1])), (float(h[1, 0]), float(h[1, 1]))))
 
     @classmethod
-    def identity(cls, scale: float = 1.0) -> "BandwidthSpec":
-        return cls(((scale, 0.0), (0.0, scale)))
-
-    @classmethod
     def from_covariance(cls, points: np.ndarray) -> "BandwidthSpec":
         """COV_SCALE x (sample covariance of the points + COV_RIDGE x identity)."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -56,33 +54,6 @@ class BandwidthSpec:
         else:
             cov = np.cov(pts.T)
         return cls.from_array(COV_SCALE * (cov + COV_RIDGE * np.eye(2)))
-
-
-def parse_bandwidth(spec: str) -> "BandwidthSpec | str":
-    """Parse ``cov10`` / ``identity:<s>`` / ``manual:<h00,h01,h10,h11>``.
-
-    ``cov10`` is data-dependent, so it is returned as the sentinel string
-    and resolved against the merged points by the caller.
-    """
-    def number(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ValueError(f"bandwidth {spec!r}: {text!r} is not a number") from None
-        if not math.isfinite(value):
-            raise ValueError(f"bandwidth {spec!r}: {text!r} must be finite")
-        return value
-
-    if spec == "cov10":
-        return "cov10"
-    if spec.startswith("identity:"):
-        return BandwidthSpec.identity(number(spec.split(":", 1)[1]))
-    if spec.startswith("manual:"):
-        vals = [number(v) for v in spec.split(":", 1)[1].split(",")]
-        if len(vals) != 4:
-            raise ValueError("manual bandwidth needs 4 entries")
-        return BandwidthSpec(((vals[0], vals[1]), (vals[2], vals[3])))
-    raise ValueError(f"unknown bandwidth spec: {spec}")
 
 
 def merge_diagrams(diagrams: list[PersistenceDiagram]) -> np.ndarray:

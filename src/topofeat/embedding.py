@@ -4,7 +4,10 @@ The delay is read off the first minimum of the average mutual information
 of (x_t, x_{t+lag}); the dimension comes from the false-nearest-neighbour
 fraction dropping below a threshold.  For multichannel input each channel
 is estimated separately and the maxima are taken, so that every channel's
-attractor is unfolded at the shared parameters.
+attractor is unfolded at the shared parameters.  The estimate's bins,
+tolerances, dimension cap and threshold are fixed choices of the method,
+module constants beside ``estimate_embedding_params``; only the two
+primitives take them as arguments.
 """
 
 from __future__ import annotations
@@ -144,23 +147,28 @@ def delay_embed(series, params: EmbeddingParams) -> PointCloud:
     return PointCloud(pts, time_index=np.arange(j0, j0 + n_pts))
 
 
+AMI_BINS = 16          # equal-width bins per axis of the mutual-information histogram
+FNN_RTOL = 10.0        # the distance ratio past which a neighbour is false
+FNN_ATOL = 2.0         # the expanded distance, in standard deviations, past which it is false
 FNN_DIM_CAP = 6        # the largest embedding dimension the estimate tries
 FNN_THRESHOLD = 0.05   # the false-neighbour fraction a dimension must fall below
 
 
-def estimate_embedding_params(channels, max_lag: int = 40, bins: int = 16,
-                              rtol: float = 10.0, atol: float = 2.0) -> EmbeddingParams:
+def estimate_embedding_params(channels, max_lag: int = 40) -> EmbeddingParams:
     """Shared (dim, delay) for a set of channels: max of per-channel estimates.
 
-    A channel's dimension is the first whose false-neighbour fraction is below
+    A channel's delay is the first minimum of its ``AMI_BINS``-bin mutual
+    information up to ``max_lag``.  Its dimension is the first whose
+    false-neighbour fraction (``FNN_RTOL``, ``FNN_ATOL``) is below
     ``FNN_THRESHOLD``, or ``FNN_DIM_CAP`` if none up to it is.
     """
     delays, dims = [], []
     for ch in channels:
-        mi = average_mutual_information(ch, max_lag=max_lag, bins=bins)
+        mi = average_mutual_information(ch, max_lag=max_lag, bins=AMI_BINS)
         tau = first_minimum_lag(mi)
         delays.append(tau)
-        fnn = false_nearest_neighbors(ch, tau=tau, m_max=FNN_DIM_CAP, rtol=rtol, atol=atol)
+        fnn = false_nearest_neighbors(ch, tau=tau, m_max=FNN_DIM_CAP, rtol=FNN_RTOL,
+                                      atol=FNN_ATOL)
         below = np.nonzero(fnn < FNN_THRESHOLD)[0]
         dims.append(int(below[0]) + 1 if len(below) else FNN_DIM_CAP)
     return EmbeddingParams(dim=max(dims), delay=max(delays))

@@ -11,8 +11,8 @@ name and offending file.
 Layout under ``out_dir``:
 
     input/                         synthetic recordings + labels.csv (synth only)
-    manifest.json                  input dir, cut settings; per recording its label,
-                                   segment count and sha256
+    manifest.json                  input dir (relative to out_dir), cut settings; per
+                                   recording its label, segment count and sha256
     params.json                    embedding parameters in effect
     joint/<sid>_<idx>.csv          denoised joint clouds
     diagrams/<sid>_<idx>.csv       per-segment persistence diagrams
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -49,7 +50,7 @@ from .classify import (EvalReport, LabeledDataset, kfold_cv, load_features_csv,
                        save_features_csv, tune_hyperparameters)
 from .config import PipelineConfig, validate_config
 from .denoise import MassParams, remap_multichannel
-from .diagrams import BandwidthSpec, merge_diagrams, mkde_density, filter_by_density, parse_bandwidth
+from .diagrams import BandwidthSpec, merge_diagrams, mkde_density, filter_by_density
 from .embedding import EmbeddingParams, delay_embed, estimate_embedding_params
 from .fileio import write_atomic, write_table
 from .homology import PersistenceDiagram, rips_diagram
@@ -100,6 +101,13 @@ def _staged(stage: str, path: Path, call=lambda p: json.loads(p.read_text())):
         return call(path)
     except Exception as exc:
         raise StageError(stage, str(exc), path) from exc
+
+
+def _recording_path(out: Path, manifest: dict, sid: str) -> Path:
+    """The absolute path of a recording of the manifest.  Its ``input_dir`` is
+    relative to the real ``out_dir``, so the two can move together; an absolute
+    one stays as it is.  A real path has no symlink for a ``..`` to cross."""
+    return Path(os.path.normpath(out.resolve() / manifest["input_dir"] / f"{sid}.csv"))
 
 
 def _embedding(path: Path) -> EmbeddingParams:
@@ -163,7 +171,8 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
     must hold the ``--channels`` and at least one window; ingest counts the
     windows ``segment`` would cut, but cuts nothing.  Nothing is written
     until all have passed; the manifest then records, per recording, its
-    label, segment count and sha256.
+    label, segment count and sha256, and input_dir relative to out_dir, so
+    the bytes do not depend on where the two directories live.
     """
     validate_config(cfg)
     src = Path(cfg.input_dir)
@@ -191,9 +200,9 @@ def stage_ingest(cfg: PipelineConfig) -> Path:
                                        f"of {cfg.window_samples()} samples", rec_path)
         cohort[rec_path.stem] = {"label": labels[rec_path.stem], "segments": segments,
                                  "sha256": sha256}
-    manifest = {"input_dir": str(src.resolve()), "recordings": cohort,
-                "settings": {name: getattr(cfg, name) for name in CUT_FIELDS}}
     out = _out(cfg)
+    manifest = {"input_dir": os.path.relpath(src.resolve(), out.resolve()), "recordings": cohort,
+                "settings": {name: getattr(cfg, name) for name in CUT_FIELDS}}
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return out / "manifest.json"
@@ -240,12 +249,11 @@ def stage_embed(cfg: PipelineConfig) -> EmbeddingParams:
         return _staged("embed", params_path, _embedding)
     if cfg.auto_params:
         sid = min(manifest["recordings"])
-        path = Path(manifest["input_dir"], f"{sid}.csv")
+        path = _recording_path(out, manifest, sid)
         try:
             first = cut_recording(path, replace(cfg, **manifest["settings"]),
                                   manifest["recordings"][sid]["sha256"])[0].data
-            params = estimate_embedding_params(list(first), bins=cfg.ami_bins,
-                                               rtol=cfg.fnn_rtol, atol=cfg.fnn_atol)
+            params = estimate_embedding_params(list(first))
         except Exception as exc:
             raise StageError("embed", f"parameter estimation failed: {exc}", path) from exc
     else:
@@ -278,8 +286,7 @@ def _segment_job(args) -> list:
     if len(points) == 0:
         PersistenceDiagram().to_csv(target)
         return []
-    bw = parse_bandwidth(cfg.bandwidth)
-    dens = mkde_density(points, BandwidthSpec.from_covariance(points) if bw == "cov10" else bw)
+    dens = mkde_density(points, BandwidthSpec.from_covariance(points))
     filter_by_density(points, dens, cfg.keep_fraction).to_csv(target)
     return [[sid, *row] for row in np.column_stack([points, dens]).tolist()]
 
@@ -298,7 +305,7 @@ def _segment_jobs(cfg: PipelineConfig, manifest: dict, embedding: EmbeddingParam
         segments = [(out / "joint" / name, out / "diagrams" / name) for name in names]
         target = out / "subject_diagrams" / f"{sid}.csv"
         if every or not (target.exists() and all(j.exists() and d.exists() for j, d in segments)):
-            jobs.append((Path(manifest["input_dir"], f"{sid}.csv"), rec["sha256"], sid,
+            jobs.append((_recording_path(out, manifest, sid), rec["sha256"], sid,
                          segments, target, cut_cfg, embedding))
     return jobs
 

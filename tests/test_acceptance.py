@@ -160,7 +160,7 @@ def test_criterion_06_feature_recovery():
 
 
 def test_criterion_07_mkde_correctness():
-    single = mkde_density(np.array([[3.0, 4.0]]), BandwidthSpec.identity(1.0))
+    single = mkde_density(np.array([[3.0, 4.0]]), BandwidthSpec(((1.0, 0.0), (0.0, 1.0))))
     identity_ok = abs(single[0] - 1.0 / (2 * math.pi)) < 1e-12
 
     rng = np.random.default_rng(707)

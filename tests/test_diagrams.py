@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topofeat.diagrams import (BandwidthSpec, filter_by_density, merge_diagrams,
-                               mkde_density, parse_bandwidth)
+from topofeat.diagrams import BandwidthSpec, filter_by_density, merge_diagrams, mkde_density
 from topofeat.homology import INF, PersistenceDiagram
 
 
@@ -42,12 +41,10 @@ class TestMergeDiagrams:
 
 class TestBandwidth:
     def test_identity_and_manual(self):
-        assert np.array_equal(parse_bandwidth("identity:2.5").as_array(), 2.5 * np.eye(2))
-        manual = parse_bandwidth("manual:2,0.5,0.5,1")
+        scaled = BandwidthSpec(((2.5, 0.0), (0.0, 2.5)))
+        assert np.array_equal(scaled.as_array(), 2.5 * np.eye(2))
+        manual = BandwidthSpec(((2.0, 0.5), (0.5, 1.0)))
         assert np.array_equal(manual.as_array(), [[2.0, 0.5], [0.5, 1.0]])
-
-    def test_cov10_sentinel(self):
-        assert parse_bandwidth("cov10") == "cov10"
 
     def test_from_covariance_is_spd(self, rng):
         pts = rng.normal(size=(100, 2)) @ np.array([[2.0, 0.3], [0.3, 0.5]])
@@ -62,13 +59,13 @@ class TestBandwidth:
             BandwidthSpec(((1.0, 0.5), (0.0, 1.0)))   # asymmetric
         with pytest.raises(ValueError):
             BandwidthSpec(((1.0, 2.0), (2.0, 1.0)))   # indefinite
-        with pytest.raises(ValueError):
-            parse_bandwidth("manual:1,2,3")
+        with pytest.raises(ValueError, match="2x2"):
+            BandwidthSpec(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
 
 
 class TestMkdeDensity:
     def test_single_point_identity_bandwidth(self):
-        d = mkde_density(np.array([[3.0, 4.0]]), BandwidthSpec.identity(1.0))
+        d = mkde_density(np.array([[3.0, 4.0]]), BandwidthSpec(((1.0, 0.0), (0.0, 1.0))))
         assert d[0] == pytest.approx(1.0 / (2 * math.pi), abs=1e-12)
 
     def test_two_coincident_points(self):
@@ -82,14 +79,14 @@ class TestMkdeDensity:
         # the estimator's population value is the sampling density convolved
         # with the kernel; for N(0, I) data and H = I that is N(0, 2I)
         pts = rng.multivariate_normal([0, 0], np.eye(2), size=1000)
-        dens = mkde_density(pts, BandwidthSpec.identity(1.0))
+        dens = mkde_density(pts, BandwidthSpec(((1.0, 0.0), (0.0, 1.0))))
         target = np.exp(-0.25 * (pts ** 2).sum(axis=1)) / (4 * math.pi)
         mae = np.abs(dens - target).mean()
         assert mae < 0.05 * target.max()
 
     def test_permutation_equivariance(self, rng):
         pts = rng.normal(size=(40, 2))
-        bw = BandwidthSpec.identity(1.0)
+        bw = BandwidthSpec(((1.0, 0.0), (0.0, 1.0)))
         perm = rng.permutation(40)
         assert np.allclose(mkde_density(pts, bw)[perm], mkde_density(pts[perm], bw), atol=1e-12)
 
@@ -105,8 +102,8 @@ class TestMkdeDensity:
 
     def test_bandwidth_scaling_lowers_peak(self, rng):
         pts = rng.normal(size=(60, 2))
-        d1 = mkde_density(pts, BandwidthSpec.identity(1.0))
-        d2 = mkde_density(pts, BandwidthSpec.identity(2.0))
+        d1 = mkde_density(pts, BandwidthSpec(((1.0, 0.0), (0.0, 1.0))))
+        d2 = mkde_density(pts, BandwidthSpec(((2.0, 0.0), (0.0, 2.0))))
         assert d2.max() < d1.max()
 
 
@@ -114,7 +111,7 @@ class TestFilterByDensity:
     def test_keep_everything(self, rng):
         pts = np.abs(rng.normal(size=(20, 2)))
         pts[:, 1] += pts[:, 0]  # death above birth
-        dens = mkde_density(pts, BandwidthSpec.identity(1.0))
+        dens = mkde_density(pts, BandwidthSpec(((1.0, 0.0), (0.0, 1.0))))
         out = filter_by_density(pts, dens, 1.0)
         assert len(out) == 20
 

@@ -1,12 +1,15 @@
 """Every name a module imports is used in that module (``__init__.py`` re-exports are
 exempt), no module imports a test module, only ``topofeat.fileio`` opens or writes
-files, and every function, class and method of the package has a caller outside the
-tests."""
+files, every function, class and method of the package has a caller outside the
+tests, and a stage reads every config field."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from topofeat.config import PipelineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in [*ROOT.glob("src/topofeat/*.py"), *ROOT.glob("scripts/*.py"),
@@ -141,3 +144,29 @@ def test_every_definition_has_a_caller():
              for path in sorted(ROOT.glob("src/topofeat/*.py"))
              for name in uncalled(path.read_text(), (names, attrs), exported)]
     assert found == []
+
+
+def unread_fields(names: list[str], sources: list[str]) -> list[str]:
+    """The names that no source reads as an attribute or holds as a string constant."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [name for name in names if name not in read]
+
+
+def test_scan_flags_only_unread_fields():
+    sources = ["x = cfg.rate\ncfg.seed = 1\nreplace(cfg, jobs=2)\n", 'CUT = ("window_sec",)\n']
+    assert unread_fields(["rate", "seed", "jobs", "window_sec"], sources) == ["seed", "jobs"]
+
+
+def test_every_config_field_is_read():
+    """A setting that no stage reads is a fixed choice of the method, and belongs in a
+    constant beside the code that uses it.  ``config.py`` declares and checks the
+    fields and ``cli.py`` sets them, so neither counts as a reader."""
+    sources = [p.read_text() for p in sorted(ROOT.glob("src/topofeat/*.py"))
+               if p.name not in ("config.py", "cli.py")]
+    assert unread_fields([f.name for f in fields(PipelineConfig)], sources) == []

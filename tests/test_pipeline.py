@@ -4,12 +4,13 @@ import json
 import math
 import shutil
 from concurrent.futures import Future
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import child_stdout
 from topofeat import _kernels, pipeline
 from topofeat.classify import load_features_csv
 from topofeat.cli import main
@@ -27,7 +28,7 @@ from topofeat.pipeline import (StageError, cut_recording, load_subject_diagrams,
 
 # Method constants that are not config keys; a config file that sets one is rejected.
 RETIRED_KEYS = ["ami_max_lag", "fnn_m_max", "knot_mode", "knot_quantile",
-                "landscape_layers", "curve_bins"]
+                "landscape_layers", "curve_bins", "ami_bins", "fnn_rtol", "fnn_atol", "bandwidth"]
 
 TINY = dict(n_subjects=3, segments_per_subject=2, n_channels=2)
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,19 +89,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             validate_config(PipelineConfig(keep_fraction=0.0))
 
-    def test_bad_bandwidth_fails_before_any_stage(self, tmp_path):
-        cfg = tiny_config(tmp_path / "out", bandwidth="bogus")
-        for stage in (stage_synth, run_pipeline):
-            with pytest.raises(ValueError, match="bandwidth"):
-                stage(cfg)
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("field, value", [
         ("C", 0.0), ("gamma", -1.0), ("pi_rows", 0), ("pi_cols", 0), ("pi_sigma", -1.0),
         ("weight_plateau", -1.0), ("weight_junction", -1.0), ("weight_ramp_start", -1.0),
         ("weight_ramp_end", -1.0), ("weight_ramp_end", 2.0), ("iters", 0), ("window_sec", 0.0),
-        ("filter_order", 3), ("jobs", 0), ("seed", -1), ("ami_bins", 1), ("fnn_rtol", 0.0),
-        ("fnn_rtol", -1.0), ("fnn_atol", 0.0), ("fnn_atol", -1.0),
+        ("filter_order", 3), ("jobs", 0), ("seed", -1),
     ])
     def test_bad_size_fails_before_any_stage(self, tmp_path, field, value):
         # ramp start 2 is valid on its own; it makes weight_ramp_end = 2 out of order
@@ -118,16 +111,6 @@ class TestConfig:
         for stage in (stage_synth, run_pipeline):
             with pytest.raises(ValueError, match=f"^{field} must be finite$"):
                 stage(cfg)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("spec, entry", [("identity:nan", "nan"), ("identity:inf", "inf"),
-                                             ("manual:1,0,0,-inf", "-inf")])
-    def test_non_finite_bandwidth_fails_before_any_stage(self, tmp_path, spec, entry):
-        cfg = tiny_config(tmp_path / "out", bandwidth=spec)
-        for stage in (stage_synth, run_pipeline):
-            with pytest.raises(ValueError) as err:
-                stage(cfg)
-            assert str(err.value) == f"bandwidth {spec!r}: {entry!r} must be finite"
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_window_fails_before_any_stage(self, tmp_path):
@@ -539,12 +522,10 @@ def first_cut(cfg, sid):
 
 class TestEmbedStage:
     def test_auto_params_match_the_estimator(self, tmp_path):
-        cfg = tiny_config(tmp_path / "out", auto_params=True, ami_bins=12, fnn_rtol=8.0,
-                          fnn_atol=1.5)
+        cfg = tiny_config(tmp_path / "out", auto_params=True)
         stage_synth(cfg, **TINY)
         params = stage_embed(cfg)
-        expected = estimate_embedding_params(list(first_cut(cfg, "a000")), bins=12, rtol=8.0,
-                                             atol=1.5)
+        expected = estimate_embedding_params(list(first_cut(cfg, "a000")))
         assert params == expected
         assert json.loads((Path(cfg.out_dir) / "params.json").read_text()) == {
             "m": expected.dim, "tau": expected.delay}
@@ -646,7 +627,7 @@ class TestIngestStage:
         manifest = json.loads(stage_ingest(cfg).read_text())
         src = tmp_path / "src"
         assert manifest == {
-            "input_dir": str(src.resolve()),
+            "input_dir": "../src",  # relative to out_dir
             "settings": {"rate": 25.0, "band_low": 0.5, "band_high": 10.0, "filter_order": 4,
                          "apply_bandpass": True, "channels": "", "window_sec": 2.0},
             "recordings": {sid: {"label": label, "segments": 2,  # two 50-sample windows
@@ -886,6 +867,67 @@ class TestJobs:
         stage_synth(cfg, **TINY)
         run_pipeline(cfg)
         assert reads == ["subject_diagrams"] * 6
+
+
+# Runs a config in a fresh Python and prints the sha256 of every file under its out_dir.
+RUN_IN_CHILD = """
+import hashlib, json
+from pathlib import Path
+from topofeat.config import PipelineConfig
+from topofeat.pipeline import run_pipeline
+cfg = PipelineConfig(**{config!r})
+run_pipeline(cfg)
+out = Path(cfg.out_dir)
+print(json.dumps({{str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in sorted(out.rglob("*")) if p.is_file()}}))
+"""
+
+
+class TestPlace:
+    def test_run_bytes_depend_on_inputs_and_config_only(self, tmp_path):
+        """The tiny cohort under two parent directories of different depths, each run
+        at jobs=1 and jobs=2, writes the same files with the same bytes."""
+        stage_synth(tiny_config(tmp_path / "synth"), **TINY)
+        runs = {}
+        for parent in (tmp_path / "a", tmp_path / "second place" / "deeper"):
+            shutil.copytree(tmp_path / "synth" / "input", parent / "data")
+            for jobs in (1, 2):
+                cfg = tiny_config(parent / f"out{jobs}", input_dir=str(parent / "data"), jobs=jobs)
+                runs[cfg.out_dir] = json.loads(child_stdout(RUN_IN_CHILD.format(
+                    config=asdict(cfg)), env={}))
+        (first, expected), *others = runs.items()
+        assert len(expected) == 2 * 12 + 6 + 5  # joint, diagrams, subject diagrams, 5 files
+        for out_dir, files in others:
+            differing = sorted(set(files) ^ set(expected)) or [
+                name for name in sorted(files) if files[name] != expected[name]]
+            assert not differing, f"{differing[0]} differs between {first} and {out_dir}"
+
+    def test_manifest_with_an_absolute_input_dir_is_read_as_it_is(self, tiny_run, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(tiny_run[0].out_dir, out)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["input_dir"] == "input"
+        path.write_text(json.dumps({**manifest, "input_dir": str((out / "input").resolve())}))
+        target = out / "subject_diagrams" / "a000.csv"
+        expected = target.read_bytes()
+        target.unlink()
+        stage_denoise(replace(tiny_run[0], out_dir=str(out)))
+        assert target.read_bytes() == expected
+
+    def test_output_moved_without_its_input(self, tiny_run, tmp_path):
+        """A full resume reads no recording; a denoise job names the one it cannot find."""
+        out = tmp_path / "moved"
+        shutil.copytree(tiny_run[0].out_dir, out, ignore=shutil.ignore_patterns("input"))
+        cfg = replace(tiny_run[0], out_dir=str(out))
+        report = (out / "report.json").read_bytes()
+        run_pipeline(cfg)
+        assert (out / "report.json").read_bytes() == report
+        (out / "subject_diagrams" / "a000.csv").unlink()
+        with pytest.raises(StageError) as err:
+            stage_denoise(cfg)
+        assert (err.value.stage, err.value.file) == ("denoise",
+                                                     str((out / "input" / "a000.csv").resolve()))
 
 
 class TestSweep:
