@@ -40,6 +40,13 @@
  * Generator.integers(n - 1) from the PCG64 state Python hands over: the
  * 128-bit step, the XSL-RR output, its upper half buffered for the next
  * 32-bit draw, and Lemire's bounded draw.
+ *
+ * The band-pass: filtfilt is scipy.signal.filtfilt with padtype "even" on
+ * every row of a recording in one call, on the (b, a) and initial state zi
+ * that ingest.py designs as scipy does.  Each pass is the float64 loop of
+ * scipy's _linear_filter (lfilter), operation for operation, and nothing is
+ * fused, so the filtered signal is scipy's bit for bit, NaN and overflow
+ * included.
  */
 #include <float.h>
 #include <math.h>
@@ -957,5 +964,45 @@ int svm_smo(i64 n, const double *k, const double *y, double C, double tol, i64 m
     failed = 0;
 done:
     free(ay); free(err); free(stamp);
+    return failed;
+}
+
+/* One pass of the filter (b, a), ntaps coefficients each and a[0] == 1, over
+ * the n values v[0], v[step], ..., in place, from the state zi * v[0]: the
+ * float64 loop of scipy's _linear_filter (lfilter), operation for operation.
+ * z holds the ntaps - 1 delays. */
+static void lfilter_pass(i64 ntaps, const double *b, const double *a, const double *zi,
+                         double *z, double *v, i64 n, i64 step)
+{
+    double v0 = v[0];
+    for (i64 j = 0; j < ntaps - 1; j++) z[j] = zi[j] * v0;
+    for (i64 k = 0; k < n; k++) {
+        double x = v[k * step], y = z[0] + b[0] * x;
+        for (i64 j = 0; j < ntaps - 2; j++) z[j] = (z[j + 1] + x * b[j + 1]) - y * a[j + 1];
+        z[ntaps - 2] = x * b[ntaps - 1] - y * a[ntaps - 1];
+        v[k * step] = y;
+    }
+}
+
+/* scipy's filtfilt(b, a, x, axis=1, padtype="even", padlen=pad, method="pad")
+ * on the rows x len array x, len > pad, into out: each row extended evenly by
+ * pad values at each end, filtered forward from zi times its first value and
+ * backward from zi times the forward pass's last, then trimmed to len.
+ * Returns 0, or 1 when memory runs out. */
+int filtfilt(i64 rows, i64 len, const double *x, i64 ntaps, const double *b, const double *a,
+             const double *zi, i64 pad, double *out)
+{
+    i64 n = len + 2 * pad;
+    double *ext = malloc((size_t)n * sizeof *ext), *z = malloc((size_t)ntaps * sizeof *z);
+    int failed = !ext || !z;
+    for (i64 r = 0; !failed && r < rows; r++) {
+        const double *row = x + r * len;
+        for (i64 i = 0; i < pad; i++) ext[i] = row[pad - i], ext[pad + len + i] = row[len - 2 - i];
+        memcpy(ext + pad, row, (size_t)len * sizeof *ext);
+        lfilter_pass(ntaps, b, a, zi, z, ext, n, 1);
+        lfilter_pass(ntaps, b, a, zi, z, ext + n - 1, n, -1);
+        memcpy(out + r * len, ext + pad, (size_t)len * sizeof *out);
+    }
+    free(ext); free(z);
     return failed;
 }

@@ -5,7 +5,12 @@ channel names, a (channels, samples) array and the sampling rate.  Input
 format is the :mod:`topofeat.fileio` table: one column per channel under a
 header row of channel names; the sampling rate comes from configuration.
 Filtering is zero-phase (forward-backward Butterworth), so the stated
-attenuation doubles in dB and phase structure survives embedding.
+attenuation doubles in dB and phase structure survives embedding.  The
+band-pass is this package's own, with the bits of scipy's ``butter`` +
+``filtfilt``: the design repeats ``butter``'s numpy calls, the initial state
+is ``lfilter_zi``'s numpy solve, and the compiled ``filtfilt`` of
+``_kernels.c`` runs every channel in one call.  ``scipy.signal`` is not
+imported; it would cost every process tens of MB.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
+from ._kernels import _library
 from .fileio import read_table, write_table
 
 
@@ -69,23 +74,75 @@ def load_recording(path, rate: float = 128.0) -> RawRecording:
     return read_recording(path, rate)[0]
 
 
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """The real coefficients of the monic polynomial with these conjugate-paired
+    roots, as scipy's ``zpk2tf`` forms them: one ``np.convolve`` per root."""
+    coef = np.ones((1,), dtype=roots.dtype)
+    one = np.ones_like(roots[0])
+    for root in roots:
+        coef = np.convolve(coef, np.stack((one, -root)))
+    return np.real(coef).copy()
+
+
 @functools.lru_cache(maxsize=16)
 def _bandpass_coefficients(order: int, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
-    """``butter``'s (b, a) for the band [low, high] in Nyquist units, designed once.
+    """The (b, a) of ``scipy.signal.butter(order, [low, high], btype="band")``, with
+    the band in Nyquist units, bit for bit: the same numpy calls in the same order.
 
-    The arrays are read-only, since every caller shares them.
+    The analog prototype's poles (``buttap``) are pre-warped with ``fs = 2``,
+    moved to the band (``lp2bp_zpk``), mapped to z (``bilinear_zpk``) and
+    multiplied out (``zpk2tf``).  Designed once; the arrays are read-only,
+    since every caller shares them.
     """
-    b, a = butter(order, [low, high], btype="band")
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    poles = -np.exp(1j * np.pi * m / (2 * order))
+    fs = 2.0
+    warped = 2 * fs * np.tan(np.pi * np.asarray([low, high], dtype=np.float64) / fs)
+    bw, wo = float(warped[1] - warped[0]), float(np.sqrt(warped[0] * warped[1]))
+    shifted = poles * bw / 2
+    poles = np.concatenate((shifted + np.sqrt(shifted**2 - wo**2),
+                            shifted - np.sqrt(shifted**2 - wo**2)))
+    zeros = np.zeros(order, dtype=np.complex128)
+    fs2 = 2.0 * fs
+    gain = bw**order * np.real(np.prod(fs2 - zeros) / np.prod(fs2 - poles))
+    b = gain * _poly(np.concatenate(((fs2 + zeros) / (fs2 - zeros), -np.ones(order))))
+    a = _poly((fs2 + poles) / (fs2 - poles))
     b.flags.writeable = a.flags.writeable = False
     return b, a
+
+
+def _step_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The filter's state after a unit step has settled, zi = A zi + B, solved with
+    numpy as ``scipy.signal.lfilter_zi`` solves it; A is the companion matrix of
+    ``a``, whose a[0] is 1."""
+    n = len(a)
+    companion = np.zeros((n - 1, n - 1))
+    companion[0] = -a[1:]
+    companion[np.arange(1, n - 1), np.arange(0, n - 2)] = 1
+    return np.linalg.solve(np.eye(n - 1) - companion.T, b[1:] - a[1:] * b[0])
+
+
+def _zero_phase(data: np.ndarray, b: np.ndarray, a: np.ndarray, pad: int) -> np.ndarray:
+    """``filtfilt(b, a, data, axis=1, padtype="even", padlen=pad)``, bit for bit, in
+    one compiled call for every row."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    rows, n = data.shape
+    if n <= pad:
+        raise ValueError(f"The length of the input vector x must be greater than padlen, "
+                         f"which is {pad}.")
+    out = np.empty_like(data)
+    if _library().filtfilt(rows, n, data, len(b), b, a, _step_state(b, a), pad, out):
+        raise MemoryError("out of memory in the band-pass")
+    return out
 
 
 def bandpass_filter(rec: RawRecording, low_hz: float, high_hz: float, order: int = 4) -> RawRecording:
     """Zero-phase Butterworth band-pass, per channel.
 
-    The signal is reflect-padded by 3x the filter order at each end, run
-    forward and backward, then trimmed, so length is preserved and edge
-    transients stay out of the segments.
+    The signal is mirrored (even extension) by 3x the filter order at each
+    end, run forward and backward, then trimmed, so length is preserved and
+    edge transients stay out of the segments.  The bits are those of scipy's
+    ``filtfilt`` on ``butter``'s coefficients.
     """
     if order not in (2, 4, 6, 8):
         raise ValueError("filter order must be one of 2, 4, 6, 8")
@@ -93,8 +150,7 @@ def bandpass_filter(rec: RawRecording, low_hz: float, high_hz: float, order: int
     if not 0 < low_hz < high_hz < nyq:
         raise ValueError(f"cutoffs must satisfy 0 < low < high < {nyq} Hz")
     b, a = _bandpass_coefficients(order, low_hz / nyq, high_hz / nyq)
-    out = filtfilt(b, a, rec.data, axis=1, padtype="even", padlen=3 * order)
-    return RawRecording(list(rec.channels), out, rec.rate)
+    return RawRecording(list(rec.channels), _zero_phase(rec.data, b, a, 3 * order), rec.rate)
 
 
 def select_channels(rec: RawRecording, names: list[str]) -> RawRecording:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (EDGE_CLOUDS, ORACLE_DATA, FiltrationSimplex, brute_force_betti,
                      compute_persistence, rips_filtration)
+from scipy.signal import butter, filtfilt
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
@@ -17,6 +18,7 @@ from topofeat import _kernels, homology
 from topofeat.classify import LabeledDataset, train_svm
 from topofeat.denoise import MassParams, dtm_profile, kpdtm_fit
 from topofeat.homology import INF, PersistenceDiagram, betti_at, enclosing_radius, rips_diagram
+from topofeat.ingest import RawRecording, bandpass_filter
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -382,7 +384,7 @@ SANITIZED = """
 import sys
 from pathlib import Path
 import numpy as np
-from topofeat import _kernels, classify, denoise, homology
+from topofeat import _kernels, classify, denoise, homology, ingest
 _kernels._CFLAGS = ("-O1", "-g", "-fsanitize=address,undefined,float-cast-overflow",
                     "-fno-sanitize-recover=all", "-ffp-contract=off", "-shared", "-fPIC")
 _kernels._CACHE = Path(sys.argv[1])
@@ -406,7 +408,21 @@ for i in range(0, len(svm_sets.files), 2):
         for C in (0.1, 1.0):  # 0.1 reaches the box bound
             m = classify.train_svm(data, kernel=kernel, C=C)
             sys.stdout.write(repr((m.alphas.tolist(), m.bias, m.sv_x.tolist(), m.sv_y.tolist())))
+bands = np.load(sys.argv[4])
+for name in bands.files:  # <order>_<case>
+    order = int(name.split("_")[0])
+    b, a = ingest._bandpass_coefficients(order, 0.5 / 64, 50.0 / 64)
+    sys.stdout.write(ingest._zero_phase(bands[name], b, a, 3 * order).tobytes().hex())
 """
+
+
+def band_rows(order, rng):
+    """Rows for the band-pass of ``order``: the shortest length it takes, one and
+    several rows, and rows that overflow or hold a NaN."""
+    n = 3 * order + 1
+    return [rng.normal(size=(1, n)), rng.normal(size=(3, n)) * 1e3,
+            np.array([[1e308, -1e308] * n, [1.0] * n + [np.nan] + [-2.0] * (n - 1)]),
+            rng.normal(size=(2, 300))]
 
 
 class TestBuild:
@@ -431,7 +447,9 @@ class TestBuild:
         monkeypatch.setattr(_kernels, "_LIB", None)
         monkeypatch.setattr(subprocess, "run", lambda *a, **k: pytest.fail("a compiler ran"))
         for call in (lambda: rips_diagram(SQUARE), lambda: kpdtm_fit(SQUARE, MassParams(2, 2)),
-                     lambda: train_svm(LabeledDataset(SQUARE, [0, 1, 1, 0]))):
+                     lambda: train_svm(LabeledDataset(SQUARE, [0, 1, 1, 0])),
+                     lambda: bandpass_filter(RawRecording(["c"], np.ones((1, 40)), 128.0),
+                                             0.5, 50.0)):
             with pytest.raises(RuntimeError) as err:
                 call()
             assert missing in str(err.value) and str(_kernels._SOURCE) in str(err.value)
@@ -468,10 +486,14 @@ class TestBuild:
         svm_sets = [make() for make in ORACLE_DATA.values()] + [
             LabeledDataset(np.array([[0.0, 1.0], [2.0, -1.0]]), np.array([0, 1]))]
         np.savez(tmp_path / "svm.npz", *[a for d in svm_sets for a in (d.features, d.labels)])
+        bands = {f"{order}_{i}": x for order in (2, 4, 6, 8)
+                 for i, x in enumerate(band_rows(order, rng))}
+        np.savez(tmp_path / "bands.npz", **bands)
         env = {**os.environ, "PYTHONPATH": str(Path(homology.__file__).parents[1]),
                "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0"}
         child = subprocess.run([sys.executable, "-c", SANITIZED, str(tmp_path / "cache"),
-                                str(tmp_path / "clouds.npz"), str(tmp_path / "svm.npz")],
+                                str(tmp_path / "clouds.npz"), str(tmp_path / "svm.npz"),
+                                str(tmp_path / "bands.npz")],
                                env=env, capture_output=True, text=True, timeout=600)
         assert child.returncode == 0, child.stderr[-4000:]
         fits = []
@@ -490,6 +512,12 @@ class TestBuild:
                     m = train_svm(data, kernel=kernel, C=C)
                     fits.append(repr((m.alphas.tolist(), m.bias, m.sv_x.tolist(),
                                       m.sv_y.tolist())))
+        for name, x in bands.items():  # scipy's band-pass, the one the cut must equal
+            order = int(name.split("_")[0])
+            b, a = butter(order, [0.5 / 64, 50.0 / 64], btype="band")
+            with np.errstate(over="ignore", invalid="ignore"):
+                fits.append(filtfilt(b, a, x, axis=1, padtype="even", padlen=3 * order)
+                            .tobytes().hex())
         assert child.stdout == "".join(map(diagram_text, clouds)) + "".join(fits)
 
     def test_source_compiles_without_warnings(self):

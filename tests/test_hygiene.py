@@ -1,13 +1,15 @@
 """Every name a module imports is used in that module (``__init__.py`` re-exports are
 exempt), no module imports a test module, only ``topofeat.fileio`` opens or writes
 files, every function, class and method of the package has a caller outside the
-tests, and a stage reads every config field."""
+tests, a stage reads every config field, and importing the package loads no
+``scipy.signal``."""
 
 import ast
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from oracles import child_stdout
 
 from topofeat.config import PipelineConfig
 
@@ -170,3 +172,10 @@ def test_every_config_field_is_read():
     sources = [p.read_text() for p in sorted(ROOT.glob("src/topofeat/*.py"))
                if p.name not in ("config.py", "cli.py")]
     assert unread_fields([f.name for f in fields(PipelineConfig)], sources) == []
+
+
+def test_package_import_loads_no_scipy_signal():
+    # the band-pass is the package's own, and scipy.signal costs every process
+    # tens of MB, so no import may bring it back
+    script = "import sys, topofeat, topofeat.cli\nprint('scipy.signal' in sys.modules)\n"
+    assert child_stdout(script, {}) == "False\n"

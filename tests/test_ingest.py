@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from oracles import EDGE_VALUES
-from scipy.signal import butter, freqz
+from scipy.signal import butter, filtfilt, freqz
 
 from topofeat import ingest
 from topofeat.classify import LabeledDataset, load_features_csv, save_features_csv
@@ -218,6 +220,94 @@ class TestBandpass:
         rec = RawRecording(["c"], np.zeros((1, 100)), self.RATE)
         with pytest.raises(ValueError, match="order"):
             bandpass_filter(rec, 0.5, 50.0, 3)
+
+
+def design_grid():
+    """(order, rate, low Hz, high Hz) over the four orders, five rates and bands
+    from a cut-off near 0 Hz to one near Nyquist."""
+    for order in (2, 4, 6, 8):
+        for rate in (16.0, 128.0, 250.0, 256.0, 1000.0):
+            nyq = rate / 2
+            for low, high in ((0.5, 50.0), (1e-4, 4.0), (8.0, 13.0), (0.5, nyq * (1 - 1e-9)),
+                              (nyq * 0.9, nyq * (1 - 1e-6)), (1e-4, nyq * 0.999)):
+                if 0 < low < high < nyq:
+                    yield order, rate, low, high
+
+
+def scipy_filtfilt(x, order, rate, low, high):
+    """The cut's band-pass as scipy computes it: ``butter`` + ``filtfilt``."""
+    b, a = butter(order, [low / (rate / 2), high / (rate / 2)], btype="band")
+    return filtfilt(b, a, x, axis=1, padtype="even", padlen=3 * order)
+
+
+class TestBandpassIsScipys:
+    """The in-house design and filter leave the bits of scipy.signal's."""
+
+    @pytest.mark.parametrize("order,rate,low,high", list(design_grid()))
+    def test_coefficients_are_butters(self, order, rate, low, high):
+        got = ingest._bandpass_coefficients(order, low / (rate / 2), high / (rate / 2))
+        want = butter(order, [low / (rate / 2), high / (rate / 2)], btype="band")
+        for g, w in zip(got, want, strict=True):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_filter_is_filtfilt(self, order, rng):
+        for rate, low, high in ((128.0, 0.5, 50.0), (250.0, 1.0, 124.0), (1000.0, 8.0, 13.0),
+                                (16.0, 0.01, 7.99)):
+            for rows in (1, 3):
+                for n in (3 * order + 1, 3 * order + 2, 100, 517):
+                    for scale in (1e-3, 1.0, 1e3):
+                        x = rng.normal(size=(rows, n)) * scale
+                        got = bandpass_filter(RawRecording([f"c{i}" for i in range(rows)], x,
+                                                           rate), low, high, order).data
+                        assert got.tobytes() == scipy_filtfilt(x, order, rate, low, high).tobytes()
+
+    def test_edge_rows_are_filtfilts(self, rng):
+        n = 40
+        binades = np.ldexp(rng.normal(size=n), rng.integers(-1000, 900, size=n))
+        # EDGE_VALUES scaled down, so that the filtered row stays finite
+        rows = np.array([np.zeros(n), np.full(n, -0.0), np.full(n, 3.7), binades,
+                         [EDGE_VALUES[i % len(EDGE_VALUES)] * 1e-10 for i in range(n)]])
+        for order in (2, 4, 6, 8):
+            got = bandpass_filter(RawRecording(list("abcde"), rows, 128.0), 0.5, 50.0, order).data
+            assert got.tobytes() == scipy_filtfilt(rows, order, 128.0, 0.5, 50.0).tobytes()
+
+    def test_overflow_and_nan_are_filtfilts(self):
+        # RawRecording refuses what these give, so the compiled filter is called as
+        # the band-pass calls it
+        n = 30
+        rows = np.array([[1e308, -1e308] * (n // 2), [1.0] * 7 + [np.nan] + [2.0] * (n - 8),
+                         [np.nan] * n, [-1e308, np.nan, 1e308] * (n // 3)])
+        for order in (2, 4, 6, 8):
+            b, a = ingest._bandpass_coefficients(order, 0.5 / 64, 50.0 / 64)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = ingest._zero_phase(rows, b, a, 3 * order)
+                want = scipy_filtfilt(rows, order, 128.0, 0.5, 50.0)
+            assert got.tobytes() == want.tobytes()
+
+    @given(order=st.sampled_from([2, 4, 6, 8]), rows=st.integers(1, 3), extra=st.integers(1, 60),
+           data=st.data())
+    def test_drawn_rows_are_filtfilts(self, order, rows, extra, data):
+        n = 3 * order + extra
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                                    min_size=rows * n, max_size=rows * n))
+        x = np.array(values).reshape(rows, n)
+        b, a = ingest._bandpass_coefficients(order, 0.5 / 64, 50.0 / 64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ingest._zero_phase(x, b, a, 3 * order)
+            want = scipy_filtfilt(x, order, 128.0, 0.5, 50.0)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_too_short_a_row_is_refused_as_filtfilt_refuses_it(self, order):
+        for n in (1, 3 * order):
+            x = np.ones((2, n))
+            message = (f"The length of the input vector x must be greater than padlen, "
+                       f"which is {3 * order}.")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                scipy_filtfilt(x, order, 128.0, 0.5, 50.0)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                bandpass_filter(RawRecording(["a", "b"], x, 128.0), 0.5, 50.0, order)
 
 
 class TestSelectChannels:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 from oracles import compute_persistence, full_recompute_fit, rips_filtration
+from scipy.signal import butter, filtfilt
 from scipy.spatial.distance import cdist, pdist
 
 from topofeat.config import PipelineConfig
@@ -13,7 +14,7 @@ from topofeat.denoise import MassParams
 from topofeat.diagrams import BandwidthSpec
 from topofeat.embedding import EmbeddingParams, delay_embed
 from topofeat.homology import PersistenceDiagram
-from topofeat.ingest import RawRecording, bandpass_filter, load_recording, save_recording
+from topofeat.ingest import RawRecording, load_recording, save_recording
 from topofeat.pipeline import _segment_job
 
 RATE = 16.0
@@ -45,13 +46,15 @@ def highest_first(values, count):
 
 def slow_job(path, sid, cfg, embedding):
     """The subject diagram text and density rows of one recording, from the oracles."""
-    rec = load_recording(path, cfg.rate)
-    if cfg.apply_bandpass:
-        rec = bandpass_filter(rec, cfg.band_low, cfg.band_high, cfg.filter_order)
+    signal = load_recording(path, cfg.rate).data
+    if cfg.apply_bandpass:  # scipy's band-pass, which the cut's own must equal bit for bit
+        nyq = cfg.rate / 2
+        b, a = butter(cfg.filter_order, [cfg.band_low / nyq, cfg.band_high / nyq], btype="band")
+        signal = filtfilt(b, a, signal, axis=1, padtype="even", padlen=3 * cfg.filter_order)
     w = cfg.window_samples()
     points = []
-    for index in range(rec.n_samples // w):
-        clouds = [delay_embed(x, embedding) for x in rec.data[:, index * w:(index + 1) * w]]
+    for index in range(signal.shape[1] // w):
+        clouds = [delay_embed(x, embedding) for x in signal[:, index * w:(index + 1) * w]]
         n = len(clouds[0])
         params = MassParams(min(cfg.q, n), min(cfg.k, n), cfg.iters, cfg.seed)
         scores = np.zeros(n)

@@ -448,6 +448,21 @@ class TestStageErrors:
         assert err.value.file == str(Path(cfg.out_dir) / "input" / "a000.csv")
         assert missing in err.value.message
 
+    def test_auto_params_without_compiler_names_it(self, tmp_path, monkeypatch):
+        # the estimate reads the first recording's cut, whose band-pass is compiled
+        cfg = tiny_config(tmp_path / "out", auto_params=True)
+        stage_synth(cfg, **TINY)
+        missing = str(tmp_path / "no-such-gcc")
+        monkeypatch.setattr(_kernels, "_CC", missing)
+        monkeypatch.setattr(_kernels, "_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(_kernels, "_LIB", None)
+        with pytest.raises(StageError, match="no-such-gcc") as err:
+            stage_embed(cfg)
+        assert err.value.stage == "embed"
+        assert err.value.file == str(Path(cfg.out_dir) / "input" / "a000.csv")
+        assert missing in err.value.message
+        assert not (Path(cfg.out_dir) / "params.json").exists()
+
     # artifact under out/, the reused outputs that would keep a stage from reading
     # it, the stage that reads it, and the stage an error names
     DAMAGED = {
